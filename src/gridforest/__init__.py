@@ -6,13 +6,8 @@ from .moments import MomentSet, estimate, sqdiff
 from .network import (
     Line,
     Node,
-    PathSets,
     RadialForest,
     build_forest,
-    compute_path_sets,
-    descendant_set,
-    h_inverse_diff,
-    h_inverse_entry,
     line_param_map,
 )
 from .powerflow import (
@@ -54,19 +49,14 @@ __all__ = [
     "MissingSpec",
     "MomentSet",
     "Node",
-    "PathSets",
     "RadialForest",
     "VoltageSamples",
     "analytic_moments",
     "build_forest",
     "choose_hidden",
-    "compute_path_sets",
-    "descendant_set",
     "estimate",
     "estimate_edge",
     "estimate_injection_stats",
-    "h_inverse_diff",
-    "h_inverse_entry",
     "learn",
     "learn_structure",
     "learn_structure_and_params",

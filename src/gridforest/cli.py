@@ -164,61 +164,37 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    """learn, learn-params and learn-missing: load, learn, score, save."""
     truth = fileio.load_network(args.network)
     momset = _load_momset(args, truth)
+    declared = truth.substation_children()
     params = line_param_map(truth.lines)
-    declared = truth.substation_children()
-    forest, diag = learn_structure(
-        momset, declared, line_params=params, return_diagnostics=True
-    )
-    inj_hat = None
-    if not args.no_estimate:
-        inj_hat = estimate_injection_stats(momset, forest)
-    metrics = {"struct_err": structural_error(truth, forest.parent)}
-    if inj_hat is not None and args.inj:
-        metrics.update(injection_errors(inj_hat, fileio.load_injection(args.inj)))
-    data = fileio.result_to_dict(
-        forest, inj_hat=inj_hat, margins=diag.decisions, metrics=metrics
-    )
-    fileio.save_result(args.out, data)
-    print(f"struct_err={metrics['struct_err']:.4f} -> {args.out}")
-    return 0
-
-
-def _cmd_learn_params(args) -> int:
-    truth = fileio.load_network(args.network)
-    momset = _load_momset(args, truth)
-    inj = fileio.load_injection(args.inj)
-    vp, vq, _ = inj.as_maps()
-    declared = truth.substation_children()
-    rel_tol = args.tol_rel if args.tol_rel is not None else (1e-9 if args.analytic else 1e-6)
-    forest, estimates, diag = learn_structure_and_params(
-        momset, vp, vq, declared, rel_tol=rel_tol, return_diagnostics=True
-    )
-    metrics = {"struct_err": structural_error(truth, forest.parent)}
-    data = fileio.result_to_dict(
-        forest, edge_estimates=estimates, margins=diag.structure.decisions, metrics=metrics
-    )
-    fileio.save_result(args.out, data)
-    print(f"struct_err={metrics['struct_err']:.4f} -> {args.out}")
-    return 0
-
-
-def _cmd_learn_missing(args) -> int:
-    truth = fileio.load_network(args.network)
-    momset = _load_momset(args, truth)
-    spec = fileio.load_missing(args.missing)
-    inj = fileio.load_injection(args.inj)
-    vp, vq, s = inj.as_maps()
-    params = line_param_map(truth.lines)
-    declared = truth.substation_children()
-    forest, diag = learn_with_missing(
-        momset, spec, vp, vq, s, params, declared,
-        tol_rel=args.tol_rel, return_diagnostics=True,
-    )
-    metrics = {"struct_err": structural_error(truth, forest.parent)}
-    data = fileio.result_to_dict(forest, events=diag.events, metrics=metrics)
-    fileio.save_result(args.out, data)
+    inj_errors = {}
+    if args.command == "learn":
+        forest, diag = learn_structure(
+            momset, declared, line_params=params, return_diagnostics=True
+        )
+        inj_hat = None if args.no_estimate else estimate_injection_stats(momset, forest)
+        if inj_hat is not None and args.inj:
+            inj_errors = injection_errors(inj_hat, fileio.load_injection(args.inj))
+        parts = dict(inj_hat=inj_hat, margins=diag.decisions)
+    elif args.command == "learn-params":
+        vp, vq, _ = fileio.load_injection(args.inj).as_maps()
+        rel_tol = args.tol_rel if args.tol_rel is not None else (1e-9 if args.analytic else 1e-6)
+        forest, estimates, diag = learn_structure_and_params(
+            momset, vp, vq, declared, rel_tol=rel_tol, return_diagnostics=True
+        )
+        parts = dict(edge_estimates=estimates, margins=diag.structure.decisions)
+    else:  # learn-missing
+        spec = fileio.load_missing(args.missing)
+        vp, vq, s = fileio.load_injection(args.inj).as_maps()
+        forest, diag = learn_with_missing(
+            momset, spec, vp, vq, s, params, declared,
+            tol_rel=args.tol_rel, return_diagnostics=True,
+        )
+        parts = dict(events=diag.events)
+    metrics = {"struct_err": structural_error(truth, forest.parent), **inj_errors}
+    fileio.save_result(args.out, fileio.result_to_dict(forest, metrics=metrics, **parts))
     print(f"struct_err={metrics['struct_err']:.4f} -> {args.out}")
     return 0
 
@@ -256,8 +232,8 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "moments": _cmd_moments,
     "learn": _cmd_learn,
-    "learn-params": _cmd_learn_params,
-    "learn-missing": _cmd_learn_missing,
+    "learn-params": _cmd_learn,
+    "learn-missing": _cmd_learn,
     "eval": _cmd_eval,
     "reproduce-fig4": _cmd_fig4,
     "reproduce-fig5": _cmd_fig5,

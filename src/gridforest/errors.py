@@ -57,10 +57,6 @@ class UnobservedNode(GridForestError):
 
 # -- learners -------------------------------------------------------------------
 
-class AmbiguousParent(GridForestError):
-    """Parent selection tied within tolerance."""
-
-
 class IncompleteCover(GridForestError):
     """Learning finished with nodes left unattached.
 

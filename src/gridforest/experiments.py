@@ -132,9 +132,8 @@ def _momset_for(forest, inj, m, seed, analytic, observed=None):
     if analytic:
         am = analytic_moments(forest, inj)
         ms = MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
-        if observed is not None:
-            raise ValueError("analytic mode does not support masking")
-        return ms
+        # population matrices cover all nodes; restrict the view to observed
+        return ms if observed is None else ms.restrict(observed)
     samples = sample_voltages(forest, inj, m, seed)
     if observed is not None:
         samples = samples.restrict(observed)
@@ -198,22 +197,8 @@ def _run_missing_cell(config, forest, declared, params, inj, m, seed, count, rep
     hidden_ids = choose_hidden(forest, count, [config.layout_seed, seed, count])
     spec = MissingSpec.from_injections(hidden_ids, inj)
     observed = tuple(i for i in forest.load_ids if i not in set(hidden_ids))
-    if config.analytic:
-        # population matrices cover all nodes; restrict the view to observed
-        am = analytic_moments(forest, inj)
-        keep = [forest.load_index(i) for i in observed]
-        momset = MomentSet(
-            observed,
-            am.mu_eps[keep],
-            am.mu_theta[keep],
-            am.omega_eps[np.ix_(keep, keep)],
-            am.omega_theta[np.ix_(keep, keep)],
-            am.omega_eps_theta[np.ix_(keep, keep)],
-            zero_ids=forest.slack_ids,
-        )
-    else:
-        sample_seed = [config.layout_seed, seed, m, count]
-        momset = _momset_for(forest, inj, m, sample_seed, False, observed=observed)
+    sample_seed = [config.layout_seed, seed, m, count]
+    momset = _momset_for(forest, inj, m, sample_seed, config.analytic, observed=observed)
     vp, vq, s = inj.as_maps()
     try:
         recovered = learn_with_missing(

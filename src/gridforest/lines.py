@@ -32,6 +32,7 @@ from .moments import MomentSet
 from .structure import (
     StructureDiagnostics,
     forest_from_parent_map,
+    leaf_upward_edges,
     recover_parent_map,
 )
 
@@ -205,18 +206,7 @@ def learn_structure_and_params(
     if missing:
         raise UnobservedNode(f"known variances missing for nodes {missing}")
 
-    children: dict[int, list[int]] = {}
-    for c, p in parent.items():
-        children.setdefault(p, []).append(c)
-
-    def depth_of(a):
-        k = 0
-        while a in parent:
-            a = parent[a]
-            k += 1
-        return k
-
-    order = sorted(parent, key=lambda a: (-depth_of(a), a))
+    order, children, stats = leaf_upward_edges(momset, parent)
     sum_p: dict[int, float] = {}
     sum_q: dict[int, float] = {}
     sum_s_est: dict[int, float] = {}
@@ -229,9 +219,7 @@ def learn_structure_and_params(
         sp = var_p[a] + sum(sum_p[c] for c in kids)
         sq = var_q[a] + sum(sum_q[c] for c in kids)
         desc_s = sum(sum_s_est[c] for c in kids)
-        a_stat = momset.sqdiff("eps", a, b)
-        b_stat = momset.sqdiff("theta", a, b)
-        c_stat = momset.sqdiff("cross", a, b)
+        a_stat, b_stat, c_stat = stats[a]
         est = estimate_edge(
             a_stat, b_stat, c_stat, sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol
         )

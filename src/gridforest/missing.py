@@ -28,12 +28,18 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AssumptionViolated,
+    IncompleteCover,
     NoConsistentPlacement,
     UnobservedNode,
 )
 from .moments import MomentSet
 from .network import RadialForest
-from .structure import _declared_map, forest_from_parent_map
+from .structure import (
+    StructureDiagnostics,
+    _declared_map,
+    forest_from_parent_map,
+    recover_parent_map,
+)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,7 @@ class _MissingLearner:
         tol_rel: float,
         tol_abs: float,
     ):
+        self.substation_children = substation_children
         self.declared = _declared_map(substation_children)
         self.slack_ids = tuple(substation_children.keys())
         self.momset = momset.with_zero_ids(self.slack_ids)
@@ -183,7 +190,6 @@ class _MissingLearner:
         missing_cov = [a for a in observed if a not in self.var_p or a not in self.cov_pq]
         if missing_cov:
             raise UnobservedNode(f"known covariances missing for nodes {missing_cov}")
-        self.observed = observed
 
         self.parent: dict[int, int] = {}
         self.parked: dict[int, list[int]] = {}
@@ -313,25 +319,21 @@ class _MissingLearner:
         self._accumulate(b, p0, q0, s0)
 
     def run(self) -> dict[int, int]:
-        loads = sorted(self.observed)
-        var = {a: self.momset.var_eps(a) for a in loads}
-        order = sorted(loads, key=lambda a: (-var[a], a))
-        pos = {a: i for i, a in enumerate(order)}
-
         # Each non-declared node fires at the pop of its squared-difference
         # argmin among later-popped nodes (the candidate set it would see).
-        target: dict[int, int] = {}
+        # The last pop has no candidates; undeclared, it is left dangling.
+        sdiag = StructureDiagnostics()
         dangling = []
-        for i, a in enumerate(order):
-            if a in self.declared:
-                continue
-            cands = order[i + 1 :]
-            if not cands:
-                dangling.append(a)
-                continue
-            vals = [self.momset.sqdiff("eps", a, c) for c in cands]
-            best_val = min(vals)
-            target[a] = min(c for c, v in zip(cands, vals) if v == best_val)
+        try:
+            selected = recover_parent_map(
+                self.momset, self.substation_children, diagnostics=sdiag
+            )
+        except IncompleteCover as exc:
+            selected = exc.parent_map
+            dangling.append(sdiag.pop_order[-1])
+        order = sdiag.pop_order
+        pos = {a: i for i, a in enumerate(order)}
+        target = {a: t for a, t in selected.items() if a not in self.declared}
 
         fired: dict[int, list[int]] = {}
         for a, t in target.items():

@@ -10,8 +10,8 @@ and analytic mode.
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
 
-Pairwise statistics are memoized; cache writes are idempotent, so concurrent
-readers are safe.
+The three covariance blocks (eps, theta, eps-theta) are formed once, with one
+matrix product each in sample mode, and never change afterwards.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import TooFewSamples, UnobservedNode
 from .powerflow import AnalyticMoments, VoltageSamples
-
-_FULL_PRECOMPUTE_LIMIT = 200
 
 
 class MomentSet:
@@ -36,8 +34,6 @@ class MomentSet:
         *,
         m=None,
         zero_ids=(),
-        centered_eps=None,
-        centered_theta=None,
     ):
         self.node_ids = tuple(int(i) for i in node_ids)
         self._pos = {i: k for k, i in enumerate(self.node_ids)}
@@ -48,9 +44,6 @@ class MomentSet:
         self._cov_eps = cov_eps
         self._cov_theta = cov_theta
         self._cov_eps_theta = cov_eps_theta
-        self._centered_eps = centered_eps
-        self._centered_theta = centered_theta
-        self._cache: dict[tuple, float] = {}
 
     # -- constructors -----------------------------------------------------------
 
@@ -64,19 +57,13 @@ class MomentSet:
         m = samples.m
         mu_eps = samples.eps.mean(axis=0)
         ce = samples.eps - mu_eps
-        mu_theta = None
-        ct = None
+        cov_eps = (ce.T @ ce) / m
+        mu_theta = cov_theta = cov_eps_theta = None
         if samples.theta is not None:
             mu_theta = samples.theta.mean(axis=0)
             ct = samples.theta - mu_theta
-
-        n = len(samples.node_ids)
-        cov_eps = cov_theta = cov_eps_theta = None
-        if n <= _FULL_PRECOMPUTE_LIMIT:
-            cov_eps = (ce.T @ ce) / m
-            if ct is not None:
-                cov_theta = (ct.T @ ct) / m
-                cov_eps_theta = (ce.T @ ct) / m
+            cov_theta = (ct.T @ ct) / m
+            cov_eps_theta = (ce.T @ ct) / m
         return cls(
             samples.node_ids,
             mu_eps,
@@ -86,8 +73,6 @@ class MomentSet:
             cov_eps_theta,
             m=m,
             zero_ids=zero_ids,
-            centered_eps=ce,
-            centered_theta=ct,
         )
 
     @classmethod
@@ -141,19 +126,7 @@ class MomentSet:
             self._index(b if a in self.zero_ids else a)
             return 0.0
         ia, ib = self._index(a), self._index(b)
-        if channel == "eps":
-            mat, ca, cb = self._cov_eps, self._centered_eps, self._centered_eps
-        elif channel == "theta":
-            if not self.has_theta:
-                raise UnobservedNode("theta channel not observed")
-            mat, ca, cb = self._cov_theta, self._centered_theta, self._centered_theta
-        else:  # eps_theta
-            if not self.has_theta:
-                raise UnobservedNode("theta channel not observed")
-            mat, ca, cb = self._cov_eps_theta, self._centered_eps, self._centered_theta
-        if mat is not None:
-            return float(mat[ia, ib])
-        return float(ca[:, ia] @ cb[:, ib]) / self.m
+        return float(self.full_cov(channel)[ia, ib])
 
     def var_eps(self, a) -> float:
         return self._cov("eps", a, a)
@@ -173,25 +146,18 @@ class MomentSet:
             if a not in self.zero_ids:
                 self._index(a)
             return 0.0
-        key = (channel, a, b) if a <= b else (channel, b, a)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if channel == "cross":
-            out = (
+            return (
                 self._cov("eps_theta", a, a)
                 - self._cov("eps_theta", a, b)
                 - self._cov("eps_theta", b, a)
                 + self._cov("eps_theta", b, b)
             )
-        else:
-            out = (
-                self._cov(channel, a, a)
-                - 2.0 * self._cov(channel, a, b)
-                + self._cov(channel, b, b)
-            )
-        self._cache[key] = out
-        return out
+        return (
+            self._cov(channel, a, a)
+            - 2.0 * self._cov(channel, a, b)
+            + self._cov(channel, b, b)
+        )
 
     def with_zero_ids(self, ids) -> "MomentSet":
         """Shallow view with additional identically-zero channels (slacks)."""
@@ -210,34 +176,43 @@ class MomentSet:
             self._cov_eps_theta,
             m=self.m,
             zero_ids=self.zero_ids | extra,
-            centered_eps=self._centered_eps,
-            centered_theta=self._centered_theta,
         )
         return out
+
+    def restrict(self, ids) -> "MomentSet":
+        """Moments of a subset of the observed nodes, in the given order.
+
+        Zero ids carry over; an id that is not observed raises UnobservedNode.
+        """
+        ids = tuple(int(i) for i in ids)
+        idx = np.array([self._index(i) for i in ids], dtype=int)
+        block = np.ix_(idx, idx)
+
+        def take(arr, sel):
+            return None if arr is None else arr[sel]
+
+        return MomentSet(
+            ids,
+            take(self.mu_eps, idx),
+            take(self.mu_theta, idx),
+            take(self._cov_eps, block),
+            take(self._cov_theta, block),
+            take(self._cov_eps_theta, block),
+            m=self.m,
+            zero_ids=self.zero_ids,
+        )
 
     def full_cov(self, channel: str) -> np.ndarray:
         """Full covariance matrix over node_ids for one channel pair."""
         if channel == "eps":
-            if self._cov_eps is None:
-                self._cov_eps = (self._centered_eps.T @ self._centered_eps) / self.m
             return self._cov_eps
         if not self.has_theta:
             raise UnobservedNode("theta channel not observed")
         if channel == "theta":
-            if self._cov_theta is None:
-                self._cov_theta = (self._centered_theta.T @ self._centered_theta) / self.m
             return self._cov_theta
         if channel == "eps_theta":
-            if self._cov_eps_theta is None:
-                self._cov_eps_theta = (self._centered_eps.T @ self._centered_theta) / self.m
             return self._cov_eps_theta
         raise ValueError(f"unknown channel {channel!r}")
-
-    def variance_vector(self) -> np.ndarray:
-        """Per-node eps variances aligned with node_ids."""
-        if self._cov_eps is not None:
-            return np.diag(self._cov_eps).copy()
-        return np.einsum("ji,ji->i", self._centered_eps, self._centered_eps) / self.m
 
     def mean_vectors(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """(mu_theta, mu_eps) restricted to the given ids (zero ids allowed)."""

@@ -4,8 +4,9 @@ The operational layout of a distribution grid is a union of disjoint trees,
 each rooted at one substation (slack) bus.  Everything downstream relies on
 one structural fact: the inverse of the reduced edge-weighted Laplacian of
 such a forest has entries equal to the summed edge weights on the shared
-portion of the two nodes' paths to their slack.  Entries are therefore
-computed by path walks; dense inversion exists only in the test oracles.
+portion of the two nodes' paths to their slack.  Products with that matrix
+are two tree sweeps (``apply_path_inverse``); dense inversion exists only in
+the test oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import (
     CycleDetected,
-    DifferentTrees,
+    DimensionMismatch,
     DisconnectedLoadNode,
     MultipleSlacksInComponent,
     NotParent,
@@ -312,20 +313,14 @@ class RadialForest:
     # -- dense derived matrices (loads only) -------------------------------------------
 
     def h_inverse_matrix(self, kind: str) -> np.ndarray:
-        """Full N x N path-sum matrix, assembled from subtree indicators."""
+        """Full N x N path-sum matrix: the two-sweep operator applied to the
+        identity, O(N^2).  Each entry adds the shared-path weights in
+        root-to-leaf order."""
         cached = self._hinv_cache.get(kind)
-        if cached is not None:
-            return cached
-        n = self.n_loads
-        out = np.zeros((n, n))
-        for a in self.topo_order:
-            w = self.edge_weight(a, kind)
-            idx = np.fromiter(
-                (self._loadpos[c] for c in self.descendant_set(a)), dtype=int
-            )
-            out[np.ix_(idx, idx)] += w
-        self._hinv_cache[kind] = out
-        return out
+        if cached is None:
+            cached = apply_path_inverse(self, kind, np.eye(self.n_loads))
+            self._hinv_cache[kind] = cached
+        return cached
 
     def reduced_incidence(self) -> np.ndarray:
         """Directed incidence over loads (one row per operational edge)."""
@@ -367,41 +362,31 @@ class RadialForest:
         return dict(self.parent)
 
 
-@dataclass(frozen=True)
-class PathSets:
-    """Precomputed per-node path edges and descendant sets."""
+def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
+    """Apply the ``kind`` path-sum matrix to a vector or an (N, k) block.
 
-    path_edges: dict[int, tuple[tuple[int, int], ...]]
-    descendants: dict[int, frozenset[int]]
-
-
-def compute_path_sets(forest: RadialForest) -> PathSets:
-    return PathSets(
-        path_edges={a: forest.path_edges(a) for a in forest.load_ids},
-        descendants={a: forest.descendant_set(a) for a in forest.load_ids},
-    )
-
-
-# -- module-level operation surface ------------------------------------------------
+    Bottom-up subtree sums, then top-down accumulation of weighted sums
+    along each root-to-node path.  Exact, O(N k); columns are independent.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[0] != forest.n_loads:
+        raise DimensionMismatch(
+            f"u must have shape ({forest.n_loads},) or ({forest.n_loads}, k), got {u.shape}"
+        )
+    pos = forest._loadpos
+    s = u.copy()
+    for a in reversed(forest.topo_order):
+        p = forest.parent[a]
+        if forest.is_load(p):
+            s[pos[p]] += s[pos[a]]
+    v = np.zeros_like(s)
+    for a in forest.topo_order:
+        p = forest.parent[a]
+        base = v[pos[p]] if forest.is_load(p) else 0.0
+        v[pos[a]] = base + forest.edge_weight(a, kind) * s[pos[a]]
+    return v
 
 
 def build_forest(nodes, lines, slacks=None) -> RadialForest:
     """Validate and orient an operational forest from nodes and lines."""
     return RadialForest(nodes, lines, slacks=slacks)
-
-
-def h_inverse_entry(forest: RadialForest, kind: str, a, b) -> float:
-    return forest.h_inverse_entry(kind, a, b)
-
-
-def h_inverse_diff(forest: RadialForest, kind: str, a, parent_b, c) -> float:
-    return forest.h_inverse_diff(kind, a, parent_b, c)
-
-
-def descendant_set(forest: RadialForest, a) -> frozenset[int]:
-    return forest.descendant_set(a)
-
-
-def require_same_tree(forest: RadialForest, a, b):
-    if forest.tree_of[a] != forest.tree_of[b]:
-        raise DifferentTrees(f"nodes {a} and {b} sit in different trees")

@@ -17,6 +17,10 @@ parents.
 
 Only voltage magnitudes drive the structure.  Phase data and line
 parameters enter solely in the statistics estimator.
+
+``recover_parent_map`` is the one implementation of this pass and
+``leaf_upward_edges`` the one leaf-upward edge walk; the line-parameter and
+hidden-node learners build on them.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ class StructureDiagnostics:
 
 @dataclass
 class EstimationDiagnostics:
-    mode: str = "sequential"
     clamped_variances: list[tuple[int, str, float]] = field(default_factory=list)
     clamped_covariances: list[tuple[int, float]] = field(default_factory=list)
 
@@ -91,11 +94,15 @@ def recover_parent_map(
     tie_rtol: float = 1e-9,
     diagnostics: StructureDiagnostics | None = None,
 ) -> dict[int, int]:
-    """Core pass shared by all structure learners.
+    """Parent-selection kernel shared by all structure learners.
 
-    Returns child -> parent over the observed loads; declared substation
-    children map to their slack.  Raises IncompleteCover when a node runs
-    out of candidates (its parent would have to be an undeclared slack).
+    Pops the observed loads by decreasing eps variance (ties by id) and
+    attaches each undeclared pop to the later pop with the smallest squared
+    difference, the smallest id among exact ties.  Returns child -> parent
+    over the observed loads; declared substation children map to their
+    slack.  Raises IncompleteCover when the last pop is undeclared (its
+    parent would have to be an undeclared slack), carrying every other
+    node's selection.
     """
     declared = _declared_map(substation_children)
     loads = sorted(set(momset.observed) - momset.zero_ids)
@@ -103,34 +110,42 @@ def recover_parent_map(
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
-    var = {a: momset.var_eps(a) for a in loads}
-    order = sorted(loads, key=lambda a: (-var[a], a))
+    cov = momset.full_cov("eps")
+    pos = {a: k for k, a in enumerate(momset.observed)}
+    var_of = {a: float(cov[pos[a], pos[a]]) for a in loads}
+    order = sorted(loads, key=lambda a: (-var_of[a], a))
     if diagnostics is not None:
         diagnostics.pop_order = list(order)
         for i in range(len(order) - 1):
             diagnostics.variance_margins.append(
-                (order[i], var[order[i]] - var[order[i + 1]])
+                (order[i], var_of[order[i]] - var_of[order[i + 1]])
             )
 
+    # Row i holds the squared differences of pop i against every later pop,
+    # in the operation order of the scalar MomentSet.sqdiff.
+    idx = np.array([pos[a] for a in order], dtype=int)
+    ids = np.array(order, dtype=int)
+    var = np.diag(cov)[idx]
     parent: dict[int, int] = {}
     for i, a in enumerate(order):
         if a in declared:
             parent[a] = declared[a]
             continue
-        candidates = order[i + 1 :]
-        if not candidates:
+        if i + 1 == len(order):
             raise IncompleteCover(
                 f"node {a} has no remaining parent candidates", parent_map=parent
             )
-        vals = np.array([momset.sqdiff("eps", a, c) for c in candidates])
+        later = idx[i + 1 :]
+        vals = var[i] - 2.0 * cov[idx[i], later] + var[i + 1 :]
+        cands = ids[i + 1 :]
         best_val = vals.min()
-        ties = [c for c, v in zip(candidates, vals) if v == best_val]
-        chosen = min(ties)
+        chosen = int(cands[vals == best_val].min())
         parent[a] = chosen
         if diagnostics is not None:
-            others = [(v, c) for c, v in zip(candidates, vals) if c != chosen]
-            if others:
-                runner_val, runner = min(others)
+            others = cands != chosen
+            if others.any():
+                runner_val = vals[others].min()
+                runner = int(cands[others & (vals == runner_val)].min())
                 margin = float(runner_val - best_val)
                 scale = max(abs(best_val), abs(runner_val), 1e-300)
                 ambiguous = bool(margin <= tie_rtol * scale)
@@ -208,22 +223,49 @@ def solve_edge_system(r: float, x: float, a_stat: float, b_stat: float, c_stat: 
     return np.linalg.solve(mat, rhs)
 
 
+def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
+    """Walk plan for the edges of a parent map, leaves first.
+
+    Returns ``(order, children, stats)``: the children ordered by decreasing
+    depth (ties by id), so every node comes after all of its descendants;
+    each node's children in parent-map order; and each edge's three
+    pairwise statistics (eps, theta, cross) against its parent.  ``momset``
+    must carry the slacks as zero ids.
+    """
+    children: dict[int, list[int]] = {}
+    for c, p in parent.items():
+        children.setdefault(p, []).append(c)
+    depth: dict[int, int] = {}
+    for a in parent:
+        path = []
+        while a in parent and a not in depth:
+            path.append(a)
+            a = parent[a]
+        k = depth.get(a, 0)
+        for b in reversed(path):
+            k += 1
+            depth[b] = k
+    order = sorted(parent, key=lambda a: (-depth[a], a))
+    stats = {
+        a: tuple(momset.sqdiff(ch, a, parent[a]) for ch in ("eps", "theta", "cross"))
+        for a in order
+    }
+    return order, children, stats
+
+
 def estimate_injection_stats(
     momset: MomentSet,
     forest: RadialForest,
     *,
-    mode: str = "sequential",
     clamp_floor: float = 0.0,
     strict: bool = False,
     return_diagnostics: bool = False,
 ):
     """Recover per-node injection means and second moments on a known forest.
 
-    Sequential mode walks edges leaf-upward: each edge's three pairwise
-    statistics determine the subtree sums of (var_p, var_q, cov_pq), and the
-    already-estimated descendant sums are subtracted off.  Direct mode
-    recovers the same quantities in one shot by mapping voltage moments back
-    through the complex reduced Laplacian; it is kept as a cross-check.
+    Edges are walked leaf-upward: each edge's three pairwise statistics
+    determine the subtree sums of (var_p, var_q, cov_pq), and the
+    already-estimated descendant sums are subtracted off.
 
     Negative solved variances are clamped to ``clamp_floor`` and reported
     (raised when ``strict``).  Covariances are clamped into the
@@ -236,58 +278,33 @@ def estimate_injection_stats(
     if missing:
         raise UnobservedNode(f"moments missing for nodes {missing}")
 
-    diag = EstimationDiagnostics(mode=mode)
+    diag = EstimationDiagnostics()
     n = forest.n_loads
     ids = forest.load_ids
 
-    if mode == "sequential":
-        var_p = np.zeros(n)
-        var_q = np.zeros(n)
-        cov_pq = np.zeros(n)
-        desc = {a: np.zeros(3) for a in ids}
-        by_depth = sorted(ids, key=lambda a: (-forest.depth[a], a))
-        for a in by_depth:
-            b = forest.parent[a]
-            r, x = forest.edge_params[a]
-            a_stat = momset.sqdiff("eps", a, b)
-            b_stat = momset.sqdiff("theta", a, b)
-            c_stat = momset.sqdiff("cross", a, b)
-            sums = solve_edge_system(r, x, a_stat, b_stat, c_stat)
-            own = sums - desc[a]
-            k = forest.load_index(a)
-            var_p[k], var_q[k], cov_pq[k] = own
-            for j, name in enumerate(("var_p", "var_q")):
-                if own[j] < clamp_floor:
-                    if strict:
-                        raise NegativeVarianceEstimate(
-                            f"{name}[{a}] solved to {own[j]:.3e}"
-                        )
-                    diag.clamped_variances.append((a, name, float(own[j])))
-            var_p[k] = max(var_p[k], clamp_floor)
-            var_q[k] = max(var_q[k], clamp_floor)
-            p = forest.parent[a]
-            if forest.is_load(p):
-                desc[p] += np.array([var_p[k], var_q[k], cov_pq[k]]) + desc[a]
-    elif mode == "direct":
-        hz = forest.reduced_laplacian("z")
-        g, bm = hz.real, hz.imag
-        cov_e = _aligned_matrix(momset, ids, "eps")
-        cov_t = _aligned_matrix(momset, ids, "theta")
-        cov_et = _aligned_matrix(momset, ids, "eps_theta")
-        cov_te = cov_et.T
-        var_p = np.diag(g @ cov_e @ g.T - g @ cov_et @ bm.T - bm @ cov_te @ g.T + bm @ cov_t @ bm.T).copy()
-        var_q = np.diag(bm @ cov_e @ bm.T + bm @ cov_et @ g.T + g @ cov_te @ bm.T + g @ cov_t @ g.T).copy()
-        cov_pq = np.diag(-g @ cov_e @ bm.T - g @ cov_et @ g.T + bm @ cov_te @ bm.T + bm @ cov_t @ g.T).copy()
-        for k, a in enumerate(ids):
-            for name, arr in (("var_p", var_p), ("var_q", var_q)):
-                if arr[k] < clamp_floor:
-                    if strict:
-                        raise NegativeVarianceEstimate(f"{name}[{a}] solved to {arr[k]:.3e}")
-                    diag.clamped_variances.append((a, name, float(arr[k])))
-        var_p = np.maximum(var_p, clamp_floor)
-        var_q = np.maximum(var_q, clamp_floor)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    var_p = np.zeros(n)
+    var_q = np.zeros(n)
+    cov_pq = np.zeros(n)
+    desc = {a: np.zeros(3) for a in ids}
+    order, _children, stats = leaf_upward_edges(momset, forest.parent)
+    for a in order:
+        r, x = forest.edge_params[a]
+        sums = solve_edge_system(r, x, *stats[a])
+        own = sums - desc[a]
+        k = forest.load_index(a)
+        var_p[k], var_q[k], cov_pq[k] = own
+        for j, name in enumerate(("var_p", "var_q")):
+            if own[j] < clamp_floor:
+                if strict:
+                    raise NegativeVarianceEstimate(
+                        f"{name}[{a}] solved to {own[j]:.3e}"
+                    )
+                diag.clamped_variances.append((a, name, float(own[j])))
+        var_p[k] = max(var_p[k], clamp_floor)
+        var_q[k] = max(var_q[k], clamp_floor)
+        p = forest.parent[a]
+        if forest.is_load(p):
+            desc[p] += np.array([var_p[k], var_q[k], cov_pq[k]]) + desc[a]
 
     bound = np.sqrt(var_p * var_q)
     for k, a in enumerate(ids):
@@ -315,13 +332,6 @@ def estimate_injection_stats(
     if return_diagnostics:
         return inj, diag
     return inj
-
-
-def _aligned_matrix(momset: MomentSet, ids, channel: str) -> np.ndarray:
-    mat = momset.full_cov(channel)
-    pos = {i: k for k, i in enumerate(momset.node_ids)}
-    idx = np.array([pos[i] for i in ids], dtype=int)
-    return mat[np.ix_(idx, idx)]
 
 
 def learn(

@@ -2,13 +2,16 @@
 
 The dense oracle here deliberately avoids the package's path-walk code: it
 assembles the reduced weighted Laplacian from the raw line list with plain
-loops and inverts it with numpy.
+loops and inverts it with numpy.  The direct statistics oracle avoids the
+leaf-upward edge walk: it maps the voltage moments back through the complex
+reduced Laplacian in one shot.
 """
 
 import numpy as np
 import pytest
 
 from gridforest.network import Line, Node, build_forest
+from gridforest.powerflow import InjectionModel
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 
@@ -32,6 +35,46 @@ def dense_path_matrix(forest, kind: str) -> np.ndarray:
                 lap[iu, iv] -= w
                 lap[iv, iu] -= w
     return np.linalg.inv(lap)
+
+
+def _aligned_matrix(momset, ids, channel: str) -> np.ndarray:
+    mat = momset.full_cov(channel)
+    pos = {i: k for k, i in enumerate(momset.node_ids)}
+    idx = np.array([pos[i] for i in ids], dtype=int)
+    return mat[np.ix_(idx, idx)]
+
+
+def direct_injection_stats(momset, forest) -> InjectionModel:
+    """Oracle: injection statistics on a known forest in one shot.
+
+    With H = g + j b the complex reduced Laplacian (weights 1/(r + jx)),
+    p - jq = H (eps + j theta), so the injection moments are linear maps of
+    the voltage moments.  Variances are clamped at zero and covariances into
+    the Cauchy-Schwarz bound, as the package's estimator does.
+    """
+    ids = forest.load_ids
+    hz = forest.reduced_laplacian("z")
+    g, bm = hz.real, hz.imag
+    cov_e = _aligned_matrix(momset, ids, "eps")
+    cov_t = _aligned_matrix(momset, ids, "theta")
+    cov_et = _aligned_matrix(momset, ids, "eps_theta")
+    cov_te = cov_et.T
+    var_p = np.diag(g @ cov_e @ g.T - g @ cov_et @ bm.T - bm @ cov_te @ g.T + bm @ cov_t @ bm.T)
+    var_q = np.diag(bm @ cov_e @ bm.T + bm @ cov_et @ g.T + g @ cov_te @ bm.T + g @ cov_t @ g.T)
+    cov_pq = np.diag(-g @ cov_e @ bm.T - g @ cov_et @ g.T + bm @ cov_te @ bm.T + bm @ cov_t @ g.T)
+    var_p = np.maximum(var_p, 0.0)
+    var_q = np.maximum(var_q, 0.0)
+    bound = np.sqrt(var_p * var_q)
+    mu_theta, mu_eps = momset.mean_vectors(ids)
+    mu = hz @ (mu_eps + 1j * mu_theta)
+    return InjectionModel(
+        node_ids=ids,
+        mu_p=mu.real,
+        mu_q=-mu.imag,
+        var_p=var_p,
+        var_q=var_q,
+        cov_pq=np.clip(cov_pq, -bound, bound),
+    )
 
 
 @pytest.fixture

@@ -42,18 +42,8 @@ def _random_feeders(count, seed, n_lo=2, n_hi=80, k_hi=11):
 
 
 def _analytic_momset(forest, inj, hidden=()):
-    am = analytic_moments(forest, inj)
-    observed = tuple(i for i in forest.load_ids if i not in set(hidden))
-    keep = [forest.load_index(i) for i in observed]
-    return MomentSet(
-        observed,
-        am.mu_eps[keep],
-        am.mu_theta[keep],
-        am.omega_eps[np.ix_(keep, keep)],
-        am.omega_theta[np.ix_(keep, keep)],
-        am.omega_eps_theta[np.ix_(keep, keep)],
-        zero_ids=forest.slack_ids,
-    )
+    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    return ms.restrict(i for i in forest.load_ids if i not in set(hidden))
 
 
 FEEDERS_100 = None

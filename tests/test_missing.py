@@ -20,18 +20,8 @@ from conftest import random_feeder
 
 def observed_momset(forest, inj, hidden=()):
     """Population moments over the observed nodes only."""
-    am = analytic_moments(forest, inj)
-    observed = tuple(i for i in forest.load_ids if i not in set(hidden))
-    keep = [forest.load_index(i) for i in observed]
-    return MomentSet(
-        observed,
-        am.mu_eps[keep],
-        am.mu_theta[keep],
-        am.omega_eps[np.ix_(keep, keep)],
-        am.omega_theta[np.ix_(keep, keep)],
-        am.omega_eps_theta[np.ix_(keep, keep)],
-        zero_ids=forest.slack_ids,
-    )
+    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    return ms.restrict(i for i in forest.load_ids if i not in set(hidden))
 
 
 def run_missing(forest, inj, hidden, **kw):

@@ -107,6 +107,25 @@ def test_sqdiff_identity_against_direct_sum(data):
         assert got == pytest.approx(ident, rel=1e-9, abs=1e-12)
 
 
+def test_sqdiff_wide_matches_per_pair_mean():
+    # N above the old lazy-path cutoff: the covariance blocks come from one
+    # matrix product, and every statistic still equals its per-pair mean
+    rng = np.random.default_rng(8)
+    n, m = 250, 400
+    eps = rng.normal(size=(m, n)) + rng.normal(size=(m, 1))
+    theta = 0.5 * eps + rng.normal(size=(m, n))
+    ms = estimate(VoltageSamples(node_ids=range(n), eps=eps, theta=theta))
+    ce = eps - eps.mean(axis=0)
+    ct = theta - theta.mean(axis=0)
+    for a, b in rng.integers(0, n, size=(60, 2)):
+        if a == b:
+            continue
+        de, dt = ce[:, a] - ce[:, b], ct[:, a] - ct[:, b]
+        assert ms.sqdiff("eps", a, b) == pytest.approx(np.mean(de * de), rel=1e-12)
+        assert ms.sqdiff("theta", a, b) == pytest.approx(np.mean(dt * dt), rel=1e-12)
+        assert ms.sqdiff("cross", a, b) == pytest.approx(np.mean(de * dt), rel=1e-12)
+
+
 def test_sqdiff_converges_to_analytic():
     forest, inj = random_feeder(5, n_range=(3, 8), k_max=1)
     am = analytic_moments(forest, inj)
@@ -169,6 +188,18 @@ def test_restriction_to_observed_subset():
     assert ms.observed == tuple(keep)
     with pytest.raises(UnobservedNode):
         ms.var_eps(forest.load_ids[-1])
+    # a restricted view of the full set answers the same questions
+    view = estimate(s).restrict(reversed(keep))
+    assert view.observed == tuple(reversed(keep))
+    for a in keep:
+        assert view.mu_theta_of(a) == pytest.approx(ms.mu_theta_of(a), rel=1e-12)
+        for b in keep:
+            for channel in ("eps", "theta", "cross"):
+                assert view.sqdiff(channel, a, b) == pytest.approx(
+                    ms.sqdiff(channel, a, b), rel=1e-12, abs=1e-300
+                )
+    with pytest.raises(UnobservedNode):
+        view.var_eps(forest.load_ids[-1])
 
 
 def test_to_dict_shape():

@@ -11,15 +11,8 @@ from gridforest.errors import (
     ParallelLine,
     UnknownNode,
 )
-from gridforest.network import (
-    Line,
-    Node,
-    build_forest,
-    compute_path_sets,
-    descendant_set,
-    h_inverse_diff,
-    h_inverse_entry,
-)
+from gridforest.network import Line, Node, build_forest
+from gridforest.synth import FeederSpec, synth_layout
 
 from conftest import dense_path_matrix, random_feeder
 
@@ -89,7 +82,7 @@ def test_unknown_endpoint():
 
 def test_entry_chain_value(chain4):
     # frozen from the dense oracle: shared path of 2 and 3 is edges (1,0), (2,1)
-    assert h_inverse_entry(chain4, "r", 2, 3) == pytest.approx(3.0, abs=1e-14)
+    assert chain4.h_inverse_entry("r", 2, 3) == pytest.approx(3.0, abs=1e-14)
     oracle = dense_path_matrix(chain4, "r")
     assert oracle[1, 2] == pytest.approx(3.0, abs=1e-12)
 
@@ -98,10 +91,10 @@ def test_entry_branch_layout(branch_layout):
     f = branch_layout
     # nodes a=1 and d=3 share only the edge (e=5, slack): entry = r_e0 ... plus
     # nothing else; a's path also holds (a,b) and (b,e).
-    assert h_inverse_entry(f, "r", 1, 3) == pytest.approx(0.5)
+    assert f.h_inverse_entry("r", 1, 3) == pytest.approx(0.5)
     # a and b share (b,e) and (e,0)
-    assert h_inverse_entry(f, "r", 1, 4) == pytest.approx(0.3 + 0.5)
-    assert h_inverse_entry(f, "x", 1, 4) == pytest.approx(0.4 + 0.7)
+    assert f.h_inverse_entry("r", 1, 4) == pytest.approx(0.3 + 0.5)
+    assert f.h_inverse_entry("x", 1, 4) == pytest.approx(0.4 + 0.7)
 
 
 def test_entry_cousin_subtrees():
@@ -115,20 +108,20 @@ def test_entry_cousin_subtrees():
         Line(2, 4, r=0.9, x=0.2),   # d - b
     ]
     f = build_forest(nodes, lines)
-    assert h_inverse_entry(f, "r", 1, 2) == pytest.approx(0.3 + 0.5)
-    assert h_inverse_entry(f, "x", 1, 2) == pytest.approx(0.4 + 0.7)
+    assert f.h_inverse_entry("r", 1, 2) == pytest.approx(0.3 + 0.5)
+    assert f.h_inverse_entry("x", 1, 2) == pytest.approx(0.4 + 0.7)
 
 
 def test_entry_cross_tree_zero():
     nodes = [Node(0, "substation"), Node(9, "substation"), Node(1, "load"), Node(2, "load")]
     lines = [Line(1, 0, r=1, x=1), Line(2, 9, r=1, x=1)]
     forest = build_forest(nodes, lines)
-    assert h_inverse_entry(forest, "r", 1, 2) == 0.0
+    assert forest.h_inverse_entry("r", 1, 2) == 0.0
 
 
 def test_entry_requires_load(chain4):
     with pytest.raises(UnknownNode):
-        h_inverse_entry(chain4, "r", 0, 1)
+        chain4.h_inverse_entry("r", 0, 1)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -139,18 +132,24 @@ def test_entry_matches_dense_oracle(seed, kind):
     pos = {i: k for k, i in enumerate(forest.load_ids)}
     for a in forest.load_ids:
         for b in forest.load_ids:
-            got = h_inverse_entry(forest, kind, a, b)
+            got = forest.h_inverse_entry(kind, a, b)
             want = oracle[pos[a], pos[b]]
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_h_inverse_matrix_matches_entries(chain4):
-    mat = chain4.h_inverse_matrix("r")
-    for a in chain4.load_ids:
-        for b in chain4.load_ids:
-            assert mat[chain4.load_index(a), chain4.load_index(b)] == pytest.approx(
-                h_inverse_entry(chain4, "r", a, b)
-            )
+    # the sweep-built matrix adds the same weights in the same root-to-leaf
+    # order as the path walk, so entries agree exactly
+    deep = synth_layout(FeederSpec(n_loads=300, chain_bias=1.0, max_children=1), 5)
+    bushy = synth_layout(FeederSpec(n_loads=120, n_trees=4, extra_lines=30), 6)
+    assert max(deep.depth.values()) == 300
+    for forest in (chain4, deep, bushy):
+        for kind in ("r", "x"):
+            mat = forest.h_inverse_matrix(kind)
+            for a in forest.load_ids:
+                for b in forest.load_ids:
+                    got = mat[forest.load_index(a), forest.load_index(b)]
+                    assert got == forest.h_inverse_entry(kind, a, b)
 
 
 # -- row differences --------------------------------------------------------------
@@ -158,16 +157,16 @@ def test_h_inverse_matrix_matches_entries(chain4):
 
 def test_diff_chain(chain4):
     # c = 3 descends from 2, so the difference is the (2, 1) edge weight
-    assert h_inverse_diff(chain4, "r", 2, 1, 3) == pytest.approx(2.0)
+    assert chain4.h_inverse_diff("r", 2, 1, 3) == pytest.approx(2.0)
     # c = 1 is not a descendant of 2
-    assert h_inverse_diff(chain4, "r", 2, 1, 1) == 0.0
+    assert chain4.h_inverse_diff("r", 2, 1, 1) == 0.0
     # a leaf includes itself in its descendant set
-    assert h_inverse_diff(chain4, "r", 3, 2, 3) == pytest.approx(1.0)
+    assert chain4.h_inverse_diff("r", 3, 2, 3) == pytest.approx(1.0)
 
 
 def test_diff_requires_parent(chain4):
     with pytest.raises(NotParent):
-        h_inverse_diff(chain4, "r", 3, 1, 3)
+        chain4.h_inverse_diff("r", 3, 1, 3)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -180,8 +179,8 @@ def test_diff_is_entry_difference(seed):
         w = forest.edge_weight(a, "r")
         desc = forest.descendant_set(a)
         for c in forest.load_ids:
-            got = h_inverse_diff(forest, "r", a, b, c)
-            want = h_inverse_entry(forest, "r", a, c) - h_inverse_entry(forest, "r", b, c)
+            got = forest.h_inverse_diff("r", a, b, c)
+            want = forest.h_inverse_entry("r", a, c) - forest.h_inverse_entry("r", b, c)
             assert got == pytest.approx(want, abs=1e-12)
             assert got == pytest.approx(w if c in desc else 0.0, abs=1e-12)
 
@@ -190,29 +189,29 @@ def test_diff_is_entry_difference(seed):
 
 
 def test_descendants_examples(chain4, branch_layout):
-    assert descendant_set(chain4, 3) == {3}
-    assert descendant_set(chain4, 1) == {1, 2, 3}
+    assert chain4.descendant_set(3) == {3}
+    assert chain4.descendant_set(1) == {1, 2, 3}
     # in the branch layout, b (=4) holds itself and a (=1)
-    assert descendant_set(branch_layout, 4) == {4, 1}
+    assert branch_layout.descendant_set(4) == {4, 1}
 
 
 def test_sibling_descendants_disjoint(branch_layout):
-    assert descendant_set(branch_layout, 4) & descendant_set(branch_layout, 3) == set()
+    assert branch_layout.descendant_set(4) & branch_layout.descendant_set(3) == set()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_path_set_invariants(seed):
     forest, _ = random_feeder(seed, n_range=(2, 30))
-    ps = compute_path_sets(forest)
+    desc = forest.descendant_set
     for a in forest.load_ids:
-        assert a in ps.descendants[a]
+        assert a in desc(a)
         p = forest.parent[a]
         if forest.is_load(p):
-            assert ps.descendants[a] < ps.descendants[p]
-            assert set(ps.path_edges[a]) == set(ps.path_edges[p]) | {(a, p)}
+            assert desc(a) < desc(p)
+            assert set(forest.path_edges(a)) == set(forest.path_edges(p)) | {(a, p)}
         sibs = [c for c in forest.children_of(p) if c != a]
         for s in sibs:
-            assert ps.descendants[a] & ps.descendants[s] == set()
+            assert desc(a) & desc(s) == set()
 
 
 @settings(max_examples=30, deadline=None)

@@ -74,10 +74,16 @@ def test_two_sweep_matches_dense(seed):
     forest, _ = random_feeder(seed)
     rng = np.random.default_rng(seed + 99)
     u = rng.normal(size=forest.n_loads)
+    block = rng.normal(size=(forest.n_loads, 3))
     for kind in ("r", "x"):
+        dense = dense_path_matrix(forest, kind)
         got = apply_path_inverse(forest, kind, u)
-        want = dense_path_matrix(forest, kind) @ u
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got, dense @ u, rtol=1e-10, atol=1e-12)
+        # an (N, k) block is k independent sweeps, bit for bit
+        got = apply_path_inverse(forest, kind, block)
+        cols = [apply_path_inverse(forest, kind, block[:, j]) for j in range(3)]
+        assert np.array_equal(got, np.stack(cols, axis=1))
+        np.testing.assert_allclose(got, dense @ block, rtol=1e-10, atol=1e-12)
 
 
 # -- analytic moments --------------------------------------------------------------

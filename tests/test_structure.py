@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridforest.errors import IncompleteCover, NegativeVarianceEstimate, UnobservedNode
+from gridforest.missing import MissingSpec, learn_with_missing
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest, line_param_map
 from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltages
@@ -13,7 +14,7 @@ from gridforest.structure import (
 )
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
-from conftest import random_feeder
+from conftest import direct_injection_stats, random_feeder
 
 
 def analytic_momset(forest, inj):
@@ -109,6 +110,31 @@ def test_selection_margins_recorded():
     assert not diag.ambiguous_edges
 
 
+def test_exact_tie_picks_smallest_id():
+    # pops 9 (var 4), 7 (var 2), 5 (var 1): node 9's squared differences to
+    # 7 and to 5 are both exactly 4.0, and the smaller id wins although 7 is
+    # popped first
+    cov = np.array([[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 4.0]])
+    ms = MomentSet((5, 7, 9), np.zeros(3), np.zeros(3), cov, cov, cov, zero_ids=(0,))
+    declared = {0: (5,)}
+    rec, diag = learn_structure(ms, declared, return_diagnostics=True)
+    assert rec.parent_map() == {9: 5, 7: 5, 5: 0}
+    tie, single = diag.decisions
+    assert (tie.child, tie.parent, tie.runner_up) == (9, 5, 7)
+    assert tie.margin == 0.0 and tie.ambiguous
+    assert (single.child, single.parent, single.runner_up) == (7, 5, None)
+    assert single.margin == float("inf") and not single.ambiguous
+
+    ones = {5: 1.0, 7: 1.0, 9: 1.0}
+    lines = {(5, 9): (1.0, 1.0), (5, 7): (1.0, 1.0), (0, 5): (1.0, 1.0)}
+    rec, mdiag = learn_with_missing(
+        ms, MissingSpec(hidden=()), ones, ones, ones, lines, declared,
+        return_diagnostics=True,
+    )
+    assert {ev.child: ev.parent for ev in mdiag.events} == {9: 5, 7: 5, 5: 0}
+    assert rec.parent_map() == {9: 5, 7: 5, 5: 0}
+
+
 # -- injection statistics ------------------------------------------------------------
 
 
@@ -160,8 +186,8 @@ def test_zero_mean_injections_recovered_as_zero():
 def test_direct_mode_matches_sequential():
     forest, inj = random_feeder(13, n_range=(4, 30), k_max=3)
     ms = analytic_momset(forest, inj)
-    seq = estimate_injection_stats(ms, forest, mode="sequential")
-    direct = estimate_injection_stats(ms, forest, mode="direct")
+    seq = estimate_injection_stats(ms, forest)
+    direct = direct_injection_stats(ms, forest)
     np.testing.assert_allclose(direct.var_p, seq.var_p, rtol=1e-8)
     np.testing.assert_allclose(direct.var_q, seq.var_q, rtol=1e-8)
     np.testing.assert_allclose(direct.cov_pq, seq.cov_pq, rtol=1e-8)
@@ -169,13 +195,13 @@ def test_direct_mode_matches_sequential():
 
 
 def test_direct_mode_on_samples():
-    # the two modes are distinct finite-sample estimators of the same truth:
-    # means come from the identical linear inversion, covariances agree only
-    # statistically
+    # the edge walk and the direct oracle are distinct finite-sample
+    # estimators of the same truth: means are the same linear map of the
+    # sample means, covariances agree only statistically
     forest, inj = random_feeder(17, n_range=(4, 15), k_max=2)
     ms = sample_momset(forest, inj, 20_000, seed=2)
-    seq = estimate_injection_stats(ms, forest, mode="sequential")
-    direct = estimate_injection_stats(ms, forest, mode="direct")
+    seq = estimate_injection_stats(ms, forest)
+    direct = direct_injection_stats(ms, forest)
     np.testing.assert_allclose(direct.mu_p, seq.mu_p, rtol=1e-8, atol=1e-14)
     np.testing.assert_allclose(direct.mu_q, seq.mu_q, rtol=1e-8, atol=1e-14)
     assert np.mean(np.abs(direct.var_p - inj.var_p) / inj.var_p) < 0.2
@@ -272,4 +298,3 @@ def test_full_pipeline_learn_result():
     )
     assert result.forest.parent_map() == forest.parent_map()
     np.testing.assert_allclose(result.inj_hat.var_p, inj.var_p, rtol=1e-8)
-    assert result.estimation_diagnostics.mode == "sequential"
