@@ -211,16 +211,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_fig4(args) -> int:
-    report = reproduce_fig4(args.out, seeds=tuple(range(args.seeds)))
-    for key, val in report.aggregates().items():
-        print(f"{key}: {val:.5f}")
-    print(f"wrote {Path(args.out) / 'curves.csv'}")
-    return 0
-
-
-def _cmd_fig5(args) -> int:
-    report = reproduce_fig5(args.out, seeds=tuple(range(args.seeds)))
+def _cmd_reproduce(args) -> int:
+    """reproduce-fig4 and reproduce-fig5."""
+    run = reproduce_fig4 if args.command == "reproduce-fig4" else reproduce_fig5
+    report = run(args.out, seeds=tuple(range(args.seeds)))
     for key, val in report.aggregates().items():
         print(f"{key}: {val:.5f}")
     print(f"wrote {Path(args.out) / 'curves.csv'}")
@@ -235,8 +229,8 @@ _COMMANDS = {
     "learn-params": _cmd_learn,
     "learn-missing": _cmd_learn,
     "eval": _cmd_eval,
-    "reproduce-fig4": _cmd_fig4,
-    "reproduce-fig5": _cmd_fig5,
+    "reproduce-fig4": _cmd_reproduce,
+    "reproduce-fig5": _cmd_reproduce,
 }
 
 

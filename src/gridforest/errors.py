@@ -55,6 +55,20 @@ class UnobservedNode(GridForestError):
     """Statistic requested for a node without observations."""
 
 
+# -- file input -----------------------------------------------------------------
+
+class MalformedSamples(GridForestError):
+    """A samples CSV is not a complete, finite (sample, node) table.
+
+    Carries ``path`` and the 1-based ``line`` at fault (None for a missing row).
+    """
+
+    def __init__(self, path, line, msg):
+        where = str(path) if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {msg}")
+        self.path, self.line = str(path), line
+
+
 # -- learners -------------------------------------------------------------------
 
 class IncompleteCover(GridForestError):

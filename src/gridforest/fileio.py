@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MalformedSamples
 from .missing import HiddenNodeInfo, MissingSpec
 from .network import Line, Node, RadialForest, build_forest
 from .powerflow import InjectionModel, VoltageSamples
@@ -98,39 +99,75 @@ def load_injection(path) -> InjectionModel:
 
 
 def save_samples(path, samples: VoltageSamples):
-    """CSV with one row per (sample, node): sample,node,eps,theta."""
+    """CSV with one row per (sample, node): sample,node,eps,theta; CRLF rows
+    and repr floats, as ``csv.writer`` writes them."""
+    m, n = samples.eps.shape
+    keys = (f"{j},{node}," for j in range(m) for node in samples.node_ids)
+    eps = map(repr, samples.eps.ravel().tolist())
+    theta = samples.theta
+    theta = [""] * (m * n) if theta is None else map(repr, theta.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", "node", "eps", "theta"])
-        theta = samples.theta
-        for j in range(samples.m):
-            for k, node in enumerate(samples.node_ids):
-                tv = "" if theta is None else repr(float(theta[j, k]))
-                w.writerow([j, node, repr(float(samples.eps[j, k])), tv])
+        fh.write("sample,node,eps,theta\r\n")
+        fh.writelines(f"{k}{e},{t}\r\n" for k, e, t in zip(keys, eps, theta))
+
+
+_SAMPLE_ROW = np.dtype([("sample", "i8"), ("node", "i8"), ("eps", "f8"), ("theta", "f8")])
 
 
 def load_samples(path) -> VoltageSamples:
-    rows = []
+    """Read a samples CSV written by ``save_samples``.
+
+    Every (sample, node) pair must appear exactly once, samples are numbered
+    0..m-1, values are finite, and theta is given on every row or on none.
+    Anything else raises MalformedSamples naming the file and line.
+    """
+    blank = []  # lines with an empty theta cell
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         if header[:4] != ["sample", "node", "eps", "theta"]:
-            raise ValueError(f"unexpected samples header {header}")
-        for rec in rd:
-            rows.append(
-                (int(rec[0]), int(rec[1]), float(rec[2]), None if rec[3] == "" else float(rec[3]))
-            )
-    node_ids = tuple(sorted({r[1] for r in rows}))
-    m = max(r[0] for r in rows) + 1
-    pos = {i: k for k, i in enumerate(node_ids)}
-    eps = np.zeros((m, len(node_ids)))
-    has_theta = rows[0][3] is not None
-    theta = np.zeros((m, len(node_ids))) if has_theta else None
-    for j, node, ev, tv in rows:
-        eps[j, pos[node]] = ev
-        if has_theta:
-            theta[j, pos[node]] = tv
-    return VoltageSamples(node_ids=node_ids, eps=eps, theta=theta)
+            raise MalformedSamples(path, 1, f"unexpected samples header {header}")
+
+        def parsed():
+            for rec in rd:
+                if not rec[3]:
+                    blank.append(rd.line_num)
+                    rec[3] = "0"
+                yield int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])
+
+        try:
+            table = np.fromiter(parsed(), dtype=_SAMPLE_ROW)
+        except (ValueError, IndexError, OverflowError, csv.Error):
+            msg = "expected integer sample,node and numeric eps,theta"
+            raise MalformedSamples(path, rd.line_num, msg) from None
+
+    def check(bad, msg):  # row i of the table is line i + 2 of the file
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            raise MalformedSamples(path, int(bad[0]) + 2, msg)
+
+    if not len(table):
+        raise MalformedSamples(path, 2, "no data rows")
+    if 0 < len(blank) < len(table):
+        raise MalformedSamples(path, blank[0], "blank theta, but other rows give theta")
+    finite = np.isfinite(table["eps"]) & np.isfinite(table["theta"])
+    check(~finite, "eps and theta must be finite")
+    j = table["sample"]
+    check((j < 0) | (j >= len(table)), "sample index out of range")
+    node_ids, pos = np.unique(table["node"], return_inverse=True)
+    m, n = int(j.max()) + 1, len(node_ids)
+    cell, first = np.unique(j * n + pos, return_index=True)
+    check(~np.isin(np.arange(len(table)), first), "duplicate (sample, node) row")
+    if len(cell) < m * n:
+        gap = np.flatnonzero(cell != np.arange(len(cell)))
+        k = int(gap[0]) if gap.size else len(cell)
+        msg = f"no row for sample {k // n}, node {node_ids[k % n]}"
+        raise MalformedSamples(path, None, msg)
+    return VoltageSamples(  # rows of ``first`` are in (sample, node) order
+        node_ids=node_ids.tolist(),
+        eps=table["eps"][first].reshape(m, n),
+        theta=None if blank else table["theta"][first].reshape(m, n),
+    )
 
 
 # -- missing spec ------------------------------------------------------------------------
@@ -208,7 +245,7 @@ def result_to_dict(
             {
                 "child": d.child,
                 "parent": d.parent,
-                "margin": d.margin,
+                "margin": None if d.margin == float("inf") else d.margin,
                 "runner_up": d.runner_up,
                 "ambiguous": d.ambiguous,
             }
@@ -232,7 +269,7 @@ def result_to_dict(
 
 
 def save_result(path, data: dict):
-    Path(path).write_text(json.dumps(data, indent=1))
+    Path(path).write_text(json.dumps(data, indent=1, allow_nan=False))
 
 
 def load_result(path) -> dict:

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BothRootsFeasible, NoRealRoot, SingularSystem, UnobservedNode
 from .moments import MomentSet
 from .structure import (
@@ -154,23 +152,19 @@ def estimate_edge_linear(
     sum_var_q: float,
     sum_cov_pq: float,
 ) -> tuple[float, float, float]:
-    """Linear path when the covariance sum is also known: solve for
-    (r^2, x^2, r x) directly.  Returns (r, x, rx)."""
-    d = sum_var_p - sum_var_q
-    mat = np.array(
-        [
-            [sum_var_p, sum_var_q, 2.0 * sum_cov_pq],
-            [sum_var_q, sum_var_p, -2.0 * sum_cov_pq],
-            [-sum_cov_pq, sum_cov_pq, d],
-        ]
-    )
-    det_scale = (sum_var_p + sum_var_q) * (d * d + 4.0 * sum_cov_pq**2)
-    if det_scale <= 0.0 or np.linalg.cond(mat) > 1e13:
+    """Linear path when the covariance sum is also known, in closed form:
+    with z = r + jx, A + B = |z|^2 (Sp + Sq) and A - B + 2jC = z^2 (Sp - Sq -
+    2jS).  Returns (r, x, rx)."""
+    t = sum_var_p + sum_var_q
+    dz = complex(sum_var_p - sum_var_q, -2.0 * sum_cov_pq)
+    if not (t > 0.0 and abs(dz) > 1e-13 * t):
         raise SingularSystem("variance sums identify only r^2 + x^2")
-    u, v, w = np.linalg.solve(mat, np.array([a_stat, b_stat, c_stat]))
+    zz = complex(a_stat - b_stat, 2.0 * c_stat) / dz
+    u = ((a_stat + b_stat) / t + zz.real) / 2.0
+    v = ((a_stat + b_stat) / t - zz.real) / 2.0
     if u <= 0.0 or v <= 0.0:
         raise NoRealRoot(f"linear path produced non-positive squares ({u:.3e}, {v:.3e})")
-    return math.sqrt(u), math.sqrt(v), float(w)
+    return math.sqrt(u), math.sqrt(v), zz.imag / 2.0
 
 
 @dataclass

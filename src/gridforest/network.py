@@ -4,9 +4,13 @@ The operational layout of a distribution grid is a union of disjoint trees,
 each rooted at one substation (slack) bus.  Everything downstream relies on
 one structural fact: the inverse of the reduced edge-weighted Laplacian of
 such a forest has entries equal to the summed edge weights on the shared
-portion of the two nodes' paths to their slack.  Products with that matrix
-are two tree sweeps (``apply_path_inverse``); dense inversion exists only in
-the test oracles.
+portion of the two nodes' paths to their slack.
+
+Edge weights come in three kinds: resistance "r", reactance "x" and the
+complex impedance "z" = r + jx, whose path-sum matrix is T_z = T_r + j T_x.
+The forward model needs only T_z.  Products with any of them are two tree
+sweeps (``apply_path_inverse``); dense inversion exists only in the test
+oracles.
 """
 
 from __future__ import annotations
@@ -170,17 +174,12 @@ class RadialForest:
         self.children = {i: tuple(c) for i, c in children_acc.items()}
         self.topo_order: tuple[int, ...] = tuple(order)
 
-        # Cumulative edge weights from each load up to its slack.
-        self._wdepth_r: dict[int, float] = {s: 0.0 for s in self.slack_ids}
-        self._wdepth_x: dict[int, float] = {s: 0.0 for s in self.slack_ids}
+        # Cumulative impedance r + jx from each load up to its slack.
+        self._wdepth: dict[int, complex] = {s: 0j for s in self.slack_ids}
         for a in self.topo_order:
-            r, x = self.edge_params[a]
-            p = self.parent[a]
-            self._wdepth_r[a] = self._wdepth_r[p] + r
-            self._wdepth_x[a] = self._wdepth_x[p] + x
+            self._wdepth[a] = self._wdepth[self.parent[a]] + self.edge_weight(a, "z")
 
         self._hinv_cache: dict[str, np.ndarray] = {}
-        self._desc_cache: dict[int, frozenset[int]] = {}
 
     # -- basic queries ---------------------------------------------------------
 
@@ -204,10 +203,6 @@ class RadialForest:
         except KeyError:
             raise UnknownNode(f"{a} is not a load node") from None
 
-    def parent_of(self, a) -> int:
-        self.load_index(a)
-        return self.parent[a]
-
     def children_of(self, a) -> tuple[int, ...]:
         if a not in self.nodes:
             raise UnknownNode(f"unknown node {a}")
@@ -217,9 +212,12 @@ class RadialForest:
         """Loads directly attached to each slack (the declared prior)."""
         return {s: self.children_of(s) for s in self.slack_ids}
 
-    def edge_weight(self, a, kind: str) -> float:
-        """Weight of the line between load ``a`` and its parent."""
+    def edge_weight(self, a, kind: str) -> float | complex:
+        """Weight of the line between load ``a`` and its parent: r, x or
+        the complex impedance r + jx for ``kind`` "r", "x" or "z"."""
         r, x = self.edge_params[a]
+        if kind == "z":
+            return complex(r, x)
         return r if kind == "r" else x
 
     # -- path structure ----------------------------------------------------------
@@ -237,18 +235,13 @@ class RadialForest:
     def descendant_set(self, a) -> frozenset[int]:
         """All loads whose path to the slack passes through ``a``, plus ``a``."""
         self.load_index(a)
-        cached = self._desc_cache.get(a)
-        if cached is not None:
-            return cached
         acc = []
         stack = [a]
         while stack:
             cur = stack.pop()
             acc.append(cur)
             stack.extend(self.children.get(cur, ()))
-        out = frozenset(acc)
-        self._desc_cache[a] = out
-        return out
+        return frozenset(acc)
 
     def is_descendant(self, c, a) -> bool:
         """True when ``c`` lies in the subtree of ``a`` (including ``c == a``)."""
@@ -293,8 +286,8 @@ class RadialForest:
         lca = self._lca(a, b)
         if lca is None:
             return 0.0
-        wd = self._wdepth_r if kind == "r" else self._wdepth_x
-        return wd[lca]
+        w = self._wdepth[lca]
+        return w.real if kind == "r" else w.imag
 
     def h_inverse_diff(self, kind: str, a, parent_b, c) -> float:
         """Row difference between a node and its parent, evaluated at ``c``.
@@ -315,7 +308,8 @@ class RadialForest:
     def h_inverse_matrix(self, kind: str) -> np.ndarray:
         """Full N x N path-sum matrix: the two-sweep operator applied to the
         identity, O(N^2).  Each entry adds the shared-path weights in
-        root-to-leaf order."""
+        root-to-leaf order, so the real and imaginary parts of the complex
+        "z" matrix equal the "r" and "x" matrices bit for bit."""
         cached = self._hinv_cache.get(kind)
         if cached is None:
             cached = apply_path_inverse(self, kind, np.eye(self.n_loads))
@@ -341,13 +335,7 @@ class RadialForest:
         n = self.n_loads
         out = np.zeros((n, n), dtype=complex if kind == "z" else float)
         for a in self.topo_order:
-            r, x = self.edge_params[a]
-            if kind == "r":
-                w = 1.0 / r
-            elif kind == "x":
-                w = 1.0 / x
-            else:
-                w = 1.0 / complex(r, x)
+            w = 1.0 / self.edge_weight(a, kind)
             ia = self._loadpos[a]
             p = self.parent[a]
             out[ia, ia] += w
@@ -367,14 +355,16 @@ def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
 
     Bottom-up subtree sums, then top-down accumulation of weighted sums
     along each root-to-node path.  Exact, O(N k); columns are independent.
+    ``kind`` "z" takes complex input and weights r + jx.  A vector runs as a
+    one-column block, so it gives the same bits as that column of a block.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=complex if kind == "z" else float)
     if u.ndim not in (1, 2) or u.shape[0] != forest.n_loads:
         raise DimensionMismatch(
             f"u must have shape ({forest.n_loads},) or ({forest.n_loads}, k), got {u.shape}"
         )
     pos = forest._loadpos
-    s = u.copy()
+    s = (u[:, None] if u.ndim == 1 else u).copy()
     for a in reversed(forest.topo_order):
         p = forest.parent[a]
         if forest.is_load(p):
@@ -384,7 +374,7 @@ def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
         p = forest.parent[a]
         base = v[pos[p]] if forest.is_load(p) else 0.0
         v[pos[a]] = base + forest.edge_weight(a, kind) * s[pos[a]]
-    return v
+    return v[:, 0] if u.ndim == 1 else v
 
 
 def build_forest(nodes, lines, slacks=None) -> RadialForest:

@@ -1,20 +1,21 @@
 """Forward model: voltage deviations and their second moments from injections.
 
-Phase and voltage-magnitude deviations respond linearly to nodal active and
-reactive injections through the two path-sum matrices of the forest:
+The Linear-Coupled model is one complex linear map from nodal injections to
+voltage deviations:
 
-    theta = T_x p - T_r q        eps = T_r p + T_x q
+    eps + j theta = T_z (p - j q)
 
-with T_r, T_x the path-sum inverses for resistance and reactance weights.
-A single solve applies them by tree sweeps (``apply_path_inverse``); the
-moment and sampling paths use the dense matrices that the same sweeps build.
-Substations hold the reference and contribute identically-zero channels, so
-all vectors and matrices here cover load nodes only.
+with T_z = T_r + j T_x the path-sum inverse for impedance weights r + jx
+(equivalently theta = T_x p - T_r q and eps = T_r p + T_x q).  A single
+solve applies T_z by one complex tree sweep (``apply_path_inverse``); the
+moment and sampling paths multiply by the dense T_z that the same sweep
+builds.  Substations hold the reference and contribute identically-zero
+channels, so all vectors and matrices here cover load nodes only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,19 +138,15 @@ class VoltageSamples:
 
 @dataclass(frozen=True)
 class AnalyticMoments:
-    """Population means and covariance matrices of (theta, eps) over loads."""
+    """Population means and covariance matrices of (theta, eps) over loads;
+    ``omega_eps_theta`` is E[eps theta^T] (rows eps, columns theta)."""
 
     node_ids: tuple[int, ...]
     mu_theta: np.ndarray
     mu_eps: np.ndarray
     omega_theta: np.ndarray
     omega_eps: np.ndarray
-    omega_theta_eps: np.ndarray
-    omega_eps_theta: np.ndarray = field(default=None)  # transpose, filled in post-init
-
-    def __post_init__(self):
-        if self.omega_eps_theta is None:
-            object.__setattr__(self, "omega_eps_theta", self.omega_theta_eps.T.copy())
+    omega_eps_theta: np.ndarray
 
 
 def _check_vector(forest: RadialForest, v, name: str) -> np.ndarray:
@@ -165,42 +162,31 @@ def solve_lcpf(forest: RadialForest, p, q) -> tuple[np.ndarray, np.ndarray]:
     """Phase and magnitude deviations for one injection vector pair."""
     p = _check_vector(forest, p, "p")
     q = _check_vector(forest, q, "q")
-    trp = apply_path_inverse(forest, "r", p)
-    txp = apply_path_inverse(forest, "x", p)
-    trq = apply_path_inverse(forest, "r", q)
-    txq = apply_path_inverse(forest, "x", q)
-    theta = txp - trq
-    eps = trp + txq
-    return theta, eps
+    v = apply_path_inverse(forest, "z", p - 1j * q)
+    return v.imag, v.real
 
 
 def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
-    """Exact voltage moments induced by an injection model."""
+    """Exact voltage moments induced by an injection model.
+
+    With v = eps + j theta = T_z u and u = p - j q, the two complex second
+    moments C = E[v v^H] = T_z diag(var_p + var_q) T_z^H and
+    P = E[v v^T] = T_z diag(var_p - var_q - 2j cov_pq) T_z^T hold every real
+    block: Omega_eps = Re(C + P)/2, Omega_theta = Re(C - P)/2 and
+    E[eps theta^T] = Im(P - C)/2.  T_z is symmetric.
+    """
     inj = inj.for_nodes(forest.load_ids)
-    tr = forest.h_inverse_matrix("r")
-    tx = forest.h_inverse_matrix("x")
-    vp, vq, s = inj.var_p, inj.var_q, inj.cov_pq
-
-    trp = tr * vp  # T_r diag(var_p)
-    txp = tx * vp
-    trq = tr * vq
-    txq = tx * vq
-    trs = tr * s
-    txs = tx * s
-
-    omega_theta = txp @ tx + trq @ tr - txs @ tr - trs @ tx
-    omega_eps = trp @ tr + txq @ tx + trs @ tx + txs @ tr
-    omega_theta_eps = txp @ tr - trq @ tx + txs @ tx - trs @ tr
-
-    mu_theta = tx @ inj.mu_p - tr @ inj.mu_q
-    mu_eps = tr @ inj.mu_p + tx @ inj.mu_q
+    tz = forest.h_inverse_matrix("z")
+    c = (tz * (inj.var_p + inj.var_q)) @ tz.conj()
+    pm = (tz * (inj.var_p - inj.var_q - 2j * inj.cov_pq)) @ tz
+    mu = tz @ (inj.mu_p - 1j * inj.mu_q)
     return AnalyticMoments(
         node_ids=forest.load_ids,
-        mu_theta=mu_theta,
-        mu_eps=mu_eps,
-        omega_theta=omega_theta,
-        omega_eps=omega_eps,
-        omega_theta_eps=omega_theta_eps,
+        mu_theta=mu.imag,
+        mu_eps=mu.real,
+        omega_theta=(c - pm).real / 2.0,
+        omega_eps=(c + pm).real / 2.0,
+        omega_eps_theta=(pm - c).imag / 2.0,
     )
 
 
@@ -236,14 +222,12 @@ def sample_voltages(
         a21 = np.where(a11 > 0.0, inj.cov_pq / np.where(a11 > 0.0, a11, 1.0), 0.0)
     a22 = np.sqrt(np.maximum(inj.var_q - a21**2, 0.0))
 
-    p = inj.mu_p + a11 * z1
-    q = inj.mu_q + a21 * z1 + a22 * z2
-
-    tr = forest.h_inverse_matrix("r")
-    tx = forest.h_inverse_matrix("x")
-    eps = p @ tr + q @ tx
-    theta = p @ tx - q @ tr
-    return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)
+    u = np.empty((m, inj.n), dtype=complex)  # u = p - jq
+    u.real = inj.mu_p + a11 * z1
+    u.imag = -(inj.mu_q + a21 * z1 + a22 * z2)
+    v = u @ forest.h_inverse_matrix("z")
+    # contiguous copies: the moment reductions run faster on them than on views
+    return VoltageSamples(node_ids=forest.load_ids, eps=v.real.copy(), theta=v.imag.copy())
 
 
 def pairwise_sqdiff_analytic(

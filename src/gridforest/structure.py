@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     IncompleteCover,
     NegativeVarianceEstimate,
-    SingularSystem,
     UnobservedNode,
 )
 from .moments import MomentSet
@@ -201,26 +200,19 @@ def learn_structure(
     return forest
 
 
-_EDGE_SYSTEM_COND_LIMIT = 1e13
-
-
 def solve_edge_system(r: float, x: float, a_stat: float, b_stat: float, c_stat: float):
-    """Per-edge linear system tying the three pairwise statistics to the
-    subtree sums of (var_p, var_q, cov_pq).
+    """Subtree sums (var_p, var_q, cov_pq) of an edge from its three pairwise
+    statistics (eps, theta, cross), in closed form.
 
-    Well-posed for any r, x > 0 (determinant -(r^2 + x^2)^3).
+    The edge's voltage drop is z (p - jq) with z = r + jx, summed over the
+    subtree, so A + B = |z|^2 (var_p + var_q) and
+    A - B + 2jC = z^2 (var_p - var_q - 2j cov_pq).  Exact for any r, x > 0
+    (the equivalent 3 x 3 real system has condition number 2).
     """
-    mat = np.array(
-        [
-            [r * r, x * x, 2.0 * r * x],
-            [x * x, r * r, -2.0 * r * x],
-            [r * x, -r * x, x * x - r * r],
-        ]
-    )
-    rhs = np.array([a_stat, b_stat, c_stat])
-    if np.linalg.cond(mat) > _EDGE_SYSTEM_COND_LIMIT:
-        raise SingularSystem(f"edge system ill-conditioned for r={r}, x={x}")
-    return np.linalg.solve(mat, rhs)
+    z = complex(r, x)
+    t = (a_stat + b_stat) / (r * r + x * x)
+    w = complex(a_stat - b_stat, 2.0 * c_stat) / (z * z)
+    return np.array([(t + w.real) / 2.0, (t - w.real) / 2.0, -w.imag / 2.0])
 
 
 def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
@@ -279,18 +271,12 @@ def estimate_injection_stats(
         raise UnobservedNode(f"moments missing for nodes {missing}")
 
     diag = EstimationDiagnostics()
-    n = forest.n_loads
     ids = forest.load_ids
-
-    var_p = np.zeros(n)
-    var_q = np.zeros(n)
-    cov_pq = np.zeros(n)
+    var_p, var_q, cov_pq = np.zeros((3, forest.n_loads))
     desc = {a: np.zeros(3) for a in ids}
     order, _children, stats = leaf_upward_edges(momset, forest.parent)
     for a in order:
-        r, x = forest.edge_params[a]
-        sums = solve_edge_system(r, x, *stats[a])
-        own = sums - desc[a]
+        own = solve_edge_system(*forest.edge_params[a], *stats[a]) - desc[a]
         k = forest.load_index(a)
         var_p[k], var_q[k], cov_pq[k] = own
         for j, name in enumerate(("var_p", "var_q")):
@@ -312,19 +298,15 @@ def estimate_injection_stats(
             diag.clamped_covariances.append((a, float(cov_pq[k])))
             cov_pq[k] = np.sign(cov_pq[k]) * bound[k]
 
-    # Means: stacked linear system in (mu_p, mu_q) built from the two
-    # path-sum matrices (both nonsingular on trees).
-    tr = forest.h_inverse_matrix("r")
-    tx = forest.h_inverse_matrix("x")
+    # Means: the complex reduced Laplacian is the exact inverse of T_z, so
+    # mu_p - j mu_q = H_z (mu_eps + j mu_theta).
     mu_theta, mu_eps = momset.mean_vectors(ids)
-    block = np.block([[tx, -tr], [tr, tx]])
-    sol = np.linalg.solve(block, np.concatenate([mu_theta, mu_eps]))
-    mu_p, mu_q = sol[:n], sol[n:]
+    mu = forest.reduced_laplacian("z") @ (mu_eps + 1j * mu_theta)
 
     inj = InjectionModel(
         node_ids=ids,
-        mu_p=mu_p,
-        mu_q=mu_q,
+        mu_p=mu.real,
+        mu_q=-mu.imag,
         var_p=var_p,
         var_q=var_q,
         cov_pq=cov_pq,

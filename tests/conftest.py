@@ -4,7 +4,8 @@ The dense oracle here deliberately avoids the package's path-walk code: it
 assembles the reduced weighted Laplacian from the raw line list with plain
 loops and inverts it with numpy.  The direct statistics oracle avoids the
 leaf-upward edge walk: it maps the voltage moments back through the complex
-reduced Laplacian in one shot.
+reduced Laplacian in one shot, and solves for the means against the dense
+oracle T_r + j T_x.
 """
 
 import numpy as np
@@ -66,7 +67,8 @@ def direct_injection_stats(momset, forest) -> InjectionModel:
     var_q = np.maximum(var_q, 0.0)
     bound = np.sqrt(var_p * var_q)
     mu_theta, mu_eps = momset.mean_vectors(ids)
-    mu = hz @ (mu_eps + 1j * mu_theta)
+    tz = dense_path_matrix(forest, "r") + 1j * dense_path_matrix(forest, "x")
+    mu = np.linalg.solve(tz, mu_eps + 1j * mu_theta)
     return InjectionModel(
         node_ids=ids,
         mu_p=mu.real,

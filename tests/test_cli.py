@@ -159,3 +159,69 @@ def test_learner_failure_exit_code(tmp_path):
                "--missing", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
+
+
+def _drop_row(lines):
+    del lines[5]
+
+
+def _drop_last_row(lines):
+    del lines[-1]
+
+
+def _repeat_row(lines):
+    lines.insert(6, lines[5])
+
+
+def _negative_sample(lines):
+    lines[5] = "-1," + lines[5].split(",", 1)[1]
+
+
+def _blank_theta(lines):
+    lines[5] = lines[5].rsplit(",", 1)[0] + ","
+
+
+def _nan_eps(lines):
+    s, n, _, t = lines[5].split(",")
+    lines[5] = f"{s},{n},nan,{t}"
+
+
+def _header_only(lines):
+    del lines[1:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, line, text",
+    [
+        (_drop_row, None, "no row for sample 0"),
+        (_drop_last_row, None, "no row for sample 49"),
+        (_repeat_row, 7, "duplicate"),
+        (_negative_sample, 6, "sample index out of range"),
+        (_blank_theta, 6, "blank theta"),
+        (_nan_eps, 6, "finite"),
+        (_header_only, 2, "no data rows"),
+    ],
+)
+def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
+    from gridforest.errors import MalformedSamples
+
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    assert main(["simulate", "--network", str(tmp_path / "network.json"),
+                 "--inj", str(tmp_path / "injection.json"),
+                 "--samples", "50", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "samples.csv"
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedSamples) as exc_info:
+        fileio.load_samples(path)
+    assert (exc_info.value.path, exc_info.value.line) == (str(path), line)
+    capsys.readouterr()
+    rc = main(["learn", "--network", str(tmp_path / "network.json"),
+               "--data", str(path), "--out", str(tmp_path / "result.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and text in err
+    if line is not None:
+        assert f"line {line}" in err
+    assert not (tmp_path / "result.json").exists()

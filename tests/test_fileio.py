@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,24 @@ def test_samples_without_theta(tmp_path, feeder):
     back = fileio.load_samples(path)
     assert back.theta is None
     np.testing.assert_array_equal(back.eps, s.eps)
+
+
+@pytest.mark.parametrize("with_theta", [True, False])
+def test_samples_bytes_match_csv_writer(tmp_path, feeder, with_theta):
+    # reference: the per-element csv.writer loop the format was defined by
+    forest, inj = feeder
+    s = sample_voltages(forest, inj, 5, seed=2)
+    s = s if with_theta else s.without_theta()
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample", "node", "eps", "theta"])
+        for j in range(s.m):
+            for k, node in enumerate(s.node_ids):
+                tv = "" if s.theta is None else repr(float(s.theta[j, k]))
+                w.writerow([j, node, repr(float(s.eps[j, k])), tv])
+    fileio.save_samples(tmp_path / "got.csv", s)
+    assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
 
 
 def test_missing_spec_round_trip(tmp_path):

@@ -139,7 +139,8 @@ def test_entry_matches_dense_oracle(seed, kind):
 
 def test_h_inverse_matrix_matches_entries(chain4):
     # the sweep-built matrix adds the same weights in the same root-to-leaf
-    # order as the path walk, so entries agree exactly
+    # order as the path walk, so entries agree exactly; the complex build
+    # carries the "r" and "x" builds as its two parts, bit for bit
     deep = synth_layout(FeederSpec(n_loads=300, chain_bias=1.0, max_children=1), 5)
     bushy = synth_layout(FeederSpec(n_loads=120, n_trees=4, extra_lines=30), 6)
     assert max(deep.depth.values()) == 300
@@ -150,6 +151,9 @@ def test_h_inverse_matrix_matches_entries(chain4):
                 for b in forest.load_ids:
                     got = mat[forest.load_index(a), forest.load_index(b)]
                     assert got == forest.h_inverse_entry(kind, a, b)
+        tz = forest.h_inverse_matrix("z")
+        assert np.array_equal(tz.real, forest.h_inverse_matrix("r"))
+        assert np.array_equal(tz.imag, forest.h_inverse_matrix("x"))
 
 
 # -- row differences --------------------------------------------------------------

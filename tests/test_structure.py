@@ -156,6 +156,22 @@ def test_edge_system_solvable_at_equal_impedances():
     )
 
 
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("sums", [(1.0, 1.0, 0.5), (2.0, 0.3, -0.7), (1e-4, 5.0, 0.02)])
+def test_edge_system_round_trip(ratio, sums):
+    # forward through the real 3 x 3 system, back through the closed form
+    r, x = np.sqrt(ratio), 1.0 / np.sqrt(ratio)
+    mat = np.array(
+        [
+            [r * r, x * x, 2.0 * r * x],
+            [x * x, r * r, -2.0 * r * x],
+            [r * x, -r * x, x * x - r * r],
+        ]
+    )
+    got = solve_edge_system(r, x, *(mat @ np.array(sums)))
+    np.testing.assert_allclose(got, sums, rtol=1e-10, atol=1e-10 * max(map(abs, sums)))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_population_estimation_round_trip(seed):
     forest, inj = random_feeder(seed, n_range=(2, 40), k_max=4)
