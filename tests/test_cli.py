@@ -190,6 +190,36 @@ def _header_only(lines):
     del lines[1:]
 
 
+def _short_row(lines):
+    lines[5] = lines[5].rsplit(",", 1)[0]
+
+
+def _text_eps(lines):
+    s, n, _, t = lines[5].split(",")
+    lines[5] = f"{s},{n},abc,{t}"
+
+
+def _fractional_node(lines):
+    s, _, e, t = lines[5].split(",")
+    lines[5] = f"{s},1.5,{e},{t}"
+
+
+def _huge_sample(lines):
+    lines[5] = "99999999999999999999," + lines[5].split(",", 1)[1]
+
+
+def _empty_line(lines):
+    lines.insert(6, "")
+
+
+def _trailing_empty_line(lines):
+    lines.append("")
+
+
+def _blank_first_theta(lines):
+    lines[1] = lines[1].rsplit(",", 1)[0] + ","
+
+
 @pytest.mark.parametrize(
     "corrupt, line, text",
     [
@@ -200,6 +230,13 @@ def _header_only(lines):
         (_blank_theta, 6, "blank theta"),
         (_nan_eps, 6, "finite"),
         (_header_only, 2, "no data rows"),
+        (_short_row, 6, "expected"),
+        (_text_eps, 6, "expected"),
+        (_fractional_node, 6, "expected"),
+        (_huge_sample, 6, "expected"),
+        (_empty_line, 7, "expected"),
+        (_trailing_empty_line, 652, "expected"),  # 13 loads x 50 samples + header
+        (_blank_first_theta, 2, "blank theta"),
     ],
 )
 def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):

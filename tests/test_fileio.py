@@ -1,11 +1,16 @@
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridforest import fileio
 from gridforest.missing import HiddenNodeInfo, MissingSpec
-from gridforest.powerflow import sample_voltages
+from gridforest.powerflow import VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 
@@ -46,10 +51,14 @@ def test_samples_round_trip(tmp_path, feeder):
     s = sample_voltages(forest, inj, 7, seed=0)
     path = tmp_path / "samples.csv"
     fileio.save_samples(path, s)
-    back = fileio.load_samples(path)
-    assert back.node_ids == s.node_ids
-    np.testing.assert_array_equal(back.eps, s.eps)
-    np.testing.assert_array_equal(back.theta, s.theta)
+    lines = path.read_bytes().decode().splitlines()
+    for newline in (None, "\n", "\r\n"):  # as written, then with other line endings
+        if newline is not None:
+            path.write_bytes(newline.join(lines).encode() + newline.encode())
+        back = fileio.load_samples(path)
+        assert back.node_ids == s.node_ids
+        np.testing.assert_array_equal(back.eps, s.eps)
+        np.testing.assert_array_equal(back.theta, s.theta)
 
 
 def test_samples_without_theta(tmp_path, feeder):
@@ -62,22 +71,56 @@ def test_samples_without_theta(tmp_path, feeder):
     np.testing.assert_array_equal(back.eps, s.eps)
 
 
+def _csv_writer_bytes(s) -> bytes:
+    """The per-element csv.writer loop the samples format was defined by."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["sample", "node", "eps", "theta"])
+    for j in range(s.m):
+        for k, node in enumerate(s.node_ids):
+            tv = "" if s.theta is None else repr(float(s.theta[j, k]))
+            w.writerow([j, node, repr(float(s.eps[j, k])), tv])
+    return buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("with_theta", [True, False])
 def test_samples_bytes_match_csv_writer(tmp_path, feeder, with_theta):
-    # reference: the per-element csv.writer loop the format was defined by
     forest, inj = feeder
     s = sample_voltages(forest, inj, 5, seed=2)
     s = s if with_theta else s.without_theta()
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", "node", "eps", "theta"])
-        for j in range(s.m):
-            for k, node in enumerate(s.node_ids):
-                tv = "" if s.theta is None else repr(float(s.theta[j, k]))
-                w.writerow([j, node, repr(float(s.eps[j, k])), tv])
     fileio.save_samples(tmp_path / "got.csv", s)
-    assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(s)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1e16, -1e16, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    node_ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
+    m=st.integers(1, 6),
+    with_theta=st.booleans(),
+    data=st.data(),
+)
+def test_samples_round_trip_property(node_ids, m, with_theta, data):
+    value = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    shape = (m, len(node_ids))
+    table = st.lists(value, min_size=m * len(node_ids), max_size=m * len(node_ids))
+    eps = np.reshape(data.draw(table), shape)
+    theta = np.reshape(data.draw(table), shape) if with_theta else None
+    s = VoltageSamples(node_ids=node_ids, eps=eps, theta=theta)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        fileio.save_samples(path, s)
+        assert path.read_bytes() == _csv_writer_bytes(s)
+        back = fileio.load_samples(path)
+    order = np.argsort(node_ids)  # the reader returns columns by ascending node id
+    assert back.node_ids == tuple(np.asarray(node_ids)[order].tolist())
+    np.testing.assert_array_equal(back.eps.view(np.int64), eps[:, order].view(np.int64))
+    if with_theta:
+        np.testing.assert_array_equal(back.theta.view(np.int64), theta[:, order].view(np.int64))
+    else:
+        assert back.theta is None
 
 
 def test_missing_spec_round_trip(tmp_path):
