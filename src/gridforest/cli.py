@@ -18,6 +18,8 @@ from .errors import (
     NoConsistentPlacement,
     NoRealRoot,
     SingularSystem,
+    UnknownNode,
+    UnobservedNode,
 )
 from .experiments import (
     injection_errors,
@@ -114,7 +116,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_momset(args, forest):
+def _load_momset(args, forest, hidden=()):
+    """Moments from --inj (--analytic) or from the --data samples, whose nodes
+    must be exactly the network's loads, less any of the ``hidden`` ids."""
     if args.analytic:
         if not args.inj:
             raise CliConfigError("--analytic needs --inj")
@@ -124,6 +128,13 @@ def _load_momset(args, forest):
     if not args.data:
         raise CliConfigError("need --data unless --analytic")
     samples = fileio.load_samples(args.data)
+    observed, loads = set(samples.node_ids), set(forest.load_ids)
+    foreign = sorted(observed - loads)
+    if foreign:
+        raise UnknownNode(f"{args.data}: node {foreign[0]} is not a load of the network")
+    unobserved = sorted(loads - observed - set(hidden))
+    if unobserved:
+        raise UnobservedNode(f"{args.data}: no samples for network load {unobserved[0]}")
     return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
 
 
@@ -166,7 +177,8 @@ def _cmd_moments(args) -> int:
 def _cmd_learn(args) -> int:
     """learn, learn-params and learn-missing: load, learn, score, save."""
     truth = fileio.load_network(args.network)
-    momset = _load_momset(args, truth)
+    spec = fileio.load_missing(args.missing) if args.command == "learn-missing" else None
+    momset = _load_momset(args, truth, hidden=spec.ids if spec else ())
     declared = truth.substation_children()
     params = line_param_map(truth.lines)
     inj_errors = {}
@@ -186,7 +198,6 @@ def _cmd_learn(args) -> int:
         )
         parts = dict(edge_estimates=estimates, margins=diag.structure.decisions)
     else:  # learn-missing
-        spec = fileio.load_missing(args.missing)
         vp, vq, s = fileio.load_injection(args.inj).as_maps()
         forest, diag = learn_with_missing(
             momset, spec, vp, vq, s, params, declared,

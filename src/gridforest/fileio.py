@@ -7,7 +7,9 @@ All writers are deterministic: fixed key order, repr-precision floats.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,48 +100,70 @@ def load_injection(path) -> InjectionModel:
 # -- voltage samples -------------------------------------------------------------------
 
 
+# Rows per block that save_samples formats and load_samples parses at once:
+# large enough to amortise each numpy call, small enough that a block's
+# strings stay a few MB whatever the file size.
+_BLOCK_ROWS = 1 << 14
+
+
 def save_samples(path, samples: VoltageSamples):
-    """CSV with one row per (sample, node): sample,node,eps,theta; CRLF rows
-    and repr floats, as ``csv.writer`` writes them."""
+    """Write the samples CSV: header ``sample,node,eps,theta``, then one row per
+    (sample, node) in sample-major order, CRLF line endings and repr floats,
+    byte for byte what ``csv.writer`` writes. ``theta`` is left blank on every
+    row of magnitude-only data.
+
+    Whole samples of about ``_BLOCK_ROWS`` rows are formatted and written at a
+    time, so memory stays bounded for any m.
+    """
     m, n = samples.eps.shape
-    keys = (f"{j},{node}," for j in range(m) for node in samples.node_ids)
-    eps = map(repr, samples.eps.ravel().tolist())
-    theta = samples.theta
-    theta = [""] * (m * n) if theta is None else map(repr, theta.ravel().tolist())
+    tails = [f",{node}," for node in samples.node_ids]
+    step = max(1, _BLOCK_ROWS // n)  # samples per block
     with open(path, "w", newline="") as fh:
         fh.write("sample,node,eps,theta\r\n")
-        fh.writelines(f"{k}{e},{t}\r\n" for k, e, t in zip(keys, eps, theta))
+        for j0 in range(0, m, step):
+            eps = samples.eps[j0 : j0 + step].tolist()
+            if samples.theta is None:
+                rows = [
+                    f"{j}{tail}{e!r},\r\n"
+                    for j, eps_j in enumerate(eps, j0)
+                    for tail, e in zip(tails, eps_j)
+                ]
+            else:
+                theta = samples.theta[j0 : j0 + step].tolist()
+                rows = [
+                    f"{j}{tail}{e!r},{t!r}\r\n"
+                    for j, (eps_j, theta_j) in enumerate(zip(eps, theta), j0)
+                    for tail, e, t in zip(tails, eps_j, theta_j)
+                ]
+            fh.write("".join(rows))
 
 
 _SAMPLE_ROW = np.dtype([("sample", "i8"), ("node", "i8"), ("eps", "f8"), ("theta", "f8")])
+# A magnitude-only row: the theta cell is read as text and must be empty.
+_BLANK_THETA_ROW = np.dtype([("sample", "i8"), ("node", "i8"), ("eps", "f8"), ("theta", "U1")])
 
 
 def load_samples(path) -> VoltageSamples:
     """Read a samples CSV written by ``save_samples``.
 
-    Every (sample, node) pair must appear exactly once, samples are numbered
-    0..m-1, values are finite, and theta is given on every row or on none.
-    Anything else raises MalformedSamples naming the file and line.
+    LF or CRLF line endings, spaces around fields and quoted numbers are
+    accepted. Every line after the header is one row of exactly four fields,
+    so an empty line or a fifth field is an error. Every (sample, node) pair
+    must appear exactly once, samples are numbered 0..m-1, values are finite,
+    and theta is given on every row or on none; when it is not, the first row
+    of the smaller side (blank or given) is named. Anything else raises
+    MalformedSamples naming the file and the 1-based line.
+
+    Blocks of ``_BLOCK_ROWS`` lines are parsed by numpy's C reader. A block it
+    cannot read sends the file through ``_read_rows``, which parses row by
+    row and names the first bad line.
     """
-    blank = []  # lines with an empty theta cell
     with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, [])
+        header = next(csv.reader([fh.readline()]), [])
         if header[:4] != ["sample", "node", "eps", "theta"]:
             raise MalformedSamples(path, 1, f"unexpected samples header {header}")
-
-        def parsed():
-            for rec in rd:
-                if not rec[3]:
-                    blank.append(rd.line_num)
-                    rec[3] = "0"
-                yield int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])
-
-        try:
-            table = np.fromiter(parsed(), dtype=_SAMPLE_ROW)
-        except (ValueError, IndexError, OverflowError, csv.Error):
-            msg = "expected integer sample,node and numeric eps,theta"
-            raise MalformedSamples(path, rd.line_num, msg) from None
+        parsed = _read_blocks(fh)
+    table, has_theta = parsed or _read_rows(path)
 
     def check(bad, msg):  # row i of the table is line i + 2 of the file
         bad = np.flatnonzero(bad)
@@ -148,9 +172,9 @@ def load_samples(path) -> VoltageSamples:
 
     if not len(table):
         raise MalformedSamples(path, 2, "no data rows")
-    if 0 < len(blank) < len(table):
-        raise MalformedSamples(path, blank[0], "blank theta, but other rows give theta")
-    finite = np.isfinite(table["eps"]) & np.isfinite(table["theta"])
+    eps = table["eps"]
+    theta = table["theta"] if has_theta else None
+    finite = np.isfinite(eps) if theta is None else np.isfinite(eps) & np.isfinite(theta)
     check(~finite, "eps and theta must be finite")
     j = table["sample"]
     check((j < 0) | (j >= len(table)), "sample index out of range")
@@ -165,9 +189,75 @@ def load_samples(path) -> VoltageSamples:
         raise MalformedSamples(path, None, msg)
     return VoltageSamples(  # rows of ``first`` are in (sample, node) order
         node_ids=node_ids.tolist(),
-        eps=table["eps"][first].reshape(m, n),
-        theta=None if blank else table["theta"][first].reshape(m, n),
+        eps=eps[first].reshape(m, n),
+        theta=None if theta is None else theta[first].reshape(m, n),
     )
+
+
+def _read_blocks(fh):
+    """(table, has_theta) for the data lines left in ``fh``, parsed in blocks by
+    ``np.loadtxt``; None if some line is not a row numpy can read. The first
+    line decides whether theta is given; the table lacks theta when it is not."""
+    blocks, has_theta = [], None
+    while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+        if has_theta is None:
+            has_theta = _parse_block(lines[:1], _SAMPLE_ROW) is not None
+        rows = _parse_block(lines, _SAMPLE_ROW if has_theta else _BLANK_THETA_ROW)
+        if rows is None:
+            return None
+        if not has_theta:
+            if (rows["theta"] != "").any():
+                return None
+            rows = rows[["sample", "node", "eps"]]
+        blocks.append(rows)
+    if not blocks:
+        return np.empty(0, _SAMPLE_ROW), True
+    return np.concatenate(blocks), has_theta
+
+
+def _parse_block(lines, dtype):
+    """One row of ``dtype`` per line, or None if some line is not one."""
+    try:
+        with warnings.catch_warnings():
+            # numpy only warns on a block of empty lines, and numpy 1.x only
+            # warns when it truncates "1.5" to an integer
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    return rows if len(rows) == len(lines) else None  # loadtxt skips empty lines
+
+
+def _read_rows(path):
+    """(table, has_theta), parsed row by row; raises MalformedSamples at the first
+    line that is not a row. Slow; load_samples calls it only when a block
+    fails to parse, to name the bad line."""
+    lines = {False: [], True: []}  # lines with a blank / a given theta cell
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        next(rd)  # the header, checked by the caller
+
+        def parsed():
+            for rec in rd:
+                if len(rec) != 4:
+                    msg = f"expected 4 fields sample,node,eps,theta, found {len(rec)}"
+                    raise MalformedSamples(path, rd.line_num, msg)
+                lines[bool(rec[3])].append(rd.line_num)
+                yield int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3] or 0)
+
+        try:
+            table = np.fromiter(parsed(), dtype=_SAMPLE_ROW)
+        except (ValueError, OverflowError, csv.Error):
+            msg = "expected integer sample,node and numeric eps,theta"
+            raise MalformedSamples(path, rd.line_num, msg) from None
+    blank, given = lines[False], lines[True]
+    if blank and given:
+        if len(given) < len(blank):
+            raise MalformedSamples(path, given[0], "theta given, but other rows leave it blank")
+        raise MalformedSamples(path, blank[0], "blank theta, but other rows give theta")
+    return table, not blank
 
 
 # -- missing spec ------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gridforest import fileio
-from gridforest.cli import main
+from gridforest import errors, fileio
+from gridforest.cli import _build_parser, _cmd_learn, main
 from gridforest.missing import MissingSpec
 from gridforest.synth import choose_hidden
 
@@ -220,6 +220,15 @@ def _blank_first_theta(lines):
     lines[1] = lines[1].rsplit(",", 1)[0] + ","
 
 
+def _fifth_field(lines):
+    lines[5] += ",7"
+
+
+def _theta_in_magnitude_file(lines):
+    lines[1:] = [ln.rsplit(",", 1)[0] + "," for ln in lines[1:]]
+    lines[5] += "0.5"
+
+
 @pytest.mark.parametrize(
     "corrupt, line, text",
     [
@@ -237,6 +246,8 @@ def _blank_first_theta(lines):
         (_empty_line, 7, "expected"),
         (_trailing_empty_line, 652, "expected"),  # 13 loads x 50 samples + header
         (_blank_first_theta, 2, "blank theta"),
+        (_fifth_field, 6, "expected 4 fields"),
+        (_theta_in_magnitude_file, 6, "theta given"),
     ],
 )
 def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
@@ -261,4 +272,41 @@ def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
     assert str(path) in err and text in err
     if line is not None:
         assert f"line {line}" in err
+    assert not (tmp_path / "result.json").exists()
+
+
+def _drop_load_1(lines):
+    lines[1:] = [ln for ln in lines[1:] if ln.split(",")[1] != "1"]
+
+
+def _add_node_9999(lines):  # a copy of load 1's rows under a foreign id
+    lines += [ln.replace(",1,", ",9999,", 1) for ln in lines if ln.split(",")[1] == "1"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, text",
+    [
+        (_drop_load_1, "UnobservedNode", "no samples for network load 1"),
+        (_add_node_9999, "UnknownNode", "node 9999 is not a load"),
+    ],
+)
+def test_learn_rejects_samples_of_other_nodes(tmp_path, capsys, corrupt, error, text):
+    # the samples file must cover exactly the network's loads
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    assert main(["simulate", "--network", str(tmp_path / "network.json"),
+                 "--inj", str(tmp_path / "injection.json"),
+                 "--samples", "50", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "samples.csv"
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    path.write_text("\n".join(lines) + "\n")
+    fileio.load_samples(path)  # a well-formed table
+    args = ["learn", "--network", str(tmp_path / "network.json"),
+            "--data", str(path), "--out", str(tmp_path / "result.json")]
+    with pytest.raises(getattr(errors, error), match=text):
+        _cmd_learn(_build_parser().parse_args(args))
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and text in err
     assert not (tmp_path / "result.json").exists()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridforest import fileio
+from gridforest.errors import MalformedSamples
 from gridforest.missing import HiddenNodeInfo, MissingSpec
 from gridforest.powerflow import VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
@@ -90,6 +91,31 @@ def test_samples_bytes_match_csv_writer(tmp_path, feeder, with_theta):
     s = s if with_theta else s.without_theta()
     fileio.save_samples(tmp_path / "got.csv", s)
     assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(s)
+
+
+@pytest.mark.parametrize("with_theta", [True, False])
+def test_samples_across_blocks(tmp_path, with_theta):
+    # more rows than one block, and neither rows nor samples a whole number of blocks
+    n = 7
+    m = 2 * (fileio._BLOCK_ROWS // n) + 1
+    assert (m * n) % fileio._BLOCK_ROWS and m % (fileio._BLOCK_ROWS // n)
+    rng = np.random.default_rng(5)
+    theta = rng.normal(size=(m, n)) if with_theta else None
+    s = VoltageSamples(node_ids=range(10, 10 + n), eps=rng.normal(size=(m, n)), theta=theta)
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, s)
+    assert path.read_bytes() == _csv_writer_bytes(s)
+    back = fileio.load_samples(path)
+    assert back.node_ids == s.node_ids
+    np.testing.assert_array_equal(back.eps, s.eps)
+    np.testing.assert_array_equal(back.theta, s.theta)
+    lines = path.read_text().splitlines()
+    bad = fileio._BLOCK_ROWS + 100  # a line in the second block
+    lines.insert(bad - 1, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedSamples) as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == bad
 
 
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1e16, -1e16, 0.1)
