@@ -23,16 +23,15 @@ from .errors import (
 )
 from .experiments import (
     injection_errors,
+    population_moments,
     reproduce_fig4,
     reproduce_fig5,
+    run_learner,
     structural_error,
 )
-from .lines import learn_structure_and_params
-from .missing import learn_with_missing
 from .moments import MomentSet
 from .network import line_param_map
-from .powerflow import analytic_moments, sample_voltages
-from .structure import estimate_injection_stats, learn_structure
+from .powerflow import sample_voltages
 from .synth import FeederSpec, draw_injections, preset, synth_layout
 
 LEARNER_ERRORS = (
@@ -116,15 +115,14 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_momset(args, forest, hidden=()):
-    """Moments from --inj (--analytic) or from the --data samples, whose nodes
-    must be exactly the network's loads, less any of the ``hidden`` ids."""
+def _load_momset(args, forest, inj, hidden=()):
+    """Moments of the network's loads less the ``hidden`` ids: population
+    moments of ``inj`` (--analytic) or those of the --data samples, whose
+    nodes must be exactly those loads (the hidden ids may also be absent)."""
     if args.analytic:
-        if not args.inj:
+        if inj is None:
             raise CliConfigError("--analytic needs --inj")
-        inj = fileio.load_injection(args.inj)
-        am = analytic_moments(forest, inj.for_nodes(forest.load_ids))
-        return MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
+        return population_moments(forest, inj, hidden)
     if not args.data:
         raise CliConfigError("need --data unless --analytic")
     samples = fileio.load_samples(args.data)
@@ -177,34 +175,24 @@ def _cmd_moments(args) -> int:
 def _cmd_learn(args) -> int:
     """learn, learn-params and learn-missing: load, learn, score, save."""
     truth = fileio.load_network(args.network)
-    spec = fileio.load_missing(args.missing) if args.command == "learn-missing" else None
-    momset = _load_momset(args, truth, hidden=spec.ids if spec else ())
-    declared = truth.substation_children()
-    params = line_param_map(truth.lines)
-    inj_errors = {}
-    if args.command == "learn":
-        forest, diag = learn_structure(
-            momset, declared, line_params=params, return_diagnostics=True
-        )
-        inj_hat = None if args.no_estimate else estimate_injection_stats(momset, forest)
-        if inj_hat is not None and args.inj:
-            inj_errors = injection_errors(inj_hat, fileio.load_injection(args.inj))
-        parts = dict(inj_hat=inj_hat, margins=diag.decisions)
-    elif args.command == "learn-params":
-        vp, vq, _ = fileio.load_injection(args.inj).as_maps()
-        rel_tol = args.tol_rel if args.tol_rel is not None else (1e-9 if args.analytic else 1e-6)
-        forest, estimates, diag = learn_structure_and_params(
-            momset, vp, vq, declared, rel_tol=rel_tol, return_diagnostics=True
-        )
-        parts = dict(edge_estimates=estimates, margins=diag.structure.decisions)
-    else:  # learn-missing
-        vp, vq, s = fileio.load_injection(args.inj).as_maps()
-        forest, diag = learn_with_missing(
-            momset, spec, vp, vq, s, params, declared,
-            tol_rel=args.tol_rel, return_diagnostics=True,
-        )
-        parts = dict(events=diag.events)
-    metrics = {"struct_err": structural_error(truth, forest.parent), **inj_errors}
+    spec = None
+    if args.command == "learn-missing":
+        spec = fileio.load_missing(args.missing)
+        foreign = sorted(set(spec.ids) - set(truth.load_ids))
+        if foreign:
+            raise UnknownNode(
+                f"{args.missing}: hidden node {foreign[0]} is not a load of the network"
+            )
+    inj = fileio.load_injection(args.inj) if args.inj else None
+    momset = _load_momset(args, truth, inj, hidden=spec.ids if spec else ())
+    forest, parts = run_learner(
+        args.command, momset, truth.substation_children(), line_param_map(truth.lines), inj,
+        analytic=args.analytic, spec=spec, tol_rel=getattr(args, "tol_rel", None),
+        estimate=not getattr(args, "no_estimate", False),
+    )
+    metrics = {"struct_err": structural_error(truth, forest.parent)}
+    if parts.get("inj_hat") is not None and inj is not None:
+        metrics.update(injection_errors(parts["inj_hat"], inj))
     fileio.save_result(args.out, fileio.result_to_dict(forest, metrics=metrics, **parts))
     print(f"struct_err={metrics['struct_err']:.4f} -> {args.out}")
     return 0

@@ -5,6 +5,11 @@ count list for missing-data studies).  Each cell redraws injection
 statistics and samples, runs the selected learner, and scores the result
 against the ground truth.  Learner failures are recorded per cell, never
 fatal.  Identical configs produce byte-identical curves.csv files.
+
+``run_learner`` is the one learner path: it maps a task (``learn``,
+``learn-params``, ``learn-missing``) to its learner and holds the
+learn-params tolerance default.  The sweep cells and the command line both
+call it, and both take population moments from ``population_moments``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ class ExperimentConfig:
     layout_seed: int = 7
     missing_counts: tuple[int, ...] = ()
     analytic: bool = False
-    tol_rel: float | None = None
 
     def validate(self):
         if self.task not in TASKS:
@@ -121,23 +125,50 @@ def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
     }
 
 
+# -- the learner path -------------------------------------------------------------------
+
+
+def population_moments(forest: RadialForest, inj: InjectionModel, hidden=()) -> MomentSet:
+    """Population moments of the loads not in ``hidden``, slacks as zero ids."""
+    am = analytic_moments(forest, inj.for_nodes(forest.load_ids))
+    ms = MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
+    if not hidden:
+        return ms
+    return ms.restrict([i for i in forest.load_ids if i not in set(hidden)])
+
+
+def run_learner(
+    task, momset, declared, params, inj, *, analytic, spec=None, tol_rel=None, estimate=True
+):
+    """Run ``task``'s learner; returns ``(forest, parts)``, where ``parts`` are
+    the task's ``fileio.result_to_dict`` keywords (``inj_hat`` is None unless
+    ``estimate``).  ``declared`` are the substation children, ``params`` the
+    known line parameters, ``inj`` the known injection statistics and
+    ``spec`` the hidden nodes.  With ``tol_rel`` None each learner takes its
+    default; for learn-params that is 1e-9 on population moments
+    (``analytic``) and 1e-6 on samples.
+    """
+    if task == "learn":
+        forest, diag = learn_structure(
+            momset, declared, line_params=params, return_diagnostics=True
+        )
+        inj_hat = estimate_injection_stats(momset, forest) if estimate else None
+        return forest, dict(inj_hat=inj_hat, margins=diag.decisions)
+    vp, vq, s = inj.as_maps()
+    if task == "learn-params":
+        if tol_rel is None:
+            tol_rel = 1e-9 if analytic else 1e-6
+        forest, estimates, diag = learn_structure_and_params(
+            momset, vp, vq, declared, rel_tol=tol_rel, return_diagnostics=True
+        )
+        return forest, dict(edge_estimates=estimates, margins=diag.structure.decisions)
+    forest, diag = learn_with_missing(
+        momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel, return_diagnostics=True
+    )
+    return forest, dict(events=diag.events)
+
+
 # -- cells ------------------------------------------------------------------------------
-
-
-def _cell_seed(base_seed: int, m: int, extra: int = 0) -> np.random.Generator:
-    return np.random.default_rng([base_seed, m, extra])
-
-
-def _momset_for(forest, inj, m, seed, analytic, observed=None):
-    if analytic:
-        am = analytic_moments(forest, inj)
-        ms = MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
-        # population matrices cover all nodes; restrict the view to observed
-        return ms if observed is None else ms.restrict(observed)
-    samples = sample_voltages(forest, inj, m, seed)
-    if observed is not None:
-        samples = samples.restrict(observed)
-    return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
 
 
 def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
@@ -148,68 +179,53 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
     params = line_param_map(forest.lines)
     report = MetricsReport()
 
+    def cell(task, inj, m, seed, sample_seed, spec=None):
+        hidden = spec.ids if spec else ()
+        if config.analytic:
+            momset = population_moments(forest, inj, hidden)
+        else:
+            samples = sample_voltages(forest, inj, m, sample_seed)
+            if hidden:
+                samples = samples.restrict([i for i in forest.load_ids if i not in hidden])
+            momset = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+        try:
+            recovered, parts = run_learner(
+                config.task, momset, declared, params, inj,
+                analytic=config.analytic, spec=spec,
+            )
+        except GridForestError as exc:
+            parent_map = getattr(exc, "parent_map", {})
+            report.add(task, m, seed, "struct_err", structural_error(forest, parent_map))
+            report.add(task, m, seed, "failed", 1.0)
+            report.failures.append((task, m, seed, repr(exc)))
+            return
+        report.add(task, m, seed, "struct_err", structural_error(forest, recovered.parent))
+        if "inj_hat" in parts:
+            scores = injection_errors(parts["inj_hat"], inj)
+        elif "edge_estimates" in parts:
+            scores = line_errors(parts["edge_estimates"], forest)
+        else:
+            scores = {}
+        for name, val in scores.items():
+            report.add(task, m, seed, name, val)
+
     for m in config.m_grid:
         for seed in config.seeds:
             inj = draw_injections(config.feeder, forest.load_ids, [config.layout_seed, seed])
-            if config.task == "learn-missing":
-                for count in config.missing_counts:
-                    _run_missing_cell(
-                        config, forest, declared, params, inj, m, seed, count, report
-                    )
-            else:
-                _run_full_cell(config, forest, declared, params, inj, m, seed, report)
+            if config.task != "learn-missing":
+                cell(config.task, inj, m, seed, [config.layout_seed, seed, m])
+                continue
+            for count in config.missing_counts:
+                hidden = choose_hidden(forest, count, [config.layout_seed, seed, count])
+                spec = MissingSpec.from_injections(hidden, inj)
+                sample_seed = [config.layout_seed, seed, m, count]
+                cell(f"learn-missing/h{count}", inj, m, seed, sample_seed, spec)
 
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         save_curves(outdir / "curves.csv", sorted(report.rows))
     return report
-
-
-def _run_full_cell(config, forest, declared, params, inj, m, seed, report):
-    sample_seed = [config.layout_seed, seed, m]
-    momset = _momset_for(forest, inj, m, sample_seed, config.analytic)
-    task = config.task
-    try:
-        if task == "learn":
-            recovered = learn_structure(momset, declared, line_params=params)
-            report.add(task, m, seed, "struct_err", structural_error(forest, recovered.parent))
-            inj_hat = estimate_injection_stats(momset, recovered)
-            for name, val in injection_errors(inj_hat, inj).items():
-                report.add(task, m, seed, name, val)
-        else:  # learn-params
-            vp, vq, _ = inj.as_maps()
-            recovered, estimates = learn_structure_and_params(
-                momset, vp, vq, declared, rel_tol=1e-6 if not config.analytic else 1e-9
-            )
-            report.add(task, m, seed, "struct_err", structural_error(forest, recovered.parent))
-            for name, val in line_errors(estimates, forest).items():
-                report.add(task, m, seed, name, val)
-    except GridForestError as exc:
-        parent_map = getattr(exc, "parent_map", {})
-        report.add(task, m, seed, "struct_err", structural_error(forest, parent_map))
-        report.add(task, m, seed, "failed", 1.0)
-        report.failures.append((task, m, seed, repr(exc)))
-
-
-def _run_missing_cell(config, forest, declared, params, inj, m, seed, count, report):
-    task = f"learn-missing/h{count}"
-    hidden_ids = choose_hidden(forest, count, [config.layout_seed, seed, count])
-    spec = MissingSpec.from_injections(hidden_ids, inj)
-    observed = tuple(i for i in forest.load_ids if i not in set(hidden_ids))
-    sample_seed = [config.layout_seed, seed, m, count]
-    momset = _momset_for(forest, inj, m, sample_seed, config.analytic, observed=observed)
-    vp, vq, s = inj.as_maps()
-    try:
-        recovered = learn_with_missing(
-            momset, spec, vp, vq, s, params, declared, tol_rel=config.tol_rel
-        )
-        report.add(task, m, seed, "struct_err", structural_error(forest, recovered.parent))
-    except GridForestError as exc:
-        parent_map = getattr(exc, "parent_map", {})
-        report.add(task, m, seed, "struct_err", structural_error(forest, parent_map))
-        report.add(task, m, seed, "failed", 1.0)
-        report.failures.append((task, m, seed, repr(exc)))
 
 
 # -- canned reproductions ------------------------------------------------------------------

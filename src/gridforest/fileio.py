@@ -148,11 +148,12 @@ def load_samples(path) -> VoltageSamples:
 
     LF or CRLF line endings, spaces around fields and quoted numbers are
     accepted. Every line after the header is one row of exactly four fields,
-    so an empty line or a fifth field is an error. Every (sample, node) pair
-    must appear exactly once, samples are numbered 0..m-1, values are finite,
-    and theta is given on every row or on none; when it is not, the first row
-    of the smaller side (blank or given) is named. Anything else raises
-    MalformedSamples naming the file and the 1-based line.
+    so an empty line, a quoted field that spans lines or a fifth field is an
+    error. Every (sample, node) pair must appear exactly once, samples are
+    numbered 0..m-1, values are finite, and theta is given on every row or on
+    none; when it is not, the first row of the smaller side (blank or given)
+    is named. Anything else raises MalformedSamples naming the file and the
+    1-based line.
 
     Blocks of ``_BLOCK_ROWS`` lines are parsed by numpy's C reader. A block it
     cannot read sends the file through ``_read_rows``, which parses row by
@@ -240,7 +241,12 @@ def _read_rows(path):
         next(rd)  # the header, checked by the caller
 
         def parsed():
+            line = rd.line_num
             for rec in rd:
+                line += 1
+                if rd.line_num != line:
+                    msg = "a quoted field spans lines; every row must be one line"
+                    raise MalformedSamples(path, line, msg)
                 if len(rec) != 4:
                     msg = f"expected 4 fields sample,node,eps,theta, found {len(rec)}"
                     raise MalformedSamples(path, rd.line_num, msg)

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BothRootsFeasible, NoRealRoot, SingularSystem, UnobservedNode
 from .moments import MomentSet
 from .structure import (
@@ -181,7 +183,6 @@ def learn_structure_and_params(
     *,
     known_cov_pq=None,
     rel_tol: float = 1e-9,
-    tie_rtol: float = 1e-9,
     return_diagnostics: bool = False,
 ):
     """Recover the forest, then per discovered edge its (r, x) and own cov_pq.
@@ -191,44 +192,38 @@ def learn_structure_and_params(
     edge as a cross check and the worst relative disagreement recorded.
     """
     diag = ParamLearnDiagnostics()
-    parent = recover_parent_map(
-        momset, substation_children, tie_rtol=tie_rtol, diagnostics=diag.structure
-    )
+    parent = recover_parent_map(momset, substation_children, diagnostics=diag.structure)
     momset = momset.with_zero_ids(substation_children.keys())
 
     missing = [a for a in parent if a not in var_p or a not in var_q]
     if missing:
         raise UnobservedNode(f"known variances missing for nodes {missing}")
 
-    order, children, stats = leaf_upward_edges(momset, parent)
-    sum_p: dict[int, float] = {}
-    sum_q: dict[int, float] = {}
-    sum_s_est: dict[int, float] = {}
-    sum_s_known: dict[int, float] = {}
+    order, stats = leaf_upward_edges(momset, parent)
+    # strict-descendant sums of var_p, var_q, the estimated and the known cov_pq
+    desc = {a: np.zeros(4) for a in parent}
     estimates: dict[tuple[int, int], EdgeEstimate] = {}
 
     for a in order:
         b = parent[a]
-        kids = children.get(a, [])
-        sp = var_p[a] + sum(sum_p[c] for c in kids)
-        sq = var_q[a] + sum(sum_q[c] for c in kids)
-        desc_s = sum(sum_s_est[c] for c in kids)
+        desc_p, desc_q, desc_s, desc_known = desc[a].tolist()
+        sp = var_p[a] + desc_p
+        sq = var_q[a] + desc_q
         a_stat, b_stat, c_stat = stats[a]
         est = estimate_edge(
             a_stat, b_stat, c_stat, sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol
         )
         estimates[(a, b)] = est
-        sum_p[a] = sp
-        sum_q[a] = sq
-        sum_s_est[a] = est.cov_pq_hat + desc_s
+        s_known = 0.0
         if known_cov_pq is not None:
-            s_known = known_cov_pq[a] + sum(sum_s_known[c] for c in kids)
-            sum_s_known[a] = s_known
+            s_known = known_cov_pq[a] + desc_known
             r_lin, x_lin, _ = estimate_edge_linear(a_stat, b_stat, c_stat, sp, sq, s_known)
             rel = max(
                 abs(r_lin - est.r_hat) / est.r_hat, abs(x_lin - est.x_hat) / est.x_hat
             )
             diag.cross_check[(a, b)] = rel
+        if b in desc:
+            desc[b] += (sp, sq, est.cov_pq_hat + desc_s, s_known)
 
     line_params = {
         ((a, b) if a < b else (b, a)): (est.r_hat, est.x_hat)

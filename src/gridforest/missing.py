@@ -24,7 +24,10 @@ hidden candidates the minimum residual wins.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     AssumptionViolated,
@@ -136,11 +139,11 @@ def validate_missing_spec(forest_truth: RadialForest, spec: MissingSpec) -> list
     return violations
 
 
-def residual_match(lhs: float, rhs: float, scale: float, tol_rel: float, tol_abs: float = 0.0) -> bool:
+def residual_match(lhs: float, rhs: float, scale: float, tol_rel: float) -> bool:
     """Tolerance form of the algorithm's exact equality checks."""
     if not scale > 0.0:
         raise ValueError("scale must be positive")
-    return abs(lhs - rhs) <= tol_rel * scale + tol_abs
+    return abs(lhs - rhs) <= tol_rel * scale
 
 
 def _predicted_sqdiff(r: float, x: float, p: float, q: float, s: float) -> float:
@@ -163,7 +166,6 @@ class _MissingLearner:
         line_params,
         substation_children,
         tol_rel: float,
-        tol_abs: float,
     ):
         self.substation_children = substation_children
         self.declared = _declared_map(substation_children)
@@ -176,7 +178,6 @@ class _MissingLearner:
         self.cov_pq = {**cov_pq, **hs}
         self.lines = line_params
         self.tol_rel = tol_rel
-        self.tol_abs = tol_abs
 
         observed = set(self.momset.observed) - self.momset.zero_ids
         overlap = self.hidden_left & observed
@@ -193,22 +194,9 @@ class _MissingLearner:
 
         self.parent: dict[int, int] = {}
         self.parked: dict[int, list[int]] = {}
-        self.dp: dict[int, float] = {}
-        self.dq: dict[int, float] = {}
-        self.ds: dict[int, float] = {}
+        # strict-descendant sums of (var_p, var_q, cov_pq), parked nodes included
+        self.desc: defaultdict[int, np.ndarray] = defaultdict(lambda: np.zeros(3))
         self.diag = MissingDiagnostics()
-
-    def _sums(self, a):
-        return (
-            self.var_p[a] + self.dp.get(a, 0.0),
-            self.var_q[a] + self.dq.get(a, 0.0),
-            self.cov_pq[a] + self.ds.get(a, 0.0),
-        )
-
-    def _accumulate(self, b, p, q, s):
-        self.dp[b] = self.dp.get(b, 0.0) + p
-        self.dq[b] = self.dq.get(b, 0.0) + q
-        self.ds[b] = self.ds.get(b, 0.0) + s
 
     def _resolve(self, a, b, *, forced: bool):
         """Play the placement checks for child ``a`` against parent candidate ``b``.
@@ -222,7 +210,8 @@ class _MissingLearner:
         lhs = self.momset.sqdiff("eps", a, b)
         key = (a, b) if a < b else (b, a)
         params = self.lines.get(key)
-        p0, q0, s0 = self._sums(a)
+        sub_p, sub_q, sub_s = self.desc[a].tolist()
+        p0, q0, s0 = self.var_p[a] + sub_p, self.var_q[a] + sub_q, self.cov_pq[a] + sub_s
         has_parked = bool(self.parked.get(a))
         event = PlacementEvent(child=a, parent=b, accepted=None)
         self.diag.events.append(event)
@@ -246,15 +235,13 @@ class _MissingLearner:
         scale = max(abs(lhs), 1e-300)
 
         def ok(mc):
-            return mc is not None and residual_match(
-                mc.lhs, mc.rhs, scale, self.tol_rel, self.tol_abs
-            )
+            return mc is not None and residual_match(mc.lhs, mc.rhs, scale, self.tol_rel)
 
         def accept_direct():
             direct.accepted = True
             event.accepted = direct
             self.parent[a] = b
-            self._accumulate(b, p0, q0, s0)
+            self.desc[b] += (p0, q0, s0)
 
         def accept_hidden(mc):
             d = mc.candidate
@@ -271,9 +258,7 @@ class _MissingLearner:
                 self.parent[w] = d
                 stack.extend(self.parked.pop(w, []))
             self.hidden_left.discard(d)
-            self._accumulate(
-                b, p0 + self.var_p[d], q0 + self.var_q[d], s0 + self.cov_pq[d]
-            )
+            self.desc[b] += (p0 + self.var_p[d], q0 + self.var_q[d], s0 + self.cov_pq[d])
 
         best = None
         tie = False
@@ -310,13 +295,13 @@ class _MissingLearner:
             # The slack edge itself is prior knowledge; draw it even when no
             # check explains the statistic, and leave the mismatch recorded.
             self.parent[a] = b
-            self._accumulate(b, p0, q0, s0)
+            self.desc[b] += (p0, q0, s0)
             self.diag.unresolved.append(a)
             return
         # Park: a's parent may be hidden (or the checks missed under noise).
         self.parked.setdefault(b, []).append(a)
         self.diag.parked.append((a, b))
-        self._accumulate(b, p0, q0, s0)
+        self.desc[b] += (p0, q0, s0)
 
     def run(self) -> dict[int, int]:
         # Each non-declared node fires at the pop of its squared-difference
@@ -389,7 +374,6 @@ def learn_with_missing(
     substation_children,
     *,
     tol_rel: float | None = None,
-    tol_abs: float = 0.0,
     return_diagnostics: bool = False,
 ):
     """Recover the full forest, hidden nodes included.
@@ -410,7 +394,6 @@ def learn_with_missing(
         line_params,
         substation_children,
         tol_rel,
-        tol_abs,
     )
     parent = learner.run()
     forest = forest_from_parent_map(

@@ -82,7 +82,7 @@ class RadialForest:
     reads are safe.
     """
 
-    def __init__(self, nodes, lines, slacks=None):
+    def __init__(self, nodes, lines):
         nodes = tuple(nodes)
         lines = tuple(lines)
         self.nodes: dict[int, str] = {}
@@ -92,11 +92,9 @@ class RadialForest:
             self.nodes[nd.id] = nd.role
         self.lines = lines
 
-        role_slacks = sorted(i for i, role in self.nodes.items() if role == ROLE_SUBSTATION)
-        if slacks is not None:
-            if sorted(slacks) != role_slacks:
-                raise ValueError("slacks argument disagrees with node roles")
-        self.slack_ids: tuple[int, ...] = tuple(role_slacks)
+        self.slack_ids: tuple[int, ...] = tuple(
+            sorted(i for i, role in self.nodes.items() if role == ROLE_SUBSTATION)
+        )
         self.load_ids: tuple[int, ...] = tuple(
             sorted(i for i, role in self.nodes.items() if role == ROLE_LOAD)
         )
@@ -377,6 +375,6 @@ def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
     return v[:, 0] if u.ndim == 1 else v
 
 
-def build_forest(nodes, lines, slacks=None) -> RadialForest:
+def build_forest(nodes, lines) -> RadialForest:
     """Validate and orient an operational forest from nodes and lines."""
-    return RadialForest(nodes, lines, slacks=slacks)
+    return RadialForest(nodes, lines)

@@ -18,9 +18,11 @@ parents.
 Only voltage magnitudes drive the structure.  Phase data and line
 parameters enter solely in the statistics estimator.
 
-``recover_parent_map`` is the one implementation of this pass and
-``leaf_upward_edges`` the one leaf-upward edge walk; the line-parameter and
-hidden-node learners build on them.
+``recover_parent_map`` is the one implementation of this pass; the
+line-parameter and hidden-node learners call it too.  ``leaf_upward_edges``
+is the leaf-upward edge walk of the statistics and line-parameter learners.
+All three learners carry each node's strict-descendant sums of (var_p,
+var_q, cov_pq) to its parent the same way, as ``desc[parent] += ...``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .errors import (
 from .moments import MomentSet
 from .network import ROLE_LOAD, ROLE_SUBSTATION, Line, Node, RadialForest, build_forest
 from .powerflow import InjectionModel
+
+# Relative gap below which a parent selection's runner-up counts as a tie
+# (diagnostics only; the smallest id wins either way).
+_AMBIGUOUS_RTOL = 1e-9
 
 
 @dataclass
@@ -70,9 +76,9 @@ class EstimationDiagnostics:
 @dataclass
 class LearnResult:
     forest: RadialForest
-    inj_hat: InjectionModel | None
+    inj_hat: InjectionModel
     structure_diagnostics: StructureDiagnostics
-    estimation_diagnostics: EstimationDiagnostics | None = None
+    estimation_diagnostics: EstimationDiagnostics
 
 
 def _declared_map(substation_children) -> dict[int, int]:
@@ -90,7 +96,6 @@ def recover_parent_map(
     momset: MomentSet,
     substation_children,
     *,
-    tie_rtol: float = 1e-9,
     diagnostics: StructureDiagnostics | None = None,
 ) -> dict[int, int]:
     """Parent-selection kernel shared by all structure learners.
@@ -147,7 +152,7 @@ def recover_parent_map(
                 runner = int(cands[others & (vals == runner_val)].min())
                 margin = float(runner_val - best_val)
                 scale = max(abs(best_val), abs(runner_val), 1e-300)
-                ambiguous = bool(margin <= tie_rtol * scale)
+                ambiguous = bool(margin <= _AMBIGUOUS_RTOL * scale)
             else:
                 runner, margin, ambiguous = None, float("inf"), False
             diagnostics.decisions.append(
@@ -184,14 +189,11 @@ def learn_structure(
     substation_children,
     *,
     line_params=None,
-    tie_rtol: float = 1e-9,
     return_diagnostics: bool = False,
 ):
     """Recover the operational forest from voltage-magnitude moments alone."""
     diag = StructureDiagnostics()
-    parent = recover_parent_map(
-        momset, substation_children, tie_rtol=tie_rtol, diagnostics=diag
-    )
+    parent = recover_parent_map(momset, substation_children, diagnostics=diag)
     forest = forest_from_parent_map(
         parent, substation_children.keys(), line_params=line_params
     )
@@ -218,15 +220,13 @@ def solve_edge_system(r: float, x: float, a_stat: float, b_stat: float, c_stat: 
 def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
     """Walk plan for the edges of a parent map, leaves first.
 
-    Returns ``(order, children, stats)``: the children ordered by decreasing
-    depth (ties by id), so every node comes after all of its descendants;
-    each node's children in parent-map order; and each edge's three
-    pairwise statistics (eps, theta, cross) against its parent.  ``momset``
+    Returns ``(order, stats)``: the children ordered by decreasing depth
+    (ties in parent-map order), so every node comes after all of its
+    descendants, and each edge's three pairwise statistics (eps, theta,
+    cross) against its parent.  A learner that adds each node's sums into
+    its parent in this order sums siblings in parent-map order.  ``momset``
     must carry the slacks as zero ids.
     """
-    children: dict[int, list[int]] = {}
-    for c, p in parent.items():
-        children.setdefault(p, []).append(c)
     depth: dict[int, int] = {}
     for a in parent:
         path = []
@@ -237,19 +237,18 @@ def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
         for b in reversed(path):
             k += 1
             depth[b] = k
-    order = sorted(parent, key=lambda a: (-depth[a], a))
+    order = sorted(parent, key=lambda a: -depth[a])
     stats = {
         a: tuple(momset.sqdiff(ch, a, parent[a]) for ch in ("eps", "theta", "cross"))
         for a in order
     }
-    return order, children, stats
+    return order, stats
 
 
 def estimate_injection_stats(
     momset: MomentSet,
     forest: RadialForest,
     *,
-    clamp_floor: float = 0.0,
     strict: bool = False,
     return_diagnostics: bool = False,
 ):
@@ -259,8 +258,8 @@ def estimate_injection_stats(
     determine the subtree sums of (var_p, var_q, cov_pq), and the
     already-estimated descendant sums are subtracted off.
 
-    Negative solved variances are clamped to ``clamp_floor`` and reported
-    (raised when ``strict``).  Covariances are clamped into the
+    Negative solved variances are clamped to zero and reported (raised when
+    ``strict``).  Covariances are clamped into the
     Cauchy-Schwarz bound the model requires.
     """
     if not momset.has_theta:
@@ -274,20 +273,21 @@ def estimate_injection_stats(
     ids = forest.load_ids
     var_p, var_q, cov_pq = np.zeros((3, forest.n_loads))
     desc = {a: np.zeros(3) for a in ids}
-    order, _children, stats = leaf_upward_edges(momset, forest.parent)
+    # the parent map in id order, so siblings' sums add up in id order
+    order, stats = leaf_upward_edges(momset, {a: forest.parent[a] for a in ids})
     for a in order:
         own = solve_edge_system(*forest.edge_params[a], *stats[a]) - desc[a]
         k = forest.load_index(a)
         var_p[k], var_q[k], cov_pq[k] = own
         for j, name in enumerate(("var_p", "var_q")):
-            if own[j] < clamp_floor:
+            if own[j] < 0.0:
                 if strict:
                     raise NegativeVarianceEstimate(
                         f"{name}[{a}] solved to {own[j]:.3e}"
                     )
                 diag.clamped_variances.append((a, name, float(own[j])))
-        var_p[k] = max(var_p[k], clamp_floor)
-        var_q[k] = max(var_q[k], clamp_floor)
+        var_p[k] = max(var_p[k], 0.0)
+        var_q[k] = max(var_q[k], 0.0)
         p = forest.parent[a]
         if forest.is_load(p):
             desc[p] += np.array([var_p[k], var_q[k], cov_pq[k]]) + desc[a]
@@ -316,29 +316,12 @@ def estimate_injection_stats(
     return inj
 
 
-def learn(
-    momset: MomentSet,
-    substation_children,
-    *,
-    line_params=None,
-    estimate: bool = True,
-    tie_rtol: float = 1e-9,
-    clamp_floor: float = 0.0,
-) -> LearnResult:
+def learn(momset: MomentSet, substation_children, *, line_params=None) -> LearnResult:
     """Full pipeline: structure first, then injection statistics on it."""
     forest, sdiag = learn_structure(
-        momset,
-        substation_children,
-        line_params=line_params,
-        tie_rtol=tie_rtol,
-        return_diagnostics=True,
+        momset, substation_children, line_params=line_params, return_diagnostics=True
     )
-    inj_hat = None
-    ediag = None
-    if estimate:
-        inj_hat, ediag = estimate_injection_stats(
-            momset, forest, clamp_floor=clamp_floor, return_diagnostics=True
-        )
+    inj_hat, ediag = estimate_injection_stats(momset, forest, return_diagnostics=True)
     return LearnResult(
         forest=forest,
         inj_hat=inj_hat,

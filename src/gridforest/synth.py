@@ -7,7 +7,7 @@ any third-party data.  Everything is deterministic for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,12 +64,11 @@ PRESETS = {
 }
 
 
-def preset(name: str, **overrides) -> FeederSpec:
+def preset(name: str) -> FeederSpec:
     try:
-        spec = PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         raise InfeasibleSpec(f"unknown preset {name!r}") from None
-    return replace(spec, **overrides) if overrides else spec
 
 
 def _draw_range(rng, rng_pair):

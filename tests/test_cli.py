@@ -106,6 +106,49 @@ def test_learn_missing_cli(workspace):
     assert any(ev["kind"] != "direct_edge" for ev in result["placement_events"])
 
 
+def test_learn_missing_analytic_cli(workspace):
+    forest = fileio.load_network(workspace / "network.json")
+    inj = fileio.load_injection(workspace / "injection.json")
+    hidden = choose_hidden(forest, 1, 7)
+    fileio.save_missing(
+        workspace / "missing.json", MissingSpec.from_injections(hidden, inj)
+    )
+    out = workspace / "missing_result.json"
+    rc = main(["learn-missing", "--network", str(workspace / "network.json"),
+               "--inj", str(workspace / "injection.json"),
+               "--missing", str(workspace / "missing.json"),
+               "--analytic", "--out", str(out)])
+    assert rc == 0
+    result = fileio.load_result(out)
+    assert result["metrics"]["struct_err"] == 0.0
+    assert any(ev["kind"] != "direct_edge" for ev in result["placement_events"])
+
+
+def test_learn_params_from_samples_cli(workspace):
+    # the command line's default tolerance on samples is 1e-6
+    from gridforest.lines import learn_structure_and_params
+    from gridforest.moments import MomentSet
+
+    main(["simulate", "--network", str(workspace / "network.json"),
+          "--inj", str(workspace / "injection.json"),
+          "--samples", "4000", "--seed", "2", "--out", str(workspace)])
+    out = workspace / "params.json"
+    rc = main(["learn-params", "--network", str(workspace / "network.json"),
+               "--data", str(workspace / "samples.csv"),
+               "--inj", str(workspace / "injection.json"), "--out", str(out)])
+    assert rc == 0
+    forest = fileio.load_network(workspace / "network.json")
+    momset = MomentSet.from_samples(
+        fileio.load_samples(workspace / "samples.csv"), zero_ids=forest.slack_ids
+    )
+    vp, vq, _ = fileio.load_injection(workspace / "injection.json").as_maps()
+    _, estimates = learn_structure_and_params(
+        momset, vp, vq, forest.substation_children(), rel_tol=1e-6
+    )
+    expected = fileio.result_to_dict(forest, edge_estimates=estimates)["line_estimates"]
+    assert fileio.load_result(out)["line_estimates"] == expected
+
+
 def test_reproduce_fig4_quick(tmp_path, capsys):
     rc = main(["reproduce-fig4", "--out", str(tmp_path), "--seeds", "2"])
     assert rc == 0
@@ -135,9 +178,9 @@ def test_missing_inj_for_analytic(workspace):
     assert rc == 1
 
 
-def test_learner_failure_exit_code(tmp_path):
-    # a hidden node that exists nowhere in the data can never be placed
-    from gridforest.missing import HiddenNodeInfo
+def _chain_missing_args(tmp_path, hidden):
+    """learn-missing arguments on the chain slack 0 - load 1 - load 2, with
+    samples of load 1 only and ``hidden`` as the missing spec."""
     from gridforest.network import Line, Node, build_forest
     from gridforest.powerflow import InjectionModel, sample_voltages
 
@@ -147,18 +190,35 @@ def test_learner_failure_exit_code(tmp_path):
                          var_p=[1, 1], var_q=[1, 1], cov_pq=[0.5, 0.5])
     fileio.save_network(tmp_path / "net.json", forest)
     fileio.save_injection(tmp_path / "inj.json", inj)
-    fileio.save_missing(
-        tmp_path / "missing.json",
-        MissingSpec(hidden=(HiddenNodeInfo(99, 1.0, 1.0, 0.5),)),
-    )
-    samples = sample_voltages(forest, inj, 5000, seed=0)
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec(hidden=(hidden,)))
+    samples = sample_voltages(forest, inj, 5000, seed=0).restrict((1,))
     fileio.save_samples(tmp_path / "obs.csv", samples)
-    rc = main(["learn-missing", "--network", str(tmp_path / "net.json"),
-               "--data", str(tmp_path / "obs.csv"),
-               "--inj", str(tmp_path / "inj.json"),
-               "--missing", str(tmp_path / "missing.json"),
-               "--out", str(tmp_path / "r.json")])
+    return ["learn-missing", "--network", str(tmp_path / "net.json"),
+            "--data", str(tmp_path / "obs.csv"),
+            "--inj", str(tmp_path / "inj.json"),
+            "--missing", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "r.json")]
+
+
+def test_learner_failure_exit_code(tmp_path, capsys):
+    # hidden load 2 with a far too large var_p explains no statistic of the
+    # data, so the learner cannot place it
+    from gridforest.missing import HiddenNodeInfo
+
+    rc = main(_chain_missing_args(tmp_path, HiddenNodeInfo(2, 100.0, 1.0, 0.5)))
     assert rc == 2
+    assert "learner failure: hidden nodes never placed: [2]" in capsys.readouterr().err
+
+
+def test_missing_spec_names_a_foreign_node(tmp_path, capsys):
+    # a hidden id that is not a load of the network is an input error
+    from gridforest.missing import HiddenNodeInfo
+
+    rc = main(_chain_missing_args(tmp_path, HiddenNodeInfo(99, 1.0, 1.0, 0.5)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "missing.json") in err and "hidden node 99" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _drop_row(lines):
@@ -224,6 +284,11 @@ def _fifth_field(lines):
     lines[5] += ",7"
 
 
+def _multiline_field(lines):  # the first eps is "0.5\n"
+    s, n, _, t = lines[1].split(",")
+    lines[1:2] = [f'{s},{n},"0.5', f'",{t}']
+
+
 def _theta_in_magnitude_file(lines):
     lines[1:] = [ln.rsplit(",", 1)[0] + "," for ln in lines[1:]]
     lines[5] += "0.5"
@@ -248,6 +313,7 @@ def _theta_in_magnitude_file(lines):
         (_blank_first_theta, 2, "blank theta"),
         (_fifth_field, 6, "expected 4 fields"),
         (_theta_in_magnitude_file, 6, "theta given"),
+        (_multiline_field, 2, "spans lines"),
     ],
 )
 def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
