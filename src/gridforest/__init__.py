@@ -15,7 +15,6 @@ from .powerflow import (
     InjectionModel,
     VoltageSamples,
     analytic_moments,
-    pairwise_sqdiff_analytic,
     sample_voltages,
     solve_lcpf,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "learn_structure_and_params",
     "learn_with_missing",
     "line_param_map",
-    "pairwise_sqdiff_analytic",
     "preset",
     "residual_match",
     "sample_voltages",

@@ -7,10 +7,13 @@ voltage deviations:
 
 with T_z = T_r + j T_x the path-sum inverse for impedance weights r + jx
 (equivalently theta = T_x p - T_r q and eps = T_r p + T_x q).  A single
-solve applies T_z by one complex tree sweep (``apply_path_inverse``); the
-moment and sampling paths multiply by the dense T_z that the same sweep
-builds.  Substations hold the reference and contribute identically-zero
-channels, so all vectors and matrices here cover load nodes only.
+solve applies T_z by one complex tree sweep (``apply_path_inverse``).  The
+population moments are complex products with the dense T_z that the same
+sweep builds; sampling takes the real blocks T_r = Re T_z and T_x = Im T_z,
+scales their rows by each node's Cholesky factor and maps the standard draws
+to eps and theta by real products, without forming p - j q.  Substations
+hold the reference and contribute identically-zero channels, so all vectors
+and matrices here cover load nodes only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DifferentTrees, DimensionMismatch, InvalidCovariance
+from .errors import DimensionMismatch, InvalidCovariance
 from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
@@ -48,6 +51,12 @@ class InjectionModel:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise DimensionMismatch(f"{name} must have shape ({n},), got {arr.shape}")
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                k = bad[0]
+                raise InvalidCovariance(
+                    f"{name} at node {self.node_ids[k]} is not finite ({arr[k]})"
+                )
             object.__setattr__(self, name, arr)
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
@@ -206,54 +215,39 @@ def sample_voltages(
 ) -> VoltageSamples:
     """Monte-Carlo voltage samples; deterministic for a given seed.
 
-    Per-node (p, q) pairs are generated through the 2x2 Cholesky factor of
-    [[var_p, cov_pq], [cov_pq, var_q]], so second moments are exact for any
-    tagged distribution.  Each row equals the linear solve for that draw.
+    Per-node (p, q) pairs are generated through the 2x2 Cholesky factor
+    [[a11, 0], [a21, a22]] of [[var_p, cov_pq], [cov_pq, var_q]] from two
+    standard draws z1, z2, so second moments are exact for any tagged
+    distribution.  Each row equals the linear solve for that draw.  The
+    factor is folded into the rows of T_r and T_x, so the voltages come
+    straight from the draws through four real products:
+
+        eps   = z1 (a11 T_r + a21 T_x) + z2 (a22 T_x) + Re(c)
+        theta = z1 (a11 T_x - a21 T_r) - z2 (a22 T_r) + Im(c)
+
+    with c = (mu_p - j mu_q) T_z the mean row.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     inj = inj.for_nodes(forest.load_ids)
     rng = np.random.default_rng(seed)
-    z1 = _standard_draws(rng, inj.distribution, (m, inj.n))
-    z2 = _standard_draws(rng, inj.distribution, (m, inj.n))
+    # one (2, m, n) draw is the same stream as two sequential (m, n) draws
+    z1, z2 = _standard_draws(rng, inj.distribution, (2, m, inj.n))
 
     a11 = np.sqrt(inj.var_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         a21 = np.where(a11 > 0.0, inj.cov_pq / np.where(a11 > 0.0, a11, 1.0), 0.0)
     a22 = np.sqrt(np.maximum(inj.var_q - a21**2, 0.0))
+    a11, a21, a22 = a11[:, None], a21[:, None], a22[:, None]
 
-    u = np.empty((m, inj.n), dtype=complex)  # u = p - jq
-    u.real = inj.mu_p + a11 * z1
-    u.imag = -(inj.mu_q + a21 * z1 + a22 * z2)
-    v = u @ forest.h_inverse_matrix("z")
-    # contiguous copies: the moment reductions run faster on them than on views
-    return VoltageSamples(node_ids=forest.load_ids, eps=v.real.copy(), theta=v.imag.copy())
-
-
-def pairwise_sqdiff_analytic(
-    forest: RadialForest, inj: InjectionModel, a, b, channel: str = "eps"
-) -> float:
-    """Population squared centered difference between two nodes' deviations.
-
-    ``channel``: "eps", "theta", or "cross" (the eps-theta product moment).
-    """
-    if a == b:
-        raise ValueError("nodes must differ")
-    ia = forest.load_index(a)
-    ib = forest.load_index(b)
-    if forest.tree_of[a] != forest.tree_of[b]:
-        raise DifferentTrees(f"nodes {a} and {b} sit in different trees")
-    inj = inj.for_nodes(forest.load_ids)
-    tr = forest.h_inverse_matrix("r")
-    tx = forest.h_inverse_matrix("x")
-    dr = tr[ia] - tr[ib]
-    dx = tx[ia] - tx[ib]
-    if channel == "eps":
-        return float(np.sum(dr**2 * inj.var_p + dx**2 * inj.var_q + 2.0 * dr * dx * inj.cov_pq))
-    if channel == "theta":
-        return float(np.sum(dx**2 * inj.var_p + dr**2 * inj.var_q - 2.0 * dx * dr * inj.cov_pq))
-    if channel == "cross":
-        return float(
-            np.sum(dr * dx * (inj.var_p - inj.var_q) + (dx**2 - dr**2) * inj.cov_pq)
-        )
-    raise ValueError(f"unknown channel {channel!r}")
+    tz = forest.h_inverse_matrix("z")
+    tr, tx = tz.real, tz.imag
+    c = (inj.mu_p - 1j * inj.mu_q) @ tz
+    # weight blocks are built inline, so none outlives its product (peak memory at large N)
+    eps = z1 @ (a11 * tr + a21 * tx)
+    eps += z2 @ (a22 * tx)
+    eps += c.real
+    theta = z1 @ (a11 * tx - a21 * tr)
+    theta -= z2 @ (a22 * tr)
+    theta += c.imag
+    return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)

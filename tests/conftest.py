@@ -5,14 +5,16 @@ assembles the reduced weighted Laplacian from the raw line list with plain
 loops and inverts it with numpy.  The direct statistics oracle avoids the
 leaf-upward edge walk: it maps the voltage moments back through the complex
 reduced Laplacian in one shot, and solves for the means against the dense
-oracle T_r + j T_x.
+oracle T_r + j T_x.  The reference sampler keeps the complex form of the
+forward model: two sequential standard draws, u = p - jq, then u T_z.
 """
 
 import numpy as np
 import pytest
 
+from gridforest.errors import DifferentTrees
 from gridforest.network import Line, Node, build_forest
-from gridforest.powerflow import InjectionModel
+from gridforest.powerflow import InjectionModel, _standard_draws
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 
@@ -36,6 +38,53 @@ def dense_path_matrix(forest, kind: str) -> np.ndarray:
                 lap[iu, iv] -= w
                 lap[iv, iu] -= w
     return np.linalg.inv(lap)
+
+
+def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
+    """Oracle: population squared centered difference between two nodes'
+    deviations, from the rows of T_r and T_x.
+
+    ``channel``: "eps", "theta", or "cross" (the eps-theta product moment).
+    """
+    if a == b:
+        raise ValueError("nodes must differ")
+    ia = forest.load_index(a)
+    ib = forest.load_index(b)
+    if forest.tree_of[a] != forest.tree_of[b]:
+        raise DifferentTrees(f"nodes {a} and {b} sit in different trees")
+    inj = inj.for_nodes(forest.load_ids)
+    tr = forest.h_inverse_matrix("r")
+    tx = forest.h_inverse_matrix("x")
+    dr = tr[ia] - tr[ib]
+    dx = tx[ia] - tx[ib]
+    if channel == "eps":
+        return float(np.sum(dr**2 * inj.var_p + dx**2 * inj.var_q + 2.0 * dr * dx * inj.cov_pq))
+    if channel == "theta":
+        return float(np.sum(dx**2 * inj.var_p + dr**2 * inj.var_q - 2.0 * dx * dr * inj.cov_pq))
+    if channel == "cross":
+        return float(
+            np.sum(dr * dx * (inj.var_p - inj.var_q) + (dx**2 - dr**2) * inj.cov_pq)
+        )
+    raise ValueError(f"unknown channel {channel!r}")
+
+
+def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: (eps, theta) samples by the complex form, with the seed
+    semantics of ``sample_voltages``: two sequential (m, n) draws z1, z2,
+    the Cholesky pair p = mu_p + a11 z1, q = mu_q + a21 z1 + a22 z2, and
+    eps + j theta = (p - jq) T_z."""
+    inj = inj.for_nodes(forest.load_ids)
+    rng = np.random.default_rng(seed)
+    z1 = _standard_draws(rng, inj.distribution, (m, inj.n))
+    z2 = _standard_draws(rng, inj.distribution, (m, inj.n))
+    a11 = np.sqrt(inj.var_p)
+    a21 = np.divide(inj.cov_pq, a11, out=np.zeros(inj.n), where=a11 > 0.0)
+    a22 = np.sqrt(np.maximum(inj.var_q - a21**2, 0.0))
+    u = np.empty((m, inj.n), dtype=complex)
+    u.real = inj.mu_p + a11 * z1
+    u.imag = -(inj.mu_q + a21 * z1 + a22 * z2)
+    v = u @ forest.h_inverse_matrix("z")
+    return v.real, v.imag
 
 
 def _aligned_matrix(momset, ids, channel: str) -> np.ndarray:

@@ -14,9 +14,11 @@ from gridforest.lines import estimate_edge
 from gridforest.missing import MissingSpec, learn_with_missing
 from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
-from gridforest.powerflow import analytic_moments, pairwise_sqdiff_analytic
+from gridforest.powerflow import analytic_moments
 from gridforest.structure import estimate_injection_stats, learn_structure
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
+
+from conftest import pairwise_sqdiff_analytic
 
 
 def _report(num, ok, text):

@@ -165,6 +165,20 @@ def test_reproduce_fig5_quick(tmp_path, capsys):
     assert "struct_err" in capsys.readouterr().out
 
 
+def test_simulate_rejects_non_finite_injection(workspace, capsys):
+    # json reads the bare NaN literal; the injection model must refuse it
+    path = workspace / "injection.json"
+    data = json.loads(path.read_text())
+    node = data["nodes"][3]
+    node["var_p"] = float("nan")
+    path.write_text(json.dumps(data))
+    rc = main(["simulate", "--network", str(workspace / "network.json"),
+               "--inj", str(path), "--samples", "50", "--out", str(workspace)])
+    assert rc == 1
+    assert f"var_p at node {node['id']} is not finite" in capsys.readouterr().err
+    assert not (workspace / "samples.csv").exists()
+
+
 def test_config_error_exit_code(tmp_path):
     assert main(["synth", "--out", str(tmp_path)]) == 1  # no --preset / --n
     assert main(["learn", "--network", str(tmp_path / "nope.json"),

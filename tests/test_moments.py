@@ -9,11 +9,10 @@ from gridforest.moments import MomentSet, estimate, sqdiff
 from gridforest.powerflow import (
     VoltageSamples,
     analytic_moments,
-    pairwise_sqdiff_analytic,
     sample_voltages,
 )
 
-from conftest import random_feeder
+from conftest import pairwise_sqdiff_analytic, random_feeder
 
 
 def two_point_samples():

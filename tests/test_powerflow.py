@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,20 @@ from gridforest.errors import DifferentTrees, DimensionMismatch, InvalidCovarian
 from gridforest.network import Line, Node, build_forest
 from gridforest.powerflow import (
     InjectionModel,
+    _standard_draws,
     analytic_moments,
     apply_path_inverse,
-    pairwise_sqdiff_analytic,
     sample_voltages,
     solve_lcpf,
 )
+from gridforest.synth import FeederSpec, preset, synth_feeder
 
-from conftest import dense_path_matrix, random_feeder
+from conftest import (
+    dense_path_matrix,
+    pairwise_sqdiff_analytic,
+    random_feeder,
+    reference_sample_voltages,
+)
 
 
 def unit_injections(forest, var_p=1.0, var_q=1.0, cov=0.5):
@@ -261,6 +269,28 @@ def test_sample_rows_equal_per_sample_solve():
         np.testing.assert_allclose(eps, s.eps[j], rtol=1e-8, atol=1e-12)
 
 
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize(
+    "spec",
+    [preset("bus_13_3"), FeederSpec(n_loads=40, max_children=1, chain_bias=1.0)],
+    ids=["bus_13_3", "chain_40"],
+)
+def test_sampler_matches_complex_reference(spec, dist):
+    forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
+    assert inj.distribution == dist
+    m, seed = 300, [7, 1]
+    s = sample_voltages(forest, inj, m, seed)
+    ref_eps, ref_theta = reference_sample_voltages(forest, inj, m, seed)
+    for got, want in ((s.eps, ref_eps), (s.theta, ref_theta)):
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # the sampler's single (2, m, n) draw is the stream of two (m, n) draws
+    both = _standard_draws(np.random.default_rng(seed), dist, (2, m, inj.n))
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(both[0], _standard_draws(rng, dist, (m, inj.n)))
+    assert np.array_equal(both[1], _standard_draws(rng, dist, (m, inj.n)))
+
+
 def test_empirical_matches_analytic_at_clt_scale(chain2):
     inj = unit_injections(chain2, var_p=2.0, var_q=1.0, cov=0.8)
     am = analytic_moments(chain2, inj)
@@ -296,6 +326,15 @@ def test_invalid_covariance_rejected(chain2):
             mu_p=[0, 0], mu_q=[0, 0],
             var_p=[1, 1], var_q=[1, 1], cov_pq=[1.5, 0.0],
         )
+
+
+@pytest.mark.parametrize("field", ["mu_p", "mu_q", "var_p", "var_q", "cov_pq"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_injection_rejected(chain2, field, bad):
+    stats = dict(mu_p=[0, 0], mu_q=[0, 0], var_p=[1, 1], var_q=[1, 1], cov_pq=[0.5, 0.5])
+    stats[field] = [stats[field][0], bad]
+    with pytest.raises(InvalidCovariance, match=f"{field} at node 2 is not finite"):
+        InjectionModel(node_ids=chain2.load_ids, **stats)
 
 
 @pytest.mark.parametrize("dist", ["uniform", "laplace"])
