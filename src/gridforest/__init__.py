@@ -2,7 +2,7 @@
 parameters from nodal voltage observations."""
 
 from .errors import GridForestError
-from .moments import MomentSet, estimate, sqdiff
+from .moments import MomentSet
 from .network import (
     Line,
     Node,
@@ -53,7 +53,6 @@ __all__ = [
     "analytic_moments",
     "build_forest",
     "choose_hidden",
-    "estimate",
     "estimate_edge",
     "estimate_injection_stats",
     "learn",
@@ -65,7 +64,6 @@ __all__ = [
     "residual_match",
     "sample_voltages",
     "solve_lcpf",
-    "sqdiff",
     "synth_feeder",
     "validate_missing_spec",
 ]

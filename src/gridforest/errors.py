@@ -27,10 +27,6 @@ class UnknownNode(GridForestError):
     """Node id not present (or not of the required role)."""
 
 
-class NotParent(GridForestError):
-    """The given node is not the parent of the other node."""
-
-
 class DifferentTrees(GridForestError):
     """The two nodes belong to different trees of the forest."""
 

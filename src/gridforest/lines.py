@@ -89,7 +89,9 @@ def estimate_edge(
     beta = t_sum * (alpha + d * t_sum * e)
     gamma = t_sum * t_sum * (e + d * t_sum) ** 2 / 4.0
 
-    disc = beta * beta - 4.0 * alpha * gamma
+    # beta^2 - 4 alpha gamma in closed form: the difference itself cancels
+    # to half its digits when the two roots nearly coincide.
+    disc = 4.0 * c_stat * c_stat * t_sum * t_sum * (alpha - (d * t_sum) ** 2)
     disc_scale = max(beta * beta, abs(4.0 * alpha * gamma), 1e-300)
     if disc < -rel_tol * disc_scale:
         raise NoRealRoot(f"discriminant {disc:.3e} below tolerance")

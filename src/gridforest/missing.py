@@ -198,8 +198,9 @@ class _MissingLearner:
         self.desc: defaultdict[int, np.ndarray] = defaultdict(lambda: np.zeros(3))
         self.diag = MissingDiagnostics()
 
-    def _resolve(self, a, b, *, forced: bool):
-        """Play the placement checks for child ``a`` against parent candidate ``b``.
+    def _resolve(self, a, b, lhs: float, *, forced: bool):
+        """Play the placement checks for child ``a`` against parent candidate
+        ``b``, whose measured eps squared difference is ``lhs``.
 
         ``forced`` marks declared substation children, whose edge is prior
         knowledge: the checks then only decide hidden placements below them.
@@ -207,7 +208,6 @@ class _MissingLearner:
         (its subtree sums still accumulate), to be adopted at the end if the
         line to its host exists.
         """
-        lhs = self.momset.sqdiff("eps", a, b)
         key = (a, b) if a < b else (b, a)
         params = self.lines.get(key)
         sub_p, sub_q, sub_s = self.desc[a].tolist()
@@ -326,14 +326,15 @@ class _MissingLearner:
         for t in fired:
             fired[t].sort(key=lambda a: pos[a])
 
-        for b in order:
-            for a in fired.get(b, ()):
-                self._resolve(a, b, forced=False)
-
-        # Declared substation children resolve against their slack edge,
-        # which may also surface hidden nodes parked beneath them.
-        for a in sorted(self.declared):
-            self._resolve(a, self.declared[a], forced=True)
+        # Declared substation children resolve last, against their slack
+        # edge, which may also surface hidden nodes parked beneath them.
+        events = [(a, b, False) for b in order for a in fired.get(b, ())]
+        events += [(a, self.declared[a], True) for a in sorted(self.declared)]
+        lhs, _, _ = self.momset.edge_stats(
+            [a for a, _, _ in events], [b for _, b, _ in events]
+        )
+        for (a, b, forced), stat in zip(events, lhs.tolist()):
+            self._resolve(a, b, stat, forced=forced)
 
         # Adoption pass: parked nodes whose line to the host exists become
         # plain children (repairs noise-induced parking; no-op at population).

@@ -1,17 +1,19 @@
 """Sample statistics consumed by the learners.
 
-A MomentSet answers three questions about any pair of nodes: per-node mean,
-per-node variance, and the centered squared difference (or cross product)
-between the two nodes' deviations.  It can be backed either by finite
-samples (divisor m, matching the estimators the learners are defined with)
-or by population moment matrices, so learners run identically in empirical
-and analytic mode.
+A MomentSet holds the per-node means (``mu_eps``, ``mu_theta``, in
+``node_ids`` order) and three covariance blocks (eps, theta, eps-theta).  It
+can be backed either by finite samples (divisor m, matching the estimators
+the learners are defined with) or by population moment matrices, so learners
+run identically in empirical and analytic mode.  The blocks are formed once,
+with one matrix product each in sample mode, and never change afterwards.
+
+The learners read the blocks as arrays: parent selection slices the eps
+block (``full_cov``), and the edge walks read the (eps, theta, cross)
+statistics of all their (child, parent) pairs with one ``edge_stats`` call.
+There are no per-node scalar accessors.
 
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
-
-The three covariance blocks (eps, theta, eps-theta) are formed once, with one
-matrix product each in sample mode, and never change afterwards.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ class MomentSet:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_samples(cls, samples: VoltageSamples, observed=None, zero_ids=()):
+    def from_samples(cls, samples: VoltageSamples, zero_ids=()):
         """Empirical moments with divisor m (biased, by construction)."""
         if samples.m < 2:
             raise TooFewSamples(f"need at least 2 samples, got {samples.m}")
-        if observed is not None:
-            samples = samples.restrict(tuple(observed))
         m = samples.m
         mu_eps = samples.eps.mean(axis=0)
         ce = samples.eps - mu_eps
@@ -105,59 +105,59 @@ class MomentSet:
         except KeyError:
             raise UnobservedNode(f"node {a} has no observations") from None
 
-    def mu_eps_of(self, a) -> float:
-        if a in self.zero_ids:
-            return 0.0
-        return float(self.mu_eps[self._index(a)])
+    def _positions(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each id in the blocks (0 for a zero id) and the zero-id mask."""
+        ids = [int(i) for i in ids]
+        zero = np.array([i in self.zero_ids for i in ids], dtype=bool)
+        idx = [0 if z else self._index(i) for i, z in zip(ids, zero)]
+        return np.array(idx, dtype=int), zero
 
-    def mu_theta_of(self, a) -> float:
-        if a in self.zero_ids:
-            return 0.0
+    def edge_stats(self, children, parents):
+        """Centered squared differences (eps, theta) and cross product of
+        each (child, parent) pair, as arrays over the pairs.
+
+        eps is var(a) - 2 cov(a, b) + var(b) and cross is
+        C(a, a) - C(a, b) - C(b, a) + C(b, b), in that operation order, so
+        every entry equals the one-pair ``sqdiff`` bit for bit.  A zero id
+        has zero moments, so a slack parent gives the child's own moments.
+        theta and cross are None on a magnitude-only set.
+        """
+        ia, za = self._positions(children)
+        ib, zb = self._positions(parents)
+        if len(ia) != len(ib):
+            raise ValueError(f"{len(ia)} children but {len(ib)} parents")
+        zab = za | zb
+
+        def entries(block, rows, cols, zero):
+            return np.where(zero, 0.0, block[rows, cols])
+
+        def sq(block):
+            return (
+                entries(block, ia, ia, za)
+                - 2.0 * entries(block, ia, ib, zab)
+                + entries(block, ib, ib, zb)
+            )
+
+        eps = sq(self._cov_eps)
         if not self.has_theta:
-            raise UnobservedNode("theta channel not observed")
-        return float(self.mu_theta[self._index(a)])
-
-    def _cov(self, channel: str, a, b) -> float:
-        """Centered second moment between two node channels (zero ids are zero)."""
-        if a in self.zero_ids or b in self.zero_ids:
-            if a in self.zero_ids and b in self.zero_ids:
-                return 0.0
-            # one zero channel: the product moment vanishes
-            self._index(b if a in self.zero_ids else a)
-            return 0.0
-        ia, ib = self._index(a), self._index(b)
-        return float(self.full_cov(channel)[ia, ib])
-
-    def var_eps(self, a) -> float:
-        return self._cov("eps", a, a)
-
-    def var_theta(self, a) -> float:
-        return self._cov("theta", a, a)
+            return eps, None, None
+        c = self._cov_eps_theta
+        cross = (
+            entries(c, ia, ia, za)
+            - entries(c, ia, ib, zab)
+            - entries(c, ib, ia, zab)
+            + entries(c, ib, ib, zb)
+        )
+        return eps, sq(self._cov_theta), cross
 
     def sqdiff(self, channel: str, a, b) -> float:
-        """Centered squared difference (or cross product) between two nodes.
-
-        Symmetric in (a, b); zero at a == b.  Uses the exact algebraic
-        identity sqdiff = var(a) - 2 cov(a, b) + var(b) for its estimator.
-        """
+        """One-pair view of ``edge_stats``; symmetric in (a, b), zero at a == b."""
         if channel not in ("eps", "theta", "cross"):
             raise ValueError(f"unknown channel {channel!r}")
-        if a == b:
-            if a not in self.zero_ids:
-                self._index(a)
-            return 0.0
-        if channel == "cross":
-            return (
-                self._cov("eps_theta", a, a)
-                - self._cov("eps_theta", a, b)
-                - self._cov("eps_theta", b, a)
-                + self._cov("eps_theta", b, b)
-            )
-        return (
-            self._cov(channel, a, a)
-            - 2.0 * self._cov(channel, a, b)
-            + self._cov(channel, b, b)
-        )
+        stats = dict(zip(("eps", "theta", "cross"), self.edge_stats((a,), (b,))))
+        if stats[channel] is None:
+            raise UnobservedNode("theta channel not observed")
+        return float(stats[channel][0])
 
     def with_zero_ids(self, ids) -> "MomentSet":
         """Shallow view with additional identically-zero channels (slacks)."""
@@ -214,25 +214,21 @@ class MomentSet:
             return self._cov_eps_theta
         raise ValueError(f"unknown channel {channel!r}")
 
-    def mean_vectors(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """(mu_theta, mu_eps) restricted to the given ids (zero ids allowed)."""
-        mt = np.array([self.mu_theta_of(i) for i in ids])
-        me = np.array([self.mu_eps_of(i) for i in ids])
-        return mt, me
-
     def to_dict(self) -> dict:
         """Debug dump of the single-node statistics."""
-        out = {
+        var_eps = np.diag(self._cov_eps)
+        var_theta = np.diag(self._cov_theta) if self.has_theta else None
+        return {
             "m": self.m,
             "nodes": [
                 {
                     "id": i,
                     "mu_eps": float(self.mu_eps[k]),
-                    "var_eps": float(self.var_eps(i)),
+                    "var_eps": float(var_eps[k]),
                     **(
                         {
                             "mu_theta": float(self.mu_theta[k]),
-                            "var_theta": float(self.var_theta(i)),
+                            "var_theta": float(var_theta[k]),
                         }
                         if self.has_theta
                         else {}
@@ -241,13 +237,3 @@ class MomentSet:
                 for k, i in enumerate(self.node_ids)
             ],
         }
-        return out
-
-
-def estimate(samples: VoltageSamples, observed=None, zero_ids=()) -> MomentSet:
-    """Empirical MomentSet over the observed nodes."""
-    return MomentSet.from_samples(samples, observed=observed, zero_ids=zero_ids)
-
-
-def sqdiff(momset: MomentSet, channel: str, a, b) -> float:
-    return momset.sqdiff(channel, a, b)

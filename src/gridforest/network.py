@@ -9,8 +9,9 @@ portion of the two nodes' paths to their slack.
 Edge weights come in three kinds: resistance "r", reactance "x" and the
 complex impedance "z" = r + jx, whose path-sum matrix is T_z = T_r + j T_x.
 The forward model needs only T_z.  Products with any of them are two tree
-sweeps (``apply_path_inverse``); dense inversion exists only in the test
-oracles.
+sweeps (``apply_path_inverse``), and products with their inverse, the
+reduced Laplacian, are one local sweep over the edges
+(``apply_local_inverse``); dense inversion exists only in the test oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     DisconnectedLoadNode,
     MultipleSlacksInComponent,
-    NotParent,
     ParallelLine,
     UnknownNode,
 )
@@ -220,16 +220,6 @@ class RadialForest:
 
     # -- path structure ----------------------------------------------------------
 
-    def path_edges(self, a) -> tuple[tuple[int, int], ...]:
-        """Edges (child, parent) on the unique path from ``a`` to its slack."""
-        self.load_index(a)
-        out = []
-        cur = a
-        while not self.is_slack(cur):
-            out.append((cur, self.parent[cur]))
-            cur = self.parent[cur]
-        return tuple(out)
-
     def descendant_set(self, a) -> frozenset[int]:
         """All loads whose path to the slack passes through ``a``, plus ``a``."""
         self.load_index(a)
@@ -240,16 +230,6 @@ class RadialForest:
             acc.append(cur)
             stack.extend(self.children.get(cur, ()))
         return frozenset(acc)
-
-    def is_descendant(self, c, a) -> bool:
-        """True when ``c`` lies in the subtree of ``a`` (including ``c == a``)."""
-        self.load_index(a)
-        self.load_index(c)
-        if self.tree_of[c] != self.tree_of[a]:
-            return False
-        while self.depth[c] > self.depth[a]:
-            c = self.parent[c]
-        return c == a
 
     def _lca(self, a, b):
         if self.tree_of[a] != self.tree_of[b]:
@@ -287,20 +267,6 @@ class RadialForest:
         w = self._wdepth[lca]
         return w.real if kind == "r" else w.imag
 
-    def h_inverse_diff(self, kind: str, a, parent_b, c) -> float:
-        """Row difference between a node and its parent, evaluated at ``c``.
-
-        Equals the (a, parent) edge weight when ``c`` descends from ``a``,
-        zero otherwise.
-        """
-        self.load_index(a)
-        if self.parent.get(a) != parent_b:
-            raise NotParent(f"{parent_b} is not the parent of {a}")
-        self.load_index(c)
-        if self.is_descendant(c, a):
-            return self.edge_weight(a, kind)
-        return 0.0
-
     # -- dense derived matrices (loads only) -------------------------------------------
 
     def h_inverse_matrix(self, kind: str) -> np.ndarray:
@@ -313,36 +279,6 @@ class RadialForest:
             cached = apply_path_inverse(self, kind, np.eye(self.n_loads))
             self._hinv_cache[kind] = cached
         return cached
-
-    def reduced_incidence(self) -> np.ndarray:
-        """Directed incidence over loads (one row per operational edge)."""
-        n = self.n_loads
-        rows = np.zeros((len(self.topo_order), n))
-        for e, a in enumerate(self.topo_order):
-            rows[e, self._loadpos[a]] = 1.0
-            p = self.parent[a]
-            if self.is_load(p):
-                rows[e, self._loadpos[p]] = -1.0
-        return rows
-
-    def reduced_laplacian(self, kind: str) -> np.ndarray:
-        """Reduced Laplacian with reciprocal edge weights.
-
-        ``kind``: "r" -> weights 1/r, "x" -> 1/x, "z" -> 1/(r + jx) (complex).
-        """
-        n = self.n_loads
-        out = np.zeros((n, n), dtype=complex if kind == "z" else float)
-        for a in self.topo_order:
-            w = 1.0 / self.edge_weight(a, kind)
-            ia = self._loadpos[a]
-            p = self.parent[a]
-            out[ia, ia] += w
-            if self.is_load(p):
-                ip = self._loadpos[p]
-                out[ip, ip] += w
-                out[ia, ip] -= w
-                out[ip, ia] -= w
-        return out
 
     def parent_map(self) -> dict[int, int]:
         return dict(self.parent)
@@ -373,6 +309,29 @@ def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
         base = v[pos[p]] if forest.is_load(p) else 0.0
         v[pos[a]] = base + forest.edge_weight(a, kind) * s[pos[a]]
     return v[:, 0] if u.ndim == 1 else v
+
+
+def apply_local_inverse(forest: RadialForest, kind: str, v) -> np.ndarray:
+    """Exact inverse of ``apply_path_inverse`` on a vector, in one O(N) sweep.
+
+    This is the reduced Laplacian with edge weights 1/w applied to ``v``:
+    u_a = (v_a - v_parent) / w_a - sum over children c of (v_c - v_a) / w_c,
+    with v = 0 at a slack.  Each edge's flow is added to its child and
+    subtracted from its parent, in ``topo_order``.
+    """
+    v = np.asarray(v, dtype=complex if kind == "z" else float)
+    if v.shape != (forest.n_loads,):
+        raise DimensionMismatch(f"v must have shape ({forest.n_loads},), got {v.shape}")
+    pos = forest._loadpos
+    u = np.zeros_like(v)
+    for a in forest.topo_order:
+        p = forest.parent[a]
+        up = forest.is_load(p)
+        flow = (v[pos[a]] - (v[pos[p]] if up else 0.0)) / forest.edge_weight(a, kind)
+        u[pos[a]] += flow
+        if up:
+            u[pos[p]] -= flow
+    return u
 
 
 def build_forest(nodes, lines) -> RadialForest:

@@ -37,7 +37,15 @@ from .errors import (
     UnobservedNode,
 )
 from .moments import MomentSet
-from .network import ROLE_LOAD, ROLE_SUBSTATION, Line, Node, RadialForest, build_forest
+from .network import (
+    ROLE_LOAD,
+    ROLE_SUBSTATION,
+    Line,
+    Node,
+    RadialForest,
+    apply_local_inverse,
+    build_forest,
+)
 from .powerflow import InjectionModel
 
 # Relative gap below which a parent selection's runner-up counts as a tie
@@ -222,10 +230,12 @@ def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
 
     Returns ``(order, stats)``: the children ordered by decreasing depth
     (ties in parent-map order), so every node comes after all of its
-    descendants, and each edge's three pairwise statistics (eps, theta,
-    cross) against its parent.  A learner that adds each node's sums into
-    its parent in this order sums siblings in parent-map order.  ``momset``
-    must carry the slacks as zero ids.
+    descendants, and each child's three pairwise statistics (eps, theta,
+    cross) against its parent as a tuple of floats, read with one
+    ``MomentSet.edge_stats`` call over all the edges.  A learner that adds
+    each node's sums into its parent in this order sums siblings in
+    parent-map order.  ``momset`` must carry the slacks as zero ids and the
+    theta channel (UnobservedNode otherwise).
     """
     depth: dict[int, int] = {}
     for a in parent:
@@ -238,10 +248,10 @@ def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
             k += 1
             depth[b] = k
     order = sorted(parent, key=lambda a: -depth[a])
-    stats = {
-        a: tuple(momset.sqdiff(ch, a, parent[a]) for ch in ("eps", "theta", "cross"))
-        for a in order
-    }
+    eps, theta, cross = momset.edge_stats(order, [parent[a] for a in order])
+    if theta is None:
+        raise UnobservedNode("the edge walk needs the theta channel")
+    stats = dict(zip(order, zip(eps.tolist(), theta.tolist(), cross.tolist())))
     return order, stats
 
 
@@ -265,7 +275,8 @@ def estimate_injection_stats(
     if not momset.has_theta:
         raise UnobservedNode("statistics estimation needs the theta channel")
     momset = momset.with_zero_ids(forest.slack_ids)
-    missing = [a for a in forest.load_ids if a not in set(momset.observed)]
+    pos = {a: k for k, a in enumerate(momset.observed)}
+    missing = [a for a in forest.load_ids if a not in pos]
     if missing:
         raise UnobservedNode(f"moments missing for nodes {missing}")
 
@@ -298,10 +309,11 @@ def estimate_injection_stats(
             diag.clamped_covariances.append((a, float(cov_pq[k])))
             cov_pq[k] = np.sign(cov_pq[k]) * bound[k]
 
-    # Means: the complex reduced Laplacian is the exact inverse of T_z, so
-    # mu_p - j mu_q = H_z (mu_eps + j mu_theta).
-    mu_theta, mu_eps = momset.mean_vectors(ids)
-    mu = forest.reduced_laplacian("z") @ (mu_eps + 1j * mu_theta)
+    # Means: mu_eps + j mu_theta = T_z (mu_p - j mu_q), and the local
+    # inverse undoes T_z exactly.
+    idx = [pos[a] for a in ids]
+    mu_v = momset.mu_eps[idx] + 1j * momset.mu_theta[idx]
+    mu = apply_local_inverse(forest, "z", mu_v)
 
     inj = InjectionModel(
         node_ids=ids,

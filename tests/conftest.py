@@ -40,6 +40,28 @@ def dense_path_matrix(forest, kind: str) -> np.ndarray:
     return np.linalg.inv(lap)
 
 
+def reduced_laplacian(forest, kind: str) -> np.ndarray:
+    """Oracle: reduced Laplacian with reciprocal edge weights, from the
+    parent links.
+
+    ``kind``: "r" -> weights 1/r, "x" -> 1/x, "z" -> 1/(r + jx) (complex).
+    """
+    n = forest.n_loads
+    pos = forest.load_index
+    out = np.zeros((n, n), dtype=complex if kind == "z" else float)
+    for a in forest.topo_order:
+        w = 1.0 / forest.edge_weight(a, kind)
+        ia = pos(a)
+        p = forest.parent[a]
+        out[ia, ia] += w
+        if forest.is_load(p):
+            ip = pos(p)
+            out[ip, ip] += w
+            out[ia, ip] -= w
+            out[ip, ia] -= w
+    return out
+
+
 def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
     """Oracle: population squared centered difference between two nodes'
     deviations, from the rows of T_r and T_x.
@@ -103,7 +125,7 @@ def direct_injection_stats(momset, forest) -> InjectionModel:
     the Cauchy-Schwarz bound, as the package's estimator does.
     """
     ids = forest.load_ids
-    hz = forest.reduced_laplacian("z")
+    hz = reduced_laplacian(forest, "z")
     g, bm = hz.real, hz.imag
     cov_e = _aligned_matrix(momset, ids, "eps")
     cov_t = _aligned_matrix(momset, ids, "theta")
@@ -115,7 +137,8 @@ def direct_injection_stats(momset, forest) -> InjectionModel:
     var_p = np.maximum(var_p, 0.0)
     var_q = np.maximum(var_q, 0.0)
     bound = np.sqrt(var_p * var_q)
-    mu_theta, mu_eps = momset.mean_vectors(ids)
+    idx = [momset.node_ids.index(i) for i in ids]
+    mu_theta, mu_eps = momset.mu_theta[idx], momset.mu_eps[idx]
     tz = dense_path_matrix(forest, "r") + 1j * dense_path_matrix(forest, "x")
     mu = np.linalg.solve(tz, mu_eps + 1j * mu_theta)
     return InjectionModel(

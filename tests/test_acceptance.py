@@ -18,7 +18,7 @@ from gridforest.powerflow import analytic_moments
 from gridforest.structure import estimate_injection_stats, learn_structure
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
-from conftest import pairwise_sqdiff_analytic
+from conftest import pairwise_sqdiff_analytic, reduced_laplacian
 
 
 def _report(num, ok, text):
@@ -278,7 +278,7 @@ def test_criterion_8_invariant_suites():
 
         # dense-inversion oracle for both weightings
         for kind in ("r", "x"):
-            dense = np.linalg.inv(forest.reduced_laplacian(kind))
+            dense = np.linalg.inv(reduced_laplacian(forest, kind))
             for a in forest.load_ids:
                 for b in forest.load_ids:
                     got = forest.h_inverse_entry(kind, a, b)

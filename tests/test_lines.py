@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gridforest.errors import NoRealRoot, SingularSystem
+from gridforest.errors import NoRealRoot, SingularSystem, UnobservedNode
 from gridforest.lines import (
     estimate_edge,
     estimate_edge_linear,
@@ -133,6 +133,8 @@ def test_preconditions():
     sq=st.floats(0.1, 5.0),
     rho=st.floats(0.05, 0.95),
 )
+# nearly coincident roots: the discriminant must not lose half its digits
+@example(r=2.8125, x=0.0625, sp=1.0, sq=0.1015625, rho=0.0625)
 def test_round_trip_property(r, x, sp, sq, rho):
     assume(abs(r - x) / max(r, x) > 0.05)
     s = rho * np.sqrt(sp * sq)
@@ -199,6 +201,16 @@ def test_single_edge_feeder_reduces_to_estimate_edge():
     est = ests[(load, slack)]
     assert est.r_hat == pytest.approx(single.r_hat, rel=1e-12)
     assert est.x_hat == pytest.approx(single.x_hat, rel=1e-12)
+
+
+def test_magnitude_only_moments_rejected():
+    forest, inj = random_feeder(4, n_range=(4, 10), k_max=2)
+    samples = sample_voltages(forest, inj, 50, seed=1).without_theta()
+    vp, vq, _ = inj.as_maps()
+    with pytest.raises(UnobservedNode, match="theta"):
+        learn_structure_and_params(
+            MomentSet.from_samples(samples), vp, vq, forest.substation_children()
+        )
 
 
 def test_finite_sample_param_error_decays():
