@@ -216,6 +216,8 @@ def _cmd_reproduce(args) -> int:
     report = run(args.out, seeds=tuple(range(args.seeds)))
     for key, val in report.aggregates().items():
         print(f"{key}: {val:.5f}")
+    failed = ", ".join(f"{cls}={n}" for cls, n in report.failure_counts().items())
+    print(f"failed cells: {failed or 0}")
     print(f"wrote {Path(args.out) / 'curves.csv'}")
     return 0
 

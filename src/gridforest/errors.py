@@ -41,6 +41,18 @@ class InvalidCovariance(GridForestError):
     """Per-node (p, q) covariance violates the Cauchy-Schwarz bound."""
 
 
+class NonFiniteSamples(GridForestError):
+    """Voltage samples hold a NaN or an infinite value.
+
+    Carries the ``channel`` ("eps" or "theta"), the ``node`` id and the
+    0-based sample ``row`` of the first such value.
+    """
+
+    def __init__(self, channel, node, row, value):
+        super().__init__(f"{channel} of node {node} in sample row {row} is not finite ({value})")
+        self.channel, self.node, self.row = channel, node, row
+
+
 # -- empirical moments ----------------------------------------------------------
 
 class TooFewSamples(GridForestError):
@@ -63,6 +75,19 @@ class MalformedSamples(GridForestError):
         where = str(path) if line is None else f"{path}, line {line}"
         super().__init__(f"{where}: {msg}")
         self.path, self.line = str(path), line
+
+
+class MalformedJSON(GridForestError):
+    """A JSON input lacks a documented key or holds a value of the wrong type.
+
+    Carries ``path`` (the file, or None for in-memory data) and ``where``, the
+    JSON path of the bad value, such as ``lines[0].x``.
+    """
+
+    def __init__(self, path, where, msg):
+        super().__init__(f"{'<data>' if path is None else path}: {where}: {msg}")
+        self.path = None if path is None else str(path)
+        self.where = where
 
 
 # -- learners -------------------------------------------------------------------

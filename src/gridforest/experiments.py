@@ -3,8 +3,11 @@
 A run sweeps a sample-count grid times a seed list (times a hidden-node
 count list for missing-data studies).  Each cell redraws injection
 statistics and samples, runs the selected learner, and scores the result
-against the ground truth.  Learner failures are recorded per cell, never
-fatal.  Identical configs produce byte-identical curves.csv files.
+against the ground truth.  The learners read the samples only through their
+means and covariances, so a cell takes those moments straight from the
+standard draws (``empirical_moments``) and never forms the (m, n) voltage
+matrices.  Learner failures are recorded per cell, never fatal.  Identical
+configs produce byte-identical curves.csv files.
 
 ``run_learner`` is the one learner path: it maps a task (``learn``,
 ``learn-params``, ``learn-missing``) to its learner and holds the
@@ -14,6 +17,7 @@ call it, and both take population moments from ``population_moments``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +29,8 @@ from .lines import learn_structure_and_params
 from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
 from .network import RadialForest, line_param_map
-from .powerflow import InjectionModel, analytic_moments, sample_voltages
+from .powerflow import InjectionModel, analytic_moments, sample_moments
+from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
 from .structure import estimate_injection_stats, learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
@@ -56,7 +61,7 @@ class ExperimentConfig:
 @dataclass
 class MetricsReport:
     rows: list[tuple] = field(default_factory=list)  # (task, m, seed, metric, value)
-    failures: list[tuple] = field(default_factory=list)
+    failures: list[tuple] = field(default_factory=list)  # (task, m, seed, repr(exc))
 
     def add(self, task, m, seed, metric, value):
         self.rows.append((task, int(m), int(seed), metric, float(value)))
@@ -70,6 +75,10 @@ class MetricsReport:
         if not vals:
             raise KeyError(f"no rows for ({task}, {m}, {metric})")
         return float(np.mean(vals))
+
+    def failure_counts(self) -> dict[str, int]:
+        """Failed cells by exception class, in name order."""
+        return dict(sorted(Counter(f[3].split("(", 1)[0] for f in self.failures).items()))
 
     def aggregates(self) -> dict:
         keys = sorted({(t, m, met) for (t, m, _s, met, _v) in self.rows})
@@ -128,13 +137,30 @@ def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
 # -- the learner path -------------------------------------------------------------------
 
 
+def _observed(forest: RadialForest, momset: MomentSet, hidden) -> MomentSet:
+    """The moments of the loads not in ``hidden``."""
+    if not hidden:
+        return momset
+    hidden = set(hidden)
+    return momset.restrict([i for i in forest.load_ids if i not in hidden])
+
+
 def population_moments(forest: RadialForest, inj: InjectionModel, hidden=()) -> MomentSet:
     """Population moments of the loads not in ``hidden``, slacks as zero ids."""
     am = analytic_moments(forest, inj.for_nodes(forest.load_ids))
-    ms = MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
-    if not hidden:
-        return ms
-    return ms.restrict([i for i in forest.load_ids if i not in set(hidden)])
+    return _observed(forest, MomentSet.from_analytic(am, zero_ids=forest.slack_ids), hidden)
+
+
+def empirical_moments(
+    forest: RadialForest, inj: InjectionModel, m: int, seed, hidden=()
+) -> MomentSet:
+    """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
+    ``seed``, of the loads not in ``hidden``, slacks as zero ids.  They come
+    straight from the standard draws (``sample_moments``); no sample is formed.
+    """
+    moments = sample_moments(forest, inj, m, seed)
+    momset = MomentSet(forest.load_ids, *moments, m=m, zero_ids=forest.slack_ids)
+    return _observed(forest, momset, hidden)
 
 
 def run_learner(
@@ -184,10 +210,7 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
         if config.analytic:
             momset = population_moments(forest, inj, hidden)
         else:
-            samples = sample_voltages(forest, inj, m, sample_seed)
-            if hidden:
-                samples = samples.restrict([i for i in forest.load_ids if i not in hidden])
-            momset = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+            momset = empirical_moments(forest, inj, m, sample_seed, hidden)
         try:
             recovered, parts = run_learner(
                 config.task, momset, declared, params, inj,

@@ -2,6 +2,8 @@
 JSON, result JSON, and the experiment curves CSV.
 
 All writers are deterministic: fixed key order, repr-precision floats.
+The JSON readers name the file and the JSON path (such as ``lines[0].x``) of
+a missing key or a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -14,10 +16,71 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedSamples
+from .errors import MalformedJSON, MalformedSamples
 from .missing import HiddenNodeInfo, MissingSpec
 from .network import Line, Node, RadialForest, build_forest
 from .powerflow import InjectionModel, VoltageSamples
+
+
+# -- JSON reading ------------------------------------------------------------------
+
+# the JSON name of a decoded value's type, and of each type a reader asks for
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "an array", dict: "an object"}
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "an array",
+             dict: "an object"}
+
+
+class _JsonReader:
+    """Typed reads from one decoded JSON document whose top level is an object.
+
+    A missing key, or a value that is not of the asked type, raises
+    MalformedJSON naming ``source`` (the file) and the JSON path of the value.
+    int and float convert, so "3" still reads as 3; a boolean is no number,
+    and a fractional number is no integer.
+    """
+
+    def __init__(self, data, source):
+        self.source = source
+        self.top = self.check(data, dict, "top level")
+
+    def check(self, value, kind, at):
+        """``value`` as ``kind``, where ``at`` is its JSON path."""
+        fraction = isinstance(value, float) and kind is int and not value.is_integer()
+        if not (isinstance(value, bool) or fraction):
+            if kind in (int, float):
+                try:
+                    return kind(value)
+                except (TypeError, ValueError):
+                    pass
+            elif isinstance(value, kind):
+                return value
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise MalformedJSON(self.source, at, f"expected {_EXPECTED[kind]}, got {got}")
+
+    def get(self, obj, key, kind, at, default=None):
+        """``obj[key]`` as ``kind``, where ``at`` is the JSON path of ``obj``;
+        ``default`` when the key is absent, unless it is None."""
+        at = f"{at}.{key}" if at else key
+        if key not in obj:
+            if default is None:
+                raise MalformedJSON(self.source, at, "missing")
+            return default
+        return self.check(obj[key], kind, at)
+
+    def rows(self, key):
+        """(object, JSON path) of each element of the top-level array ``key``."""
+        items = self.get(self.top, key, list, "")
+        return [
+            (self.check(row, dict, f"{key}[{k}]"), f"{key}[{k}]") for k, row in enumerate(items)
+        ]
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedJSON(path, f"line {exc.lineno} column {exc.colno}", exc.msg) from None
 
 
 # -- network ---------------------------------------------------------------------
@@ -33,17 +96,22 @@ def network_to_dict(forest: RadialForest) -> dict:
     }
 
 
-def network_from_dict(data: dict) -> RadialForest:
-    nodes = [Node(int(nd["id"]), nd["role"]) for nd in data["nodes"]]
+def network_from_dict(data: dict, source=None) -> RadialForest:
+    """The forest of a network document; ``source`` names its file in errors."""
+    rd = _JsonReader(data, source)
+    nodes = [
+        Node(rd.get(nd, "id", int, at), rd.get(nd, "role", str, at))
+        for nd, at in rd.rows("nodes")
+    ]
     lines = [
         Line(
-            int(ln["a"]),
-            int(ln["b"]),
-            r=float(ln["r"]),
-            x=float(ln["x"]),
-            status=ln.get("status", "operational"),
+            rd.get(ln, "a", int, at),
+            rd.get(ln, "b", int, at),
+            r=rd.get(ln, "r", float, at),
+            x=rd.get(ln, "x", float, at),
+            status=rd.get(ln, "status", str, at, "operational"),
         )
-        for ln in data["lines"]
+        for ln, at in rd.rows("lines")
     ]
     return build_forest(nodes, lines)
 
@@ -53,7 +121,7 @@ def save_network(path, forest: RadialForest):
 
 
 def load_network(path) -> RadialForest:
-    return network_from_dict(json.loads(Path(path).read_text()))
+    return network_from_dict(_read_json(path), source=path)
 
 
 # -- injection model -----------------------------------------------------------------
@@ -76,16 +144,22 @@ def injection_to_dict(inj: InjectionModel) -> dict:
     }
 
 
-def injection_from_dict(data: dict) -> InjectionModel:
-    rows = data["nodes"]
+def injection_from_dict(data: dict, source=None) -> InjectionModel:
+    """The model of an injection document; ``source`` names its file in errors."""
+    rd = _JsonReader(data, source)
+    rows = rd.rows("nodes")
+
+    def column(key, kind=float):
+        return [rd.get(row, key, kind, at) for row, at in rows]
+
     return InjectionModel(
-        node_ids=tuple(int(r["id"]) for r in rows),
-        mu_p=[r["mu_p"] for r in rows],
-        mu_q=[r["mu_q"] for r in rows],
-        var_p=[r["var_p"] for r in rows],
-        var_q=[r["var_q"] for r in rows],
-        cov_pq=[r["cov_pq"] for r in rows],
-        distribution=data.get("distribution", "gaussian"),
+        node_ids=tuple(column("id", int)),
+        mu_p=column("mu_p"),
+        mu_q=column("mu_q"),
+        var_p=column("var_p"),
+        var_q=column("var_q"),
+        cov_pq=column("cov_pq"),
+        distribution=rd.get(rd.top, "distribution", str, "", "gaussian"),
     )
 
 
@@ -94,7 +168,7 @@ def save_injection(path, inj: InjectionModel):
 
 
 def load_injection(path) -> InjectionModel:
-    return injection_from_dict(json.loads(Path(path).read_text()))
+    return injection_from_dict(_read_json(path), source=path)
 
 
 # -- voltage samples -------------------------------------------------------------------
@@ -278,13 +352,18 @@ def missing_to_dict(spec: MissingSpec) -> dict:
     }
 
 
-def missing_from_dict(data: dict) -> MissingSpec:
+def missing_from_dict(data: dict, source=None) -> MissingSpec:
+    """The spec of a missing-spec document; ``source`` names its file in errors."""
+    rd = _JsonReader(data, source)
     return MissingSpec(
         hidden=tuple(
             HiddenNodeInfo(
-                int(h["id"]), float(h["var_p"]), float(h["var_q"]), float(h["cov_pq"])
+                rd.get(h, "id", int, at),
+                rd.get(h, "var_p", float, at),
+                rd.get(h, "var_q", float, at),
+                rd.get(h, "cov_pq", float, at),
             )
-            for h in data["hidden"]
+            for h, at in rd.rows("hidden")
         )
     )
 
@@ -294,7 +373,7 @@ def save_missing(path, spec: MissingSpec):
 
 
 def load_missing(path) -> MissingSpec:
-    return missing_from_dict(json.loads(Path(path).read_text()))
+    return missing_from_dict(_read_json(path), source=path)
 
 
 # -- learning results ---------------------------------------------------------------------

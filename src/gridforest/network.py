@@ -172,11 +172,6 @@ class RadialForest:
         self.children = {i: tuple(c) for i, c in children_acc.items()}
         self.topo_order: tuple[int, ...] = tuple(order)
 
-        # Cumulative impedance r + jx from each load up to its slack.
-        self._wdepth: dict[int, complex] = {s: 0j for s in self.slack_ids}
-        for a in self.topo_order:
-            self._wdepth[a] = self._wdepth[self.parent[a]] + self.edge_weight(a, "z")
-
         self._hinv_cache: dict[str, np.ndarray] = {}
 
     # -- basic queries ---------------------------------------------------------
@@ -220,17 +215,6 @@ class RadialForest:
 
     # -- path structure ----------------------------------------------------------
 
-    def descendant_set(self, a) -> frozenset[int]:
-        """All loads whose path to the slack passes through ``a``, plus ``a``."""
-        self.load_index(a)
-        acc = []
-        stack = [a]
-        while stack:
-            cur = stack.pop()
-            acc.append(cur)
-            stack.extend(self.children.get(cur, ()))
-        return frozenset(acc)
-
     def _lca(self, a, b):
         if self.tree_of[a] != self.tree_of[b]:
             return None
@@ -251,21 +235,6 @@ class RadialForest:
         if lca is None:
             return math.inf
         return float(self.depth[a] + self.depth[b] - 2 * self.depth[lca])
-
-    # -- path-sum inverse entries ---------------------------------------------------
-
-    def h_inverse_entry(self, kind: str, a, b) -> float:
-        """Summed ``kind`` weights on the shared path segment of ``a`` and ``b``.
-
-        Zero when the nodes sit in different trees.
-        """
-        self.load_index(a)
-        self.load_index(b)
-        lca = self._lca(a, b)
-        if lca is None:
-            return 0.0
-        w = self._wdepth[lca]
-        return w.real if kind == "r" else w.imag
 
     # -- dense derived matrices (loads only) -------------------------------------------
 

@@ -11,7 +11,10 @@ solve applies T_z by one complex tree sweep (``apply_path_inverse``).  The
 population moments are complex products with the dense T_z that the same
 sweep builds; sampling takes the real blocks T_r = Re T_z and T_x = Im T_z,
 scales their rows by each node's Cholesky factor and maps the standard draws
-to eps and theta by real products, without forming p - j q.  Substations
+to eps and theta by real products, without forming p - j q.  The sweep
+cells read the samples only through their means and covariances, so
+``sample_moments`` maps the draws' own (2n x 2n) covariance through the same
+real map instead, and never forms the (m, n) voltage matrices.  Substations
 hold the reference and contribute identically-zero channels, so all vectors
 and matrices here cover load nodes only.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCovariance
+from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples, TooFewSamples
 from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
@@ -108,7 +111,9 @@ class VoltageSamples:
     """Joint voltage observations; row j, column k is sample j at node_ids[k].
 
     Substation channels are identically zero and therefore not stored.
-    ``theta`` may be None for magnitude-only data.
+    ``theta`` may be None for magnitude-only data.  Every value must be
+    finite; NonFiniteSamples names the channel, node and row of the first
+    that is not.
     """
 
     node_ids: tuple[int, ...]
@@ -126,6 +131,11 @@ class VoltageSamples:
             if th.shape != eps.shape:
                 raise DimensionMismatch("theta shape must match eps")
             object.__setattr__(self, "theta", th)
+        for channel in ("eps", "theta"):
+            arr = getattr(self, channel)
+            if arr is not None and not np.isfinite(arr).all():
+                row, k = np.argwhere(~np.isfinite(arr))[0]
+                raise NonFiniteSamples(channel, self.node_ids[k], int(row), arr[row, k])
 
     @property
     def m(self) -> int:
@@ -210,30 +220,21 @@ def _standard_draws(rng, distribution: str, shape) -> np.ndarray:
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-def sample_voltages(
-    forest: RadialForest, inj: InjectionModel, m: int, seed
-) -> VoltageSamples:
-    """Monte-Carlo voltage samples; deterministic for a given seed.
+def _folded_map(forest: RadialForest, inj: InjectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The map (A, c) from one row of standard draws [z1, z2] to the voltages:
+    [eps, theta] = [z1, z2] A + [Re c, Im c], with ``inj`` in load order.
 
-    Per-node (p, q) pairs are generated through the 2x2 Cholesky factor
-    [[a11, 0], [a21, a22]] of [[var_p, cov_pq], [cov_pq, var_q]] from two
-    standard draws z1, z2, so second moments are exact for any tagged
-    distribution.  Each row equals the linear solve for that draw.  The
-    factor is folded into the rows of T_r and T_x, so the voltages come
-    straight from the draws through four real products:
+    Each node's pair is p = mu_p + a11 z1, q = mu_q + a21 z1 + a22 z2, with
+    [[a11, 0], [a21, a22]] the Cholesky factor of [[var_p, cov_pq],
+    [cov_pq, var_q]], so second moments are exact for any tagged
+    distribution.  The factor is folded into the rows of T_r = Re T_z and
+    T_x = Im T_z, giving the real (2n, 2n) map
 
-        eps   = z1 (a11 T_r + a21 T_x) + z2 (a22 T_x) + Re(c)
-        theta = z1 (a11 T_x - a21 T_r) - z2 (a22 T_r) + Im(c)
+        A = [[a11 T_r + a21 T_x,  a11 T_x - a21 T_r],
+             [a22 T_x,           -a22 T_r          ]]
 
-    with c = (mu_p - j mu_q) T_z the mean row.
+    (eps columns first), and c = (mu_p - j mu_q) T_z is the mean row.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    inj = inj.for_nodes(forest.load_ids)
-    rng = np.random.default_rng(seed)
-    # one (2, m, n) draw is the same stream as two sequential (m, n) draws
-    z1, z2 = _standard_draws(rng, inj.distribution, (2, m, inj.n))
-
     a11 = np.sqrt(inj.var_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         a21 = np.where(a11 > 0.0, inj.cov_pq / np.where(a11 > 0.0, a11, 1.0), 0.0)
@@ -242,12 +243,67 @@ def sample_voltages(
 
     tz = forest.h_inverse_matrix("z")
     tr, tx = tz.real, tz.imag
-    c = (inj.mu_p - 1j * inj.mu_q) @ tz
-    # weight blocks are built inline, so none outlives its product (peak memory at large N)
-    eps = z1 @ (a11 * tr + a21 * tx)
-    eps += z2 @ (a22 * tx)
+    n = inj.n
+    a = np.empty((2 * n, 2 * n))
+    a[:n, :n] = a11 * tr + a21 * tx
+    a[:n, n:] = a11 * tx - a21 * tr
+    a[n:, :n] = a22 * tx
+    a[n:, n:] = -a22 * tr
+    return a, (inj.mu_p - 1j * inj.mu_q) @ tz
+
+
+def sample_voltages(
+    forest: RadialForest, inj: InjectionModel, m: int, seed
+) -> VoltageSamples:
+    """Monte-Carlo voltage samples; deterministic for a given seed.
+
+    Two standard draws z1, z2 per node and sample go through the map of
+    ``_folded_map`` by four real products, so each row equals the linear
+    solve for its injections, without forming p - j q.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    inj = inj.for_nodes(forest.load_ids)
+    rng = np.random.default_rng(seed)
+    # one (2, m, n) draw is the same stream as two sequential (m, n) draws
+    z1, z2 = _standard_draws(rng, inj.distribution, (2, m, inj.n))
+    a, c = _folded_map(forest, inj)
+    n = inj.n
+    eps = z1 @ a[:n, :n]
+    eps += z2 @ a[n:, :n]
     eps += c.real
-    theta = z1 @ (a11 * tx - a21 * tr)
-    theta -= z2 @ (a22 * tr)
+    theta = z1 @ a[:n, n:]
+    theta += z2 @ a[n:, n:]
     theta += c.imag
     return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)
+
+
+def sample_moments(forest: RadialForest, inj: InjectionModel, m: int, seed):
+    """Divisor-m moments of the samples ``sample_voltages(forest, inj, m, seed)``
+    returns, without forming them: ``(mu_eps, mu_theta, cov_eps, cov_theta,
+    cov_eps_theta)`` over the loads, in the order ``MomentSet`` takes them.
+
+    The voltages are the same draws z = [z1, z2] through the linear map A of
+    ``_folded_map``, so with S the divisor-m covariance of z, the covariance
+    of [eps, theta] is A^T S A and its mean is mean(z) A + [Re c, Im c].
+    S is (2n, 2n): no (m, n) voltage matrix is built.
+    """
+    if m < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {m}")
+    inj = inj.for_nodes(forest.load_ids)
+    rng = np.random.default_rng(seed)
+    z = _standard_draws(rng, inj.distribution, (2, m, inj.n))
+    zbar = z.mean(axis=1)
+    z -= zbar[:, None, :]
+    z1, z2 = z
+    n = inj.n
+    s = np.empty((2 * n, 2 * n))
+    s[:n, :n] = z1.T @ z1
+    s[:n, n:] = z1.T @ z2
+    s[n:, :n] = s[:n, n:].T
+    s[n:, n:] = z2.T @ z2
+    s /= m
+    a, c = _folded_map(forest, inj)
+    cov = a.T @ (s @ a)
+    mu = zbar.reshape(2 * n) @ a
+    return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]

@@ -7,14 +7,19 @@ leaf-upward edge walk: it maps the voltage moments back through the complex
 reduced Laplacian in one shot, and solves for the means against the dense
 oracle T_r + j T_x.  The reference sampler keeps the complex form of the
 forward model: two sequential standard draws, u = p - jq, then u T_z.
+The sampled-moments oracle forms the samples that the sweep cells skip.
+The path-entry and descendant oracles walk the parent and children links.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from gridforest.errors import DifferentTrees
+from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest
-from gridforest.powerflow import InjectionModel, _standard_draws
+from gridforest.powerflow import InjectionModel, _standard_draws, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 
@@ -38,6 +43,48 @@ def dense_path_matrix(forest, kind: str) -> np.ndarray:
                 lap[iu, iv] -= w
                 lap[iv, iu] -= w
     return np.linalg.inv(lap)
+
+
+@functools.lru_cache(maxsize=4096)
+def _path_sums(forest, kind: str, a) -> dict:
+    """Each node on the path from ``a`` up to its slack, mapped to the sum of
+    the ``kind`` weights above it, added root first (the sweep's order)."""
+    path = [a]
+    while path[-1] in forest.parent:
+        path.append(forest.parent[path[-1]])
+    sums, total = {path[-1]: 0.0}, 0.0
+    for node in reversed(path[:-1]):
+        r, x = forest.edge_params[node]
+        total += r if kind == "r" else x
+        sums[node] = total
+    return sums
+
+
+def h_inverse_entry(forest, kind: str, a, b) -> float:
+    """Oracle: summed ``kind`` ("r" or "x") weights on the shared part of the
+    paths of loads ``a`` and ``b`` to their slack, from the parent links and
+    ``edge_params``; zero across trees."""
+    forest.load_index(a)
+    forest.load_index(b)
+    sums = _path_sums(forest, kind, a)
+    meet = b
+    while meet not in sums:
+        if meet not in forest.parent:
+            return 0.0  # b's slack is not a's
+        meet = forest.parent[meet]
+    return sums[meet]
+
+
+def descendant_set(forest, a) -> frozenset:
+    """Oracle: ``a`` and every load whose path to the slack passes through
+    it, from the children links."""
+    forest.load_index(a)
+    out, stack = set(), [a]
+    while stack:
+        cur = stack.pop()
+        out.add(cur)
+        stack.extend(forest.children[cur])
+    return frozenset(out)
 
 
 def reduced_laplacian(forest, kind: str) -> np.ndarray:
@@ -107,6 +154,16 @@ def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np
     u.imag = -(inj.mu_q + a21 * z1 + a22 * z2)
     v = u @ forest.h_inverse_matrix("z")
     return v.real, v.imag
+
+
+def sampled_moments(forest, inj, m: int, seed, hidden=()) -> MomentSet:
+    """Oracle for ``experiments.empirical_moments``: the moments of the
+    samples themselves, drawn by ``sample_voltages``, with the hidden columns
+    dropped before ``MomentSet.from_samples``."""
+    samples = sample_voltages(forest, inj, m, seed)
+    if hidden:
+        samples = samples.restrict([i for i in forest.load_ids if i not in set(hidden)])
+    return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
 
 
 def _aligned_matrix(momset, ids, channel: str) -> np.ndarray:

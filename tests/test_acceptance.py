@@ -18,7 +18,12 @@ from gridforest.powerflow import analytic_moments
 from gridforest.structure import estimate_injection_stats, learn_structure
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
-from conftest import pairwise_sqdiff_analytic, reduced_laplacian
+from conftest import (
+    descendant_set,
+    h_inverse_entry,
+    pairwise_sqdiff_analytic,
+    reduced_laplacian,
+)
 
 
 def _report(num, ok, text):
@@ -281,7 +286,7 @@ def test_criterion_8_invariant_suites():
             dense = np.linalg.inv(reduced_laplacian(forest, kind))
             for a in forest.load_ids:
                 for b in forest.load_ids:
-                    got = forest.h_inverse_entry(kind, a, b)
+                    got = h_inverse_entry(forest, kind, a, b)
                     want = dense[pos(a), pos(b)]
                     rel = abs(got - want) / max(abs(want), 1e-30)
                     worst_rel = max(worst_rel, rel)
@@ -295,7 +300,7 @@ def test_criterion_8_invariant_suites():
                 checked["order"] += 1
             # parent is the squared-difference argmin over non-descendants
             if forest.is_load(b):
-                desc = forest.descendant_set(a)
+                desc = descendant_set(forest, a)
                 cands = [
                     c
                     for c in forest.load_ids
@@ -307,7 +312,7 @@ def test_criterion_8_invariant_suites():
             # subtree closed form equals the general pairwise form
             if forest.is_load(b):
                 r, x = forest.edge_params[a]
-                desc = forest.descendant_set(a)
+                desc = descendant_set(forest, a)
                 closed = (
                     r * r * sum(vp[c] for c in desc)
                     + x * x * sum(vq[c] for c in desc)

@@ -162,7 +162,10 @@ def test_reproduce_fig5_quick(tmp_path, capsys):
     assert rc == 0
     rows = (tmp_path / "curves.csv").read_text().splitlines()
     assert any("learn-missing/h3" in r for r in rows)
-    assert "struct_err" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "struct_err" in out
+    # one cell of the two-seed sweep finds no consistent placement
+    assert "failed cells: NoConsistentPlacement=1\n" in out
 
 
 def test_simulate_rejects_non_finite_injection(workspace, capsys):
@@ -177,6 +180,91 @@ def test_simulate_rejects_non_finite_injection(workspace, capsys):
     assert rc == 1
     assert f"var_p at node {node['id']} is not finite" in capsys.readouterr().err
     assert not (workspace / "samples.csv").exists()
+
+
+def _learn_after_edit(tmp_path, capsys, name, edit, command="learn"):
+    """Run ``command`` on bus_13_3 population moments after ``edit`` rewrote
+    the decoded ``name`` file; returns (exit code, stderr)."""
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    forest = fileio.load_network(tmp_path / "network.json")
+    inj = fileio.load_injection(tmp_path / "injection.json")
+    spec = MissingSpec.from_injections(choose_hidden(forest, 1, 0), inj)
+    fileio.save_missing(tmp_path / "missing.json", spec)
+    path = tmp_path / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    argv = [command, "--network", str(tmp_path / "network.json"),
+            "--inj", str(tmp_path / "injection.json"), "--analytic",
+            "--out", str(tmp_path / "result.json")]
+    if command == "learn-missing":
+        argv += ["--missing", str(tmp_path / "missing.json")]
+    rc = main(argv)
+    assert not (tmp_path / "result.json").exists()
+    return rc, capsys.readouterr().err
+
+
+def test_network_nodes_not_an_array(tmp_path, capsys):
+    def edit(doc):
+        doc["nodes"] = 5
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "network.json", edit)
+    assert rc == 1
+    assert f"{tmp_path / 'network.json'}: nodes: expected an array, got a number" in err
+
+
+def test_network_null_line_endpoint(tmp_path, capsys):
+    def edit(doc):
+        doc["lines"][0]["a"] = None
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "network.json", edit)
+    assert rc == 1
+    assert f"{tmp_path / 'network.json'}: lines[0].a: expected an integer, got null" in err
+
+
+def test_network_root_is_a_list(tmp_path, capsys):
+    rc, err = _learn_after_edit(tmp_path, capsys, "network.json", lambda doc: [doc])
+    assert rc == 1
+    assert f"{tmp_path / 'network.json'}: top level: expected an object, got an array" in err
+
+
+def test_network_line_key_missing(tmp_path, capsys):
+    def edit(doc):
+        del doc["lines"][2]["x"]
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "network.json", edit)
+    assert rc == 1
+    assert f"{tmp_path / 'network.json'}: lines[2].x: missing" in err
+
+
+def test_injection_value_not_a_number(tmp_path, capsys):
+    def edit(doc):
+        doc["nodes"][3]["var_q"] = "high"
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "injection.json", edit)
+    assert rc == 1
+    assert f"{tmp_path / 'injection.json'}: nodes[3].var_q: expected a number, got a string" in err
+
+
+def test_missing_spec_id_missing(tmp_path, capsys):
+    def edit(doc):
+        del doc["hidden"][0]["id"]
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
+    assert rc == 1
+    assert f"{tmp_path / 'missing.json'}: hidden[0].id: missing" in err
+
+
+def test_json_syntax_error_names_file(tmp_path, capsys):
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    (tmp_path / "network.json").write_text('{"nodes": [')
+    rc = main(["learn", "--network", str(tmp_path / "network.json"), "--analytic",
+               "--inj", str(tmp_path / "injection.json"), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert f"{tmp_path / 'network.json'}: line 1 column 12" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path):

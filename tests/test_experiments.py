@@ -1,13 +1,17 @@
 import pytest
 
+from gridforest import experiments
 from gridforest.errors import InfeasibleSpec
 from gridforest.experiments import (
     ExperimentConfig,
+    fig5_config,
     fractional_error,
     run_experiment,
     structural_error,
 )
 from gridforest.synth import FeederSpec, synth_layout
+
+from conftest import sampled_moments
 
 
 def small_config(**kw):
@@ -126,3 +130,15 @@ def test_failures_recorded_not_fatal():
     report = run_experiment(cfg)
     vals = [r for r in report.rows if r[3] == "struct_err"]
     assert len(vals) == 4
+
+
+def test_fig5_cells_match_sampled_oracle(monkeypatch):
+    # cells that take their moments from the draws score as cells that form
+    # the samples and call from_samples
+    def struct_rows():
+        report = run_experiment(fig5_config(seeds=(0, 1)))
+        return [r for r in report.rows if r[3] == "struct_err"]
+
+    got = struct_rows()
+    monkeypatch.setattr(experiments, "empirical_moments", sampled_moments)
+    assert got == struct_rows()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridforest import fileio
-from gridforest.errors import MalformedSamples
+from gridforest.errors import MalformedJSON, MalformedSamples
 from gridforest.missing import HiddenNodeInfo, MissingSpec
 from gridforest.powerflow import VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
@@ -45,6 +45,22 @@ def test_injection_round_trip(tmp_path, feeder):
     np.testing.assert_array_equal(back.var_p, inj.var_p)
     np.testing.assert_array_equal(back.cov_pq, inj.cov_pq)
     assert back.distribution == inj.distribution
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(1.5, "expected an integer, got a number"), (True, "expected an integer, got a boolean")],
+)
+def test_network_id_must_be_an_integer(feeder, value, message):
+    # "2" and 2.0 still read as node 2; a fraction or a boolean does not
+    data = fileio.network_to_dict(feeder[0])
+    ids = [nd["id"] for nd in data["nodes"]]
+    data["nodes"][1]["id"] = value
+    with pytest.raises(MalformedJSON, match=rf"^<data>: nodes\[1\]\.id: {message}$"):
+        fileio.network_from_dict(data)
+    data["nodes"][1]["id"] = float(ids[1])
+    data["nodes"][2]["id"] = str(ids[2])
+    assert fileio.network_from_dict(data).nodes == feeder[0].nodes
 
 
 def test_samples_round_trip(tmp_path, feeder):

@@ -12,7 +12,7 @@ from gridforest.powerflow import (
     sample_voltages,
 )
 
-from conftest import pairwise_sqdiff_analytic, random_feeder
+from conftest import descendant_set, pairwise_sqdiff_analytic, random_feeder
 
 
 def two_point_samples():
@@ -160,7 +160,7 @@ def test_cross_channel_parent_edge_convergence():
         if not forest.is_load(b):
             continue
         r, x = forest.edge_params[a]
-        desc = forest.descendant_set(a)
+        desc = descendant_set(forest, a)
         want = r * x * sum(vp[c] - vq[c] for c in desc) + (x * x - r * r) * sum(
             ss[c] for c in desc
         )

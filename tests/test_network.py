@@ -20,7 +20,13 @@ from gridforest.network import (
 )
 from gridforest.synth import FeederSpec, synth_layout
 
-from conftest import dense_path_matrix, random_feeder, reduced_laplacian
+from conftest import (
+    dense_path_matrix,
+    descendant_set,
+    h_inverse_entry,
+    random_feeder,
+    reduced_laplacian,
+)
 
 
 def test_chain_orientation(chain4):
@@ -88,7 +94,7 @@ def test_unknown_endpoint():
 
 def test_entry_chain_value(chain4):
     # frozen from the dense oracle: shared path of 2 and 3 is edges (1,0), (2,1)
-    assert chain4.h_inverse_entry("r", 2, 3) == pytest.approx(3.0, abs=1e-14)
+    assert h_inverse_entry(chain4, "r", 2, 3) == pytest.approx(3.0, abs=1e-14)
     oracle = dense_path_matrix(chain4, "r")
     assert oracle[1, 2] == pytest.approx(3.0, abs=1e-12)
 
@@ -97,10 +103,10 @@ def test_entry_branch_layout(branch_layout):
     f = branch_layout
     # nodes a=1 and d=3 share only the edge (e=5, slack): entry = r_e0 ... plus
     # nothing else; a's path also holds (a,b) and (b,e).
-    assert f.h_inverse_entry("r", 1, 3) == pytest.approx(0.5)
+    assert h_inverse_entry(f, "r", 1, 3) == pytest.approx(0.5)
     # a and b share (b,e) and (e,0)
-    assert f.h_inverse_entry("r", 1, 4) == pytest.approx(0.3 + 0.5)
-    assert f.h_inverse_entry("x", 1, 4) == pytest.approx(0.4 + 0.7)
+    assert h_inverse_entry(f, "r", 1, 4) == pytest.approx(0.3 + 0.5)
+    assert h_inverse_entry(f, "x", 1, 4) == pytest.approx(0.4 + 0.7)
 
 
 def test_entry_cousin_subtrees():
@@ -114,20 +120,20 @@ def test_entry_cousin_subtrees():
         Line(2, 4, r=0.9, x=0.2),   # d - b
     ]
     f = build_forest(nodes, lines)
-    assert f.h_inverse_entry("r", 1, 2) == pytest.approx(0.3 + 0.5)
-    assert f.h_inverse_entry("x", 1, 2) == pytest.approx(0.4 + 0.7)
+    assert h_inverse_entry(f, "r", 1, 2) == pytest.approx(0.3 + 0.5)
+    assert h_inverse_entry(f, "x", 1, 2) == pytest.approx(0.4 + 0.7)
 
 
 def test_entry_cross_tree_zero():
     nodes = [Node(0, "substation"), Node(9, "substation"), Node(1, "load"), Node(2, "load")]
     lines = [Line(1, 0, r=1, x=1), Line(2, 9, r=1, x=1)]
     forest = build_forest(nodes, lines)
-    assert forest.h_inverse_entry("r", 1, 2) == 0.0
+    assert h_inverse_entry(forest, "r", 1, 2) == 0.0
 
 
 def test_entry_requires_load(chain4):
     with pytest.raises(UnknownNode):
-        chain4.h_inverse_entry("r", 0, 1)
+        h_inverse_entry(chain4, "r", 0, 1)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -138,7 +144,7 @@ def test_entry_matches_dense_oracle(seed, kind):
     pos = {i: k for k, i in enumerate(forest.load_ids)}
     for a in forest.load_ids:
         for b in forest.load_ids:
-            got = forest.h_inverse_entry(kind, a, b)
+            got = h_inverse_entry(forest, kind, a, b)
             want = oracle[pos[a], pos[b]]
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -156,7 +162,7 @@ def test_h_inverse_matrix_matches_entries(chain4):
             for a in forest.load_ids:
                 for b in forest.load_ids:
                     got = mat[forest.load_index(a), forest.load_index(b)]
-                    assert got == forest.h_inverse_entry(kind, a, b)
+                    assert got == h_inverse_entry(forest, kind, a, b)
         tz = forest.h_inverse_matrix("z")
         assert np.array_equal(tz.real, forest.h_inverse_matrix("r"))
         assert np.array_equal(tz.imag, forest.h_inverse_matrix("x"))
@@ -167,7 +173,7 @@ def test_h_inverse_matrix_matches_entries(chain4):
 
 def test_diff_chain(chain4):
     def diff(a, b, c):
-        return chain4.h_inverse_entry("r", a, c) - chain4.h_inverse_entry("r", b, c)
+        return h_inverse_entry(chain4, "r", a, c) - h_inverse_entry(chain4, "r", b, c)
 
     # c = 3 descends from 2, so the row difference is the (2, 1) edge weight
     assert diff(2, 1, 3) == pytest.approx(2.0)
@@ -187,9 +193,9 @@ def test_diff_is_entry_difference(seed):
         if forest.is_slack(b):
             continue
         w = forest.edge_weight(a, "r")
-        desc = forest.descendant_set(a)
+        desc = descendant_set(forest, a)
         for c in forest.load_ids:
-            got = forest.h_inverse_entry("r", a, c) - forest.h_inverse_entry("r", b, c)
+            got = h_inverse_entry(forest, "r", a, c) - h_inverse_entry(forest, "r", b, c)
             assert got == pytest.approx(w if c in desc else 0.0, abs=1e-12)
 
 
@@ -197,20 +203,20 @@ def test_diff_is_entry_difference(seed):
 
 
 def test_descendants_examples(chain4, branch_layout):
-    assert chain4.descendant_set(3) == {3}
-    assert chain4.descendant_set(1) == {1, 2, 3}
+    assert descendant_set(chain4, 3) == {3}
+    assert descendant_set(chain4, 1) == {1, 2, 3}
     # in the branch layout, b (=4) holds itself and a (=1)
-    assert branch_layout.descendant_set(4) == {4, 1}
+    assert descendant_set(branch_layout, 4) == {4, 1}
 
 
 def test_sibling_descendants_disjoint(branch_layout):
-    assert branch_layout.descendant_set(4) & branch_layout.descendant_set(3) == set()
+    assert descendant_set(branch_layout, 4) & descendant_set(branch_layout, 3) == set()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_path_set_invariants(seed):
     forest, _ = random_feeder(seed, n_range=(2, 30))
-    desc = forest.descendant_set
+    desc = lambda a: descendant_set(forest, a)
     for a in forest.load_ids:
         assert a in desc(a)
         p = forest.parent[a]
@@ -229,7 +235,7 @@ def test_descendant_sets_partition_each_tree(seed):
         tops = forest.children_of(slack)
         union = set()
         for t in tops:
-            d = forest.descendant_set(t)
+            d = descendant_set(forest, t)
             assert union & d == set()
             union |= d
         assert union == {

@@ -3,23 +3,34 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridforest.errors import DifferentTrees, DimensionMismatch, InvalidCovariance
+from gridforest.errors import (
+    DifferentTrees,
+    DimensionMismatch,
+    InvalidCovariance,
+    NonFiniteSamples,
+    TooFewSamples,
+)
+from gridforest.experiments import empirical_moments
 from gridforest.network import Line, Node, build_forest
 from gridforest.powerflow import (
     InjectionModel,
+    VoltageSamples,
     _standard_draws,
     analytic_moments,
     apply_path_inverse,
+    sample_moments,
     sample_voltages,
     solve_lcpf,
 )
-from gridforest.synth import FeederSpec, preset, synth_feeder
+from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder
 
 from conftest import (
     dense_path_matrix,
+    descendant_set,
     pairwise_sqdiff_analytic,
     random_feeder,
     reference_sample_voltages,
+    sampled_moments,
 )
 
 
@@ -156,7 +167,7 @@ def test_parent_is_argmin_over_non_descendants():
             b = forest.parent[a]
             if not forest.is_load(b):
                 continue
-            desc = forest.descendant_set(a)
+            desc = descendant_set(forest, a)
             best = min(
                 (
                     c
@@ -191,7 +202,7 @@ def test_parent_edge_matches_subtree_closed_form(channel):
             if not forest.is_load(b):
                 continue
             r, x = forest.edge_params[a]
-            desc = forest.descendant_set(a)
+            desc = descendant_set(forest, a)
             sp = sum(vp[c] for c in desc)
             sq = sum(vq[c] for c in desc)
             ss = sum(s[c] for c in desc)
@@ -291,6 +302,41 @@ def test_sampler_matches_complex_reference(spec, dist):
     assert np.array_equal(both[1], _standard_draws(rng, dist, (m, inj.n)))
 
 
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("m", [2, 400])
+@pytest.mark.parametrize(
+    "spec, hidden",
+    [
+        (preset("bus_13_3"), 0),
+        (preset("bus_29_1"), 3),
+        (FeederSpec(n_loads=40, max_children=1, chain_bias=1.0), 0),
+    ],
+    ids=["bus_13_3", "bus_29_1_observed", "chain_40"],
+)
+def test_moments_from_draws_match_sample_moments(spec, hidden, m, dist):
+    # the moments taken from the draws are those of the samples themselves
+    forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
+    hidden = choose_hidden(forest, hidden, 3) if hidden else ()
+    seed = [7, 1, m]
+    got = empirical_moments(forest, inj, m, seed, hidden)
+    want = sampled_moments(forest, inj, m, seed, hidden)
+    assert got.node_ids == want.node_ids
+    assert got.zero_ids == want.zero_ids
+    assert got.m == want.m == m
+    pairs = [(got.mu_eps, want.mu_eps), (got.mu_theta, want.mu_theta)]
+    pairs += [(got.full_cov(c), want.full_cov(c)) for c in ("eps", "theta", "eps_theta")]
+    for a, b in pairs:
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+def test_moments_from_draws_need_two_samples():
+    forest, inj = synth_feeder(preset("bus_13_3"), 5)
+    with pytest.raises(TooFewSamples):
+        sample_moments(forest, inj, 1, 0)
+    with pytest.raises(TooFewSamples):
+        empirical_moments(forest, inj, 1, 0)
+
+
 def test_empirical_matches_analytic_at_clt_scale(chain2):
     inj = unit_injections(chain2, var_p=2.0, var_q=1.0, cov=0.8)
     am = analytic_moments(chain2, inj)
@@ -359,6 +405,17 @@ def test_voltage_samples_restrict_and_without_theta(chain2):
     assert r.node_ids == (2,) and r.eps.shape == (10, 1)
     nt = s.without_theta()
     assert nt.theta is None and np.array_equal(nt.eps, s.eps)
+
+
+@pytest.mark.parametrize("channel", ["eps", "theta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(channel, bad):
+    vals = {"eps": np.zeros((4, 3)), "theta": np.zeros((4, 3))}
+    vals[channel][2, 1] = bad
+    vals[channel][3, 0] = bad  # a later row: the first bad value is named
+    with pytest.raises(NonFiniteSamples, match=f"{channel} of node 8 in sample row 2") as exc:
+        VoltageSamples(node_ids=(5, 8, 9), **vals)
+    assert (exc.value.channel, exc.value.node, exc.value.row) == (channel, 8, 2)
 
 
 def test_assumption1_flag(chain2):
