@@ -200,11 +200,9 @@ def _cmd_learn(args) -> int:
 
 def _cmd_eval(args) -> int:
     truth = fileio.load_network(args.network)
-    data = fileio.load_result(args.result)
-    parent = {int(e["child"]): int(e["parent"]) for e in data["edges"]}
+    parent, inj_hat = fileio.result_from_dict(fileio.load_result(args.result), args.result)
     metrics = {"struct_err": structural_error(truth, parent)}
-    if args.inj and data.get("injection"):
-        inj_hat = fileio.injection_from_dict(data["injection"])
+    if args.inj and inj_hat is not None:
         metrics.update(injection_errors(inj_hat, fileio.load_injection(args.inj)))
     print(json.dumps(metrics, indent=1))
     return 0

@@ -32,7 +32,8 @@ _EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "an ar
 
 
 class _JsonReader:
-    """Typed reads from one decoded JSON document whose top level is an object.
+    """Typed reads from one decoded JSON object: a whole document, or the
+    object at JSON path ``at`` within one.
 
     A missing key, or a value that is not of the asked type, raises
     MalformedJSON naming ``source`` (the file) and the JSON path of the value.
@@ -40,9 +41,10 @@ class _JsonReader:
     and a fractional number is no integer.
     """
 
-    def __init__(self, data, source):
+    def __init__(self, data, source, at=""):
         self.source = source
-        self.top = self.check(data, dict, "top level")
+        self.at = at
+        self.top = self.check(data, dict, at or "top level")
 
     def check(self, value, kind, at):
         """``value`` as ``kind``, where ``at`` is its JSON path."""
@@ -70,10 +72,9 @@ class _JsonReader:
 
     def rows(self, key):
         """(object, JSON path) of each element of the top-level array ``key``."""
-        items = self.get(self.top, key, list, "")
-        return [
-            (self.check(row, dict, f"{key}[{k}]"), f"{key}[{k}]") for k, row in enumerate(items)
-        ]
+        items = self.get(self.top, key, list, self.at)
+        at = f"{self.at}.{key}" if self.at else key
+        return [(self.check(row, dict, f"{at}[{k}]"), f"{at}[{k}]") for k, row in enumerate(items)]
 
 
 def _read_json(path):
@@ -144,9 +145,10 @@ def injection_to_dict(inj: InjectionModel) -> dict:
     }
 
 
-def injection_from_dict(data: dict, source=None) -> InjectionModel:
-    """The model of an injection document; ``source`` names its file in errors."""
-    rd = _JsonReader(data, source)
+def injection_from_dict(data: dict, source=None, at="") -> InjectionModel:
+    """The model of an injection document, or of the object at JSON path
+    ``at`` within one; ``source`` names its file in errors."""
+    rd = _JsonReader(data, source, at)
     rows = rd.rows("nodes")
 
     def column(key, kind=float):
@@ -159,7 +161,7 @@ def injection_from_dict(data: dict, source=None) -> InjectionModel:
         var_p=column("var_p"),
         var_q=column("var_q"),
         cov_pq=column("cov_pq"),
-        distribution=rd.get(rd.top, "distribution", str, "", "gaussian"),
+        distribution=rd.get(rd.top, "distribution", str, at, "gaussian"),
     )
 
 
@@ -448,7 +450,22 @@ def save_result(path, data: dict):
 
 
 def load_result(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The decoded result document; ``result_from_dict`` reads its edges and
+    injection estimate."""
+    return _read_json(path)
+
+
+def result_from_dict(data: dict, source=None) -> tuple[dict[int, int], InjectionModel | None]:
+    """The recovered parent map (child -> parent) of a result document, and its
+    injection estimate, None if it has none; ``source`` names its file in
+    errors."""
+    rd = _JsonReader(data, source)
+    parent = {
+        rd.get(e, "child", int, at): rd.get(e, "parent", int, at) for e, at in rd.rows("edges")
+    }
+    if "injection" not in rd.top:
+        return parent, None
+    return parent, injection_from_dict(rd.top["injection"], source, at="injection")
 
 
 # -- curves ------------------------------------------------------------------------------

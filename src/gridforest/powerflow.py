@@ -14,9 +14,12 @@ scales their rows by each node's Cholesky factor and maps the standard draws
 to eps and theta by real products, without forming p - j q.  The sweep
 cells read the samples only through their means and covariances, so
 ``sample_moments`` maps the draws' own (2n x 2n) covariance through the same
-real map instead, and never forms the (m, n) voltage matrices.  Substations
-hold the reference and contribute identically-zero channels, so all vectors
-and matrices here cover load nodes only.
+real map instead, and never forms the (m, n) voltage matrices: it draws the
+stream in cache-sized row blocks, adds each into the uncentred Gram matrix
+and the column sums, and takes the covariance as the Gram matrix over m
+less the outer product of the means.  Substations hold the reference and
+contribute identically-zero channels, so all vectors and matrices here
+cover load nodes only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples, TooF
 from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
+
+# Entries of standard draws per block that sample_moments folds into its Gram
+# matrix at once: large enough to amortise each product, small enough that a
+# block stays in cache whatever m is.
+_DRAW_BLOCK = 1 << 15
+
+
+def _draw_rows(n: int) -> int:
+    """Rows of [z1 | z2] per sample_moments block for n loads."""
+    return max(1, _DRAW_BLOCK // (2 * n))
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,9 @@ class InjectionModel:
         )
 
     def for_nodes(self, ids) -> "InjectionModel":
-        """Reindex onto the given node ordering."""
+        """Reindex onto the given node ordering; ``self`` if already in it."""
+        if tuple(ids) == self.node_ids:
+            return self
         pos = {i: k for k, i in enumerate(self.node_ids)}
         try:
             idx = np.array([pos[i] for i in ids], dtype=int)
@@ -286,24 +301,31 @@ def sample_moments(forest: RadialForest, inj: InjectionModel, m: int, seed):
     The voltages are the same draws z = [z1, z2] through the linear map A of
     ``_folded_map``, so with S the divisor-m covariance of z, the covariance
     of [eps, theta] is A^T S A and its mean is mean(z) A + [Re c, Im c].
-    S is (2n, 2n): no (m, n) voltage matrix is built.
+    z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
+    stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is added
+    into the uncentred (2n x 2n) Gram matrix G = z^T z and the column sums,
+    and S = G/m - mean(z)^T mean(z).  No (m, n) voltage matrix is built.
     """
     if m < 2:
         raise TooFewSamples(f"need at least 2 samples, got {m}")
     inj = inj.for_nodes(forest.load_ids)
     rng = np.random.default_rng(seed)
-    z = _standard_draws(rng, inj.distribution, (2, m, inj.n))
-    zbar = z.mean(axis=1)
-    z -= zbar[:, None, :]
-    z1, z2 = z
     n = inj.n
-    s = np.empty((2 * n, 2 * n))
-    s[:n, :n] = z1.T @ z1
-    s[:n, n:] = z1.T @ z2
-    s[n:, :n] = s[:n, n:].T
-    s[n:, n:] = z2.T @ z2
-    s /= m
+    z1 = _standard_draws(rng, inj.distribution, (m, n))
+    rows = _draw_rows(n)
+    block = np.empty((min(rows, m), 2 * n))
+    ones = np.ones(len(block))
+    gram = np.zeros((2 * n, 2 * n))
+    zsum = np.zeros(2 * n)
+    for j0 in range(0, m, rows):
+        b = block[: min(rows, m - j0)]
+        b[:, :n] = z1[j0 : j0 + len(b)]
+        b[:, n:] = _standard_draws(rng, inj.distribution, (len(b), n))
+        gram += b.T @ b  # numpy takes the symmetric rank-k (SYRK) product
+        zsum += ones[: len(b)] @ b  # a matrix-vector product; faster than sum(axis=0)
+    zbar = zsum / m
+    s = gram / m - np.outer(zbar, zbar)
     a, c = _folded_map(forest, inj)
     cov = a.T @ (s @ a)
-    mu = zbar.reshape(2 * n) @ a
+    mu = zbar @ a
     return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]

@@ -52,6 +52,10 @@ from .powerflow import InjectionModel
 # (diagnostics only; the smallest id wins either way).
 _AMBIGUOUS_RTOL = 1e-9
 
+# Squared differences that recover_parent_map holds at once (rows of pops
+# times loads): a few hundred kB whatever N is.
+_SELECT_BLOCK = 1 << 16
+
 
 @dataclass
 class EdgeDecision:
@@ -111,10 +115,16 @@ def recover_parent_map(
     Pops the observed loads by decreasing eps variance (ties by id) and
     attaches each undeclared pop to the later pop with the smallest squared
     difference, the smallest id among exact ties.  Returns child -> parent
-    over the observed loads; declared substation children map to their
-    slack.  Raises IncompleteCover when the last pop is undeclared (its
-    parent would have to be an undeclared slack), carrying every other
+    over the observed loads, in pop order; declared substation children map
+    to their slack.  Raises IncompleteCover when the last pop is undeclared
+    (its parent would have to be an undeclared slack), carrying every other
     node's selection.
+
+    The squared differences are taken for a block of pops at a time, each
+    row against every load in id order and masked to the later pops by pop
+    position, in the operation order of the scalar ``MomentSet.sqdiff``, so
+    every value matches it bit for bit.  Blocks of about ``_SELECT_BLOCK``
+    entries keep the temporaries small whatever N is.
     """
     declared = _declared_map(substation_children)
     loads = sorted(set(momset.observed) - momset.zero_ids)
@@ -124,48 +134,57 @@ def recover_parent_map(
 
     cov = momset.full_cov("eps")
     pos = {a: k for k, a in enumerate(momset.observed)}
-    var_of = {a: float(cov[pos[a], pos[a]]) for a in loads}
-    order = sorted(loads, key=lambda a: (-var_of[a], a))
-    if diagnostics is not None:
-        diagnostics.pop_order = list(order)
-        for i in range(len(order) - 1):
-            diagnostics.variance_margins.append(
-                (order[i], var_of[order[i]] - var_of[order[i + 1]])
-            )
-
-    # Row i holds the squared differences of pop i against every later pop,
-    # in the operation order of the scalar MomentSet.sqdiff.
-    idx = np.array([pos[a] for a in order], dtype=int)
-    ids = np.array(order, dtype=int)
+    # columns stay in id order, so argmin takes the smallest id among exact ties
+    ids = np.array(loads, dtype=int)
+    idx = np.array([pos[a] for a in loads], dtype=int)
     var = np.diag(cov)[idx]
+    n = len(loads)
+    by_pop = np.lexsort((ids, -var))
+    rank = np.empty(n, dtype=int)
+    rank[by_pop] = np.arange(n)
+    order = ids[by_pop].tolist()
+    if diagnostics is not None:
+        diagnostics.pop_order = order
+        popped = var[by_pop]
+        diagnostics.variance_margins.extend(zip(order, (popped[:-1] - popped[1:]).tolist()))
+
     parent: dict[int, int] = {}
-    for i, a in enumerate(order):
-        if a in declared:
-            parent[a] = declared[a]
-            continue
-        if i + 1 == len(order):
+    step = max(1, _SELECT_BLOCK // max(n, 1))
+    for i0 in range(0, n - 1, step):
+        rows = by_pop[i0 : min(i0 + step, n - 1)]
+        vals = var[rows, None] - 2.0 * cov[np.ix_(idx[rows], idx)] + var
+        vals[rank <= rank[rows, None]] = np.inf  # only later pops are candidates
+        r = np.arange(len(rows))
+        best = vals.argmin(axis=1)
+        best_val = vals[r, best]
+        vals[r, best] = np.inf
+        runner = vals.argmin(axis=1)
+        runner_val = vals[r, runner]
+        margin = runner_val - best_val
+        scale = np.maximum(np.maximum(np.abs(best_val), np.abs(runner_val)), 1e-300)
+        ambiguous = margin <= _AMBIGUOUS_RTOL * scale
+        i1 = i0 + len(rows)
+        picks = zip(
+            range(i0, i1), order[i0:i1], ids[best].tolist(), margin.tolist(),
+            ids[runner].tolist(), ambiguous.tolist(),
+        )
+        for i, a, c, mgn, run, amb in picks:
+            if a in declared:
+                parent[a] = declared[a]
+                continue
+            parent[a] = c
+            if diagnostics is None:
+                continue
+            if i + 2 == n:  # the pop before last has one candidate: no runner-up
+                mgn, run, amb = float("inf"), None, False
+            diagnostics.decisions.append(EdgeDecision(a, c, mgn, run, amb))
+    if order:
+        last = order[-1]
+        if last not in declared:
             raise IncompleteCover(
-                f"node {a} has no remaining parent candidates", parent_map=parent
+                f"node {last} has no remaining parent candidates", parent_map=parent
             )
-        later = idx[i + 1 :]
-        vals = var[i] - 2.0 * cov[idx[i], later] + var[i + 1 :]
-        cands = ids[i + 1 :]
-        best_val = vals.min()
-        chosen = int(cands[vals == best_val].min())
-        parent[a] = chosen
-        if diagnostics is not None:
-            others = cands != chosen
-            if others.any():
-                runner_val = vals[others].min()
-                runner = int(cands[others & (vals == runner_val)].min())
-                margin = float(runner_val - best_val)
-                scale = max(abs(best_val), abs(runner_val), 1e-300)
-                ambiguous = bool(margin <= _AMBIGUOUS_RTOL * scale)
-            else:
-                runner, margin, ambiguous = None, float("inf"), False
-            diagnostics.decisions.append(
-                EdgeDecision(a, chosen, margin, runner, ambiguous)
-            )
+        parent[last] = declared[last]
     return parent
 
 

@@ -9,6 +9,7 @@ oracle T_r + j T_x.  The reference sampler keeps the complex form of the
 forward model: two sequential standard draws, u = p - jq, then u T_z.
 The sampled-moments oracle forms the samples that the sweep cells skip.
 The path-entry and descendant oracles walk the parent and children links.
+The scalar parent-selection oracle takes one pop's row at a time.
 """
 
 import functools
@@ -16,10 +17,11 @@ import functools
 import numpy as np
 import pytest
 
-from gridforest.errors import DifferentTrees
+from gridforest.errors import DifferentTrees, IncompleteCover, UnobservedNode
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest
 from gridforest.powerflow import InjectionModel, _standard_draws, sample_voltages
+from gridforest.structure import _AMBIGUOUS_RTOL, EdgeDecision, _declared_map
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 
@@ -164,6 +166,63 @@ def sampled_moments(forest, inj, m: int, seed, hidden=()) -> MomentSet:
     if hidden:
         samples = samples.restrict([i for i in forest.load_ids if i not in set(hidden)])
     return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+
+
+def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:
+    """Oracle for ``structure.recover_parent_map``: the same selection, one
+    pop at a time, each row of squared differences against the later pops
+    only, with the ties and diagnostics taken from that row alone."""
+    declared = _declared_map(substation_children)
+    loads = sorted(set(momset.observed) - momset.zero_ids)
+    unknown = [c for c in declared if c not in set(loads)]
+    if unknown:
+        raise UnobservedNode(f"declared substation children {unknown} not observed")
+
+    cov = momset.full_cov("eps")
+    pos = {a: k for k, a in enumerate(momset.observed)}
+    var_of = {a: float(cov[pos[a], pos[a]]) for a in loads}
+    order = sorted(loads, key=lambda a: (-var_of[a], a))
+    if diagnostics is not None:
+        diagnostics.pop_order = list(order)
+        for i in range(len(order) - 1):
+            diagnostics.variance_margins.append(
+                (order[i], var_of[order[i]] - var_of[order[i + 1]])
+            )
+
+    # Row i holds the squared differences of pop i against every later pop,
+    # in the operation order of the scalar MomentSet.sqdiff.
+    idx = np.array([pos[a] for a in order], dtype=int)
+    ids = np.array(order, dtype=int)
+    var = np.diag(cov)[idx]
+    parent: dict[int, int] = {}
+    for i, a in enumerate(order):
+        if a in declared:
+            parent[a] = declared[a]
+            continue
+        if i + 1 == len(order):
+            raise IncompleteCover(
+                f"node {a} has no remaining parent candidates", parent_map=parent
+            )
+        later = idx[i + 1 :]
+        vals = var[i] - 2.0 * cov[idx[i], later] + var[i + 1 :]
+        cands = ids[i + 1 :]
+        best_val = vals.min()
+        chosen = int(cands[vals == best_val].min())
+        parent[a] = chosen
+        if diagnostics is not None:
+            others = cands != chosen
+            if others.any():
+                runner_val = vals[others].min()
+                runner = int(cands[others & (vals == runner_val)].min())
+                margin = float(runner_val - best_val)
+                scale = max(abs(best_val), abs(runner_val), 1e-300)
+                ambiguous = bool(margin <= _AMBIGUOUS_RTOL * scale)
+            else:
+                runner, margin, ambiguous = None, float("inf"), False
+            diagnostics.decisions.append(
+                EdgeDecision(a, chosen, margin, runner, ambiguous)
+            )
+    return parent
 
 
 def _aligned_matrix(momset, ids, channel: str) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -256,6 +257,46 @@ def test_missing_spec_id_missing(tmp_path, capsys):
     rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
     assert rc == 1
     assert f"{tmp_path / 'missing.json'}: hidden[0].id: missing" in err
+
+
+def _eval_after_edit(tmp_path, capsys, edit):
+    """Run eval on a bus_13_3 result file (with an injection estimate) after
+    ``edit`` rewrote the decoded document; returns (exit code, stderr)."""
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj, out = (str(tmp_path / f) for f in ("network.json", "injection.json", "result.json"))
+    assert main(["learn", "--network", net, "--inj", inj, "--analytic", "--out", out]) == 0
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    rc = main(["eval", "--result", out, "--network", net, "--inj", inj])
+    return rc, capsys.readouterr()
+
+
+def _null_child(doc):
+    doc["edges"][0]["child"] = None
+    return doc
+
+
+def _drop_injection_var_p(doc):
+    del doc["injection"]["nodes"][2]["var_p"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, where, message",
+    [
+        (lambda doc: {k: v for k, v in doc.items() if k != "edges"}, "edges", "missing"),
+        (_null_child, r"edges\[0\]\.child", "expected an integer, got null"),
+        (lambda doc: [doc], "top level", "expected an object, got an array"),
+        (lambda doc: {**doc, "injection": "none"}, "injection", "expected an object, got a string"),
+        (_drop_injection_var_p, r"injection\.nodes\[2\]\.var_p", "missing"),
+    ],
+    ids=["no_edges", "null_child", "list_root", "string_injection", "injection_key_missing"],
+)
+def test_eval_rejects_malformed_result(tmp_path, capsys, edit, where, message):
+    rc, out = _eval_after_edit(tmp_path, capsys, edit)
+    assert rc == 1 and not out.out
+    assert re.fullmatch(rf"error: {re.escape(str(tmp_path / 'result.json'))}: {where}: {message}\n", out.err)
 
 
 def test_json_syntax_error_names_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from gridforest import fileio
 from gridforest.errors import MalformedJSON, MalformedSamples
 from gridforest.missing import HiddenNodeInfo, MissingSpec
-from gridforest.powerflow import VoltageSamples, sample_voltages
+from gridforest.network import Node, build_forest
+from gridforest.powerflow import InjectionModel, VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 
@@ -163,6 +166,112 @@ def test_samples_round_trip_property(node_ids, m, with_theta, data):
         np.testing.assert_array_equal(back.theta.view(np.int64), theta[:, order].view(np.int64))
     else:
         assert back.theta is None
+
+
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def networks(draw):
+    """A synthetic forest with open tie lines and arbitrary positive impedances."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 3)))
+    extra = draw(st.integers(0, min(3, (n + k) * (n + k - 1) // 2 - n)))
+    forest = synth_layout(FeederSpec(n_loads=n, n_trees=k, extra_lines=extra), draw(st.integers(0, 99)))
+    lines = [replace(ln, r=draw(_POSITIVE), x=draw(_POSITIVE)) for ln in forest.lines]
+    return build_forest([Node(i, role) for i, role in forest.nodes.items()], lines)
+
+
+@st.composite
+def injections(draw):
+    """An injection model on distinct ids: finite means, non-negative
+    variances and a covariance inside the Cauchy-Schwarz bound."""
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True))
+    n = len(ids)
+    # below 1e150, so var_p * var_q stays finite
+    variance = st.floats(min_value=0.0, max_value=1e150)
+    var_p, var_q = (np.array(draw(st.lists(variance, min_size=n, max_size=n))) for _ in range(2))
+    rho = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return InjectionModel(
+        node_ids=ids,
+        mu_p=draw(st.lists(_FINITE, min_size=n, max_size=n)),
+        mu_q=draw(st.lists(_FINITE, min_size=n, max_size=n)),
+        var_p=var_p,
+        var_q=var_q,
+        cov_pq=rho * np.sqrt(var_p * var_q),
+        distribution=draw(st.sampled_from(("gaussian", "uniform", "laplace"))),
+    )
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest=networks())
+def test_network_json_round_trip_property(forest):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "network.json"
+        fileio.save_network(path, forest)
+        back = fileio.load_network(path)
+    assert back.nodes == forest.nodes
+    assert back.lines == forest.lines
+    assert [_bits([ln.r, ln.x]) for ln in back.lines] == [_bits([ln.r, ln.x]) for ln in forest.lines]
+    assert back.parent_map() == forest.parent_map()
+
+
+@settings(max_examples=60, deadline=None)
+@given(inj=injections())
+def test_injection_json_round_trip_property(inj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "injection.json"
+        fileio.save_injection(path, inj)
+        back = fileio.load_injection(path)
+    assert back.node_ids == inj.node_ids
+    assert back.distribution == inj.distribution
+    for name in ("mu_p", "mu_q", "var_p", "var_q", "cov_pq"):
+        assert _bits(getattr(back, name)) == _bits(getattr(inj, name))
+
+
+# keys a reader defaults when absent; null is still no value of their type
+_OPTIONAL_KEYS = {"status", "distribution"}
+
+
+def _value_paths(doc):
+    """(keys, JSON path) of every value of a network or injection document:
+    the top-level keys and every key of each object in its arrays."""
+    for key, value in doc.items():
+        yield (key,), key
+        if isinstance(value, list):
+            for k, row in enumerate(value):
+                for field in row:
+                    yield (key, k, field), f"{key}[{k}].{field}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["network", "injection"]), forest=networks(), inj=injections(),
+       null=st.booleans(), data=st.data())
+def test_json_missing_or_null_key_property(kind, forest, inj, null, data):
+    # deleting a required key, or setting any key to null, is MalformedJSON at
+    # that key's JSON path, never a KeyError or a TypeError
+    doc = fileio.network_to_dict(forest) if kind == "network" else fileio.injection_to_dict(inj)
+    paths = [p for p in _value_paths(doc) if null or p[0][-1] not in _OPTIONAL_KEYS]
+    keys, where = data.draw(st.sampled_from(paths))
+    holder = doc
+    for key in keys[:-1]:
+        holder = holder[key]
+    if null:
+        holder[keys[-1]] = None
+    else:
+        del holder[keys[-1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedJSON) as exc_info:
+            (fileio.load_network if kind == "network" else fileio.load_injection)(path)
+    assert exc_info.value.where == where
+    assert exc_info.value.path == str(path)
 
 
 def test_missing_spec_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from gridforest.network import Line, Node, build_forest
 from gridforest.powerflow import (
     InjectionModel,
     VoltageSamples,
+    _draw_rows,
     _standard_draws,
     analytic_moments,
     apply_path_inverse,
@@ -302,9 +303,7 @@ def test_sampler_matches_complex_reference(spec, dist):
     assert np.array_equal(both[1], _standard_draws(rng, dist, (m, inj.n)))
 
 
-@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
-@pytest.mark.parametrize("m", [2, 400])
-@pytest.mark.parametrize(
+_MOMENT_FEEDERS = pytest.mark.parametrize(
     "spec, hidden",
     [
         (preset("bus_13_3"), 0),
@@ -313,7 +312,9 @@ def test_sampler_matches_complex_reference(spec, dist):
     ],
     ids=["bus_13_3", "bus_29_1_observed", "chain_40"],
 )
-def test_moments_from_draws_match_sample_moments(spec, hidden, m, dist):
+
+
+def assert_moments_from_draws(spec, hidden, m, dist):
     # the moments taken from the draws are those of the samples themselves
     forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
     hidden = choose_hidden(forest, hidden, 3) if hidden else ()
@@ -327,6 +328,22 @@ def test_moments_from_draws_match_sample_moments(spec, hidden, m, dist):
     pairs += [(got.full_cov(c), want.full_cov(c)) for c in ("eps", "theta", "eps_theta")]
     for a, b in pairs:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("m", [2, 400])
+@_MOMENT_FEEDERS
+def test_moments_from_draws_match_sample_moments(spec, hidden, m, dist):
+    assert_moments_from_draws(spec, hidden, m, dist)
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (3, 5)])
+@_MOMENT_FEEDERS
+def test_moments_from_draws_across_draw_blocks(spec, hidden, blocks, extra, dist):
+    # m = one block's rows, one more, and three blocks and a partial one
+    m = blocks * _draw_rows(spec.n_loads) + extra
+    assert_moments_from_draws(spec, hidden, m, dist)
 
 
 def test_moments_from_draws_need_two_samples():

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
+from gridforest import structure
 from gridforest.errors import IncompleteCover, NegativeVarianceEstimate, UnobservedNode
 from gridforest.missing import MissingSpec, learn_with_missing
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest, line_param_map
 from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltages
 from gridforest.structure import (
+    StructureDiagnostics,
     estimate_injection_stats,
     learn,
     learn_structure,
+    recover_parent_map,
     solve_edge_system,
 )
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
-from conftest import direct_injection_stats, random_feeder
+from conftest import direct_injection_stats, random_feeder, scalar_parent_map
 
 
 def analytic_momset(forest, inj):
@@ -133,6 +136,91 @@ def test_exact_tie_picks_smallest_id():
     )
     assert {ev.child: ev.parent for ev in mdiag.events} == {9: 5, 7: 5, 5: 0}
     assert rec.parent_map() == {9: 5, 7: 5, 5: 0}
+
+
+# -- the row-block kernel against the scalar loop ------------------------------------
+
+
+def _selection(kernel, momset, declared):
+    """(parent map items in insertion order, whether IncompleteCover was
+    raised, the diagnostics) of one parent-selection kernel."""
+    diag = StructureDiagnostics()
+    try:
+        return list(kernel(momset, declared, diagnostics=diag).items()), False, diag
+    except IncompleteCover as exc:
+        return list(exc.parent_map.items()), True, diag
+
+
+def assert_same_selection(momset, declared):
+    got = _selection(recover_parent_map, momset, declared)
+    assert got == _selection(scalar_parent_map, momset, declared)
+    return got
+
+
+def random_eps_momset(seed, n, *, ties=False):
+    """Eps moments of n loads with scattered ids, and two zero ids, the first
+    of which is observed too.  With ``ties`` the covariance is the Gram
+    matrix of 0/1 rows, so many variances and squared differences tie."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(10 * n + 10, size=n + 2, replace=False)
+    b = rng.integers(0, 2, (n + 1, 4)) if ties else rng.standard_normal((n + 1, n + 1))
+    cov = (b @ b.T).astype(float)
+    return MomentSet(ids[: n + 1], np.zeros(n + 1), None, cov, None, None, zero_ids=ids[n:])
+
+
+def declare(momset, seed, count, *, last):
+    """``count`` random loads, plus the last pop when ``last`` (so the cover
+    completes), declared under the two zero ids."""
+    slacks = sorted(momset.zero_ids)
+    order = _selection(scalar_parent_map, momset, {})[2].pop_order
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(order[:-1], size=count, replace=False).tolist()
+    if last:
+        chosen.append(order[-1])
+    return {slacks[0]: chosen[::2], slacks[1]: chosen[1::2]}
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+@pytest.mark.parametrize("seed", range(6))
+def test_row_blocks_match_scalar_loop(seed, ties):
+    n = 13 + 9 * seed
+    ms = random_eps_momset(seed, n, ties=ties)
+    items, raised, diag = assert_same_selection(ms, declare(ms, seed, min(3, n // 3), last=True))
+    assert not raised and len(items) == n and diag.decisions
+    if ties:
+        # exact ties are broken by the smallest id, whichever pops first
+        tied = [d for d in diag.decisions if d.margin == 0.0]
+        assert tied and all(d.parent < d.runner_up and d.ambiguous for d in tied)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_blocks_incomplete_cover(seed):
+    ms = random_eps_momset(seed, 12, ties=seed % 2 == 1)
+    for declared in ({}, declare(ms, seed, 2, last=False)):
+        items, raised, diag = assert_same_selection(ms, declared)
+        assert raised and len(items) == 11 and diag.pop_order[-1] not in dict(items)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_blocks_match_scalar_loop_on_feeders(seed):
+    forest, inj = random_feeder(seed, n_range=(2, 60), k_max=8)
+    declared = forest.substation_children()
+    for ms in (analytic_momset(forest, inj), sample_momset(forest, inj, 30, seed)):
+        assert not assert_same_selection(ms, declared)[1]
+
+
+@pytest.mark.parametrize(
+    "n, block, ties",
+    [(400, None, False), (300, None, True), (37, 100, False), (37, 100, True), (9, 1, True)],
+)
+def test_row_blocks_across_block_boundaries(monkeypatch, n, block, ties):
+    # 400 loads take three row blocks at the default size, the last partial
+    if block is not None:
+        monkeypatch.setattr(structure, "_SELECT_BLOCK", block)
+    assert structure._SELECT_BLOCK // n < n - 1
+    ms = random_eps_momset(n, n, ties=ties)
+    for last in (True, False):
+        assert assert_same_selection(ms, declare(ms, n, 5, last=last))[1] is not last
 
 
 # -- injection statistics ------------------------------------------------------------
