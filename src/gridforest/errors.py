@@ -107,10 +107,6 @@ class SingularSystem(GridForestError):
     """Per-edge estimation system is numerically singular."""
 
 
-class NegativeVarianceEstimate(GridForestError):
-    """A solved variance came out negative (strict mode only)."""
-
-
 class NoRealRoot(GridForestError):
     """Edge-parameter quadratic has no real root within tolerance."""
 

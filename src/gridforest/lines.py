@@ -156,7 +156,8 @@ def estimate_edge_linear(
     sum_var_q: float,
     sum_cov_pq: float,
 ) -> tuple[float, float, float]:
-    """Linear path when the covariance sum is also known, in closed form:
+    """Linear path when the covariance sum is also known, in closed form
+    (the reference the quadratic path is tested against):
     with z = r + jx, A + B = |z|^2 (Sp + Sq) and A - B + 2jC = z^2 (Sp - Sq -
     2jS).  Returns (r, x, rx)."""
     t = sum_var_p + sum_var_q
@@ -174,7 +175,6 @@ def estimate_edge_linear(
 @dataclass
 class ParamLearnDiagnostics:
     structure: StructureDiagnostics = field(default_factory=StructureDiagnostics)
-    cross_check: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
 def learn_structure_and_params(
@@ -183,15 +183,12 @@ def learn_structure_and_params(
     var_q,
     substation_children,
     *,
-    known_cov_pq=None,
     rel_tol: float = 1e-9,
     return_diagnostics: bool = False,
 ):
     """Recover the forest, then per discovered edge its (r, x) and own cov_pq.
 
     ``var_p`` / ``var_q`` map node id to the known true injection variances.
-    When ``known_cov_pq`` is supplied, the independent linear path is run per
-    edge as a cross check and the worst relative disagreement recorded.
     """
     diag = ParamLearnDiagnostics()
     parent = recover_parent_map(momset, substation_children, diagnostics=diag.structure)
@@ -202,30 +199,19 @@ def learn_structure_and_params(
         raise UnobservedNode(f"known variances missing for nodes {missing}")
 
     order, stats = leaf_upward_edges(momset, parent)
-    # strict-descendant sums of var_p, var_q, the estimated and the known cov_pq
-    desc = {a: np.zeros(4) for a in parent}
+    # strict-descendant sums of var_p, var_q and the estimated cov_pq
+    desc = {a: np.zeros(3) for a in parent}
     estimates: dict[tuple[int, int], EdgeEstimate] = {}
 
     for a in order:
         b = parent[a]
-        desc_p, desc_q, desc_s, desc_known = desc[a].tolist()
+        desc_p, desc_q, desc_s = desc[a].tolist()
         sp = var_p[a] + desc_p
         sq = var_q[a] + desc_q
-        a_stat, b_stat, c_stat = stats[a]
-        est = estimate_edge(
-            a_stat, b_stat, c_stat, sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol
-        )
+        est = estimate_edge(*stats[a], sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol)
         estimates[(a, b)] = est
-        s_known = 0.0
-        if known_cov_pq is not None:
-            s_known = known_cov_pq[a] + desc_known
-            r_lin, x_lin, _ = estimate_edge_linear(a_stat, b_stat, c_stat, sp, sq, s_known)
-            rel = max(
-                abs(r_lin - est.r_hat) / est.r_hat, abs(x_lin - est.x_hat) / est.x_hat
-            )
-            diag.cross_check[(a, b)] = rel
         if b in desc:
-            desc[b] += (sp, sq, est.cov_pq_hat + desc_s, s_known)
+            desc[b] += (sp, sq, est.cov_pq_hat + desc_s)
 
     line_params = {
         ((a, b) if a < b else (b, a)): (est.r_hat, est.x_hat)

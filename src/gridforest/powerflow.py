@@ -1,4 +1,4 @@
-"""Forward model: voltage deviations and their second moments from injections.
+"""Forward model: voltage deviations and their moments from injections.
 
 The Linear-Coupled model is one complex linear map from nodal injections to
 voltage deviations:
@@ -7,19 +7,20 @@ voltage deviations:
 
 with T_z = T_r + j T_x the path-sum inverse for impedance weights r + jx
 (equivalently theta = T_x p - T_r q and eps = T_r p + T_x q).  A single
-solve applies T_z by one complex tree sweep (``apply_path_inverse``).  The
-population moments are complex products with the dense T_z that the same
-sweep builds; sampling takes the real blocks T_r = Re T_z and T_x = Im T_z,
-scales their rows by each node's Cholesky factor and maps the standard draws
-to eps and theta by real products, without forming p - j q.  The sweep
-cells read the samples only through their means and covariances, so
-``sample_moments`` maps the draws' own (2n x 2n) covariance through the same
-real map instead, and never forms the (m, n) voltage matrices: it draws the
-stream in cache-sized row blocks, adds each into the uncentred Gram matrix
-and the column sums, and takes the covariance as the Gram matrix over m
-less the outer product of the means.  Substations hold the reference and
-contribute identically-zero channels, so all vectors and matrices here
-cover load nodes only.
+solve applies T_z by one complex tree sweep (``apply_path_inverse``).
+
+Everything else is one real map.  Each node's injection pair is its mean
+plus its Cholesky factor times two standard draws z1, z2; ``_folded_map``
+folds the factors into the rows of T_r and T_x, giving a real (2n x 2n) map
+A and a mean row c with [eps, theta] = [z1, z2] A + [Re c, Im c].  The
+population moments, the samples and the sample moments are that map under
+three draw statistics: ``analytic_moments`` takes the draws' unit
+covariance (A^T A), ``sample_voltages`` maps m rows of draws, and
+``sample_moments`` maps the draws' own divisor-m covariance S (A^T S A)
+without forming the (m, n) voltage matrices.
+
+Substations hold the reference and contribute identically-zero channels, so
+all vectors and matrices here cover load nodes only.
 """
 
 from __future__ import annotations
@@ -78,9 +79,11 @@ class InjectionModel:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if np.any(self.var_p < 0.0) or np.any(self.var_q < 0.0):
             raise InvalidCovariance("variances must be non-negative")
-        bound = np.sqrt(self.var_p * self.var_q)
+        # the product of the roots neither underflows nor overflows where
+        # var_p * var_q would
+        bound = np.sqrt(self.var_p) * np.sqrt(self.var_q)
         if np.any(np.abs(self.cov_pq) > bound * (1.0 + 1e-12) + 1e-300):
-            raise InvalidCovariance("cov_pq exceeds sqrt(var_p * var_q)")
+            raise InvalidCovariance("cov_pq exceeds sqrt(var_p) * sqrt(var_q)")
 
     @property
     def n(self) -> int:
@@ -200,30 +203,6 @@ def solve_lcpf(forest: RadialForest, p, q) -> tuple[np.ndarray, np.ndarray]:
     return v.imag, v.real
 
 
-def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
-    """Exact voltage moments induced by an injection model.
-
-    With v = eps + j theta = T_z u and u = p - j q, the two complex second
-    moments C = E[v v^H] = T_z diag(var_p + var_q) T_z^H and
-    P = E[v v^T] = T_z diag(var_p - var_q - 2j cov_pq) T_z^T hold every real
-    block: Omega_eps = Re(C + P)/2, Omega_theta = Re(C - P)/2 and
-    E[eps theta^T] = Im(P - C)/2.  T_z is symmetric.
-    """
-    inj = inj.for_nodes(forest.load_ids)
-    tz = forest.h_inverse_matrix("z")
-    c = (tz * (inj.var_p + inj.var_q)) @ tz.conj()
-    pm = (tz * (inj.var_p - inj.var_q - 2j * inj.cov_pq)) @ tz
-    mu = tz @ (inj.mu_p - 1j * inj.mu_q)
-    return AnalyticMoments(
-        node_ids=forest.load_ids,
-        mu_theta=mu.imag,
-        mu_eps=mu.real,
-        omega_theta=(c - pm).real / 2.0,
-        omega_eps=(c + pm).real / 2.0,
-        omega_eps_theta=(pm - c).imag / 2.0,
-    )
-
-
 def _standard_draws(rng, distribution: str, shape) -> np.ndarray:
     """Zero-mean unit-variance draws from the tagged family."""
     if distribution == "gaussian":
@@ -265,6 +244,29 @@ def _folded_map(forest: RadialForest, inj: InjectionModel) -> tuple[np.ndarray, 
     a[n:, :n] = a22 * tx
     a[n:, n:] = -a22 * tr
     return a, (inj.mu_p - 1j * inj.mu_q) @ tz
+
+
+def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
+    """Exact voltage moments induced by an injection model.
+
+    The identity-covariance case of ``sample_moments``: the standard draws
+    have zero mean and unit covariance, so through the map (A, c) of
+    ``_folded_map`` the voltages [eps, theta] have covariance A^T A and mean
+    [Re c, Im c], for every tagged distribution.  The blocks are sliced in
+    ``sample_moments``' layout.
+    """
+    inj = inj.for_nodes(forest.load_ids)
+    a, c = _folded_map(forest, inj)
+    cov = a.T @ a
+    n = inj.n
+    return AnalyticMoments(
+        node_ids=forest.load_ids,
+        mu_theta=c.imag,
+        mu_eps=c.real,
+        omega_theta=cov[n:, n:],
+        omega_eps=cov[:n, :n],
+        omega_eps_theta=cov[:n, n:],
+    )
 
 
 def sample_voltages(

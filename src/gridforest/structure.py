@@ -31,11 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IncompleteCover,
-    NegativeVarianceEstimate,
-    UnobservedNode,
-)
+from .errors import IncompleteCover, UnobservedNode
 from .moments import MomentSet
 from .network import (
     ROLE_LOAD,
@@ -278,7 +274,6 @@ def estimate_injection_stats(
     momset: MomentSet,
     forest: RadialForest,
     *,
-    strict: bool = False,
     return_diagnostics: bool = False,
 ):
     """Recover per-node injection means and second moments on a known forest.
@@ -287,9 +282,8 @@ def estimate_injection_stats(
     determine the subtree sums of (var_p, var_q, cov_pq), and the
     already-estimated descendant sums are subtracted off.
 
-    Negative solved variances are clamped to zero and reported (raised when
-    ``strict``).  Covariances are clamped into the
-    Cauchy-Schwarz bound the model requires.
+    Negative solved variances are clamped to zero and reported.  Covariances
+    are clamped into the Cauchy-Schwarz bound the model requires.
     """
     if not momset.has_theta:
         raise UnobservedNode("statistics estimation needs the theta channel")
@@ -311,10 +305,6 @@ def estimate_injection_stats(
         var_p[k], var_q[k], cov_pq[k] = own
         for j, name in enumerate(("var_p", "var_q")):
             if own[j] < 0.0:
-                if strict:
-                    raise NegativeVarianceEstimate(
-                        f"{name}[{a}] solved to {own[j]:.3e}"
-                    )
                 diag.clamped_variances.append((a, name, float(own[j])))
         var_p[k] = max(var_p[k], 0.0)
         var_q[k] = max(var_q[k], 0.0)

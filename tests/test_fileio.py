@@ -189,8 +189,7 @@ def injections(draw):
     variances and a covariance inside the Cauchy-Schwarz bound."""
     ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True))
     n = len(ids)
-    # below 1e150, so var_p * var_q stays finite
-    variance = st.floats(min_value=0.0, max_value=1e150)
+    variance = st.floats(min_value=0.0, max_value=1e300)
     var_p, var_q = (np.array(draw(st.lists(variance, min_size=n, max_size=n))) for _ in range(2))
     rho = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     return InjectionModel(
@@ -199,7 +198,7 @@ def injections(draw):
         mu_q=draw(st.lists(_FINITE, min_size=n, max_size=n)),
         var_p=var_p,
         var_q=var_q,
-        cov_pq=rho * np.sqrt(var_p * var_q),
+        cov_pq=rho * np.sqrt(var_p) * np.sqrt(var_q),
         distribution=draw(st.sampled_from(("gaussian", "uniform", "laplace"))),
     )
 

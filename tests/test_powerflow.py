@@ -30,6 +30,7 @@ from conftest import (
     descendant_set,
     pairwise_sqdiff_analytic,
     random_feeder,
+    reference_analytic_moments,
     reference_sample_voltages,
     sampled_moments,
 )
@@ -138,6 +139,44 @@ def test_moment_matrix_symmetries(chain2):
     np.testing.assert_allclose(am.omega_theta, am.omega_theta.T)
     assert np.all(np.linalg.eigvalsh(am.omega_eps) > -1e-12)
     assert np.all(np.linalg.eigvalsh(am.omega_theta) > -1e-12)
+
+
+def assert_matches_reference_moments(forest, inj):
+    """Every AnalyticMoments block within 1e-12 of the block's largest
+    absolute entry of the complex oracle (exactly, for an all-zero block)."""
+    am = analytic_moments(forest, inj)
+    assert am.node_ids == forest.load_ids
+    for name, want in reference_analytic_moments(forest, inj).items():
+        got = getattr(am, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_analytic_moments_match_complex_reference(seed):
+    assert_matches_reference_moments(*random_feeder(seed))
+
+
+def test_analytic_moments_match_complex_reference_on_deep_chain():
+    spec = FeederSpec(n_loads=600, n_trees=1, max_children=1, chain_bias=1.0)
+    forest, inj = synth_feeder(spec, 1)
+    assert max(forest.depth.values()) == 600
+    assert_matches_reference_moments(forest, inj)
+
+
+@pytest.mark.parametrize(
+    "case", ["var_p_zero", "cov_at_bound", "cov_at_negative_bound", "zero_variances"]
+)
+def test_analytic_moments_match_complex_reference_degenerate(case):
+    forest, inj = random_feeder(7, n_range=(10, 30))
+    root, zero = np.sqrt(inj.var_p) * np.sqrt(inj.var_q), np.zeros(inj.n)
+    changes = {
+        "var_p_zero": dict(var_p=zero, cov_pq=zero),
+        "cov_at_bound": dict(cov_pq=root),
+        "cov_at_negative_bound": dict(cov_pq=-root),
+        "zero_variances": dict(var_p=zero, var_q=zero, cov_pq=zero),
+    }[case]
+    assert_matches_reference_moments(forest, replace(inj, **changes))
 
 
 def test_single_node_monte_carlo_three_sigma(single):
@@ -389,6 +428,18 @@ def test_invalid_covariance_rejected(chain2):
             mu_p=[0, 0], mu_q=[0, 0],
             var_p=[1, 1], var_q=[1, 1], cov_pq=[1.5, 0.0],
         )
+
+
+@pytest.mark.parametrize("var", [1.57e-162, 1e200], ids=["tiny", "huge"])
+def test_covariance_bound_at_extreme_variances(chain2, var):
+    # var_p * var_q underflows to 0 at the tiny end and overflows at the huge
+    # end; the bound must hold at both
+    root = np.sqrt(var) * np.sqrt(var)
+    stats = dict(mu_p=[0, 0], mu_q=[0, 0], var_p=[var, var], var_q=[var, var])
+    inj = InjectionModel(node_ids=chain2.load_ids, cov_pq=[0.5 * root, -root], **stats)
+    assert inj.cov_pq.tolist() == [0.5 * root, -root]
+    with pytest.raises(InvalidCovariance):
+        InjectionModel(node_ids=chain2.load_ids, cov_pq=[1.01 * root, 0.0], **stats)
 
 
 @pytest.mark.parametrize("field", ["mu_p", "mu_q", "var_p", "var_q", "cov_pq"])

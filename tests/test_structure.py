@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridforest import structure
-from gridforest.errors import IncompleteCover, NegativeVarianceEstimate, UnobservedNode
+from gridforest.errors import IncompleteCover, UnobservedNode
 from gridforest.missing import MissingSpec, learn_with_missing
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest, line_param_map
@@ -330,8 +330,6 @@ def test_negative_variance_clamped_and_flagged():
         if diag.clamped_variances:
             raw = [v for (_n, _f, v) in diag.clamped_variances]
             assert all(v < 0 for v in raw)
-            with pytest.raises(NegativeVarianceEstimate):
-                estimate_injection_stats(ms, forest, strict=True)
             return
     pytest.fail("no negative variance produced across 30 tiny-sample runs")
 
