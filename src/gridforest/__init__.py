@@ -26,12 +26,7 @@ from .missing import (
     residual_match,
     validate_missing_spec,
 )
-from .structure import (
-    LearnResult,
-    estimate_injection_stats,
-    learn,
-    learn_structure,
-)
+from .structure import estimate_injection_stats, learn_structure
 from .synth import FeederSpec, choose_hidden, preset, synth_feeder
 
 __version__ = "0.1.0"
@@ -43,7 +38,6 @@ __all__ = [
     "GridForestError",
     "HiddenNodeInfo",
     "InjectionModel",
-    "LearnResult",
     "Line",
     "MissingSpec",
     "MomentSet",
@@ -55,7 +49,6 @@ __all__ = [
     "choose_hidden",
     "estimate_edge",
     "estimate_injection_stats",
-    "learn",
     "learn_structure",
     "learn_structure_and_params",
     "learn_with_missing",

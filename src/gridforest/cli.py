@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration or input error, 2 learner failure.
+Exit codes: 0 success, 1 configuration or input error (a missing spec that
+breaks the hidden-node placement assumptions included), 2 learner failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from pathlib import Path
 
 from . import fileio
 from .errors import (
+    AssumptionViolated,
     BothRootsFeasible,
     GridForestError,
     IncompleteCover,
@@ -29,6 +31,7 @@ from .experiments import (
     run_learner,
     structural_error,
 )
+from .missing import validate_missing_spec
 from .moments import MomentSet
 from .network import line_param_map
 from .powerflow import sample_voltages
@@ -183,6 +186,9 @@ def _cmd_learn(args) -> int:
             raise UnknownNode(
                 f"{args.missing}: hidden node {foreign[0]} is not a load of the network"
             )
+        violations = validate_missing_spec(truth, spec)
+        if violations:
+            raise AssumptionViolated(f"{args.missing}: {'; '.join(violations)}")
     inj = fileio.load_injection(args.inj) if args.inj else None
     momset = _load_momset(args, truth, inj, hidden=spec.ids if spec else ())
     forest, parts = run_learner(
@@ -214,6 +220,8 @@ def _cmd_reproduce(args) -> int:
     report = run(args.out, seeds=tuple(range(args.seeds)))
     for key, val in report.aggregates().items():
         print(f"{key}: {val:.5f}")
+    for (task, m), (failed, cells) in report.failures_per_cell().items():
+        print(f"{task}|m={m}|failed: {failed} of {cells}")
     failed = ", ".join(f"{cls}={n}" for cls, n in report.failure_counts().items())
     print(f"failed cells: {failed or 0}")
     print(f"wrote {Path(args.out) / 'curves.csv'}")

@@ -27,10 +27,6 @@ class UnknownNode(GridForestError):
     """Node id not present (or not of the required role)."""
 
 
-class DifferentTrees(GridForestError):
-    """The two nodes belong to different trees of the forest."""
-
-
 # -- forward model / sampling -------------------------------------------------
 
 class DimensionMismatch(GridForestError):

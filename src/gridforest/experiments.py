@@ -80,8 +80,16 @@ class MetricsReport:
         """Failed cells by exception class, in name order."""
         return dict(sorted(Counter(f[3].split("(", 1)[0] for f in self.failures).items()))
 
+    def failures_per_cell(self) -> dict[tuple[str, int], tuple[int, int]]:
+        """(failed, scored) cell counts per (task, m), in key order."""
+        scored = Counter((t, m) for (t, m, _s, met, _v) in self.rows if met == "struct_err")
+        failed = Counter((t, m) for (t, m, _s, _e) in self.failures)
+        return {key: (failed[key], n) for key, n in sorted(scored.items())}
+
     def aggregates(self) -> dict:
-        keys = sorted({(t, m, met) for (t, m, _s, met, _v) in self.rows})
+        """Mean of every metric per (task, m), except the per-cell ``failed``
+        flag, which ``failures_per_cell`` counts instead."""
+        keys = sorted({(t, m, met) for (t, m, _s, met, _v) in self.rows if met != "failed"})
         return {f"{t}|m={m}|{met}": self.aggregate(t, m, met) for (t, m, met) in keys}
 
 
@@ -188,9 +196,7 @@ def run_learner(
             momset, vp, vq, declared, rel_tol=tol_rel, return_diagnostics=True
         )
         return forest, dict(edge_estimates=estimates, margins=diag.structure.decisions)
-    forest, diag = learn_with_missing(
-        momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel, return_diagnostics=True
-    )
+    forest, diag = learn_with_missing(momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel)
     return forest, dict(events=diag.events)
 
 

@@ -482,20 +482,3 @@ def save_curves(path, rows):
         for row in rows:
             task, m, seed, metric, value = row
             w.writerow([task, m, seed, metric, repr(float(value))])
-
-
-def load_curves(path) -> list[dict]:
-    out = []
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for rec in rd:
-            out.append(
-                {
-                    "task": rec["task"],
-                    "m": int(rec["m"]),
-                    "seed": int(rec["seed"]),
-                    "metric": rec["metric"],
-                    "value": float(rec["value"]),
-                }
-            )
-    return out

@@ -148,30 +148,6 @@ def estimate_edge(
     )
 
 
-def estimate_edge_linear(
-    a_stat: float,
-    b_stat: float,
-    c_stat: float,
-    sum_var_p: float,
-    sum_var_q: float,
-    sum_cov_pq: float,
-) -> tuple[float, float, float]:
-    """Linear path when the covariance sum is also known, in closed form
-    (the reference the quadratic path is tested against):
-    with z = r + jx, A + B = |z|^2 (Sp + Sq) and A - B + 2jC = z^2 (Sp - Sq -
-    2jS).  Returns (r, x, rx)."""
-    t = sum_var_p + sum_var_q
-    dz = complex(sum_var_p - sum_var_q, -2.0 * sum_cov_pq)
-    if not (t > 0.0 and abs(dz) > 1e-13 * t):
-        raise SingularSystem("variance sums identify only r^2 + x^2")
-    zz = complex(a_stat - b_stat, 2.0 * c_stat) / dz
-    u = ((a_stat + b_stat) / t + zz.real) / 2.0
-    v = ((a_stat + b_stat) / t - zz.real) / 2.0
-    if u <= 0.0 or v <= 0.0:
-        raise NoRealRoot(f"linear path produced non-positive squares ({u:.3e}, {v:.3e})")
-    return math.sqrt(u), math.sqrt(v), zz.imag / 2.0
-
-
 @dataclass
 class ParamLearnDiagnostics:
     structure: StructureDiagnostics = field(default_factory=StructureDiagnostics)

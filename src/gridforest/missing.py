@@ -116,7 +116,8 @@ class MissingDiagnostics:
 
 
 def validate_missing_spec(forest_truth: RadialForest, spec: MissingSpec) -> list[str]:
-    """Report-only check of the hidden-node placement assumptions."""
+    """Violations of the hidden-node placement assumptions, one message each;
+    ``learn-missing`` rejects a spec with any (AssumptionViolated)."""
     violations = []
     ids = spec.ids
     for h in ids:
@@ -375,9 +376,9 @@ def learn_with_missing(
     substation_children,
     *,
     tol_rel: float | None = None,
-    return_diagnostics: bool = False,
 ):
-    """Recover the full forest, hidden nodes included.
+    """Recover the full forest, hidden nodes included; returns ``(forest,
+    diagnostics)``.
 
     ``var_p`` / ``var_q`` / ``cov_pq`` map observed node ids to their true
     values; hidden nodes' values come from the missing spec.  ``line_params``
@@ -400,6 +401,4 @@ def learn_with_missing(
     forest = forest_from_parent_map(
         parent, substation_children.keys(), line_params=line_params
     )
-    if return_diagnostics:
-        return forest, learner.diag
-    return forest
+    return forest, learner.diag

@@ -14,6 +14,8 @@ There are no per-node scalar accessors.
 
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
+A zero id must not be an observed node (ValueError otherwise): the learners
+skip zero ids, so an observed one would silently drop that node.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ class MomentSet:
         self.node_ids = tuple(int(i) for i in node_ids)
         self._pos = {i: k for k, i in enumerate(self.node_ids)}
         self.zero_ids = frozenset(int(i) for i in zero_ids)
+        overlap = self.zero_ids.intersection(self.node_ids)
+        if overlap:
+            raise ValueError(f"zero ids {sorted(overlap)} are observed nodes")
         self.m = m
         self.mu_eps = None if mu_eps is None else np.asarray(mu_eps, dtype=float)
         self.mu_theta = None if mu_theta is None else np.asarray(mu_theta, dtype=float)
@@ -164,10 +169,7 @@ class MomentSet:
         extra = frozenset(int(i) for i in ids)
         if extra <= self.zero_ids:
             return self
-        overlap = extra & set(self.node_ids)
-        if overlap:
-            raise ValueError(f"zero ids {sorted(overlap)} are observed nodes")
-        out = MomentSet(
+        return MomentSet(
             self.node_ids,
             self.mu_eps,
             self.mu_theta,
@@ -177,7 +179,6 @@ class MomentSet:
             m=self.m,
             zero_ids=self.zero_ids | extra,
         )
-        return out
 
     def restrict(self, ids) -> "MomentSet":
         """Moments of a subset of the observed nodes, in the given order.

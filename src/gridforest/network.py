@@ -6,12 +6,12 @@ one structural fact: the inverse of the reduced edge-weighted Laplacian of
 such a forest has entries equal to the summed edge weights on the shared
 portion of the two nodes' paths to their slack.
 
-Edge weights come in three kinds: resistance "r", reactance "x" and the
-complex impedance "z" = r + jx, whose path-sum matrix is T_z = T_r + j T_x.
-The forward model needs only T_z.  Products with any of them are two tree
-sweeps (``apply_path_inverse``), and products with their inverse, the
-reduced Laplacian, are one local sweep over the edges
-(``apply_local_inverse``); dense inversion exists only in the test oracles.
+Each edge weighs its complex impedance z = r + jx, and the path-sum matrix
+of those weights is T_z = T_r + j T_x, the only one the forward model
+needs.  Products with T_z are two tree sweeps (``apply_path_inverse``), and
+products with its inverse, the reduced Laplacian with weights 1/z, are one
+local sweep over the edges (``apply_local_inverse``); dense inversion exists
+only in the test oracles.
 """
 
 from __future__ import annotations
@@ -172,17 +172,13 @@ class RadialForest:
         self.children = {i: tuple(c) for i, c in children_acc.items()}
         self.topo_order: tuple[int, ...] = tuple(order)
 
-        self._hinv_cache: dict[str, np.ndarray] = {}
+        self._hinv: np.ndarray | None = None
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def n_loads(self) -> int:
         return len(self.load_ids)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.slack_ids)
 
     def is_load(self, a) -> bool:
         return self.nodes.get(a) == ROLE_LOAD
@@ -205,13 +201,9 @@ class RadialForest:
         """Loads directly attached to each slack (the declared prior)."""
         return {s: self.children_of(s) for s in self.slack_ids}
 
-    def edge_weight(self, a, kind: str) -> float | complex:
-        """Weight of the line between load ``a`` and its parent: r, x or
-        the complex impedance r + jx for ``kind`` "r", "x" or "z"."""
-        r, x = self.edge_params[a]
-        if kind == "z":
-            return complex(r, x)
-        return r if kind == "r" else x
+    def edge_weight(self, a) -> complex:
+        """Impedance r + jx of the line between load ``a`` and its parent."""
+        return complex(*self.edge_params[a])
 
     # -- path structure ----------------------------------------------------------
 
@@ -239,29 +231,30 @@ class RadialForest:
     # -- dense derived matrices (loads only) -------------------------------------------
 
     def h_inverse_matrix(self, kind: str) -> np.ndarray:
-        """Full N x N path-sum matrix: the two-sweep operator applied to the
-        identity, O(N^2).  Each entry adds the shared-path weights in
-        root-to-leaf order, so the real and imaginary parts of the complex
-        "z" matrix equal the "r" and "x" matrices bit for bit."""
-        cached = self._hinv_cache.get(kind)
-        if cached is None:
-            cached = apply_path_inverse(self, kind, np.eye(self.n_loads))
-            self._hinv_cache[kind] = cached
-        return cached
+        """Full N x N complex path-sum matrix T_z: the two-sweep operator
+        applied to the identity, O(N^2), built once per forest.  Each entry
+        adds the shared-path weights in root-to-leaf order.
 
-    def parent_map(self) -> dict[int, int]:
-        return dict(self.parent)
+        ``kind`` must be "z", the only path-sum matrix the forward model
+        uses; the argument stays because perfbench's tracer wraps this method
+        and passes it on.
+        """
+        if kind != "z":
+            raise ValueError(f"only the complex path-sum matrix is built, got kind {kind!r}")
+        if self._hinv is None:
+            self._hinv = apply_path_inverse(self, np.eye(self.n_loads))
+        return self._hinv
 
 
-def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
-    """Apply the ``kind`` path-sum matrix to a vector or an (N, k) block.
+def apply_path_inverse(forest: RadialForest, u) -> np.ndarray:
+    """Apply T_z to a complex vector or (N, k) block.
 
     Bottom-up subtree sums, then top-down accumulation of weighted sums
-    along each root-to-node path.  Exact, O(N k); columns are independent.
-    ``kind`` "z" takes complex input and weights r + jx.  A vector runs as a
-    one-column block, so it gives the same bits as that column of a block.
+    along each root-to-node path, with edge weights r + jx.  Exact, O(N k);
+    columns are independent.  A vector runs as a one-column block, so it
+    gives the same bits as that column of a block.
     """
-    u = np.asarray(u, dtype=complex if kind == "z" else float)
+    u = np.asarray(u, dtype=complex)
     if u.ndim not in (1, 2) or u.shape[0] != forest.n_loads:
         raise DimensionMismatch(
             f"u must have shape ({forest.n_loads},) or ({forest.n_loads}, k), got {u.shape}"
@@ -276,19 +269,20 @@ def apply_path_inverse(forest: RadialForest, kind: str, u) -> np.ndarray:
     for a in forest.topo_order:
         p = forest.parent[a]
         base = v[pos[p]] if forest.is_load(p) else 0.0
-        v[pos[a]] = base + forest.edge_weight(a, kind) * s[pos[a]]
+        v[pos[a]] = base + forest.edge_weight(a) * s[pos[a]]
     return v[:, 0] if u.ndim == 1 else v
 
 
-def apply_local_inverse(forest: RadialForest, kind: str, v) -> np.ndarray:
-    """Exact inverse of ``apply_path_inverse`` on a vector, in one O(N) sweep.
+def apply_local_inverse(forest: RadialForest, v) -> np.ndarray:
+    """Exact inverse of ``apply_path_inverse`` on a complex vector, in one
+    O(N) sweep.
 
-    This is the reduced Laplacian with edge weights 1/w applied to ``v``:
-    u_a = (v_a - v_parent) / w_a - sum over children c of (v_c - v_a) / w_c,
+    This is the reduced Laplacian with edge weights 1/z applied to ``v``:
+    u_a = (v_a - v_parent) / z_a - sum over children c of (v_c - v_a) / z_c,
     with v = 0 at a slack.  Each edge's flow is added to its child and
     subtracted from its parent, in ``topo_order``.
     """
-    v = np.asarray(v, dtype=complex if kind == "z" else float)
+    v = np.asarray(v, dtype=complex)
     if v.shape != (forest.n_loads,):
         raise DimensionMismatch(f"v must have shape ({forest.n_loads},), got {v.shape}")
     pos = forest._loadpos
@@ -296,7 +290,7 @@ def apply_local_inverse(forest: RadialForest, kind: str, v) -> np.ndarray:
     for a in forest.topo_order:
         p = forest.parent[a]
         up = forest.is_load(p)
-        flow = (v[pos[a]] - (v[pos[p]] if up else 0.0)) / forest.edge_weight(a, kind)
+        flow = (v[pos[a]] - (v[pos[p]] if up else 0.0)) / forest.edge_weight(a)
         u[pos[a]] += flow
         if up:
             u[pos[p]] -= flow

@@ -89,14 +89,6 @@ class InjectionModel:
     def n(self) -> int:
         return len(self.node_ids)
 
-    def assumption1_ok(self) -> bool:
-        """Strict positivity: var_p, var_q > 0 and cov_pq > 0 at every node."""
-        return bool(
-            np.all(self.var_p > 0.0)
-            and np.all(self.var_q > 0.0)
-            and np.all(self.cov_pq > 0.0)
-        )
-
     def for_nodes(self, ids) -> "InjectionModel":
         """Reindex onto the given node ordering; ``self`` if already in it."""
         if tuple(ids) == self.node_ids:
@@ -159,19 +151,6 @@ class VoltageSamples:
     def m(self) -> int:
         return self.eps.shape[0]
 
-    def without_theta(self) -> "VoltageSamples":
-        return VoltageSamples(node_ids=self.node_ids, eps=self.eps, theta=None)
-
-    def restrict(self, ids) -> "VoltageSamples":
-        """Keep only the given nodes (observability masking)."""
-        pos = {i: k for k, i in enumerate(self.node_ids)}
-        idx = np.array([pos[i] for i in ids], dtype=int)
-        return VoltageSamples(
-            node_ids=tuple(ids),
-            eps=self.eps[:, idx],
-            theta=None if self.theta is None else self.theta[:, idx],
-        )
-
 
 @dataclass(frozen=True)
 class AnalyticMoments:
@@ -199,7 +178,7 @@ def solve_lcpf(forest: RadialForest, p, q) -> tuple[np.ndarray, np.ndarray]:
     """Phase and magnitude deviations for one injection vector pair."""
     p = _check_vector(forest, p, "p")
     q = _check_vector(forest, q, "q")
-    v = apply_path_inverse(forest, "z", p - 1j * q)
+    v = apply_path_inverse(forest, p - 1j * q)
     return v.imag, v.real
 
 

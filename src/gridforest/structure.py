@@ -81,14 +81,6 @@ class EstimationDiagnostics:
     clamped_covariances: list[tuple[int, float]] = field(default_factory=list)
 
 
-@dataclass
-class LearnResult:
-    forest: RadialForest
-    inj_hat: InjectionModel
-    structure_diagnostics: StructureDiagnostics
-    estimation_diagnostics: EstimationDiagnostics
-
-
 def _declared_map(substation_children) -> dict[int, int]:
     """child -> slack, validated for duplicates."""
     out: dict[int, int] = {}
@@ -322,7 +314,7 @@ def estimate_injection_stats(
     # inverse undoes T_z exactly.
     idx = [pos[a] for a in ids]
     mu_v = momset.mu_eps[idx] + 1j * momset.mu_theta[idx]
-    mu = apply_local_inverse(forest, "z", mu_v)
+    mu = apply_local_inverse(forest, mu_v)
 
     inj = InjectionModel(
         node_ids=ids,
@@ -335,17 +327,3 @@ def estimate_injection_stats(
     if return_diagnostics:
         return inj, diag
     return inj
-
-
-def learn(momset: MomentSet, substation_children, *, line_params=None) -> LearnResult:
-    """Full pipeline: structure first, then injection statistics on it."""
-    forest, sdiag = learn_structure(
-        momset, substation_children, line_params=line_params, return_diagnostics=True
-    )
-    inj_hat, ediag = estimate_injection_stats(momset, forest, return_diagnostics=True)
-    return LearnResult(
-        forest=forest,
-        inj_hat=inj_hat,
-        structure_diagnostics=sdiag,
-        estimation_diagnostics=ediag,
-    )

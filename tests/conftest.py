@@ -13,17 +13,25 @@ u through T_z, with the real blocks read off.
 The sampled-moments oracle forms the samples that the sweep cells skip.
 The path-entry and descendant oracles walk the parent and children links.
 The scalar parent-selection oracle takes one pop's row at a time.
+The linear edge oracle solves one edge for (r, x) when its covariance sum is
+known too, the cross check of the quadratic path.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
-from gridforest.errors import DifferentTrees, IncompleteCover, UnobservedNode
+from gridforest.errors import IncompleteCover, NoRealRoot, SingularSystem, UnobservedNode
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest
-from gridforest.powerflow import InjectionModel, _standard_draws, sample_voltages
+from gridforest.powerflow import (
+    InjectionModel,
+    VoltageSamples,
+    _standard_draws,
+    sample_voltages,
+)
 from gridforest.structure import _AMBIGUOUS_RTOL, EdgeDecision, _declared_map
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
@@ -103,7 +111,8 @@ def reduced_laplacian(forest, kind: str) -> np.ndarray:
     pos = forest.load_index
     out = np.zeros((n, n), dtype=complex if kind == "z" else float)
     for a in forest.topo_order:
-        w = 1.0 / forest.edge_weight(a, kind)
+        r, x = forest.edge_params[a]
+        w = 1.0 / {"r": r, "x": x, "z": complex(r, x)}[kind]
         ia = pos(a)
         p = forest.parent[a]
         out[ia, ia] += w
@@ -117,7 +126,8 @@ def reduced_laplacian(forest, kind: str) -> np.ndarray:
 
 def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
     """Oracle: population squared centered difference between two nodes'
-    deviations, from the rows of T_r and T_x.
+    deviations, from the rows of T_r and T_x.  Nodes of different trees
+    raise ValueError.
 
     ``channel``: "eps", "theta", or "cross" (the eps-theta product moment).
     """
@@ -126,10 +136,10 @@ def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
     ia = forest.load_index(a)
     ib = forest.load_index(b)
     if forest.tree_of[a] != forest.tree_of[b]:
-        raise DifferentTrees(f"nodes {a} and {b} sit in different trees")
+        raise ValueError(f"nodes {a} and {b} sit in different trees")
     inj = inj.for_nodes(forest.load_ids)
-    tr = forest.h_inverse_matrix("r")
-    tx = forest.h_inverse_matrix("x")
+    tz = forest.h_inverse_matrix("z")
+    tr, tx = tz.real, tz.imag
     dr = tr[ia] - tr[ib]
     dx = tx[ia] - tx[ib]
     if channel == "eps":
@@ -190,8 +200,39 @@ def sampled_moments(forest, inj, m: int, seed, hidden=()) -> MomentSet:
     dropped before ``MomentSet.from_samples``."""
     samples = sample_voltages(forest, inj, m, seed)
     if hidden:
-        samples = samples.restrict([i for i in forest.load_ids if i not in set(hidden)])
+        samples = restrict_samples(
+            samples, [i for i in forest.load_ids if i not in set(hidden)]
+        )
     return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+
+
+def restrict_samples(samples, ids) -> VoltageSamples:
+    """The columns of the given nodes, in that order (observability masking)."""
+    pos = {i: k for k, i in enumerate(samples.node_ids)}
+    idx = np.array([pos[i] for i in ids], dtype=int)
+    theta = None if samples.theta is None else samples.theta[:, idx]
+    return VoltageSamples(tuple(ids), samples.eps[:, idx], theta)
+
+
+def magnitude_only(samples) -> VoltageSamples:
+    """The same samples without the theta channel."""
+    return VoltageSamples(samples.node_ids, samples.eps)
+
+
+def estimate_edge_linear(a_stat, b_stat, c_stat, sum_var_p, sum_var_q, sum_cov_pq):
+    """Oracle for ``lines.estimate_edge`` when the covariance sum is known
+    too, in closed form: with z = r + jx, A + B = |z|^2 (Sp + Sq) and
+    A - B + 2jC = z^2 (Sp - Sq - 2jS).  Returns (r, x, rx)."""
+    t = sum_var_p + sum_var_q
+    dz = complex(sum_var_p - sum_var_q, -2.0 * sum_cov_pq)
+    if not (t > 0.0 and abs(dz) > 1e-13 * t):
+        raise SingularSystem("variance sums identify only r^2 + x^2")
+    zz = complex(a_stat - b_stat, 2.0 * c_stat) / dz
+    u = ((a_stat + b_stat) / t + zz.real) / 2.0
+    v = ((a_stat + b_stat) / t - zz.real) / 2.0
+    if u <= 0.0 or v <= 0.0:
+        raise NoRealRoot(f"linear path produced non-positive squares ({u:.3e}, {v:.3e})")
+    return math.sqrt(u), math.sqrt(v), zz.imag / 2.0
 
 
 def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:

@@ -71,7 +71,7 @@ def test_criterion_1_population_structure_exactness():
     for forest, inj in _feeders_100():
         ms = _analytic_momset(forest, inj)
         rec = learn_structure(ms, forest.substation_children())
-        wins += rec.parent_map() == forest.parent_map()
+        wins += rec.parent == forest.parent
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -174,11 +174,10 @@ def test_criterion_4_missing_data_population_exactness():
             rec, diag = learn_with_missing(
                 ms, MissingSpec.from_injections(hidden, inj), vp, vq, s,
                 line_param_map(forest.lines), forest.substation_children(),
-                return_diagnostics=True,
             )
         except GridForestError:
             continue
-        if rec.parent_map() == forest.parent_map():
+        if rec.parent == forest.parent:
             wins += 1
             for ev in diag.events:
                 if ev.accepted is not None and len(ev.checks) > 1:

@@ -28,7 +28,7 @@ def small_config(**kw):
 
 def test_structural_error_counts_wrong_and_absent():
     forest = synth_layout(FeederSpec(n_loads=4, n_trees=1), 0)
-    truth = forest.parent_map()
+    truth = forest.parent
     assert structural_error(forest, truth) == 0.0
     broken = dict(truth)
     first = forest.load_ids[0]

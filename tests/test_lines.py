@@ -4,17 +4,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridforest.errors import NoRealRoot, SingularSystem, UnobservedNode
-from gridforest.lines import (
-    estimate_edge,
-    estimate_edge_linear,
-    learn_structure_and_params,
-)
+from gridforest.lines import estimate_edge, learn_structure_and_params
 from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
 from gridforest.powerflow import analytic_moments, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
-from conftest import random_feeder
+from conftest import estimate_edge_linear, magnitude_only, random_feeder
 
 
 def forward_stats(r, x, sp, sq, s):
@@ -171,7 +167,7 @@ def test_population_structure_and_params_exact(seed):
     ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
     vp, vq, s = inj.as_maps()
     rec, ests = learn_structure_and_params(ms, vp, vq, forest.substation_children())
-    assert rec.parent_map() == forest.parent_map()
+    assert rec.parent == forest.parent
     params = line_param_map(forest.lines)
     for (a, b), est in ests.items():
         key = (a, b) if a < b else (b, a)
@@ -201,7 +197,7 @@ def test_single_edge_feeder_reduces_to_estimate_edge():
 
 def test_magnitude_only_moments_rejected():
     forest, inj = random_feeder(4, n_range=(4, 10), k_max=2)
-    samples = sample_voltages(forest, inj, 50, seed=1).without_theta()
+    samples = magnitude_only(sample_voltages(forest, inj, 50, seed=1))
     vp, vq, _ = inj.as_maps()
     with pytest.raises(UnobservedNode, match="theta"):
         learn_structure_and_params(

@@ -15,7 +15,7 @@ from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltag
 from gridforest.structure import learn_structure
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
-from conftest import random_feeder
+from conftest import random_feeder, restrict_samples
 
 
 def observed_momset(forest, inj, hidden=()):
@@ -112,8 +112,8 @@ def test_empty_missing_set_equals_plain_learner():
     forest, inj = random_feeder(3, n_range=(5, 25), k_max=3)
     ms = observed_momset(forest, inj)
     plain = learn_structure(ms, forest.substation_children())
-    via_missing = run_missing(forest, inj, ())
-    assert via_missing.parent_map() == plain.parent_map() == forest.parent_map()
+    via_missing, _ = run_missing(forest, inj, ())
+    assert via_missing.parent == plain.parent == forest.parent
 
 
 def hidden_leaf_fixture():
@@ -137,8 +137,8 @@ def hidden_leaf_fixture():
 
 def test_hidden_leaf_placed():
     f, inj = hidden_leaf_fixture()
-    rec, diag = run_missing(f, inj, (3,), return_diagnostics=True)
-    assert rec.parent_map() == f.parent_map()
+    rec, diag = run_missing(f, inj, (3,))
+    assert rec.parent == f.parent
     kinds = {ev.child: ev.accepted.kind for ev in diag.events if ev.accepted}
     assert kinds[2] == "missing_leaf_child"
 
@@ -159,8 +159,8 @@ def test_hidden_intermediate_placed():
         var_p=[1.0, 1.5, 2.0, 0.8], var_q=[0.9, 1.1, 0.7, 1.3],
         cov_pq=[0.5, 0.9, 0.6, 0.7],
     )
-    rec, diag = run_missing(f, inj, (2,), return_diagnostics=True)
-    assert rec.parent_map() == f.parent_map()
+    rec, diag = run_missing(f, inj, (2,))
+    assert rec.parent == f.parent
     accepted = {ev.child: ev.accepted for ev in diag.events if ev.accepted}
     assert accepted[1].kind == "missing_intermediate"
     assert accepted[1].candidate == 2
@@ -180,8 +180,8 @@ def test_hidden_node_with_four_children():
         node_ids=f.load_ids, mu_p=np.zeros(7), mu_q=np.zeros(7),
         var_p=vp, var_q=vq, cov_pq=rng.uniform(0.2, 0.8, 7) * np.sqrt(vp * vq),
     )
-    rec = run_missing(f, inj, (2,))
-    assert rec.parent_map() == f.parent_map()
+    rec, _ = run_missing(f, inj, (2,))
+    assert rec.parent == f.parent
 
 
 def test_hidden_leaf_and_intermediate_in_same_tree():
@@ -201,8 +201,8 @@ def test_hidden_leaf_and_intermediate_in_same_tree():
         node_ids=f.load_ids, mu_p=np.zeros(6), mu_q=np.zeros(6),
         var_p=vp, var_q=vq, cov_pq=rng.uniform(0.2, 0.8, 6) * np.sqrt(vp * vq),
     )
-    rec, diag = run_missing(f, inj, (2, 6), return_diagnostics=True)
-    assert rec.parent_map() == f.parent_map()
+    rec, diag = run_missing(f, inj, (2, 6))
+    assert rec.parent == f.parent
     kinds = {ev.accepted.kind for ev in diag.events if ev.accepted}
     assert "missing_leaf_child" in kinds and "missing_intermediate" in kinds
 
@@ -217,8 +217,8 @@ def test_hidden_leaf_under_declared_substation_child():
         node_ids=(1, 2, 3), mu_p=np.zeros(3), mu_q=np.zeros(3),
         var_p=[1.2, 0.9, 1.5], var_q=[0.8, 1.3, 0.7], cov_pq=[0.5, 0.6, 0.4],
     )
-    rec, diag = run_missing(f, inj, (2,), return_diagnostics=True)
-    assert rec.parent_map() == f.parent_map()
+    rec, diag = run_missing(f, inj, (2,))
+    assert rec.parent == f.parent
     forced = [ev for ev in diag.events if ev.child == 1][0]
     assert forced.accepted.kind == "missing_leaf_child"
 
@@ -235,8 +235,8 @@ def test_hidden_intermediate_under_declared_substation_child():
         var_p=[1.2, 0.9, 1.5, 1.1], var_q=[0.8, 1.3, 0.7, 0.95],
         cov_pq=[0.5, 0.6, 0.4, 0.55],
     )
-    rec, diag = run_missing(f, inj, (2,), return_diagnostics=True)
-    assert rec.parent_map() == f.parent_map()
+    rec, diag = run_missing(f, inj, (2,))
+    assert rec.parent == f.parent
     forced = [ev for ev in diag.events if ev.child == 1][0]
     assert forced.accepted.kind == "missing_intermediate"
 
@@ -253,13 +253,13 @@ def test_population_randomized_suite():
             hidden = choose_hidden(forest, int(rng.integers(1, 4)), trial, max_tries=40)
         except InfeasibleSpec:
             continue
-        rec = run_missing(forest, inj, hidden)
-        assert rec.parent_map() == forest.parent_map(), f"trial {trial}"
+        rec, _ = run_missing(forest, inj, hidden)
+        assert rec.parent == forest.parent, f"trial {trial}"
 
 
 def test_exactly_one_zero_residual_check_per_event():
     f, inj = hidden_leaf_fixture()
-    rec, diag = run_missing(f, inj, (3,), return_diagnostics=True)
+    rec, diag = run_missing(f, inj, (3,))
     for ev in diag.events:
         if ev.accepted is None or not ev.checks:
             continue
@@ -275,11 +275,11 @@ def test_all_hidden_nodes_placed_once():
         hidden = choose_hidden(forest, 3, 4, max_tries=60)
     except InfeasibleSpec:
         hidden = choose_hidden(forest, 2, 4)
-    rec = run_missing(forest, inj, hidden)
-    pm = rec.parent_map()
+    rec, _ = run_missing(forest, inj, hidden)
+    pm = rec.parent
     for h in hidden:
         assert h in pm
-    assert sorted(pm) == sorted(forest.parent_map())
+    assert sorted(pm) == sorted(forest.parent)
 
 
 def test_hidden_node_with_observations_rejected():
@@ -322,10 +322,10 @@ def test_finite_sample_recovery_smoke():
     hidden = choose_hidden(forest, 1, 2)
     spec = MissingSpec.from_injections(hidden, inj)
     observed = tuple(i for i in forest.load_ids if i not in set(hidden))
-    samples = sample_voltages(forest, inj, 60_000, seed=5).restrict(observed)
+    samples = restrict_samples(sample_voltages(forest, inj, 60_000, seed=5), observed)
     ms = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
     vp, vq, s = inj.as_maps()
-    rec = learn_with_missing(
+    rec, _ = learn_with_missing(
         ms, spec, vp, vq, s, line_param_map(forest.lines), forest.substation_children()
     )
-    assert rec.parent_map() == forest.parent_map()
+    assert rec.parent == forest.parent

@@ -11,8 +11,14 @@ from gridforest.powerflow import (
     analytic_moments,
     sample_voltages,
 )
+from gridforest.synth import draw_injections, preset, synth_layout
 
-from conftest import descendant_set, pairwise_sqdiff_analytic, random_feeder
+from conftest import (
+    descendant_set,
+    pairwise_sqdiff_analytic,
+    random_feeder,
+    restrict_samples,
+)
 
 
 def two_point_samples():
@@ -85,6 +91,20 @@ def test_with_zero_ids_rejects_observed():
     ms = MomentSet.from_samples(two_point_samples())
     with pytest.raises(ValueError):
         ms.with_zero_ids((1,))
+
+
+def test_observed_zero_id_rejected_at_construction():
+    # the learners skip zero ids, so an observed one would silently drop
+    # that load: learn_structure would return 12 of bus_13_3's 13 edges
+    spec = preset("bus_13_3")
+    forest = synth_layout(spec, 7)
+    inj = draw_injections(spec, forest.load_ids, [7, 0])
+    samples = sample_voltages(forest, inj, 400, seed=1)
+    zero_ids = (*forest.slack_ids, 1)
+    with pytest.raises(ValueError, match=r"zero ids \[1\] are observed nodes"):
+        MomentSet.from_samples(samples, zero_ids=zero_ids)
+    with pytest.raises(ValueError, match=r"zero ids \[1\] are observed nodes"):
+        MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=zero_ids)
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,7 +205,7 @@ def test_restriction_to_observed_subset():
     forest, inj = random_feeder(2, n_range=(5, 9), k_max=1)
     s = sample_voltages(forest, inj, 50, seed=2)
     keep = forest.load_ids[:3]
-    ms = MomentSet.from_samples(s.restrict(keep))
+    ms = MomentSet.from_samples(restrict_samples(s, keep))
     assert ms.observed == tuple(keep)
     with pytest.raises(UnobservedNode):
         ms.sqdiff("eps", keep[0], forest.load_ids[-1])

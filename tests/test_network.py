@@ -30,7 +30,7 @@ from conftest import (
 
 
 def test_chain_orientation(chain4):
-    assert chain4.parent_map() == {1: 0, 2: 1, 3: 2}
+    assert chain4.parent == {1: 0, 2: 1, 3: 2}
     assert chain4.slack_ids == (0,)
     assert chain4.load_ids == (1, 2, 3)
 
@@ -44,7 +44,7 @@ def test_open_lines_ignored():
         Line(1, 3, r=5, x=5, status="open"),
     ]
     forest = build_forest(nodes, lines)
-    assert forest.parent_map() == {1: 0, 2: 1, 3: 2}
+    assert forest.parent == {1: 0, 2: 1, 3: 2}
     assert len(forest.lines) == 4  # open line retained for round-trips
 
 
@@ -151,21 +151,21 @@ def test_entry_matches_dense_oracle(seed, kind):
 
 def test_h_inverse_matrix_matches_entries(chain4):
     # the sweep-built matrix adds the same weights in the same root-to-leaf
-    # order as the path walk, so entries agree exactly; the complex build
-    # carries the "r" and "x" builds as its two parts, bit for bit
+    # order as the path walk, so its real and imaginary parts equal the "r"
+    # and "x" path sums exactly
     deep = synth_layout(FeederSpec(n_loads=300, chain_bias=1.0, max_children=1), 5)
     bushy = synth_layout(FeederSpec(n_loads=120, n_trees=4, extra_lines=30), 6)
     assert max(deep.depth.values()) == 300
     for forest in (chain4, deep, bushy):
-        for kind in ("r", "x"):
-            mat = forest.h_inverse_matrix(kind)
+        tz = forest.h_inverse_matrix("z")
+        for part, kind in ((tz.real, "r"), (tz.imag, "x")):
             for a in forest.load_ids:
                 for b in forest.load_ids:
-                    got = mat[forest.load_index(a), forest.load_index(b)]
+                    got = part[forest.load_index(a), forest.load_index(b)]
                     assert got == h_inverse_entry(forest, kind, a, b)
-        tz = forest.h_inverse_matrix("z")
-        assert np.array_equal(tz.real, forest.h_inverse_matrix("r"))
-        assert np.array_equal(tz.imag, forest.h_inverse_matrix("x"))
+        assert forest.h_inverse_matrix("z") is tz  # built once per forest
+    with pytest.raises(ValueError, match="kind 'r'"):
+        chain4.h_inverse_matrix("r")
 
 
 # -- row differences --------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_diff_is_entry_difference(seed):
         b = forest.parent[a]
         if forest.is_slack(b):
             continue
-        w = forest.edge_weight(a, "r")
+        w = forest.edge_params[a][0]
         desc = descendant_set(forest, a)
         for c in forest.load_ids:
             got = h_inverse_entry(forest, "r", a, c) - h_inverse_entry(forest, "r", b, c)
@@ -253,12 +253,14 @@ def test_incidence_assembles_laplacian(seed):
         m[e, forest.load_index(a)] = 1.0
         if forest.is_load(forest.parent[a]):
             m[e, forest.load_index(forest.parent[a])] = -1.0
-    v = np.random.default_rng(seed).normal(size=forest.n_loads)
-    for kind in ("r", "x"):
-        w = np.array([1.0 / forest.edge_weight(a, kind) for a in forest.topo_order])
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=forest.n_loads) + 1j * rng.normal(size=forest.n_loads)
+    z = np.array([complex(*forest.edge_params[a]) for a in forest.topo_order])
+    for kind, w in (("r", 1.0 / z.real), ("x", 1.0 / z.imag), ("z", 1.0 / z)):
         lap = m.T @ (w[:, None] * m)
         np.testing.assert_allclose(lap, reduced_laplacian(forest, kind), atol=1e-12)
-        np.testing.assert_allclose(apply_local_inverse(forest, kind, v), lap @ v, atol=1e-10)
+    np.testing.assert_allclose(apply_local_inverse(forest, v), lap @ v, atol=1e-10)
+    np.testing.assert_allclose(apply_local_inverse(forest, v.real), lap @ v.real, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -268,20 +270,17 @@ def test_local_inverse_undoes_two_sweep(seed):
     spec = FeederSpec(n_loads=n, n_trees=int(rng.integers(2, 6)), extra_lines=5)
     forest = synth_layout(spec, seed)
     hz = reduced_laplacian(forest, "z")
-    for kind in ("r", "x", "z"):
-        u = rng.normal(size=n)
-        if kind == "z":
-            u = u + 1j * rng.normal(size=n)
-        back = apply_local_inverse(forest, kind, apply_path_inverse(forest, kind, u))
+    for u in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        back = apply_local_inverse(forest, apply_path_inverse(forest, u))
         np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    got = apply_local_inverse(forest, "z", v)
+    got = apply_local_inverse(forest, v)
     np.testing.assert_allclose(got, hz @ v, rtol=1e-12, atol=1e-12 * np.abs(got).max())
 
 
 def test_local_inverse_dimension_mismatch(chain4):
     with pytest.raises(DimensionMismatch):
-        apply_local_inverse(chain4, "z", np.zeros(4))
+        apply_local_inverse(chain4, np.zeros(4))
 
 
 def test_tree_distance(branch_layout):

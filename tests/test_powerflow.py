@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gridforest.errors import (
-    DifferentTrees,
     DimensionMismatch,
     InvalidCovariance,
     NonFiniteSamples,
@@ -32,6 +31,8 @@ from conftest import (
     random_feeder,
     reference_analytic_moments,
     reference_sample_voltages,
+    magnitude_only,
+    restrict_samples,
     sampled_moments,
 )
 
@@ -95,19 +96,16 @@ def test_two_sweep_matches_dense(seed):
     forest, _ = random_feeder(seed)
     rng = np.random.default_rng(seed + 99)
     n = forest.n_loads
-    dense_of = {kind: dense_path_matrix(forest, kind) for kind in ("r", "x")}
-    dense_of["z"] = dense_of["r"] + 1j * dense_of["x"]
-    for kind, dense in dense_of.items():
-        shape = (n, 4)
-        draws = rng.normal(size=shape)
-        if kind == "z":
-            draws = draws + 1j * rng.normal(size=shape)
+    dense = dense_path_matrix(forest, "r") + 1j * dense_path_matrix(forest, "x")
+    real = rng.normal(size=(n, 4))
+    # a real input runs as a complex one with a zero imaginary part
+    for draws in (real, real + 1j * rng.normal(size=(n, 4))):
         u, block = draws[:, 0], draws[:, 1:]
-        got = apply_path_inverse(forest, kind, u)
+        got = apply_path_inverse(forest, u)
         np.testing.assert_allclose(got, dense @ u, rtol=1e-10, atol=1e-12)
         # an (N, k) block is k independent sweeps, bit for bit
-        got = apply_path_inverse(forest, kind, block)
-        cols = [apply_path_inverse(forest, kind, block[:, j]) for j in range(3)]
+        got = apply_path_inverse(forest, block)
+        cols = [apply_path_inverse(forest, block[:, j]) for j in range(3)]
         assert np.array_equal(got, np.stack(cols, axis=1))
         np.testing.assert_allclose(got, dense @ block, rtol=1e-10, atol=1e-12)
 
@@ -276,7 +274,7 @@ def test_sqdiff_cross_tree_rejected():
     nodes = [Node(0, "substation"), Node(9, "substation"), Node(1, "load"), Node(2, "load")]
     f = build_forest(nodes, [Line(1, 0, r=1, x=1), Line(2, 9, r=1, x=1)])
     inj = unit_injections(f)
-    with pytest.raises(DifferentTrees):
+    with pytest.raises(ValueError, match="different trees"):
         pairwise_sqdiff_analytic(f, inj, 1, 2)
 
 
@@ -469,9 +467,9 @@ def test_non_gaussian_second_moments(dist, chain2):
 def test_voltage_samples_restrict_and_without_theta(chain2):
     inj = unit_injections(chain2)
     s = sample_voltages(chain2, inj, 10, seed=1)
-    r = s.restrict((2,))
+    r = restrict_samples(s, (2,))
     assert r.node_ids == (2,) and r.eps.shape == (10, 1)
-    nt = s.without_theta()
+    nt = magnitude_only(s)
     assert nt.theta is None and np.array_equal(nt.eps, s.eps)
 
 
@@ -487,10 +485,13 @@ def test_non_finite_samples_rejected(channel, bad):
 
 
 def test_assumption1_flag(chain2):
+    # Assumption 1 is strict positivity: var_p, var_q > 0 and cov_pq > 0
     inj = unit_injections(chain2)
-    assert inj.assumption1_ok()
+    assert np.all(inj.var_p > 0.0) and np.all(inj.var_q > 0.0) and np.all(inj.cov_pq > 0.0)
     inj0 = InjectionModel(
         node_ids=chain2.load_ids, mu_p=[0, 0], mu_q=[0, 0],
         var_p=[1, 1], var_q=[1, 1], cov_pq=[0.0, 0.5],
     )
-    assert not inj0.assumption1_ok()
+    assert not (
+        np.all(inj0.var_p > 0.0) and np.all(inj0.var_q > 0.0) and np.all(inj0.cov_pq > 0.0)
+    )

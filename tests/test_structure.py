@@ -10,14 +10,18 @@ from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltag
 from gridforest.structure import (
     StructureDiagnostics,
     estimate_injection_stats,
-    learn,
     learn_structure,
     recover_parent_map,
     solve_edge_system,
 )
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
-from conftest import direct_injection_stats, random_feeder, scalar_parent_map
+from conftest import (
+    direct_injection_stats,
+    magnitude_only,
+    random_feeder,
+    scalar_parent_map,
+)
 
 
 def analytic_momset(forest, inj):
@@ -40,7 +44,7 @@ def test_population_structure_exact(seed):
     rec = learn_structure(
         ms, forest.substation_children(), line_params=line_param_map(forest.lines)
     )
-    assert rec.parent_map() == forest.parent_map()
+    assert rec.parent == forest.parent
 
 
 def test_single_load_attaches_to_declared_slack():
@@ -50,7 +54,7 @@ def test_single_load_attaches_to_declared_slack():
         node_ids=(1,), mu_p=[0.0], mu_q=[0.0], var_p=[1.0], var_q=[1.0], cov_pq=[0.5]
     )
     rec = learn_structure(analytic_momset(f, inj), {0: (1,)})
-    assert rec.parent_map() == {1: 0}
+    assert rec.parent == {1: 0}
 
 
 def test_three_node_chain_statistical():
@@ -68,7 +72,7 @@ def test_three_node_chain_statistical():
     for seed in range(100):
         ms = sample_momset(f, inj, 10_000, seed)
         rec = learn_structure(ms, {0: (1,)})
-        wins += rec.parent_map() == f.parent_map()
+        wins += rec.parent == f.parent
     assert wins >= 99
 
 
@@ -76,11 +80,11 @@ def test_structure_ignores_theta_channel():
     forest, inj = random_feeder(4, n_range=(5, 25))
     samples = sample_voltages(forest, inj, 2000, seed=1)
     with_theta = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
-    without = MomentSet.from_samples(samples.without_theta(), zero_ids=forest.slack_ids)
+    without = MomentSet.from_samples(magnitude_only(samples), zero_ids=forest.slack_ids)
     declared = forest.substation_children()
     a = learn_structure(with_theta, declared)
     b = learn_structure(without, declared)
-    assert a.parent_map() == b.parent_map()
+    assert a.parent == b.parent
 
 
 def test_undeclared_substation_child_raises():
@@ -121,7 +125,7 @@ def test_exact_tie_picks_smallest_id():
     ms = MomentSet((5, 7, 9), np.zeros(3), np.zeros(3), cov, cov, cov, zero_ids=(0,))
     declared = {0: (5,)}
     rec, diag = learn_structure(ms, declared, return_diagnostics=True)
-    assert rec.parent_map() == {9: 5, 7: 5, 5: 0}
+    assert rec.parent == {9: 5, 7: 5, 5: 0}
     tie, single = diag.decisions
     assert (tie.child, tie.parent, tie.runner_up) == (9, 5, 7)
     assert tie.margin == 0.0 and tie.ambiguous
@@ -131,11 +135,10 @@ def test_exact_tie_picks_smallest_id():
     ones = {5: 1.0, 7: 1.0, 9: 1.0}
     lines = {(5, 9): (1.0, 1.0), (5, 7): (1.0, 1.0), (0, 5): (1.0, 1.0)}
     rec, mdiag = learn_with_missing(
-        ms, MissingSpec(hidden=()), ones, ones, ones, lines, declared,
-        return_diagnostics=True,
+        ms, MissingSpec(hidden=()), ones, ones, ones, lines, declared
     )
     assert {ev.child: ev.parent for ev in mdiag.events} == {9: 5, 7: 5, 5: 0}
-    assert rec.parent_map() == {9: 5, 7: 5, 5: 0}
+    assert rec.parent == {9: 5, 7: 5, 5: 0}
 
 
 # -- the row-block kernel against the scalar loop ------------------------------------
@@ -158,14 +161,14 @@ def assert_same_selection(momset, declared):
 
 
 def random_eps_momset(seed, n, *, ties=False):
-    """Eps moments of n loads with scattered ids, and two zero ids, the first
-    of which is observed too.  With ``ties`` the covariance is the Gram
-    matrix of 0/1 rows, so many variances and squared differences tie."""
+    """Eps moments of n loads with scattered ids, and two unobserved zero
+    ids.  With ``ties`` the covariance is the Gram matrix of 0/1 rows, so
+    many variances and squared differences tie."""
     rng = np.random.default_rng(seed)
     ids = rng.choice(10 * n + 10, size=n + 2, replace=False)
-    b = rng.integers(0, 2, (n + 1, 4)) if ties else rng.standard_normal((n + 1, n + 1))
+    b = rng.integers(0, 2, (n, 4)) if ties else rng.standard_normal((n, n))
     cov = (b @ b.T).astype(float)
-    return MomentSet(ids[: n + 1], np.zeros(n + 1), None, cov, None, None, zero_ids=ids[n:])
+    return MomentSet(ids[:n], np.zeros(n), None, cov, None, None, zero_ids=ids[n:])
 
 
 def declare(momset, seed, count, *, last):
@@ -314,7 +317,7 @@ def test_direct_mode_on_samples():
 
 def test_estimation_requires_theta():
     forest, inj = random_feeder(3, n_range=(3, 8))
-    samples = sample_voltages(forest, inj, 100, seed=0).without_theta()
+    samples = magnitude_only(sample_voltages(forest, inj, 100, seed=0))
     ms = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
     with pytest.raises(UnobservedNode):
         estimate_injection_stats(ms, forest)
@@ -367,7 +370,7 @@ def test_deep_chain_population():
     )
     ms = analytic_momset(chain, inj)
     rec = learn_structure(ms, chain.substation_children())
-    assert rec.parent_map() == chain.parent_map()
+    assert rec.parent == chain.parent
     inj_hat = estimate_injection_stats(ms, chain)
     # descendant-sum subtraction stays stable even 45 levels deep
     assert np.max(np.abs(inj_hat.var_p - inj.var_p) / inj.var_p) < 1e-8
@@ -389,14 +392,15 @@ def test_wide_star_population():
         var_p=vp, var_q=vq, cov_pq=rng.uniform(0.2, 0.8, 31) * np.sqrt(vp * vq),
     )
     rec = learn_structure(analytic_momset(star, inj), star.substation_children())
-    assert rec.parent_map() == star.parent_map()
+    assert rec.parent == star.parent
 
 
 def test_full_pipeline_learn_result():
     forest, inj = random_feeder(10, n_range=(4, 20), k_max=2)
     ms = analytic_momset(forest, inj)
-    result = learn(
+    rec = learn_structure(
         ms, forest.substation_children(), line_params=line_param_map(forest.lines)
     )
-    assert result.forest.parent_map() == forest.parent_map()
-    np.testing.assert_allclose(result.inj_hat.var_p, inj.var_p, rtol=1e-8)
+    assert rec.parent == forest.parent
+    inj_hat = estimate_injection_stats(ms, rec)
+    np.testing.assert_allclose(inj_hat.var_p, inj.var_p, rtol=1e-8)

@@ -16,11 +16,11 @@ def test_same_seed_same_feeder():
     spec = FeederSpec(n_loads=15, n_trees=2, extra_lines=8)
     f1, i1 = synth_feeder(spec, 3)
     f2, i2 = synth_feeder(spec, 3)
-    assert f1.parent_map() == f2.parent_map()
+    assert f1.parent == f2.parent
     assert [ln for ln in f1.lines] == [ln for ln in f2.lines]
     np.testing.assert_array_equal(i1.var_p, i2.var_p)
     f3, _ = synth_feeder(spec, 4)
-    assert f3.parent_map() != f1.parent_map() or f3.lines != f1.lines
+    assert f3.parent != f1.parent or f3.lines != f1.lines
 
 
 def test_preset_shapes():
@@ -32,7 +32,7 @@ def test_preset_shapes():
         spec = preset(name)
         forest = synth_layout(spec, 0)
         assert forest.n_loads == nloads
-        assert forest.n_trees == ntrees
+        assert len(forest.slack_ids) == ntrees
         open_lines = [ln for ln in forest.lines if ln.status == "open"]
         assert len(open_lines) == spec.extra_lines
         # every tree holds at least one load
@@ -64,7 +64,7 @@ def test_injections_satisfy_positivity():
     spec = preset("bus_29_1")
     forest = synth_layout(spec, 1)
     inj = draw_injections(spec, forest.load_ids, 2)
-    assert inj.assumption1_ok()
+    assert np.all(inj.var_p > 0.0) and np.all(inj.var_q > 0.0) and np.all(inj.cov_pq > 0.0)
     assert np.all(np.abs(inj.cov_pq) <= np.sqrt(inj.var_p * inj.var_q) + 1e-15)
     assert np.all(inj.mu_p < 0)
 
