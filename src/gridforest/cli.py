@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration or input error (a missing spec that
-breaks the hidden-node placement assumptions included), 2 learner failure.
+Exit codes: 0 success; 1 configuration or input error, or an input that
+breaks a learner's precondition (every GridForestError outside
+LEARNER_ERRORS, a missing spec that breaks the hidden-node placement
+assumptions included); 2 learner failure (LEARNER_ERRORS).  The README
+lists the classes of each.
 """
 
 from __future__ import annotations

@@ -5,6 +5,15 @@ class GridForestError(Exception):
     """Base class for all errors raised by gridforest."""
 
 
+def located(exc, *location):
+    """``exc``, carrying ``location``: the path of the input value at fault
+    within a constructor's input, such as ``("r",)`` for a line or
+    ``("lines", 3, "r")`` for a forest.  The file readers turn it into a
+    JSON path."""
+    exc.location = location
+    return exc
+
+
 # -- network / forest construction -------------------------------------------
 
 class CycleDetected(GridForestError):

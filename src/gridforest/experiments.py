@@ -9,6 +9,21 @@ standard draws (``empirical_moments``) and never forms the (m, n) voltage
 matrices.  Learner failures are recorded per cell, never fatal.  Identical
 configs produce byte-identical curves.csv files.
 
+The cells are independent, and their draws are most of a sweep's time, so
+``run_experiment`` lists the cells first and computes each cell's draw
+statistics (``powerflow.draw_moments``, fixed by the cell's own seed) in a
+pool of worker processes, one per usable CPU.  The fold through the
+network's map, the learners and the scoring stay in this process and take
+the cells in order: the fold needs the forest and its cached path-sum
+matrix, which a worker would rebuild, and the report then does not depend
+on the number of workers.  The draws run in process instead when fewer than
+two CPUs are usable, the sweep has one cell, it uses population moments
+(``analytic``; it draws nothing), or the platform cannot tell the usable
+CPUs (``os.sched_getaffinity``) or lacks the start method.  Before Python
+3.12 the workers are forked from this process; from 3.12 on a fork server
+starts them, because ``os.fork`` then warns in a process with other
+threads, as numpy's BLAS pool makes this one.
+
 ``run_learner`` is the one learner path: it maps a task (``learn``,
 ``learn-params``, ``learn-missing``) to its learner and holds the
 learn-params tolerance default.  The sweep cells and the command line both
@@ -17,6 +32,9 @@ call it, and both take population moments from ``population_moments``.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +47,7 @@ from .lines import learn_structure_and_params
 from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
 from .network import RadialForest, line_param_map
-from .powerflow import InjectionModel, analytic_moments, sample_moments
+from .powerflow import InjectionModel, analytic_moments, draw_moments, fold_moments
 from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
 from .structure import estimate_injection_stats, learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
@@ -160,13 +178,14 @@ def population_moments(forest: RadialForest, inj: InjectionModel, hidden=()) -> 
 
 
 def empirical_moments(
-    forest: RadialForest, inj: InjectionModel, m: int, seed, hidden=()
+    forest: RadialForest, inj: InjectionModel, m: int, draws, hidden=()
 ) -> MomentSet:
-    """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
-    ``seed``, of the loads not in ``hidden``, slacks as zero ids.  They come
-    straight from the standard draws (``sample_moments``); no sample is formed.
+    """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with a
+    seed, of the loads not in ``hidden``, slacks as zero ids.  ``draws`` are
+    that seed's standard-draw statistics, ``draw_moments(inj.distribution, m,
+    forest.n_loads, seed)``; no sample is formed.
     """
-    moments = sample_moments(forest, inj, m, seed)
+    moments = fold_moments(forest, inj, *draws)
     momset = MomentSet(forest.load_ids, *moments, m=m, zero_ids=forest.slack_ids)
     return _observed(forest, momset, hidden)
 
@@ -203,20 +222,73 @@ def run_learner(
 # -- cells ------------------------------------------------------------------------------
 
 
+# The pool takes the cells in chunks of consecutive cells, one chunk length
+# per sweep: about _CHUNKS_PER_WORKER chunks per worker, so the work
+# balances, and at most _CHUNK_BYTES of covariances, so a chunk's result
+# message stays under glibc's default mmap threshold (128 kB).  A task per
+# cell costs a round trip through the pool per cell, which took back most
+# of the gain on a shared 2-CPU machine; larger messages grew this process's
+# resident memory by 10-20 MB over a few sweeps.
+_CHUNKS_PER_WORKER = 4
+_CHUNK_BYTES = 96 << 10
+# A forked worker imports nothing; one from a fork server imports the package
+# on every sweep, which cost about 0.5 s of a 1.4 s fig4 + fig5 pass on
+# Python 3.11.  From 3.12 on, os.fork warns in a process with other threads.
+_START_METHOD = "fork" if sys.version_info < (3, 12) else "forkserver"
+
+
+def _cell_draws(jobs, n: int):
+    """``draw_moments(*job)`` for each job (all for n loads), in job order.
+
+    With at least two usable CPUs and two jobs, a pool of one worker per
+    usable CPU computes them; otherwise they run here, one by one.  A worker
+    that dies fails the sweep (``BrokenProcessPool``).  The workers are shut
+    down and joined when the generator finishes or is closed.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the CPUs this process may run on; 1 where the platform cannot tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    if workers < 2 or _START_METHOD not in multiprocessing.get_all_start_methods():
+        for job in jobs:
+            yield draw_moments(*job)
+        return
+    length = min(_CHUNK_BYTES // (8 * (2 * n) ** 2), len(jobs) // (_CHUNKS_PER_WORKER * workers))
+    context = multiprocessing.get_context(_START_METHOD)
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        yield from pool.map(draw_moments, *zip(*jobs), chunksize=max(1, length))
+
+
 def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
-    """Sweep the grid, score each cell, optionally write curves.csv."""
+    """Sweep the grid, score each cell, optionally write curves.csv.
+
+    The cells are listed first, in grid order.  Their draw statistics come
+    from ``_cell_draws``, possibly in worker processes; each cell's fold,
+    learner and scoring run here, in cell order, so the report does not
+    depend on how many workers there were.
+    """
     config.validate()
     forest = synth_layout(config.feeder, config.layout_seed)
     declared = forest.substation_children()
     params = line_param_map(forest.lines)
     report = MetricsReport()
 
-    def cell(task, inj, m, seed, sample_seed, spec=None):
-        hidden = spec.ids if spec else ()
-        if config.analytic:
-            momset = population_moments(forest, inj, hidden)
-        else:
-            momset = empirical_moments(forest, inj, m, sample_seed, hidden)
+    cells = []  # (task, inj, m, seed, sample seed, missing spec)
+    for m in config.m_grid:
+        for seed in config.seeds:
+            inj = draw_injections(config.feeder, forest.load_ids, [config.layout_seed, seed])
+            if config.task != "learn-missing":
+                cells.append((config.task, inj, m, seed, [config.layout_seed, seed, m], None))
+                continue
+            for count in config.missing_counts:
+                hidden = choose_hidden(forest, count, [config.layout_seed, seed, count])
+                spec = MissingSpec.from_injections(hidden, inj)
+                sample_seed = [config.layout_seed, seed, m, count]
+                cells.append((f"learn-missing/h{count}", inj, m, seed, sample_seed, spec))
+
+    def score(task, inj, m, seed, spec, momset):
         try:
             recovered, parts = run_learner(
                 config.task, momset, declared, params, inj,
@@ -238,17 +310,17 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
         for name, val in scores.items():
             report.add(task, m, seed, name, val)
 
-    for m in config.m_grid:
-        for seed in config.seeds:
-            inj = draw_injections(config.feeder, forest.load_ids, [config.layout_seed, seed])
-            if config.task != "learn-missing":
-                cell(config.task, inj, m, seed, [config.layout_seed, seed, m])
-                continue
-            for count in config.missing_counts:
-                hidden = choose_hidden(forest, count, [config.layout_seed, seed, count])
-                spec = MissingSpec.from_injections(hidden, inj)
-                sample_seed = [config.layout_seed, seed, m, count]
-                cell(f"learn-missing/h{count}", inj, m, seed, sample_seed, spec)
+    if config.analytic:
+        for task, inj, m, seed, _sample_seed, spec in cells:
+            hidden = spec.ids if spec else ()
+            score(task, inj, m, seed, spec, population_moments(forest, inj, hidden))
+    else:
+        n = forest.n_loads
+        jobs = [(inj.distribution, m, n, s) for (_t, inj, m, _s, s, _h) in cells]
+        with contextlib.closing(_cell_draws(jobs, n)) as all_draws:
+            for (task, inj, m, seed, _sample_seed, spec), draws in zip(cells, all_draws):
+                hidden = spec.ids if spec else ()
+                score(task, inj, m, seed, spec, empirical_moments(forest, inj, m, draws, hidden))
 
     if outdir is not None:
         outdir = Path(outdir)

@@ -3,7 +3,8 @@ JSON, result JSON, and the experiment curves CSV.
 
 All writers are deterministic: fixed key order, repr-precision floats.
 The JSON readers name the file and the JSON path (such as ``lines[0].x``) of
-a missing key or a value of the wrong type.
+a missing key, a value of the wrong type, or a value the network or
+missing-spec model rejects.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedJSON, MalformedSamples
+from .errors import GridForestError, MalformedJSON, MalformedSamples
 from .missing import HiddenNodeInfo, MissingSpec
 from .network import Line, Node, RadialForest, build_forest
 from .powerflow import InjectionModel, VoltageSamples
@@ -70,6 +71,19 @@ class _JsonReader:
             return default
         return self.check(obj[key], kind, at)
 
+    def build(self, at, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, where ``at`` is the JSON path of its
+        input.  An error of ``make`` that carries a ``location``
+        (``errors.located``) raises MalformedJSON at the value's JSON path."""
+        try:
+            return make(*args, **kwargs)
+        except (ValueError, GridForestError) as exc:
+            if not hasattr(exc, "location"):
+                raise
+            for part in exc.location:
+                at = f"{at}[{part}]" if isinstance(part, int) else f"{at}.{part}" if at else part
+            raise MalformedJSON(self.source, at, str(exc)) from exc
+
     def rows(self, key):
         """(object, JSON path) of each element of the top-level array ``key``."""
         items = self.get(self.top, key, list, self.at)
@@ -98,14 +112,17 @@ def network_to_dict(forest: RadialForest) -> dict:
 
 
 def network_from_dict(data: dict, source=None) -> RadialForest:
-    """The forest of a network document; ``source`` names its file in errors."""
+    """The forest of a network document; ``source`` names its file in errors,
+    as does a value the network model rejects, at its JSON path."""
     rd = _JsonReader(data, source)
     nodes = [
-        Node(rd.get(nd, "id", int, at), rd.get(nd, "role", str, at))
+        rd.build(at, Node, rd.get(nd, "id", int, at), rd.get(nd, "role", str, at))
         for nd, at in rd.rows("nodes")
     ]
     lines = [
-        Line(
+        rd.build(
+            at,
+            Line,
             rd.get(ln, "a", int, at),
             rd.get(ln, "b", int, at),
             r=rd.get(ln, "r", float, at),
@@ -114,7 +131,7 @@ def network_from_dict(data: dict, source=None) -> RadialForest:
         )
         for ln, at in rd.rows("lines")
     ]
-    return build_forest(nodes, lines)
+    return rd.build(rd.at, build_forest, nodes, lines)
 
 
 def save_network(path, forest: RadialForest):
@@ -355,19 +372,19 @@ def missing_to_dict(spec: MissingSpec) -> dict:
 
 
 def missing_from_dict(data: dict, source=None) -> MissingSpec:
-    """The spec of a missing-spec document; ``source`` names its file in errors."""
+    """The spec of a missing-spec document; ``source`` names its file in
+    errors, as does a repeated hidden id, at its JSON path."""
     rd = _JsonReader(data, source)
-    return MissingSpec(
-        hidden=tuple(
-            HiddenNodeInfo(
-                rd.get(h, "id", int, at),
-                rd.get(h, "var_p", float, at),
-                rd.get(h, "var_q", float, at),
-                rd.get(h, "cov_pq", float, at),
-            )
-            for h, at in rd.rows("hidden")
+    hidden = tuple(
+        HiddenNodeInfo(
+            rd.get(h, "id", int, at),
+            rd.get(h, "var_p", float, at),
+            rd.get(h, "var_q", float, at),
+            rd.get(h, "cov_pq", float, at),
         )
+        for h, at in rd.rows("hidden")
     )
+    return rd.build(rd.at, MissingSpec, hidden=hidden)
 
 
 def save_missing(path, spec: MissingSpec):

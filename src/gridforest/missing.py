@@ -34,6 +34,7 @@ from .errors import (
     IncompleteCover,
     NoConsistentPlacement,
     UnobservedNode,
+    located,
 )
 from .moments import MomentSet
 from .network import RadialForest
@@ -58,9 +59,11 @@ class MissingSpec:
     hidden: tuple[HiddenNodeInfo, ...]
 
     def __post_init__(self):
-        ids = [h.id for h in self.hidden]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate hidden node ids")
+        seen = set()
+        for k, h in enumerate(self.hidden):
+            if h.id in seen:
+                raise located(ValueError(f"duplicate hidden node id {h.id}"), "hidden", k, "id")
+            seen.add(h.id)
 
     @property
     def ids(self) -> tuple[int, ...]:

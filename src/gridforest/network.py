@@ -28,6 +28,7 @@ from .errors import (
     MultipleSlacksInComponent,
     ParallelLine,
     UnknownNode,
+    located,
 )
 
 ROLE_SUBSTATION = "substation"
@@ -44,7 +45,7 @@ class Node:
 
     def __post_init__(self):
         if self.role not in (ROLE_SUBSTATION, ROLE_LOAD):
-            raise ValueError(f"unknown node role {self.role!r}")
+            raise located(ValueError(f"unknown node role {self.role!r}"), "role")
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,13 @@ class Line:
 
     def __post_init__(self):
         if self.a == self.b:
-            raise ValueError(f"line endpoints must differ, got ({self.a}, {self.b})")
+            msg = f"line endpoints must differ, got ({self.a}, {self.b})"
+            raise located(ValueError(msg), "b")
         if not (self.r > 0.0 and self.x > 0.0):
-            raise ValueError(f"line ({self.a}, {self.b}) needs r > 0 and x > 0")
+            msg = f"line ({self.a}, {self.b}) needs r > 0 and x > 0"
+            raise located(ValueError(msg), "x" if self.r > 0.0 else "r")
         if self.status not in (STATUS_OPERATIONAL, STATUS_OPEN):
-            raise ValueError(f"unknown line status {self.status!r}")
+            raise located(ValueError(f"unknown line status {self.status!r}"), "status")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -79,17 +82,20 @@ class RadialForest:
     """Validated operational forest: parent links oriented toward each slack.
 
     Immutable after construction; all caches are append-only, so concurrent
-    reads are safe.
+    reads are safe.  A construction error carries the ``location`` of the
+    node or line at fault in ``nodes`` or ``lines`` (``errors.located``).
     """
 
     def __init__(self, nodes, lines):
         nodes = tuple(nodes)
         lines = tuple(lines)
         self.nodes: dict[int, str] = {}
-        for nd in nodes:
+        index: dict[int, int] = {}  # position of each node id in ``nodes``
+        for k, nd in enumerate(nodes):
             if nd.id in self.nodes:
-                raise ValueError(f"duplicate node id {nd.id}")
+                raise located(ValueError(f"duplicate node id {nd.id}"), "nodes", k, "id")
             self.nodes[nd.id] = nd.role
+            index[nd.id] = k
         self.lines = lines
 
         self.slack_ids: tuple[int, ...] = tuple(
@@ -99,19 +105,19 @@ class RadialForest:
             sorted(i for i, role in self.nodes.items() if role == ROLE_LOAD)
         )
         if not self.slack_ids:
-            raise ValueError("forest needs at least one substation")
+            raise located(ValueError("forest needs at least one substation"), "nodes")
         self._loadpos = {i: k for k, i in enumerate(self.load_ids)}
 
         seen_pairs: set[tuple[int, int]] = set()
-        for ln in lines:
-            for end in (ln.a, ln.b):
+        for k, ln in enumerate(lines):
+            for name, end in (("a", ln.a), ("b", ln.b)):
                 if end not in self.nodes:
-                    raise UnknownNode(f"line references unknown node {end}")
+                    msg = f"line references unknown node {end}"
+                    raise located(UnknownNode(msg), "lines", k, name)
             if ln.key in seen_pairs:
-                raise ParallelLine(f"parallel lines between {ln.key[0]} and {ln.key[1]}")
+                msg = f"parallel lines between {ln.key[0]} and {ln.key[1]}"
+                raise located(ParallelLine(msg), "lines", k)
             seen_pairs.add(ln.key)
-
-        operational = [ln for ln in lines if ln.status == STATUS_OPERATIONAL]
 
         # Cycle check via union-find over operational lines.
         uf = {i: i for i in self.nodes}
@@ -122,11 +128,16 @@ class RadialForest:
                 i = uf[i]
             return i
 
-        for ln in operational:
+        operational = []
+        for k, ln in enumerate(lines):
+            if ln.status != STATUS_OPERATIONAL:
+                continue
             ra, rb = find(ln.a), find(ln.b)
             if ra == rb:
-                raise CycleDetected(f"operational lines close a loop through ({ln.a}, {ln.b})")
+                msg = f"operational lines close a loop through ({ln.a}, {ln.b})"
+                raise located(CycleDetected(msg), "lines", k)
             uf[ra] = rb
+            operational.append(ln)
 
         adj: dict[int, list[tuple[int, Line]]] = {i: [] for i in self.nodes}
         for ln in operational:
@@ -153,9 +164,8 @@ class RadialForest:
                     if nxt in visited:
                         continue
                     if self.nodes[nxt] == ROLE_SUBSTATION:
-                        raise MultipleSlacksInComponent(
-                            f"substations {slack} and {nxt} share an operational component"
-                        )
+                        msg = f"substations {slack} and {nxt} share an operational component"
+                        raise located(MultipleSlacksInComponent(msg), "nodes", index[nxt])
                     visited.add(nxt)
                     self.parent[nxt] = cur
                     children_acc[cur].append(nxt)
@@ -167,7 +177,8 @@ class RadialForest:
 
         missing = [i for i in self.load_ids if i not in visited]
         if missing:
-            raise DisconnectedLoadNode(f"load nodes {missing} unreachable from any substation")
+            msg = f"load nodes {missing} unreachable from any substation"
+            raise located(DisconnectedLoadNode(msg), "nodes", index[missing[0]])
 
         self.children = {i: tuple(c) for i, c in children_acc.items()}
         self.topo_order: tuple[int, ...] = tuple(order)

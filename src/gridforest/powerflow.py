@@ -16,8 +16,14 @@ A and a mean row c with [eps, theta] = [z1, z2] A + [Re c, Im c].  The
 population moments, the samples and the sample moments are that map under
 three draw statistics: ``analytic_moments`` takes the draws' unit
 covariance (A^T A), ``sample_voltages`` maps m rows of draws, and
-``sample_moments`` maps the draws' own divisor-m covariance S (A^T S A)
-without forming the (m, n) voltage matrices.
+``fold_moments`` maps the draws' own divisor-m mean and covariance S
+(A^T S A), without forming the (m, n) voltage matrices.
+
+The sample moments are two steps.  ``draw_moments`` computes the draws'
+mean and covariance from the distribution, m, n and the seed alone, so the
+experiment sweeps run it in worker processes; ``fold_moments`` maps them
+through (A, c), which needs the network, and runs where the network and
+its cached path-sum matrix live: in the sweep's main process.
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -34,14 +40,14 @@ from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
 
-# Entries of standard draws per block that sample_moments folds into its Gram
+# Entries of standard draws per block that draw_moments adds into its Gram
 # matrix at once: large enough to amortise each product, small enough that a
 # block stays in cache whatever m is.
 _DRAW_BLOCK = 1 << 15
 
 
 def _draw_rows(n: int) -> int:
-    """Rows of [z1 | z2] per sample_moments block for n loads."""
+    """Rows of [z1 | z2] per draw_moments block for n loads."""
     return max(1, _DRAW_BLOCK // (2 * n))
 
 
@@ -228,11 +234,11 @@ def _folded_map(forest: RadialForest, inj: InjectionModel) -> tuple[np.ndarray, 
 def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
     """Exact voltage moments induced by an injection model.
 
-    The identity-covariance case of ``sample_moments``: the standard draws
+    The identity-covariance case of ``fold_moments``: the standard draws
     have zero mean and unit covariance, so through the map (A, c) of
     ``_folded_map`` the voltages [eps, theta] have covariance A^T A and mean
     [Re c, Im c], for every tagged distribution.  The blocks are sliced in
-    ``sample_moments``' layout.
+    ``fold_moments``' layout.
     """
     inj = inj.for_nodes(forest.load_ids)
     a, c = _folded_map(forest, inj)
@@ -274,25 +280,21 @@ def sample_voltages(
     return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)
 
 
-def sample_moments(forest: RadialForest, inj: InjectionModel, m: int, seed):
-    """Divisor-m moments of the samples ``sample_voltages(forest, inj, m, seed)``
-    returns, without forming them: ``(mu_eps, mu_theta, cov_eps, cov_theta,
-    cov_eps_theta)`` over the loads, in the order ``MomentSet`` takes them.
+def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Divisor-m mean ``zbar`` (2n,) and covariance ``S`` (2n, 2n) of the m
+    rows of standard draws z = [z1, z2] that ``sample_voltages`` maps for n
+    loads and ``seed``.
 
-    The voltages are the same draws z = [z1, z2] through the linear map A of
-    ``_folded_map``, so with S the divisor-m covariance of z, the covariance
-    of [eps, theta] is A^T S A and its mean is mean(z) A + [Re c, Im c].
     z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
     stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is added
-    into the uncentred (2n x 2n) Gram matrix G = z^T z and the column sums,
-    and S = G/m - mean(z)^T mean(z).  No (m, n) voltage matrix is built.
+    into the uncentred Gram matrix G = z^T z and the column sums, and
+    S = G/m - zbar^T zbar.  It needs neither the network nor the injection
+    statistics, so it is a module-level function a worker process can run.
     """
     if m < 2:
         raise TooFewSamples(f"need at least 2 samples, got {m}")
-    inj = inj.for_nodes(forest.load_ids)
     rng = np.random.default_rng(seed)
-    n = inj.n
-    z1 = _standard_draws(rng, inj.distribution, (m, n))
+    z1 = _standard_draws(rng, distribution, (m, n))
     rows = _draw_rows(n)
     block = np.empty((min(rows, m), 2 * n))
     ones = np.ones(len(block))
@@ -301,12 +303,24 @@ def sample_moments(forest: RadialForest, inj: InjectionModel, m: int, seed):
     for j0 in range(0, m, rows):
         b = block[: min(rows, m - j0)]
         b[:, :n] = z1[j0 : j0 + len(b)]
-        b[:, n:] = _standard_draws(rng, inj.distribution, (len(b), n))
+        b[:, n:] = _standard_draws(rng, distribution, (len(b), n))
         gram += b.T @ b  # numpy takes the symmetric rank-k (SYRK) product
         zsum += ones[: len(b)] @ b  # a matrix-vector product; faster than sum(axis=0)
     zbar = zsum / m
-    s = gram / m - np.outer(zbar, zbar)
+    return zbar, gram / m - np.outer(zbar, zbar)
+
+
+def fold_moments(forest: RadialForest, inj: InjectionModel, zbar, s):
+    """The voltage moments of draws with mean ``zbar`` and covariance ``s``
+    (``draw_moments``' statistics), through the map (A, c) of ``_folded_map``:
+    ``(mu_eps, mu_theta, cov_eps, cov_theta, cov_eps_theta)`` over the loads,
+    in the order ``MomentSet`` takes them.  The covariance of [eps, theta]
+    is A^T S A and its mean is zbar A + [Re c, Im c].
+    """
+    inj = inj.for_nodes(forest.load_ids)
     a, c = _folded_map(forest, inj)
     cov = a.T @ (s @ a)
     mu = zbar @ a
+    n = inj.n
     return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]
+

@@ -11,6 +11,9 @@ sequential standard draws, u = p - jq, then u T_z.  The population-moment
 oracle keeps it too, on the dense oracle T_z: the complex second moments of
 u through T_z, with the real blocks read off.
 The sampled-moments oracle forms the samples that the sweep cells skip.
+The one-pass blocked-moments oracle draws and folds in one function, as the
+package did before it split the sample moments into ``draw_moments`` and
+``fold_moments``.
 The path-entry and descendant oracles walk the parent and children links.
 The scalar parent-selection oracle takes one pop's row at a time.
 The linear edge oracle solves one edge for (r, x) when its covariance sum is
@@ -29,6 +32,8 @@ from gridforest.network import Line, Node, build_forest
 from gridforest.powerflow import (
     InjectionModel,
     VoltageSamples,
+    _draw_rows,
+    _folded_map,
     _standard_draws,
     sample_voltages,
 )
@@ -204,6 +209,33 @@ def sampled_moments(forest, inj, m: int, seed, hidden=()) -> MomentSet:
             samples, [i for i in forest.load_ids if i not in set(hidden)]
         )
     return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+
+
+def one_pass_sample_moments(forest, inj, m: int, seed):
+    """Oracle for ``fold_moments`` of ``draw_moments``, bit for bit: the
+    blocked Gram matrix of the draws and its fold through ``_folded_map`` in
+    one pass."""
+    inj = inj.for_nodes(forest.load_ids)
+    rng = np.random.default_rng(seed)
+    n = inj.n
+    z1 = _standard_draws(rng, inj.distribution, (m, n))
+    rows = _draw_rows(n)
+    block = np.empty((min(rows, m), 2 * n))
+    ones = np.ones(len(block))
+    gram = np.zeros((2 * n, 2 * n))
+    zsum = np.zeros(2 * n)
+    for j0 in range(0, m, rows):
+        b = block[: min(rows, m - j0)]
+        b[:, :n] = z1[j0 : j0 + len(b)]
+        b[:, n:] = _standard_draws(rng, inj.distribution, (len(b), n))
+        gram += b.T @ b
+        zsum += ones[: len(b)] @ b
+    zbar = zsum / m
+    s = gram / m - np.outer(zbar, zbar)
+    a, c = _folded_map(forest, inj)
+    cov = a.T @ (s @ a)
+    mu = zbar @ a
+    return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]
 
 
 def restrict_samples(samples, ids) -> VoltageSamples:

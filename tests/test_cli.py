@@ -1,11 +1,13 @@
+import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridforest import errors, fileio
-from gridforest.cli import _build_parser, _cmd_learn, main
+from gridforest.cli import _COMMANDS, LEARNER_ERRORS, _build_parser, _cmd_learn, main
 from gridforest.missing import MissingSpec
 from gridforest.synth import choose_hidden
 
@@ -246,6 +248,98 @@ def test_network_line_key_missing(tmp_path, capsys):
     assert f"{tmp_path / 'network.json'}: lines[2].x: missing" in err
 
 
+# Each edit breaks a bus_13_3 network document (16 nodes, 26 lines) in place
+# and returns the JSON path and the message the reader must give.
+
+
+def _set_line(k, key, value):
+    def edit(doc):
+        ln = doc["lines"][k]
+        ln[key] = value
+        return f"lines[{k}].{key}", {
+            "r": f"line ({ln['a']}, {ln['b']}) needs r > 0 and x > 0",
+            "x": f"line ({ln['a']}, {ln['b']}) needs r > 0 and x > 0",
+            "status": f"unknown line status {value!r}",
+            "a": f"line references unknown node {value}",
+        }[key]
+
+    return edit
+
+
+def _self_loop(doc):
+    a = doc["lines"][2]["a"]
+    doc["lines"][2]["b"] = a
+    return "lines[2].b", f"line endpoints must differ, got ({a}, {a})"
+
+
+def _gen_role(doc):
+    doc["nodes"][4]["role"] = "gen"
+    return "nodes[4].role", "unknown node role 'gen'"
+
+
+def _repeat_line(doc):  # the same two nodes, ends swapped
+    ln = doc["lines"][2]
+    doc["lines"].append({**ln, "a": ln["b"], "b": ln["a"]})
+    a, b = sorted((ln["a"], ln["b"]))
+    return "lines[26]", f"parallel lines between {a} and {b}"
+
+
+def _repeat_node(doc):
+    doc["nodes"].append(dict(doc["nodes"][1]))
+    return "nodes[16].id", f"duplicate node id {doc['nodes'][1]['id']}"
+
+
+def _close_loop(doc):  # a line from a node of depth 2 or more to its grandparent
+    forest = fileio.network_from_dict(doc)
+    a = next(i for i in forest.topo_order if forest.depth[i] >= 2)
+    g = forest.parent[forest.parent[a]]
+    doc["lines"].append({"a": a, "b": g, "r": 0.1, "x": 0.1})
+    return "lines[26]", f"operational lines close a loop through ({a}, {g})"
+
+
+def _join_substations(doc):
+    s1, s2 = [nd["id"] for nd in doc["nodes"] if nd["role"] == "substation"][:2]
+    doc["lines"].append({"a": s1, "b": s2, "r": 0.1, "x": 0.1})
+    k = next(k for k, nd in enumerate(doc["nodes"]) if nd["id"] == s2)
+    return f"nodes[{k}]", f"substations {s1} and {s2} share an operational component"
+
+
+def _lone_load(doc):
+    doc["nodes"].append({"id": 999, "role": "load"})
+    return "nodes[16]", "load nodes [999] unreachable from any substation"
+
+
+def _no_substation(doc):
+    for nd in doc["nodes"]:
+        nd["role"] = "load"
+    return "nodes", "forest needs at least one substation"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_line(3, "r", 0), _set_line(0, "x", float("nan")), _set_line(1, "status", "closed"),
+     _set_line(5, "a", 999), _self_loop, _gen_role, _repeat_line, _repeat_node, _close_loop,
+     _join_substations, _lone_load, _no_substation],
+    ids=["zero_r", "nan_x", "closed_status", "foreign_end", "self_loop", "gen_role",
+         "repeated_line", "repeated_node", "loop", "joined_substations", "unreachable_load",
+         "no_substation"],
+)
+def test_network_value_errors_name_file_and_path(tmp_path, capsys, edit):
+    # a value the network model rejects is MalformedJSON at its JSON path in
+    # the named file, and the CLI exits 1
+    expected = []
+    rc, err = _learn_after_edit(
+        tmp_path, capsys, "network.json", lambda doc: expected.extend(edit(doc)) or doc
+    )
+    where, message = expected
+    path = tmp_path / "network.json"
+    assert rc == 1
+    assert err == f"error: {path}: {where}: {message}\n"
+    with pytest.raises(errors.MalformedJSON) as exc_info:
+        fileio.load_network(path)
+    assert (exc_info.value.path, exc_info.value.where) == (str(path), where)
+
+
 def test_injection_value_not_a_number(tmp_path, capsys):
     def edit(doc):
         doc["nodes"][3]["var_q"] = "high"
@@ -264,6 +358,16 @@ def test_missing_spec_id_missing(tmp_path, capsys):
     rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
     assert rc == 1
     assert f"{tmp_path / 'missing.json'}: hidden[0].id: missing" in err
+
+
+def test_missing_spec_repeated_id(tmp_path, capsys):
+    def edit(doc):
+        doc["hidden"].append(dict(doc["hidden"][0]))
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
+    assert rc == 1
+    assert f"{tmp_path / 'missing.json'}: hidden[1].id: duplicate hidden node id " in err
 
 
 def _eval_after_edit(tmp_path, capsys, edit):
@@ -555,3 +659,44 @@ def test_learn_rejects_samples_of_other_nodes(tmp_path, capsys, corrupt, error, 
     err = capsys.readouterr().err
     assert str(path) in err and text in err
     assert not (tmp_path / "result.json").exists()
+
+
+def _documented_exit_codes() -> dict[str, int]:
+    """errors.py class name -> exit code, from the README's exit code list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Exit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    codes = {}
+    for item in section.split("* ")[1:]:
+        code, text = item.split(":", 1)
+        for name in re.findall(r"`([A-Z]\w+)`", text):
+            if name != "GridForestError" and hasattr(errors, name):
+                codes[name] = int(code)
+    return codes
+
+
+def _instance(cls):
+    """An instance of an errors.py class, with a placeholder for each argument."""
+    if cls.__init__ is Exception.__init__:
+        return cls("probe")
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return cls(*["probe" for p in params if p.default is p.empty])
+
+
+def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch, capsys):
+    documented = _documented_exit_codes()
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if inspect.isclass(cls) and issubclass(cls, errors.GridForestError)
+        and cls is not errors.GridForestError
+    }
+    assert set(documented) == set(classes)
+    assert {cls.__name__ for cls in LEARNER_ERRORS} == {
+        name for name, code in documented.items() if code == 2
+    }
+    for name, cls in classes.items():
+        def raiser(args, exc=_instance(cls)):
+            raise exc
+
+        monkeypatch.setitem(_COMMANDS, "synth", raiser)
+        assert main(["synth", "--out", str(tmp_path)]) == documented[name], name
+    capsys.readouterr()

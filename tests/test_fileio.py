@@ -235,29 +235,90 @@ def test_injection_json_round_trip_property(inj):
         assert _bits(getattr(back, name)) == _bits(getattr(inj, name))
 
 
+@st.composite
+def missing_specs(draw):
+    """A missing spec on distinct ids with finite covariances."""
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True))
+    return MissingSpec(
+        hidden=tuple(HiddenNodeInfo(i, draw(_FINITE), draw(_FINITE), draw(_FINITE)) for i in ids)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=missing_specs())
+def test_missing_spec_json_round_trip_property(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "missing.json"
+        fileio.save_missing(path, spec)
+        back = fileio.load_missing(path)
+    assert back.ids == spec.ids
+    for name in ("var_p", "var_q", "cov_pq"):
+        assert _bits([getattr(h, name) for h in back.hidden]) == _bits(
+            [getattr(h, name) for h in spec.hidden]
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest=networks(), inj=st.none() | injections())
+def test_result_json_round_trip_property(forest, inj):
+    # eval reads back the recovered parents and the injection estimate
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.json"
+        fileio.save_result(path, fileio.result_to_dict(forest, inj_hat=inj))
+        parent, back = fileio.result_from_dict(fileio.load_result(path), path)
+    assert parent == forest.parent
+    if inj is None:
+        assert back is None
+        return
+    assert back.node_ids == inj.node_ids
+    assert back.distribution == inj.distribution
+    for name in ("mu_p", "mu_q", "var_p", "var_q", "cov_pq"):
+        assert _bits(getattr(back, name)) == _bits(getattr(inj, name))
+
+
 # keys a reader defaults when absent; null is still no value of their type
-_OPTIONAL_KEYS = {"status", "distribution"}
+_OPTIONAL_KEYS = {"status", "distribution", "injection"}
+
+# what each kind of document is read with, and the keys of it nothing reads
+_READERS = {
+    "network": (fileio.load_network, set()),
+    "injection": (fileio.load_injection, set()),
+    "missing": (fileio.load_missing, set()),
+    "result": (lambda path: fileio.result_from_dict(fileio.load_result(path), path),
+               {"r", "x", "substations"}),
+}
 
 
-def _value_paths(doc):
-    """(keys, JSON path) of every value of a network or injection document:
-    the top-level keys and every key of each object in its arrays."""
-    for key, value in doc.items():
-        yield (key,), key
-        if isinstance(value, list):
-            for k, row in enumerate(value):
-                for field in row:
-                    yield (key, k, field), f"{key}[{k}].{field}"
+def _value_paths(value, keys=(), at=""):
+    """(keys, JSON path) of every value held by an object in a document,
+    however deeply nested in objects and arrays."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            where = f"{at}.{key}" if at else key
+            yield (*keys, key), where
+            yield from _value_paths(item, (*keys, key), where)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _value_paths(item, (*keys, k), f"{at}[{k}]")
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["network", "injection"]), forest=networks(), inj=injections(),
-       null=st.booleans(), data=st.data())
-def test_json_missing_or_null_key_property(kind, forest, inj, null, data):
-    # deleting a required key, or setting any key to null, is MalformedJSON at
-    # that key's JSON path, never a KeyError or a TypeError
-    doc = fileio.network_to_dict(forest) if kind == "network" else fileio.injection_to_dict(inj)
-    paths = [p for p in _value_paths(doc) if null or p[0][-1] not in _OPTIONAL_KEYS]
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_READERS)), forest=networks(), inj=injections(),
+       spec=missing_specs(), null=st.booleans(), data=st.data())
+def test_json_missing_or_null_key_property(kind, forest, inj, spec, null, data):
+    # deleting a required key, or setting any key that is read to null, is
+    # MalformedJSON at that key's JSON path, never a KeyError or a TypeError
+    doc = {
+        "network": lambda: fileio.network_to_dict(forest),
+        "injection": lambda: fileio.injection_to_dict(inj),
+        "missing": lambda: fileio.missing_to_dict(spec),
+        "result": lambda: fileio.result_to_dict(forest, inj_hat=inj),
+    }[kind]()
+    load, unread = _READERS[kind]
+    paths = [
+        p for p in _value_paths(doc)
+        if p[0][-1] not in unread and (null or p[0][-1] not in _OPTIONAL_KEYS)
+    ]
     keys, where = data.draw(st.sampled_from(paths))
     holder = doc
     for key in keys[:-1]:
@@ -270,7 +331,7 @@ def test_json_missing_or_null_key_property(kind, forest, inj, null, data):
         path = Path(tmp) / f"{kind}.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedJSON) as exc_info:
-            (fileio.load_network if kind == "network" else fileio.load_injection)(path)
+            load(path)
     assert exc_info.value.where == where
     assert exc_info.value.path == str(path)
 

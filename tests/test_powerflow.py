@@ -18,7 +18,8 @@ from gridforest.powerflow import (
     _standard_draws,
     analytic_moments,
     apply_path_inverse,
-    sample_moments,
+    draw_moments,
+    fold_moments,
     sample_voltages,
     solve_lcpf,
 )
@@ -32,6 +33,7 @@ from conftest import (
     reference_analytic_moments,
     reference_sample_voltages,
     magnitude_only,
+    one_pass_sample_moments,
     restrict_samples,
     sampled_moments,
 )
@@ -356,7 +358,8 @@ def assert_moments_from_draws(spec, hidden, m, dist):
     forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
     hidden = choose_hidden(forest, hidden, 3) if hidden else ()
     seed = [7, 1, m]
-    got = empirical_moments(forest, inj, m, seed, hidden)
+    draws = draw_moments(dist, m, forest.n_loads, seed)
+    got = empirical_moments(forest, inj, m, draws, hidden)
     want = sampled_moments(forest, inj, m, seed, hidden)
     assert got.node_ids == want.node_ids
     assert got.zero_ids == want.zero_ids
@@ -383,12 +386,25 @@ def test_moments_from_draws_across_draw_blocks(spec, hidden, blocks, extra, dist
     assert_moments_from_draws(spec, hidden, m, dist)
 
 
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("spec", [preset("bus_13_3"), preset("bus_29_1")], ids=["n13", "n29"])
+def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
+    # the draw and fold steps, composed, are bit for bit the one-pass blocked
+    # moments, on each side of the first draw-block boundary
+    forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
+    m, seed = _draw_rows(forest.n_loads) + extra, [7, 1]
+    want = one_pass_sample_moments(forest, inj, m, seed)
+    zbar, s = draw_moments(dist, m, forest.n_loads, seed)
+    assert zbar.shape == (2 * forest.n_loads,) and s.shape == (2 * forest.n_loads,) * 2
+    for a, b in zip(fold_moments(forest, inj, zbar, s), want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_moments_from_draws_need_two_samples():
     forest, inj = synth_feeder(preset("bus_13_3"), 5)
     with pytest.raises(TooFewSamples):
-        sample_moments(forest, inj, 1, 0)
-    with pytest.raises(TooFewSamples):
-        empirical_moments(forest, inj, 1, 0)
+        draw_moments(inj.distribution, 1, forest.n_loads, 0)
 
 
 def test_empirical_matches_analytic_at_clt_scale(chain2):
