@@ -113,11 +113,11 @@ class SingularSystem(GridForestError):
 
 
 class NoRealRoot(GridForestError):
-    """Edge-parameter quadratic has no real root within tolerance."""
+    """Edge statistics admit no line parameters with r, x > 0 within tolerance."""
 
 
 class BothRootsFeasible(GridForestError):
-    """Edge-parameter quadratic admits two indistinguishable solutions.
+    """Edge statistics admit two line-parameter solutions that fit equally well.
 
     Carries ``candidates`` with both (r, x, cov_sum) triples.
     """

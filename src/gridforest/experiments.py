@@ -214,7 +214,7 @@ def run_learner(
         forest, estimates, diag = learn_structure_and_params(
             momset, vp, vq, declared, rel_tol=tol_rel, return_diagnostics=True
         )
-        return forest, dict(edge_estimates=estimates, margins=diag.structure.decisions)
+        return forest, dict(edge_estimates=estimates, margins=diag.decisions)
     forest, diag = learn_with_missing(momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel)
     return forest, dict(events=diag.events)
 

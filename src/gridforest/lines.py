@@ -1,33 +1,33 @@
 """Per-edge impedance recovery when injection variances are known.
 
-For an edge between a node and its parent, the three pairwise statistics
-(eps, theta, cross) satisfy
+An edge's three pairwise statistics (eps A, theta B, cross C) and the
+subtree sums (Sp, Sq, S) of (var_p, var_q, cov_pq) below it satisfy the
+complex edge relation that ``structure.solve_edge_system`` inverts for the
+sums when z = r + jx is known:
 
-    A = r^2 Sp + x^2 Sq + 2 r x S
-    B = x^2 Sp + r^2 Sq - 2 r x S
-    C = r x (Sp - Sq) + (x^2 - r^2) S
+    A + B = |z|^2 (Sp + Sq),    W = A - B + 2jC = z^2 (Sp - Sq - 2jS).
 
-with Sp, Sq, S the subtree sums of var_p, var_q, cov_pq.  With Sp and Sq
-known a priori, eliminating x and S leaves a quadratic in r^2: adding the
-first two equations pins T = r^2 + x^2 = (A + B) / (Sp + Sq), and the
-remaining two reduce (with u = r^2, D = 2u - T, w = r x, d = Sp - Sq) to
-
-    u^2 [(A-B)^2 + 4C^2] - u T [(A-B)^2 + 4C^2 + dT(A-B)]
-        + T^2 [(A-B) + dT]^2 / 4  =  0.
-
-Squaring w = sqrt(u (T - u)) introduces a mirror root; it is rejected by
-the sign of the unsquared relation 4 C w = d T^2 - (A-B) D and by the
-positivity of the implied covariance sum.
+Here Sp and Sq are known and the relation is inverted for (z, S): the first
+equation pins T = |z|^2, the modulus of the second then pins |S| through
+|Sp - Sq - 2jS| = |W| / T (so |Sp - Sq| <= |W| / T is needed), and each sign
+of S gives z^2 = W / (Sp - Sq - 2jS).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BothRootsFeasible, NoRealRoot, SingularSystem, UnobservedNode
+from .errors import (
+    AssumptionViolated,
+    BothRootsFeasible,
+    NoRealRoot,
+    SingularSystem,
+    UnobservedNode,
+)
 from .moments import MomentSet
 from .structure import (
     StructureDiagnostics,
@@ -45,8 +45,8 @@ class EdgeEstimate:
     x_hat: float
     cov_pq_hat: float
     residual: float
-    root_choice: str  # "plus" | "minus"
-    coincident: bool = False
+    root_choice: str  # "plus" | "minus": the larger | smaller r^2 of the two solutions
+    coincident: bool = False  # the two r^2 agree to about sqrt(rel_tol) relative
     sign_violation: bool = False  # implied covariance sum came out non-positive
 
 
@@ -64,93 +64,62 @@ def estimate_edge(
 
     ``sum_var_p`` / ``sum_var_q`` are the known subtree sums including the
     node itself; ``desc_cov_pq`` is the already-known covariance sum of the
-    strict descendants, subtracted from the recovered subtree total.
+    strict descendants, subtracted from the recovered subtree total.  Of the
+    solutions those with r, x > 0 are kept and a positive covariance sum is
+    preferred.  While |C| <= rel_tol (A + B) leaves the sign of C open, the
+    solutions for conj(W) count too: each mirrors one for W as (r, -x, -S).
     """
     if not (sum_var_p > 0.0 and sum_var_q > 0.0):
-        raise ValueError("subtree variance sums must be positive")
+        raise ValueError(
+            f"subtree variance sums must be positive (Sp {sum_var_p:g}, Sq {sum_var_q:g})"
+        )
     if not (a_stat > 0.0 and b_stat > 0.0):
-        raise ValueError("pairwise statistics must be positive")
+        raise ValueError(f"pairwise statistics must be positive (A {a_stat:g}, B {b_stat:g})")
 
-    t_sum = (a_stat + b_stat) / (sum_var_p + sum_var_q)
+    scale = a_stat + b_stat
+    t_sum = scale / (sum_var_p + sum_var_q)
     d = sum_var_p - sum_var_q
-    e = a_stat - b_stat
-
-    alpha = e * e + 4.0 * c_stat * c_stat
-    stat_scale = (a_stat + b_stat) ** 2
-    if alpha <= rel_tol * rel_tol * stat_scale:
+    w = complex(a_stat - b_stat, 2.0 * c_stat)
+    if abs(w) <= rel_tol * scale:
         # A = B and C = 0: consistent only with a zero covariance sum, and
         # any (r, x) on the circle r^2 + x^2 = T.  Report what is pinned.
-        exc = SingularSystem(
-            "statistics identify only r^2 + x^2 (A = B and C = 0); "
-            f"r^2 + x^2 = {t_sum:.6e}, cov sum = 0"
-        )
+        exc = SingularSystem(f"A = B, C = 0 pin only r^2 + x^2 = {t_sum:.6e} (cov sum 0)")
         exc.identifiable = {"r2_plus_x2": t_sum, "sum_cov_pq": 0.0}
         raise exc
-    beta = t_sum * (alpha + d * t_sum * e)
-    gamma = t_sum * t_sum * (e + d * t_sum) ** 2 / 4.0
+    mod = abs(w) / t_sum  # |Sp - Sq - 2jS|
+    if abs(d) > (1.0 + rel_tol) * mod:
+        raise NoRealRoot(f"|Sp - Sq| = {abs(d):.6e} exceeds |A - B + 2jC| / T = {mod:.6e}")
+    s_abs = math.sqrt(max(mod - abs(d), 0.0) * (mod + abs(d))) / 2.0
 
-    # beta^2 - 4 alpha gamma in closed form: the difference itself cancels
-    # to half its digits when the two roots nearly coincide.
-    disc = 4.0 * c_stat * c_stat * t_sum * t_sum * (alpha - (d * t_sum) ** 2)
-    disc_scale = max(beta * beta, abs(4.0 * alpha * gamma), 1e-300)
-    if disc < -rel_tol * disc_scale:
-        raise NoRealRoot(f"discriminant {disc:.3e} below tolerance")
-    coincident = bool(disc <= rel_tol * disc_scale)
-    disc = max(float(disc), 0.0)
-    sq = math.sqrt(disc)
-    roots = [((beta + sq) / (2.0 * alpha), "plus"), ((beta - sq) / (2.0 * alpha), "minus")]
-
-    c_floor = rel_tol * (a_stat + b_stat)
+    sols = [(s, cmath.sqrt(w / complex(d, -2.0 * s))) for s in (s_abs, -s_abs)]
+    u_pair = [z.real**2 for _, z in sols]
+    coincident = abs(u_pair[0] - u_pair[1]) <= math.sqrt(rel_tol) * sum(u_pair)
     candidates = []
-    for u, choice in roots:
-        v = t_sum - u
-        if u <= rel_tol * t_sum or v <= rel_tol * t_sum:
+    for (s, z), u, u_other in zip(sols, u_pair, u_pair[::-1]):
+        if z.imag < 0.0 and abs(c_stat) <= rel_tol * scale:
+            s, z = -s, z.conjugate()  # the solution for conj(W)
+        v, rx = z.imag**2, z.real * z.imag
+        if u <= rel_tol * t_sum or v <= rel_tol * t_sum or z.imag < 0.0:
             continue  # r, x must both be positive
-        w = math.sqrt(u * v)
-        if abs(c_stat) > c_floor:
-            w_pred = (d * t_sum * t_sum - e * (2.0 * u - t_sum)) / (4.0 * c_stat)
-            if w_pred < -rel_tol * max(w, abs(w_pred)):
-                continue
-        s = (e - (2.0 * u - t_sum) * d) / (4.0 * w)
         resid = (
-            abs(u * sum_var_p + v * sum_var_q + 2.0 * w * s - a_stat)
-            + abs(v * sum_var_p + u * sum_var_q - 2.0 * w * s - b_stat)
-            + abs(w * d + (v - u) * s - c_stat)
+            abs(u * sum_var_p + v * sum_var_q + 2.0 * rx * s - a_stat)
+            + abs(v * sum_var_p + u * sum_var_q - 2.0 * rx * s - b_stat)
+            + abs(rx * d + (v - u) * s - c_stat)
         )
-        candidates.append((resid, u, v, w, s, choice))
-
+        candidates.append((resid, u, z, s, "plus" if u >= u_other else "minus"))
     if not candidates:
-        raise NoRealRoot("no feasible root with positive impedances")
+        raise NoRealRoot("no solution with positive impedances")
 
-    positive = [c for c in candidates if c[4] > 0.0]
-    pool = positive if positive else candidates
-    pool.sort(key=lambda c: c[0])
-    resid_scale = a_stat + b_stat + abs(c_stat)
-    if len(pool) >= 2:
-        r0, r1 = pool[0][0], pool[1][0]
-        distinct = abs(pool[0][1] - pool[1][1]) > max(rel_tol * t_sum, 1e-300)
-        if distinct and r0 <= rel_tol * resid_scale and r1 <= rel_tol * resid_scale:
-            raise BothRootsFeasible(
-                "two consistent (r, x) solutions",
-                candidates=[
-                    (math.sqrt(c[1]), math.sqrt(c[2]), c[4]) for c in pool[:2]
-                ],
-            )
-    resid, u, v, w, s, choice = pool[0]
+    positive = [c for c in candidates if c[3] > 0.0]
+    pool = sorted(positive or candidates, key=lambda c: c[0])
+    distinct = len(pool) >= 2 and abs(pool[0][1] - pool[1][1]) > max(rel_tol * t_sum, 1e-300)
+    if distinct and pool[1][0] <= rel_tol * (scale + abs(c_stat)):
+        pair = [(c[2].real, c[2].imag, c[3]) for c in pool[:2]]
+        raise BothRootsFeasible("two consistent (r, x) solutions", candidates=pair)
+    resid, _, z, s, choice = pool[0]
     return EdgeEstimate(
-        r_hat=math.sqrt(u),
-        x_hat=math.sqrt(v),
-        cov_pq_hat=s - desc_cov_pq,
-        residual=float(resid),
-        root_choice=choice,
-        coincident=coincident,
-        sign_violation=not positive,
+        z.real, z.imag, s - desc_cov_pq, float(resid), choice, coincident, not positive
     )
-
-
-@dataclass
-class ParamLearnDiagnostics:
-    structure: StructureDiagnostics = field(default_factory=StructureDiagnostics)
 
 
 def learn_structure_and_params(
@@ -165,9 +134,12 @@ def learn_structure_and_params(
     """Recover the forest, then per discovered edge its (r, x) and own cov_pq.
 
     ``var_p`` / ``var_q`` map node id to the known true injection variances.
+    An edge whose variance sums or statistics are not positive raises
+    AssumptionViolated naming it.  With ``return_diagnostics`` the parent
+    selections' ``StructureDiagnostics`` come third.
     """
-    diag = ParamLearnDiagnostics()
-    parent = recover_parent_map(momset, substation_children, diagnostics=diag.structure)
+    diag = StructureDiagnostics()
+    parent = recover_parent_map(momset, substation_children, diagnostics=diag)
     momset = momset.with_zero_ids(substation_children.keys())
 
     missing = [a for a in parent if a not in var_p or a not in var_q]
@@ -182,20 +154,17 @@ def learn_structure_and_params(
     for a in order:
         b = parent[a]
         desc_p, desc_q, desc_s = desc[a].tolist()
-        sp = var_p[a] + desc_p
-        sq = var_q[a] + desc_q
-        est = estimate_edge(*stats[a], sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol)
+        sp, sq = var_p[a] + desc_p, var_q[a] + desc_q
+        try:
+            est = estimate_edge(*stats[a], sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol)
+        except ValueError as exc:
+            raise AssumptionViolated(f"edge (child {a}, parent {b}): {exc}") from exc
         estimates[(a, b)] = est
         if b in desc:
             desc[b] += (sp, sq, est.cov_pq_hat + desc_s)
 
-    line_params = {
-        ((a, b) if a < b else (b, a)): (est.r_hat, est.x_hat)
-        for (a, b), est in estimates.items()
-    }
-    forest = forest_from_parent_map(
-        parent, substation_children.keys(), line_params=line_params
-    )
+    line_params = {tuple(sorted(e)): (est.r_hat, est.x_hat) for e, est in estimates.items()}
+    forest = forest_from_parent_map(parent, substation_children, line_params=line_params)
     if return_diagnostics:
         return forest, estimates, diag
     return forest, estimates

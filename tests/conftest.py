@@ -17,7 +17,9 @@ package did before it split the sample moments into ``draw_moments`` and
 The path-entry and descendant oracles walk the parent and children links.
 The scalar parent-selection oracle takes one pop's row at a time.
 The linear edge oracle solves one edge for (r, x) when its covariance sum is
-known too, the cross check of the quadratic path.
+known too.  The quadratic edge oracle solves one edge for (r, x, cov_pq) as
+a quadratic in r^2, eliminating the covariance sum, against the complex
+closed form of ``lines.estimate_edge``.
 """
 
 import functools
@@ -26,7 +28,14 @@ import math
 import numpy as np
 import pytest
 
-from gridforest.errors import IncompleteCover, NoRealRoot, SingularSystem, UnobservedNode
+from gridforest.errors import (
+    BothRootsFeasible,
+    IncompleteCover,
+    NoRealRoot,
+    SingularSystem,
+    UnobservedNode,
+)
+from gridforest.lines import EdgeEstimate
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest
 from gridforest.powerflow import (
@@ -265,6 +274,109 @@ def estimate_edge_linear(a_stat, b_stat, c_stat, sum_var_p, sum_var_q, sum_cov_p
     if u <= 0.0 or v <= 0.0:
         raise NoRealRoot(f"linear path produced non-positive squares ({u:.3e}, {v:.3e})")
     return math.sqrt(u), math.sqrt(v), zz.imag / 2.0
+
+
+def quadratic_estimate_edge(
+    a_stat: float,
+    b_stat: float,
+    c_stat: float,
+    sum_var_p: float,
+    sum_var_q: float,
+    desc_cov_pq: float = 0.0,
+    *,
+    rel_tol: float = 1e-9,
+) -> EdgeEstimate:
+    """Oracle for ``lines.estimate_edge``: the same inversion as a quadratic
+    in u = r^2.  With T = r^2 + x^2 = (A + B) / (Sp + Sq), D = 2u - T,
+    w = r x, d = Sp - Sq and e = A - B, eliminating x and S leaves
+
+        u^2 [e^2 + 4C^2] - u T [e^2 + 4C^2 + dTe] + T^2 [e + dT]^2 / 4 = 0.
+
+    Squaring w = sqrt(u (T - u)) introduces a mirror root; it is rejected by
+    the sign of the unsquared relation 4 C w = d T^2 - e D (skipped while
+    |C| <= rel_tol (A + B) leaves C's sign open) and by preferring a
+    positive covariance sum.
+    """
+    if not (sum_var_p > 0.0 and sum_var_q > 0.0):
+        raise ValueError("subtree variance sums must be positive")
+    if not (a_stat > 0.0 and b_stat > 0.0):
+        raise ValueError("pairwise statistics must be positive")
+
+    t_sum = (a_stat + b_stat) / (sum_var_p + sum_var_q)
+    d = sum_var_p - sum_var_q
+    e = a_stat - b_stat
+
+    alpha = e * e + 4.0 * c_stat * c_stat
+    stat_scale = (a_stat + b_stat) ** 2
+    if alpha <= rel_tol * rel_tol * stat_scale:
+        # A = B and C = 0: consistent only with a zero covariance sum, and
+        # any (r, x) on the circle r^2 + x^2 = T.  Report what is pinned.
+        exc = SingularSystem(
+            "statistics identify only r^2 + x^2 (A = B and C = 0); "
+            f"r^2 + x^2 = {t_sum:.6e}, cov sum = 0"
+        )
+        exc.identifiable = {"r2_plus_x2": t_sum, "sum_cov_pq": 0.0}
+        raise exc
+    beta = t_sum * (alpha + d * t_sum * e)
+    gamma = t_sum * t_sum * (e + d * t_sum) ** 2 / 4.0
+
+    # beta^2 - 4 alpha gamma in closed form: the difference itself cancels
+    # to half its digits when the two roots nearly coincide.
+    disc = 4.0 * c_stat * c_stat * t_sum * t_sum * (alpha - (d * t_sum) ** 2)
+    disc_scale = max(beta * beta, abs(4.0 * alpha * gamma), 1e-300)
+    if disc < -rel_tol * disc_scale:
+        raise NoRealRoot(f"discriminant {disc:.3e} below tolerance")
+    coincident = bool(disc <= rel_tol * disc_scale)
+    disc = max(float(disc), 0.0)
+    sq = math.sqrt(disc)
+    roots = [((beta + sq) / (2.0 * alpha), "plus"), ((beta - sq) / (2.0 * alpha), "minus")]
+
+    c_floor = rel_tol * (a_stat + b_stat)
+    candidates = []
+    for u, choice in roots:
+        v = t_sum - u
+        if u <= rel_tol * t_sum or v <= rel_tol * t_sum:
+            continue  # r, x must both be positive
+        w = math.sqrt(u * v)
+        if abs(c_stat) > c_floor:
+            w_pred = (d * t_sum * t_sum - e * (2.0 * u - t_sum)) / (4.0 * c_stat)
+            if w_pred < -rel_tol * max(w, abs(w_pred)):
+                continue
+        s = (e - (2.0 * u - t_sum) * d) / (4.0 * w)
+        resid = (
+            abs(u * sum_var_p + v * sum_var_q + 2.0 * w * s - a_stat)
+            + abs(v * sum_var_p + u * sum_var_q - 2.0 * w * s - b_stat)
+            + abs(w * d + (v - u) * s - c_stat)
+        )
+        candidates.append((resid, u, v, w, s, choice))
+
+    if not candidates:
+        raise NoRealRoot("no feasible root with positive impedances")
+
+    positive = [c for c in candidates if c[4] > 0.0]
+    pool = positive if positive else candidates
+    pool.sort(key=lambda c: c[0])
+    resid_scale = a_stat + b_stat + abs(c_stat)
+    if len(pool) >= 2:
+        r0, r1 = pool[0][0], pool[1][0]
+        distinct = abs(pool[0][1] - pool[1][1]) > max(rel_tol * t_sum, 1e-300)
+        if distinct and r0 <= rel_tol * resid_scale and r1 <= rel_tol * resid_scale:
+            raise BothRootsFeasible(
+                "two consistent (r, x) solutions",
+                candidates=[
+                    (math.sqrt(c[1]), math.sqrt(c[2]), c[4]) for c in pool[:2]
+                ],
+            )
+    resid, u, v, w, s, choice = pool[0]
+    return EdgeEstimate(
+        r_hat=math.sqrt(u),
+        x_hat=math.sqrt(v),
+        cov_pq_hat=s - desc_cov_pq,
+        residual=float(resid),
+        root_choice=choice,
+        coincident=coincident,
+        sign_violation=not positive,
+    )
 
 
 def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:

@@ -155,6 +155,33 @@ def test_learn_params_from_samples_cli(workspace):
     assert fileio.load_result(out)["line_estimates"] == expected
 
 
+@pytest.mark.parametrize(
+    "load, parent, quantity",
+    [(2, 9, r"subtree variance sums must be positive \(Sp 0, Sq 0\)"),
+     (1, 6, r"pairwise statistics must be positive \(A 0, B 0\)")],
+)
+def test_learn_params_names_the_edge_of_a_zero_variance_load(
+    tmp_path, capsys, load, parent, quantity
+):
+    # valid injection JSON whose load has no variance breaks the learner's
+    # precondition on that load's edge
+    assert main(["synth", "--preset", "bus_13_3", "--seed", "0", "--out", str(tmp_path)]) == 0
+    inj = json.loads((tmp_path / "injection.json").read_text())
+    node = next(n for n in inj["nodes"] if n["id"] == load)
+    node["var_p"] = node["var_q"] = node["cov_pq"] = 0.0
+    (tmp_path / "zero.json").write_text(json.dumps(inj))
+    args = ["learn-params", "--network", str(tmp_path / "network.json"),
+            "--inj", str(tmp_path / "zero.json"), "--analytic",
+            "--out", str(tmp_path / "params.json")]
+    message = rf"edge \(child {load}, parent {parent}\): {quantity}"
+    with pytest.raises(errors.AssumptionViolated, match=message):
+        _cmd_learn(_build_parser().parse_args(args))
+    capsys.readouterr()
+    assert main(args) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "params.json").exists()
+
+
 def test_reproduce_fig4_quick(tmp_path, capsys):
     rc = main(["reproduce-fig4", "--out", str(tmp_path), "--seeds", "2"])
     assert rc == 0

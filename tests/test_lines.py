@@ -3,14 +3,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gridforest.errors import NoRealRoot, SingularSystem, UnobservedNode
+from gridforest.errors import BothRootsFeasible, NoRealRoot, SingularSystem, UnobservedNode
 from gridforest.lines import estimate_edge, learn_structure_and_params
 from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
 from gridforest.powerflow import analytic_moments, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
-from conftest import estimate_edge_linear, magnitude_only, random_feeder
+from conftest import (
+    estimate_edge_linear,
+    magnitude_only,
+    quadratic_estimate_edge,
+    random_feeder,
+)
 
 
 def forward_stats(r, x, sp, sq, s):
@@ -156,6 +161,96 @@ def test_linear_path_agrees_with_quadratic():
         assert r_lin == pytest.approx(est.r_hat, rel=1e-8)
         assert x_lin == pytest.approx(est.x_hat, rel=1e-8)
         assert w == pytest.approx(r * x, rel=1e-8)
+
+
+def test_both_roots_feasible():
+    # |C| <= rel_tol (A + B) leaves C's sign open, and both solutions fit
+    with pytest.raises(BothRootsFeasible) as exc_info:
+        estimate_edge(
+            0.6560959143983695,
+            0.6560959159752681,
+            -4.05796786911667e-10,
+            0.7634834309038385,
+            0.7634834325675252,
+        )
+    (r0, x0, s0), (r1, x1, s1) = exc_info.value.candidates
+    assert (r0, x0) == pytest.approx((0.7882257953135748, 0.48789898258725634), rel=1e-12)
+    assert (r1, x1) == pytest.approx((0.924121881746607, 0.0731031414133985), rel=1e-9)
+    assert s0 == pytest.approx(-6.105989145535878e-10, rel=1e-9)
+    assert s1 == pytest.approx(s0, rel=1e-9)
+
+
+def _outcome(solver, stats, rel_tol):
+    try:
+        return solver(*stats, rel_tol=rel_tol)
+    except (NoRealRoot, SingularSystem, BothRootsFeasible) as exc:
+        return type(exc)
+
+
+def _root_gap(a, b, c, sp, sq):
+    """|u+ - u-| / (u+ + u-) of the quadratic's two roots u = r^2 (0 when complex)."""
+    t = (a + b) / (sp + sq)
+    d, e = sp - sq, a - b
+    alpha = e * e + 4.0 * c * c
+    beta = t * (alpha + d * t * e)
+    disc = 4.0 * c * c * t * t * (alpha - (d * t) ** 2)
+    return np.sqrt(max(disc, 0.0)) / abs(beta)
+
+
+@st.composite
+def edge_statistics(draw):
+    """(A, B, C, Sp, Sq): exact, noisy by up to 3% of A + B, or near A = B, C = 0."""
+    kind = draw(st.sampled_from(["exact", "noisy", "near_singular"]))
+    if kind == "near_singular":
+        base, sp = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+        eps = 10.0 ** draw(st.floats(-12.0, -2.0))
+        ea, eb, ec, ed = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
+        c_scale = draw(st.sampled_from([1.0, 1e-3, 0.0]))
+        d_scale = draw(st.sampled_from([0.0, 1.0, 3.0]))
+        sq = sp * (1.0 + eps * ed * d_scale)
+        return base + eps * ea, base + eps * eb, base * eps * ec * c_scale, sp, sq
+    r, x = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
+    sp, sq = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0))
+    s = draw(st.floats(-0.95, 0.95)) * np.sqrt(sp * sq)
+    a, b, c = forward_stats(r, x, sp, sq, s)
+    if kind == "noisy":
+        a, b, c = ((a + b) * draw(st.floats(-0.03, 0.03)) + v for v in (a, b, c))
+        assume(a > 0.0 and b > 0.0)
+    return a, b, c, sp, sq
+
+
+@settings(max_examples=400, deadline=None)
+@given(stats=edge_statistics(), rel_tol=st.sampled_from([1e-9, 1e-6]))
+def test_agrees_with_quadratic_oracle_property(stats, rel_tol):
+    """The closed form against the quadratic in r^2 it replaced."""
+    new = _outcome(estimate_edge, stats, rel_tol)
+    old = _outcome(quadratic_estimate_edge, stats, rel_tol)
+    a, b, c, sp, sq = stats
+    t = (a + b) / (sp + sq)
+    if (new is NoRealRoot) != (old is NoRealRoot):
+        # past |Sp - Sq| = |W| / T the two roots turn complex; the closed
+        # form takes |Sp - Sq| <= (1 + rel_tol) |W| / T as a double root, the
+        # quadratic a discriminant down to -rel_tol times the roots' squared sum
+        assert abs(sp - sq) * t > abs(complex(a - b, 2.0 * c))
+        assert (old if new is NoRealRoot else new).coincident
+        return
+    if isinstance(old, type) or isinstance(new, type):
+        assert new is old
+        return
+    if new.coincident != old.coincident:
+        assert 0.1 <= _root_gap(*stats) / np.sqrt(rel_tol) <= 10.0
+    if new.coincident or old.coincident:
+        # the quadratic merges coincident roots to their midpoint, which
+        # moves r^2 by up to half the gap, and with it the choice of root
+        # and the covariance sum's sign; the closed form keeps each root
+        assert new.r_hat**2 == pytest.approx(old.r_hat**2, abs=np.sqrt(rel_tol) * t)
+        assert new.residual <= old.residual + rel_tol * (a + b)
+        return
+    assert (new.root_choice, new.sign_violation) == (old.root_choice, old.sign_violation)
+    # near |Sp - Sq| = |W| / T both lose digits of a small S to cancellation
+    tol = {"r_hat": np.sqrt(t), "x_hat": np.sqrt(t), "cov_pq_hat": sp + sq}
+    for field, ref in tol.items():
+        assert getattr(new, field) == pytest.approx(getattr(old, field), rel=1e-6, abs=1e-9 * ref)
 
 
 # -- combined learner ------------------------------------------------------------------
