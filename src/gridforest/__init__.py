@@ -16,7 +16,6 @@ from .powerflow import (
     VoltageSamples,
     analytic_moments,
     sample_voltages,
-    solve_lcpf,
 )
 from .lines import EdgeEstimate, estimate_edge, learn_structure_and_params
 from .missing import (
@@ -56,7 +55,6 @@ __all__ = [
     "preset",
     "residual_match",
     "sample_voltages",
-    "solve_lcpf",
     "synth_feeder",
     "validate_missing_spec",
 ]

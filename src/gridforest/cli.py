@@ -194,10 +194,14 @@ def _cmd_learn(args) -> int:
             raise AssumptionViolated(f"{args.missing}: {'; '.join(violations)}")
     inj = fileio.load_injection(args.inj) if args.inj else None
     momset = _load_momset(args, truth, inj, hidden=spec.ids if spec else ())
+    estimate = not getattr(args, "no_estimate", False)
+    if args.command == "learn" and estimate and not momset.has_theta:
+        raise UnobservedNode(f"{args.data}: statistics estimation needs the theta "
+                             "channel; pass --no-estimate to learn the structure only")
     forest, parts = run_learner(
         args.command, momset, truth.substation_children(), line_param_map(truth.lines), inj,
         analytic=args.analytic, spec=spec, tol_rel=getattr(args, "tol_rel", None),
-        estimate=not getattr(args, "no_estimate", False),
+        estimate=estimate,
     )
     metrics = {"struct_err": structural_error(truth, forest.parent)}
     if parts.get("inj_hat") is not None and inj is not None:

@@ -49,7 +49,7 @@ from .moments import MomentSet
 from .network import RadialForest, line_param_map
 from .powerflow import InjectionModel, analytic_moments, draw_moments, fold_moments
 from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
-from .structure import estimate_injection_stats, learn_structure
+from .structure import check_fluctuating, estimate_injection_stats, learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
 TASKS = ("learn", "learn-params", "learn-missing")
@@ -202,6 +202,8 @@ def run_learner(
     (``analytic``) and 1e-6 on samples.
     """
     if task == "learn":
+        if analytic:  # such moments give a wrong forest, with no error
+            check_fluctuating(*inj.as_maps()[:2], momset.node_ids)
         forest, diag = learn_structure(
             momset, declared, line_params=params, return_diagnostics=True
         )

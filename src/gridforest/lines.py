@@ -32,7 +32,6 @@ from .moments import MomentSet
 from .structure import (
     StructureDiagnostics,
     forest_from_parent_map,
-    leaf_upward_edges,
     recover_parent_map,
 )
 
@@ -146,17 +145,21 @@ def learn_structure_and_params(
     if missing:
         raise UnobservedNode(f"known variances missing for nodes {missing}")
 
-    order, stats = leaf_upward_edges(momset, parent)
+    # pop order is leaf-first: every node pops before its parent
+    order = list(parent)
+    eps, theta, cross = momset.edge_stats(order, [parent[a] for a in order])
+    if theta is None:
+        raise UnobservedNode("line-parameter estimation needs the theta channel")
     # strict-descendant sums of var_p, var_q and the estimated cov_pq
     desc = {a: np.zeros(3) for a in parent}
     estimates: dict[tuple[int, int], EdgeEstimate] = {}
 
-    for a in order:
+    for a, *stats in zip(order, eps.tolist(), theta.tolist(), cross.tolist()):
         b = parent[a]
         desc_p, desc_q, desc_s = desc[a].tolist()
         sp, sq = var_p[a] + desc_p, var_q[a] + desc_q
         try:
-            est = estimate_edge(*stats[a], sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol)
+            est = estimate_edge(*stats, sp, sq, desc_cov_pq=desc_s, rel_tol=rel_tol)
         except ValueError as exc:
             raise AssumptionViolated(f"edge (child {a}, parent {b}): {exc}") from exc
         estimates[(a, b)] = est

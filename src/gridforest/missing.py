@@ -41,6 +41,7 @@ from .network import RadialForest
 from .structure import (
     StructureDiagnostics,
     _declared_map,
+    check_fluctuating,
     forest_from_parent_map,
     recover_parent_map,
 )
@@ -183,7 +184,7 @@ class _MissingLearner:
         self.lines = line_params
         self.tol_rel = tol_rel
 
-        observed = set(self.momset.observed) - self.momset.zero_ids
+        observed = set(self.momset.node_ids)
         overlap = self.hidden_left & observed
         if overlap:
             raise AssumptionViolated(f"hidden nodes {sorted(overlap)} have observations")
@@ -195,6 +196,7 @@ class _MissingLearner:
         missing_cov = [a for a in observed if a not in self.var_p or a not in self.cov_pq]
         if missing_cov:
             raise UnobservedNode(f"known covariances missing for nodes {missing_cov}")
+        check_fluctuating(self.var_p, self.var_q, sorted(observed | self.hidden_left))
 
         self.parent: dict[int, int] = {}
         self.parked: dict[int, list[int]] = {}
@@ -320,19 +322,13 @@ class _MissingLearner:
         except IncompleteCover as exc:
             selected = exc.parent_map
             dangling.append(sdiag.pop_order[-1])
-        order = sdiag.pop_order
-        pos = {a: i for i, a in enumerate(order)}
+        pos = {a: i for i, a in enumerate(sdiag.pop_order)}
         target = {a: t for a, t in selected.items() if a not in self.declared}
-
-        fired: dict[int, list[int]] = {}
-        for a, t in target.items():
-            fired.setdefault(t, []).append(a)
-        for t in fired:
-            fired[t].sort(key=lambda a: pos[a])
+        undeclared = sorted(target, key=lambda a: (pos[target[a]], pos[a]))
 
         # Declared substation children resolve last, against their slack
         # edge, which may also surface hidden nodes parked beneath them.
-        events = [(a, b, False) for b in order for a in fired.get(b, ())]
+        events = [(a, target[a], False) for a in undeclared]
         events += [(a, self.declared[a], True) for a in sorted(self.declared)]
         lhs, _, _ = self.momset.edge_stats(
             [a for a, _, _ in events], [b for _, b, _ in events]

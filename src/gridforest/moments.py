@@ -8,14 +8,14 @@ run identically in empirical and analytic mode.  The blocks are formed once,
 with one matrix product each in sample mode, and never change afterwards.
 
 The learners read the blocks as arrays: parent selection slices the eps
-block (``full_cov``), and the edge walks read the (eps, theta, cross)
-statistics of all their (child, parent) pairs with one ``edge_stats`` call.
-There are no per-node scalar accessors.
+block (``full_cov``), and each learner reads the statistics of all the
+(child, parent) edges it walks with one ``edge_stats`` call.  There are no
+per-node scalar accessors.
 
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
-A zero id must not be an observed node (ValueError otherwise): the learners
-skip zero ids, so an observed one would silently drop that node.
+A zero id must not be an observed node (ValueError otherwise), so the
+learners take every one of ``node_ids`` as a load.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ class MomentSet:
         )
 
     # -- queries ---------------------------------------------------------------------
-
-    @property
-    def observed(self) -> tuple[int, ...]:
-        return self.node_ids
 
     @property
     def has_theta(self) -> bool:

@@ -6,8 +6,8 @@ voltage deviations:
     eps + j theta = T_z (p - j q)
 
 with T_z = T_r + j T_x the path-sum inverse for impedance weights r + jx
-(equivalently theta = T_x p - T_r q and eps = T_r p + T_x q).  A single
-solve applies T_z by one complex tree sweep (``apply_path_inverse``).
+(equivalently theta = T_x p - T_r q and eps = T_r p + T_x q), which
+``network.apply_path_inverse`` applies by one complex tree sweep.
 
 Everything else is one real map.  Each node's injection pair is its mean
 plus its Cholesky factor times two standard draws z1, z2; ``_folded_map``
@@ -36,19 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples, TooFewSamples
-from .network import RadialForest, apply_path_inverse
+from .network import RadialForest
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
 
 # Entries of standard draws per block that draw_moments adds into its Gram
 # matrix at once: large enough to amortise each product, small enough that a
-# block stays in cache whatever m is.
+# block stays in cache whatever m is.  Past 64 loads a block keeps 256 rows:
+# fewer would cost a pass over the whole (2n, 2n) Gram matrix per few rows.
 _DRAW_BLOCK = 1 << 15
 
 
 def _draw_rows(n: int) -> int:
     """Rows of [z1 | z2] per draw_moments block for n loads."""
-    return max(1, _DRAW_BLOCK // (2 * n))
+    return max(256, _DRAW_BLOCK // (2 * n))
 
 
 @dataclass(frozen=True)
@@ -169,23 +170,6 @@ class AnalyticMoments:
     omega_theta: np.ndarray
     omega_eps: np.ndarray
     omega_eps_theta: np.ndarray
-
-
-def _check_vector(forest: RadialForest, v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (forest.n_loads,):
-        raise DimensionMismatch(
-            f"{name} must have shape ({forest.n_loads},), got {arr.shape}"
-        )
-    return arr
-
-
-def solve_lcpf(forest: RadialForest, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Phase and magnitude deviations for one injection vector pair."""
-    p = _check_vector(forest, p, "p")
-    q = _check_vector(forest, q, "q")
-    v = apply_path_inverse(forest, p - 1j * q)
-    return v.imag, v.real
 
 
 def _standard_draws(rng, distribution: str, shape) -> np.ndarray:

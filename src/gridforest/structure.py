@@ -19,10 +19,12 @@ Only voltage magnitudes drive the structure.  Phase data and line
 parameters enter solely in the statistics estimator.
 
 ``recover_parent_map`` is the one implementation of this pass; the
-line-parameter and hidden-node learners call it too.  ``leaf_upward_edges``
-is the leaf-upward edge walk of the statistics and line-parameter learners.
-All three learners carry each node's strict-descendant sums of (var_p,
-var_q, cov_pq) to its parent the same way, as ``desc[parent] += ...``.
+line-parameter and hidden-node learners call it too.  Its map is in pop
+order, which is leaf-first (every node pops before its parent); the
+statistics estimator walks a known forest deepest first.  The learners read
+their edges' statistics with one ``MomentSet.edge_stats`` call and carry a
+node's strict-descendant sums of (var_p, var_q, cov_pq) to its parent as
+``desc[parent] += ...``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompleteCover, UnobservedNode
+from .errors import AssumptionViolated, IncompleteCover, UnobservedNode
 from .moments import MomentSet
 from .network import (
     ROLE_LOAD,
@@ -115,13 +117,13 @@ def recover_parent_map(
     entries keep the temporaries small whatever N is.
     """
     declared = _declared_map(substation_children)
-    loads = sorted(set(momset.observed) - momset.zero_ids)
+    loads = sorted(set(momset.node_ids))
     unknown = [c for c in declared if c not in set(loads)]
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
     cov = momset.full_cov("eps")
-    pos = {a: k for k, a in enumerate(momset.observed)}
+    pos = {a: k for k, a in enumerate(momset.node_ids)}
     # columns stay in id order, so argmin takes the smallest id among exact ties
     ids = np.array(loads, dtype=int)
     idx = np.array([pos[a] for a in loads], dtype=int)
@@ -174,6 +176,16 @@ def recover_parent_map(
             )
         parent[last] = declared[last]
     return parent
+
+
+def check_fluctuating(var_p, var_q, ids) -> None:
+    """AssumptionViolated at the first of ``ids`` whose known var_p and var_q
+    (maps by id) are both 0: it adds no variance, so nothing can place it."""
+    for a in ids:
+        if not (var_p[a] > 0.0 or var_q[a] > 0.0):
+            raise AssumptionViolated(
+                f"load {a} has no injection variance (var_p {var_p[a]:g}, var_q {var_q[a]:g})"
+            )
 
 
 def forest_from_parent_map(
@@ -232,36 +244,6 @@ def solve_edge_system(r: float, x: float, a_stat: float, b_stat: float, c_stat: 
     return np.array([(t + w.real) / 2.0, (t - w.real) / 2.0, -w.imag / 2.0])
 
 
-def leaf_upward_edges(momset: MomentSet, parent: dict[int, int]):
-    """Walk plan for the edges of a parent map, leaves first.
-
-    Returns ``(order, stats)``: the children ordered by decreasing depth
-    (ties in parent-map order), so every node comes after all of its
-    descendants, and each child's three pairwise statistics (eps, theta,
-    cross) against its parent as a tuple of floats, read with one
-    ``MomentSet.edge_stats`` call over all the edges.  A learner that adds
-    each node's sums into its parent in this order sums siblings in
-    parent-map order.  ``momset`` must carry the slacks as zero ids and the
-    theta channel (UnobservedNode otherwise).
-    """
-    depth: dict[int, int] = {}
-    for a in parent:
-        path = []
-        while a in parent and a not in depth:
-            path.append(a)
-            a = parent[a]
-        k = depth.get(a, 0)
-        for b in reversed(path):
-            k += 1
-            depth[b] = k
-    order = sorted(parent, key=lambda a: -depth[a])
-    eps, theta, cross = momset.edge_stats(order, [parent[a] for a in order])
-    if theta is None:
-        raise UnobservedNode("the edge walk needs the theta channel")
-    stats = dict(zip(order, zip(eps.tolist(), theta.tolist(), cross.tolist())))
-    return order, stats
-
-
 def estimate_injection_stats(
     momset: MomentSet,
     forest: RadialForest,
@@ -280,7 +262,7 @@ def estimate_injection_stats(
     if not momset.has_theta:
         raise UnobservedNode("statistics estimation needs the theta channel")
     momset = momset.with_zero_ids(forest.slack_ids)
-    pos = {a: k for k, a in enumerate(momset.observed)}
+    pos = {a: k for k, a in enumerate(momset.node_ids)}
     missing = [a for a in forest.load_ids if a not in pos]
     if missing:
         raise UnobservedNode(f"moments missing for nodes {missing}")
@@ -289,10 +271,11 @@ def estimate_injection_stats(
     ids = forest.load_ids
     var_p, var_q, cov_pq = np.zeros((3, forest.n_loads))
     desc = {a: np.zeros(3) for a in ids}
-    # the parent map in id order, so siblings' sums add up in id order
-    order, stats = leaf_upward_edges(momset, {a: forest.parent[a] for a in ids})
-    for a in order:
-        own = solve_edge_system(*forest.edge_params[a], *stats[a]) - desc[a]
+    # deepest first; the sort is stable, so siblings' sums add up in id order
+    order = sorted(ids, key=lambda a: -forest.depth[a])
+    eps, theta, cross = momset.edge_stats(order, [forest.parent[a] for a in order])
+    for a, *st in zip(order, eps.tolist(), theta.tolist(), cross.tolist()):
+        own = solve_edge_system(*forest.edge_params[a], *st) - desc[a]
         k = forest.load_index(a)
         var_p[k], var_q[k], cov_pq[k] = own
         for j, name in enumerate(("var_p", "var_q")):

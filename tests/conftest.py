@@ -10,6 +10,8 @@ reference sampler keeps the complex form of the forward model: two
 sequential standard draws, u = p - jq, then u T_z.  The population-moment
 oracle keeps it too, on the dense oracle T_z: the complex second moments of
 u through T_z, with the real blocks read off.
+The forward-model oracle solves one injection vector pair by the package's
+complex tree sweep.
 The sampled-moments oracle forms the samples that the sweep cells skip.
 The one-pass blocked-moments oracle draws and folds in one function, as the
 package did before it split the sample moments into ``draw_moments`` and
@@ -30,6 +32,7 @@ import pytest
 
 from gridforest.errors import (
     BothRootsFeasible,
+    DimensionMismatch,
     IncompleteCover,
     NoRealRoot,
     SingularSystem,
@@ -37,7 +40,7 @@ from gridforest.errors import (
 )
 from gridforest.lines import EdgeEstimate
 from gridforest.moments import MomentSet
-from gridforest.network import Line, Node, build_forest
+from gridforest.network import Line, Node, apply_path_inverse, build_forest
 from gridforest.powerflow import (
     InjectionModel,
     VoltageSamples,
@@ -165,6 +168,24 @@ def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
             np.sum(dr * dx * (inj.var_p - inj.var_q) + (dx**2 - dr**2) * inj.cov_pq)
         )
     raise ValueError(f"unknown channel {channel!r}")
+
+
+def _check_vector(forest, v, name: str) -> np.ndarray:
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (forest.n_loads,):
+        raise DimensionMismatch(
+            f"{name} must have shape ({forest.n_loads},), got {arr.shape}"
+        )
+    return arr
+
+
+def solve_lcpf(forest, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-model oracle: phase and magnitude deviations of one injection
+    vector pair, eps + j theta = T_z (p - j q), by one complex tree sweep."""
+    p = _check_vector(forest, p, "p")
+    q = _check_vector(forest, q, "q")
+    v = apply_path_inverse(forest, p - 1j * q)
+    return v.imag, v.real
 
 
 def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -384,13 +405,13 @@ def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:
     pop at a time, each row of squared differences against the later pops
     only, with the ties and diagnostics taken from that row alone."""
     declared = _declared_map(substation_children)
-    loads = sorted(set(momset.observed) - momset.zero_ids)
+    loads = sorted(set(momset.node_ids) - momset.zero_ids)
     unknown = [c for c in declared if c not in set(loads)]
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
     cov = momset.full_cov("eps")
-    pos = {a: k for k, a in enumerate(momset.observed)}
+    pos = {a: k for k, a in enumerate(momset.node_ids)}
     var_of = {a: float(cov[pos[a], pos[a]]) for a in loads}
     order = sorted(loads, key=lambda a: (-var_of[a], a))
     if diagnostics is not None:

@@ -11,7 +11,7 @@ from gridforest.cli import _COMMANDS, LEARNER_ERRORS, _build_parser, _cmd_learn,
 from gridforest.missing import MissingSpec
 from gridforest.synth import choose_hidden
 
-from conftest import restrict_samples
+from conftest import magnitude_only, restrict_samples
 
 
 @pytest.fixture
@@ -155,6 +155,15 @@ def test_learn_params_from_samples_cli(workspace):
     assert fileio.load_result(out)["line_estimates"] == expected
 
 
+def _zero_variances(tmp_path, load):
+    """A copy of the injection file whose ``load`` has no variance."""
+    inj = json.loads((tmp_path / "injection.json").read_text())
+    node = next(n for n in inj["nodes"] if n["id"] == load)
+    node["var_p"] = node["var_q"] = node["cov_pq"] = 0.0
+    (tmp_path / "zero.json").write_text(json.dumps(inj))
+    return tmp_path / "zero.json"
+
+
 @pytest.mark.parametrize(
     "load, parent, quantity",
     [(2, 9, r"subtree variance sums must be positive \(Sp 0, Sq 0\)"),
@@ -166,12 +175,8 @@ def test_learn_params_names_the_edge_of_a_zero_variance_load(
     # valid injection JSON whose load has no variance breaks the learner's
     # precondition on that load's edge
     assert main(["synth", "--preset", "bus_13_3", "--seed", "0", "--out", str(tmp_path)]) == 0
-    inj = json.loads((tmp_path / "injection.json").read_text())
-    node = next(n for n in inj["nodes"] if n["id"] == load)
-    node["var_p"] = node["var_q"] = node["cov_pq"] = 0.0
-    (tmp_path / "zero.json").write_text(json.dumps(inj))
     args = ["learn-params", "--network", str(tmp_path / "network.json"),
-            "--inj", str(tmp_path / "zero.json"), "--analytic",
+            "--inj", str(_zero_variances(tmp_path, load)), "--analytic",
             "--out", str(tmp_path / "params.json")]
     message = rf"edge \(child {load}, parent {parent}\): {quantity}"
     with pytest.raises(errors.AssumptionViolated, match=message):
@@ -180,6 +185,77 @@ def test_learn_params_names_the_edge_of_a_zero_variance_load(
     assert main(args) == 1
     assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "params.json").exists()
+
+
+_NO_FLUCTUATION = r"load {} has no injection variance \(var_p 0, var_q 0\)"
+
+
+def test_learn_rejects_a_load_that_does_not_fluctuate(tmp_path, capsys):
+    # population moments of a load with no injection variance give a forest,
+    # a wrong one (node 13 under 1 instead of 6), so the learner rejects them
+    assert main(["synth", "--preset", "bus_13_3", "--seed", "0", "--out", str(tmp_path)]) == 0
+    args = ["learn", "--network", str(tmp_path / "network.json"),
+            "--inj", str(_zero_variances(tmp_path, 1)), "--analytic",
+            "--out", str(tmp_path / "result.json")]
+    with pytest.raises(errors.AssumptionViolated, match=_NO_FLUCTUATION.format(1)):
+        _cmd_learn(_build_parser().parse_args(args))
+    capsys.readouterr()
+    assert main(args) == 1
+    assert re.search(_NO_FLUCTUATION.format(1), capsys.readouterr().err)
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("where", ["observed", "hidden"])
+@pytest.mark.parametrize("mode", ["analytic", "data"])
+def test_learn_missing_rejects_a_load_that_does_not_fluctuate(tmp_path, capsys, mode, where):
+    # the known statistics of every observed and hidden node must fluctuate
+    assert main(["synth", "--preset", "bus_29_1", "--seed", "11", "--out", str(tmp_path)]) == 0
+    forest = fileio.load_network(tmp_path / "network.json")
+    hidden = choose_hidden(forest, 2, 5)
+    load = hidden[0] if where == "hidden" else next(a for a in (1, 3) if a not in hidden)
+    zero = _zero_variances(tmp_path, load)
+    inj = fileio.load_injection(zero)
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec.from_injections(hidden, inj))
+    args = ["learn-missing", "--network", str(tmp_path / "network.json"), "--inj", str(zero),
+            "--missing", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r.json")]
+    if mode == "analytic":
+        args.append("--analytic")
+    else:
+        from gridforest.powerflow import sample_voltages
+
+        observed = [a for a in forest.load_ids if a not in hidden]
+        samples = restrict_samples(sample_voltages(forest, inj, 400, seed=1), observed)
+        fileio.save_samples(tmp_path / "obs.csv", samples)
+        args += ["--data", str(tmp_path / "obs.csv")]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert re.search(_NO_FLUCTUATION.format(load), capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_learn_no_estimate_on_magnitude_only_samples(tmp_path, capsys):
+    # without the theta channel learn can recover the structure only, and
+    # says so, naming the file, unless --no-estimate asks for just that
+    from gridforest.powerflow import sample_voltages
+
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    forest = fileio.load_network(tmp_path / "network.json")
+    inj = fileio.load_injection(tmp_path / "injection.json")
+    path = tmp_path / "magnitude.csv"
+    fileio.save_samples(path, magnitude_only(sample_voltages(forest, inj, 4000, seed=2)))
+    out = tmp_path / "result.json"
+    args = ["learn", "--network", str(tmp_path / "network.json"),
+            "--data", str(path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: statistics estimation needs the theta channel" in err
+    assert "--no-estimate" in err
+    assert not out.exists()
+    assert main([*args, "--no-estimate"]) == 0
+    result = fileio.load_result(out)
+    assert "injection" not in result and "selection_margins" in result
+    assert result["metrics"]["struct_err"] == 0.0
 
 
 def test_reproduce_fig4_quick(tmp_path, capsys):

@@ -12,7 +12,7 @@ from gridforest.missing import (
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest, line_param_map
 from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltages
-from gridforest.structure import learn_structure
+from gridforest.structure import StructureDiagnostics, learn_structure, recover_parent_map
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
 from conftest import random_feeder, restrict_samples
@@ -255,6 +255,24 @@ def test_population_randomized_suite():
             continue
         rec, _ = run_missing(forest, inj, hidden)
         assert rec.parent == forest.parent, f"trial {trial}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_events_fire_at_their_targets_pop(seed):
+    # each undeclared node's checks run when its selected parent pops, the
+    # nodes of one pop in their own pop order; the declared substation
+    # children resolve last, in id order
+    forest, inj = random_feeder(seed, n_range=(12, 40), k_max=3)
+    hidden = choose_hidden(forest, 2, seed, max_tries=60)
+    declared = forest.substation_children()
+    diag = StructureDiagnostics()
+    selected = recover_parent_map(observed_momset(forest, inj, hidden), declared, diagnostics=diag)
+    slack_of = {c: s for s, cs in declared.items() for c in cs}
+    pops = diag.pop_order
+    want = [(a, t) for t in pops for a in pops if a not in slack_of and selected[a] == t]
+    want += sorted(slack_of.items())
+    _, missing_diag = run_missing(forest, inj, hidden)
+    assert [(ev.child, ev.parent) for ev in missing_diag.events] == want
 
 
 def test_exactly_one_zero_residual_check_per_event():

@@ -206,12 +206,12 @@ def test_restriction_to_observed_subset():
     s = sample_voltages(forest, inj, 50, seed=2)
     keep = forest.load_ids[:3]
     ms = MomentSet.from_samples(restrict_samples(s, keep))
-    assert ms.observed == tuple(keep)
+    assert ms.node_ids == tuple(keep)
     with pytest.raises(UnobservedNode):
         ms.sqdiff("eps", keep[0], forest.load_ids[-1])
     # a restricted view of the full set answers the same questions
     view = MomentSet.from_samples(s).restrict(reversed(keep))
-    assert view.observed == tuple(reversed(keep))
+    assert view.node_ids == tuple(reversed(keep))
     np.testing.assert_allclose(view.mu_theta[::-1], ms.mu_theta, rtol=1e-12)
     for a in keep:
         for b in keep:

@@ -10,18 +10,16 @@ from gridforest.errors import (
     TooFewSamples,
 )
 from gridforest.experiments import empirical_moments
-from gridforest.network import Line, Node, build_forest
+from gridforest.network import Line, Node, apply_path_inverse, build_forest
 from gridforest.powerflow import (
     InjectionModel,
     VoltageSamples,
     _draw_rows,
     _standard_draws,
     analytic_moments,
-    apply_path_inverse,
     draw_moments,
     fold_moments,
     sample_voltages,
-    solve_lcpf,
 )
 from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder
 
@@ -36,6 +34,7 @@ from conftest import (
     one_pass_sample_moments,
     restrict_samples,
     sampled_moments,
+    solve_lcpf,
 )
 
 
@@ -348,8 +347,9 @@ _MOMENT_FEEDERS = pytest.mark.parametrize(
         (preset("bus_13_3"), 0),
         (preset("bus_29_1"), 3),
         (FeederSpec(n_loads=40, max_children=1, chain_bias=1.0), 0),
+        (FeederSpec(n_loads=100, n_trees=2), 0),
     ],
-    ids=["bus_13_3", "bus_29_1_observed", "chain_40"],
+    ids=["bus_13_3", "bus_29_1_observed", "chain_40", "n100_row_floor"],
 )
 
 
@@ -384,6 +384,12 @@ def test_moments_from_draws_across_draw_blocks(spec, hidden, blocks, extra, dist
     # m = one block's rows, one more, and three blocks and a partial one
     m = blocks * _draw_rows(spec.n_loads) + extra
     assert_moments_from_draws(spec, hidden, m, dist)
+
+
+def test_draw_rows_keep_the_paper_blocks_above_a_floor():
+    # the paper's feeders keep their blocks, so fig4 and fig5 keep their
+    # bytes; past 64 loads a block keeps 256 rows
+    assert [_draw_rows(n) for n in (13, 29, 64, 100, 3000)] == [1260, 564, 256, 256, 256]
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridforest import structure
 from gridforest.errors import IncompleteCover, UnobservedNode
@@ -224,6 +226,23 @@ def test_row_blocks_across_block_boundaries(monkeypatch, n, block, ties):
     ms = random_eps_momset(n, n, ties=ties)
     for last in (True, False):
         assert assert_same_selection(ms, declare(ms, n, 5, last=last))[1] is not last
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    ties=st.booleans(),
+    declared=st.integers(0, 4),
+)
+def test_parent_map_is_leaf_first_property(seed, n, ties, declared):
+    # the line learner walks the parent map in its own order as a leaf-first
+    # order: every node comes before its parent, under exact variance ties too
+    ms = random_eps_momset(seed, n, ties=ties)
+    parent = recover_parent_map(ms, declare(ms, seed, min(declared, n - 1), last=True))
+    pos = {a: k for k, a in enumerate(parent)}
+    assert sorted(parent) == sorted(ms.node_ids)
+    assert all(pos[a] < pos[b] for a, b in parent.items() if b in pos)
 
 
 # -- injection statistics ------------------------------------------------------------
