@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
+def _tol_rel(text: str) -> float:
+    """--tol-rel: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="gridforest", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -94,7 +106,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--data", help="samples CSV (omit with --analytic)")
     sp.add_argument("--inj", required=True, help="known true injection variances")
     sp.add_argument("--analytic", action="store_true")
-    sp.add_argument("--tol-rel", type=float, default=None)
+    sp.add_argument("--tol-rel", type=_tol_rel, default=None)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("learn-missing", help="recover structure with hidden nodes")
@@ -103,7 +115,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--inj", required=True, help="known true injection statistics")
     sp.add_argument("--missing", required=True, help="missing-spec JSON")
     sp.add_argument("--analytic", action="store_true")
-    sp.add_argument("--tol-rel", type=float, default=None)
+    sp.add_argument("--tol-rel", type=_tol_rel, default=None)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("eval", help="score a result file against a truth network")
@@ -195,9 +207,14 @@ def _cmd_learn(args) -> int:
     inj = fileio.load_injection(args.inj) if args.inj else None
     momset = _load_momset(args, truth, inj, hidden=spec.ids if spec else ())
     estimate = not getattr(args, "no_estimate", False)
-    if args.command == "learn" and estimate and not momset.has_theta:
-        raise UnobservedNode(f"{args.data}: statistics estimation needs the theta "
-                             "channel; pass --no-estimate to learn the structure only")
+    # learn-missing reads eps only, so magnitude-only data is enough there
+    if args.command != "learn-missing" and estimate and not momset.has_theta:
+        what, hint = (
+            ("statistics", "; pass --no-estimate to learn the structure only")
+            if args.command == "learn" else ("line-parameter", "")
+        )
+        raise UnobservedNode(f"{args.data}: {what} estimation needs the theta channel, "
+                             f"but the theta column is blank{hint}")
     forest, parts = run_learner(
         args.command, momset, truth.substation_children(), line_param_map(truth.lines), inj,
         analytic=args.analytic, spec=spec, tol_rel=getattr(args, "tol_rel", None),

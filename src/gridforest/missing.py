@@ -7,18 +7,20 @@ parameters of all lines are known inputs here; the learner estimates
 nothing, it only places nodes.
 
 Each time a node is matched to its parent candidate, the measured squared
-difference of their voltage deviations is compared against predictions in
-a fixed order:
+difference of their voltage deviations is compared against predictions:
 
 1. direct edge - the subtree sums already accumulated explain the statistic;
-2. hidden leaf child - some hidden node's covariances, added to the subtree,
-   explain it;
-3. hidden intermediate - the node has parked (unattached) descendants, so a
-   hidden node is interposed: it becomes the child of the matched node and
-   adopts the parked nodes.
+2. hidden node - some unplaced hidden node's covariances, added to the
+   subtree sums, explain it.  The hidden node is a leaf child of the matched
+   node, or, when the matched node has parked (unattached) children, an
+   intermediate: it becomes the matched node's child and adopts the parked
+   nodes.  One event checks one of the two kinds, never both.
 
-Exact equalities become residual checks with a relative tolerance; among
-hidden candidates the minimum residual wins.
+A node with parked children sits above a hidden node, so there the
+hidden checks come first and the direct edge second; elsewhere the direct
+edge comes first.  Exact equalities become residual checks with a relative
+tolerance; among hidden candidates the minimum residual wins, and a tie for
+it places none.
 """
 
 from __future__ import annotations
@@ -205,55 +207,69 @@ class _MissingLearner:
         self.diag = MissingDiagnostics()
 
     def _resolve(self, a, b, lhs: float, *, forced: bool):
-        """Play the placement checks for child ``a`` against parent candidate
-        ``b``, whose measured eps squared difference is ``lhs``.
+        """Place child ``a`` against parent candidate ``b``, whose measured
+        eps squared difference is ``lhs``, in three steps.
 
-        ``forced`` marks declared substation children, whose edge is prior
-        knowledge: the checks then only decide hidden placements below them.
-        At finite samples a node whose checks all miss is parked under ``b``
-        (its subtree sums still accumulate), to be adopted at the end if the
-        line to its host exists.
+        Build: with the line (a, b) known, one check of the direct edge, then
+        one per hidden node still unplaced, in id order: a leaf child of
+        ``a``, or, when ``a`` has parked children, an intermediate between
+        ``a`` and them.  Without the line there are no checks.
+        Pick: when ``a`` has parked children it sits above a hidden node, so
+        the best hidden check comes first and the direct edge second;
+        otherwise the direct edge is the default explanation and the best
+        hidden check comes second.  The first check within ``tol_rel`` wins.
+        Two best hidden checks that tie place no hidden node.
+        Apply: ``a`` becomes a child of ``b`` (a placed hidden node becomes
+        ``a``'s child and adopts the nodes parked under ``a``), and ``b``'s
+        subtree sums grow by ``a``'s.  When no check wins, a declared
+        substation child still takes its slack edge, which is prior
+        knowledge, and is listed as unresolved (as is a node whose checks
+        tie); any other node is parked under ``b`` (its subtree sums still
+        accumulate), to be adopted at the end if its line to the host exists.
         """
-        key = (a, b) if a < b else (b, a)
-        params = self.lines.get(key)
         sub_p, sub_q, sub_s = self.desc[a].tolist()
         p0, q0, s0 = self.var_p[a] + sub_p, self.var_q[a] + sub_q, self.cov_pq[a] + sub_s
         has_parked = bool(self.parked.get(a))
+        adds = {None: (p0, q0, s0)}
+        for d in sorted(self.hidden_left):
+            adds[d] = (p0 + self.var_p[d], q0 + self.var_q[d], s0 + self.cov_pq[d])
         event = PlacementEvent(child=a, parent=b, accepted=None)
         self.diag.events.append(event)
 
-        def check(kind, cand, p, q, s):
-            if params is None:
-                return None
-            rhs = _predicted_sqdiff(params[0], params[1], p, q, s)
-            mc = MatchCheck(kind, a, b, cand, lhs, rhs, abs(lhs - rhs))
-            event.checks.append(mc)
-            return mc
-
-        kind = "missing_intermediate" if has_parked else "missing_leaf_child"
-        direct = check("direct_edge", None, p0, q0, s0)
-        adds = [
-            check(kind, d, p0 + self.var_p[d], q0 + self.var_q[d], s0 + self.cov_pq[d])
-            for d in sorted(self.hidden_left)
-        ]
-        adds = [mc for mc in adds if mc is not None]
+        params = self.lines.get((a, b) if a < b else (b, a))
+        if params is not None:
+            hidden_kind = "missing_intermediate" if has_parked else "missing_leaf_child"
+            for d, add in adds.items():
+                rhs = _predicted_sqdiff(*params, *add)
+                kind = "direct_edge" if d is None else hidden_kind
+                event.checks.append(MatchCheck(kind, a, b, d, lhs, rhs, abs(lhs - rhs)))
 
         scale = max(abs(lhs), 1e-300)
 
         def ok(mc):
-            return mc is not None and residual_match(mc.lhs, mc.rhs, scale, self.tol_rel)
+            return residual_match(mc.lhs, mc.rhs, scale, self.tol_rel)
 
-        def accept_direct():
-            direct.accepted = True
-            event.accepted = direct
-            self.parent[a] = b
-            self.desc[b] += (p0, q0, s0)
+        direct = event.checks[:1]
+        ranked = sorted(event.checks[1:], key=lambda mc: (mc.residual, mc.candidate))
+        tie = len(ranked) > 1 and ok(ranked[1]) and (
+            abs(ranked[1].residual - ranked[0].residual) <= _TIE_RTOL * scale
+        )
+        best = [] if tie else ranked[:1]
+        order = best + direct if has_parked else direct + best
+        acc = event.accepted = next(filter(ok, order), None)
 
-        def accept_hidden(mc):
-            d = mc.candidate
-            mc.accepted = True
-            event.accepted = mc
+        d = None if acc is None else acc.candidate
+        if acc is not None:
+            acc.accepted = True
+        elif tie or forced:
+            self.diag.unresolved.append(a)
+        if acc is None and not forced:
+            # Park: a's parent may be hidden (or the checks missed under noise).
+            self.parked.setdefault(b, []).append(a)
+            self.diag.parked.append((a, b))
+        else:
             self.parent[a] = b
+        if d is not None:
             self.parent[d] = a
             # The hidden node adopts every node parked under ``a``,
             # transitively: siblings of a hidden node's child may have parked
@@ -264,50 +280,7 @@ class _MissingLearner:
                 self.parent[w] = d
                 stack.extend(self.parked.pop(w, []))
             self.hidden_left.discard(d)
-            self.desc[b] += (p0 + self.var_p[d], q0 + self.var_q[d], s0 + self.cov_pq[d])
-
-        best = None
-        tie = False
-        if adds:
-            adds_sorted = sorted(adds, key=lambda mc: (mc.residual, mc.candidate))
-            best = adds_sorted[0]
-            if len(adds_sorted) > 1:
-                nxt = adds_sorted[1]
-                tie = ok(nxt) and abs(nxt.residual - best.residual) <= _TIE_RTOL * scale
-
-        # A node with parked children sits above a hidden node, so the
-        # interposition check runs first there; otherwise the direct edge
-        # is the default explanation and hidden leaves come second.
-        if not has_parked:
-            if ok(direct):
-                accept_direct()
-                return
-            if best is not None and ok(best) and not tie:
-                accept_hidden(best)
-                return
-        else:
-            if best is not None and ok(best) and not tie:
-                accept_hidden(best)
-                return
-            if ok(direct):
-                # Finite-sample fallback: the parked children were parked by
-                # noise, not by a hidden node; keep them for adoption.
-                accept_direct()
-                return
-
-        if tie:
-            self.diag.unresolved.append(a)
-        if forced:
-            # The slack edge itself is prior knowledge; draw it even when no
-            # check explains the statistic, and leave the mismatch recorded.
-            self.parent[a] = b
-            self.desc[b] += (p0, q0, s0)
-            self.diag.unresolved.append(a)
-            return
-        # Park: a's parent may be hidden (or the checks missed under noise).
-        self.parked.setdefault(b, []).append(a)
-        self.diag.parked.append((a, b))
-        self.desc[b] += (p0, q0, s0)
+        self.desc[b] += adds[d]
 
     def run(self) -> dict[int, int]:
         # Each non-declared node fires at the pop of its squared-difference
@@ -339,15 +312,11 @@ class _MissingLearner:
         # Adoption pass: parked nodes whose line to the host exists become
         # plain children (repairs noise-induced parking; no-op at population).
         for host in sorted(self.parked):
-            kept = []
             for w in self.parked[host]:
                 key = (w, host) if w < host else (host, w)
                 if w not in self.parent and key in self.lines:
                     self.parent[w] = host
                     self.diag.fallback_edges.append((w, host))
-                else:
-                    kept.append(w)
-            self.parked[host] = kept
 
         problems = []
         if self.hidden_left:

@@ -258,6 +258,60 @@ def test_learn_no_estimate_on_magnitude_only_samples(tmp_path, capsys):
     assert result["metrics"]["struct_err"] == 0.0
 
 
+def test_learn_params_names_a_magnitude_only_file(tmp_path, capsys):
+    # line parameters need the theta channel: learn-params on a magnitude-only
+    # CSV names the file and the blank column; learn-missing reads eps only
+    from gridforest.powerflow import sample_voltages
+
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    forest = fileio.load_network(tmp_path / "network.json")
+    inj = fileio.load_injection(tmp_path / "injection.json")
+    hidden = choose_hidden(forest, 1, 0)
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec.from_injections(hidden, inj))
+    observed = tuple(i for i in forest.load_ids if i not in set(hidden))
+    samples = magnitude_only(sample_voltages(forest, inj, 50_000, seed=1))
+    path, obs = tmp_path / "magnitude.csv", tmp_path / "obs.csv"
+    fileio.save_samples(path, samples)
+    fileio.save_samples(obs, restrict_samples(samples, observed))
+    known = ["--network", str(tmp_path / "network.json"),
+             "--inj", str(tmp_path / "injection.json")]
+    capsys.readouterr()
+    assert main(["learn-params", *known, "--data", str(path),
+                 "--out", str(tmp_path / "params.json")]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: {path}: line-parameter estimation needs the theta channel, "
+            "but the theta column is blank") in err
+    assert not (tmp_path / "params.json").exists()
+    out = tmp_path / "missing_result.json"
+    assert main(["learn-missing", *known, "--data", str(obs),
+                 "--missing", str(tmp_path / "missing.json"), "--out", str(out)]) == 0
+    assert fileio.load_result(out)["metrics"]["struct_err"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "1e-400", "tiny"])
+@pytest.mark.parametrize("command", ["learn-params", "learn-missing"])
+def test_tol_rel_must_be_a_finite_positive_number(tmp_path, capsys, command, value):
+    # such a tolerance matches everything or nothing; it is an input error
+    # naming the option, not a learner failure or a silent result
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    forest = fileio.load_network(tmp_path / "network.json")
+    inj = fileio.load_injection(tmp_path / "injection.json")
+    spec = tmp_path / "missing.json"
+    fileio.save_missing(spec, MissingSpec.from_injections(choose_hidden(forest, 1, 0), inj))
+    args = [command, "--network", str(tmp_path / "network.json"),
+            "--inj", str(tmp_path / "injection.json"), "--analytic",
+            "--out", str(tmp_path / "r.json")]
+    if command == "learn-missing":
+        args += ["--missing", str(spec)]
+    capsys.readouterr()
+    assert main([*args, f"--tol-rel={value}"]) == 1
+    assert f"error: argument --tol-rel: must be a finite number > 0, got '{value}'" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "r.json").exists()
+    assert main([*args, "--tol-rel", "1e-6"]) == 0
+
+
 def test_reproduce_fig4_quick(tmp_path, capsys):
     rc = main(["reproduce-fig4", "--out", str(tmp_path), "--seeds", "2"])
     assert rc == 0

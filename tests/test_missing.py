@@ -24,9 +24,9 @@ def observed_momset(forest, inj, hidden=()):
     return ms.restrict(i for i in forest.load_ids if i not in set(hidden))
 
 
-def run_missing(forest, inj, hidden, **kw):
+def run_missing(forest, inj, hidden, ms=None, **kw):
     spec = MissingSpec.from_injections(hidden, inj)
-    ms = observed_momset(forest, inj, hidden)
+    ms = observed_momset(forest, inj, hidden) if ms is None else ms
     vp, vq, s = inj.as_maps()
     return learn_with_missing(
         ms, spec, vp, vq, s, line_param_map(forest.lines),
@@ -331,8 +331,76 @@ def test_ambiguous_candidates_reported():
         cov_pq=[0.5, 0.6, 0.6, 0.4, 0.4, 0.3],
     )
     # distance(4, 5) = 4 hops: a valid but perfectly symmetric configuration
-    with pytest.raises(NoConsistentPlacement):
+    with pytest.raises(NoConsistentPlacement) as info:
         run_missing(f, inj, (4, 5))
+    # both hidden leaves explain node 2's edge equally well, so neither is
+    # placed there (nor anywhere else)
+    ev = next(ev for ev in info.value.events if ev.child == 2)
+    assert ev.accepted is None
+    zero = [c for c in ev.checks if c.residual <= 1e-9 * abs(c.lhs)]
+    assert sorted(c.candidate for c in zero) == [4, 5]
+    assert not {4, 5} & set(info.value.parent_map)
+    assert "hidden nodes never placed: [4, 5]" in str(info.value)
+
+
+def nudge_eps_cov(ms, a, b, delta):
+    """Add ``delta`` in place to the eps covariance of loads ``a`` and ``b``
+    (to both triangles; to the variance when ``a == b``)."""
+    cov = ms.full_cov("eps")
+    i, j = ms.node_ids.index(a), ms.node_ids.index(b)
+    cov[i, j] += delta
+    if i != j:
+        cov[j, i] += delta
+
+
+def test_direct_edge_under_parked_children_then_adoption():
+    # slack 0 -> 1 -> 2 -> 3, hidden leaf 4 under 1.  A nudged statistic of
+    # the edge (3, 2) misses every check, so 3 parks under 2; at 2's event
+    # the interposition check misses and the direct edge is accepted, and
+    # the adoption pass then gives 3 its line to 2
+    nodes = [Node(0, "substation")] + [Node(i, "load") for i in (1, 2, 3, 4)]
+    lines = [
+        Line(1, 0, r=0.2, x=0.3), Line(2, 1, r=0.25, x=0.2),
+        Line(3, 2, r=0.15, x=0.28), Line(4, 1, r=0.3, x=0.1),
+    ]
+    f = build_forest(nodes, lines)
+    inj = InjectionModel(
+        node_ids=(1, 2, 3, 4), mu_p=np.zeros(4), mu_q=np.zeros(4),
+        var_p=[1.2, 0.9, 1.5, 1.1], var_q=[0.8, 1.3, 0.7, 0.95],
+        cov_pq=[0.5, 0.6, 0.4, 0.55],
+    )
+    ms = observed_momset(f, inj, (4,))
+    nudge_eps_cov(ms, 3, 2, 0.05 * ms.sqdiff("eps", 3, 2))
+    rec, diag = run_missing(f, inj, (4,), ms=ms)
+    assert rec.parent == f.parent
+    assert diag.parked == [(3, 2)]
+    assert diag.fallback_edges == [(3, 2)]
+    ev = next(ev for ev in diag.events if ev.child == 2)
+    assert [c.kind for c in ev.checks] == ["direct_edge", "missing_intermediate"]
+    assert ev.accepted is ev.checks[0]
+    assert diag.unresolved == []
+
+
+def test_declared_child_keeps_its_slack_edge_when_no_check_matches():
+    # slack 0 -> 1 and slack 0 -> 2 -> 3, no hidden node.  A nudged eps
+    # variance of 1 matches no prediction of its slack edge, which is drawn
+    # anyway (prior knowledge) and recorded as unresolved
+    nodes = [Node(0, "substation")] + [Node(i, "load") for i in (1, 2, 3)]
+    lines = [Line(1, 0, r=0.2, x=0.3), Line(2, 0, r=0.15, x=0.22), Line(3, 2, r=0.28, x=0.11)]
+    f = build_forest(nodes, lines)
+    inj = InjectionModel(
+        node_ids=(1, 2, 3), mu_p=np.zeros(3), mu_q=np.zeros(3),
+        var_p=[1.2, 0.9, 1.5], var_q=[0.8, 1.3, 0.7], cov_pq=[0.5, 0.6, 0.4],
+    )
+    ms = observed_momset(f, inj)
+    nudge_eps_cov(ms, 1, 1, 0.05 * ms.sqdiff("eps", 1, 0))
+    rec, diag = run_missing(f, inj, (), ms=ms)
+    assert rec.parent == f.parent
+    ev = next(ev for ev in diag.events if ev.child == 1)
+    assert (ev.parent, ev.accepted) == (0, None)
+    assert [c.kind for c in ev.checks] == ["direct_edge"]
+    assert diag.unresolved == [1]
+    assert diag.parked == []
 
 
 def test_finite_sample_recovery_smoke():
