@@ -19,7 +19,6 @@ from .powerflow import (
 )
 from .lines import EdgeEstimate, estimate_edge, learn_structure_and_params
 from .missing import (
-    HiddenNodeInfo,
     MissingSpec,
     learn_with_missing,
     residual_match,
@@ -35,7 +34,6 @@ __all__ = [
     "EdgeEstimate",
     "FeederSpec",
     "GridForestError",
-    "HiddenNodeInfo",
     "InjectionModel",
     "Line",
     "MissingSpec",

@@ -70,6 +70,17 @@ def _tol_rel(text: str) -> float:
     return value
 
 
+def _sample_count(text: str) -> int:
+    """--samples: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="gridforest", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -85,7 +96,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="draw voltage samples from a network")
     sp.add_argument("--network", required=True)
     sp.add_argument("--inj", required=True)
-    sp.add_argument("--samples", type=int, required=True, help="sample count m")
+    sp.add_argument("--samples", type=_sample_count, required=True, help="sample count m")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output directory")
 
@@ -136,7 +147,8 @@ def _build_parser() -> _Parser:
 def _load_momset(args, forest, inj, hidden=()):
     """Moments of the network's loads less the ``hidden`` ids: population
     moments of ``inj`` (--analytic) or those of the --data samples, whose
-    nodes must be exactly those loads (the hidden ids may also be absent)."""
+    nodes must be the network's loads; the columns of the hidden ids may be
+    absent, and are dropped when present."""
     if args.analytic:
         if inj is None:
             raise CliConfigError("--analytic needs --inj")
@@ -151,13 +163,17 @@ def _load_momset(args, forest, inj, hidden=()):
     unobserved = sorted(loads - observed - set(hidden))
     if unobserved:
         raise UnobservedNode(f"{args.data}: no samples for network load {unobserved[0]}")
-    return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+    momset = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+    if not hidden:
+        return momset
+    hidden = set(hidden)
+    return momset.restrict([i for i in samples.node_ids if i not in hidden])
 
 
 def _cmd_synth(args) -> int:
     if args.preset:
         spec = preset(args.preset)
-    elif args.n:
+    elif args.n is not None:
         spec = FeederSpec(n_loads=args.n, n_trees=args.trees, extra_lines=args.extra_lines)
     else:
         raise CliConfigError("need --preset or --n")
@@ -205,6 +221,12 @@ def _cmd_learn(args) -> int:
         if violations:
             raise AssumptionViolated(f"{args.missing}: {'; '.join(violations)}")
     inj = fileio.load_injection(args.inj) if args.inj else None
+    if inj is not None:
+        lacking = sorted(set(truth.load_ids) - set(inj.node_ids))
+        if lacking:
+            raise UnobservedNode(
+                f"{args.inj}: no injection statistics for network load {lacking[0]}"
+            )
     momset = _load_momset(args, truth, inj, hidden=spec.ids if spec else ())
     estimate = not getattr(args, "no_estimate", False)
     # learn-missing reads eps only, so magnitude-only data is enough there

@@ -286,7 +286,7 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
                 continue
             for count in config.missing_counts:
                 hidden = choose_hidden(forest, count, [config.layout_seed, seed, count])
-                spec = MissingSpec.from_injections(hidden, inj)
+                spec = MissingSpec(hidden)
                 sample_seed = [config.layout_seed, seed, m, count]
                 cells.append((f"learn-missing/h{count}", inj, m, seed, sample_seed, spec))
 

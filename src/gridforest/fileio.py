@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridForestError, MalformedJSON, MalformedSamples
-from .missing import HiddenNodeInfo, MissingSpec
+from .missing import MissingSpec
 from .network import Line, Node, RadialForest, build_forest
 from .powerflow import InjectionModel, VoltageSamples
 
@@ -363,28 +363,16 @@ def _read_rows(path):
 
 
 def missing_to_dict(spec: MissingSpec) -> dict:
-    return {
-        "hidden": [
-            {"id": h.id, "var_p": h.var_p, "var_q": h.var_q, "cov_pq": h.cov_pq}
-            for h in spec.hidden
-        ]
-    }
+    return {"hidden": list(spec.ids)}
 
 
 def missing_from_dict(data: dict, source=None) -> MissingSpec:
-    """The spec of a missing-spec document; ``source`` names its file in
-    errors, as does a repeated hidden id, at its JSON path."""
+    """The spec of a missing-spec document, ``{"hidden": [ids]}``; ``source``
+    names its file in errors, as does a repeated hidden id, at its JSON path."""
     rd = _JsonReader(data, source)
-    hidden = tuple(
-        HiddenNodeInfo(
-            rd.get(h, "id", int, at),
-            rd.get(h, "var_p", float, at),
-            rd.get(h, "var_q", float, at),
-            rd.get(h, "cov_pq", float, at),
-        )
-        for h, at in rd.rows("hidden")
-    )
-    return rd.build(rd.at, MissingSpec, hidden=hidden)
+    ids = rd.get(rd.top, "hidden", list, rd.at)
+    ids = tuple(rd.check(i, int, f"hidden[{k}]") for k, i in enumerate(ids))
+    return rd.build(rd.at, MissingSpec, ids)
 
 
 def save_missing(path, spec: MissingSpec):

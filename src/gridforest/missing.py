@@ -50,41 +50,17 @@ from .structure import (
 
 
 @dataclass(frozen=True)
-class HiddenNodeInfo:
-    id: int
-    var_p: float
-    var_q: float
-    cov_pq: float
-
-
-@dataclass(frozen=True)
 class MissingSpec:
-    hidden: tuple[HiddenNodeInfo, ...]
+    """The ids of the loads whose voltages are not observed."""
+
+    ids: tuple[int, ...]
 
     def __post_init__(self):
         seen = set()
-        for k, h in enumerate(self.hidden):
-            if h.id in seen:
-                raise located(ValueError(f"duplicate hidden node id {h.id}"), "hidden", k, "id")
-            seen.add(h.id)
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(h.id for h in self.hidden)
-
-    def cov_maps(self):
-        vp = {h.id: h.var_p for h in self.hidden}
-        vq = {h.id: h.var_q for h in self.hidden}
-        s = {h.id: h.cov_pq for h in self.hidden}
-        return vp, vq, s
-
-    @classmethod
-    def from_injections(cls, ids, inj) -> "MissingSpec":
-        """Build from the true injection model of the hidden nodes."""
-        vp, vq, s = inj.as_maps()
-        return cls(
-            hidden=tuple(HiddenNodeInfo(int(i), vp[i], vq[i], s[i]) for i in ids)
-        )
+        for k, i in enumerate(self.ids):
+            if i in seen:
+                raise located(ValueError(f"duplicate hidden node id {i}"), "hidden", k)
+            seen.add(i)
 
 
 @dataclass
@@ -179,10 +155,7 @@ class _MissingLearner:
         self.slack_ids = tuple(substation_children.keys())
         self.momset = momset.with_zero_ids(self.slack_ids)
         self.hidden_left = set(missing.ids)
-        hvp, hvq, hs = missing.cov_maps()
-        self.var_p = {**var_p, **hvp}
-        self.var_q = {**var_q, **hvq}
-        self.cov_pq = {**cov_pq, **hs}
+        self.var_p, self.var_q, self.cov_pq = var_p, var_q, cov_pq
         self.lines = line_params
         self.tol_rel = tol_rel
 
@@ -195,10 +168,12 @@ class _MissingLearner:
             raise AssumptionViolated(
                 f"hidden nodes {sorted(hidden_declared)} declared as substation children"
             )
-        missing_cov = [a for a in observed if a not in self.var_p or a not in self.cov_pq]
-        if missing_cov:
-            raise UnobservedNode(f"known covariances missing for nodes {missing_cov}")
-        check_fluctuating(self.var_p, self.var_q, sorted(observed | self.hidden_left))
+        nodes = sorted(observed | self.hidden_left)
+        for name, known in (("var_p", var_p), ("var_q", var_q), ("cov_pq", cov_pq)):
+            lacking = [a for a in nodes if a not in known]
+            if lacking:
+                raise UnobservedNode(f"known {name} missing for nodes {lacking}")
+        check_fluctuating(var_p, var_q, nodes)
 
         self.parent: dict[int, int] = {}
         self.parked: dict[int, list[int]] = {}
@@ -348,9 +323,10 @@ def learn_with_missing(
     """Recover the full forest, hidden nodes included; returns ``(forest,
     diagnostics)``.
 
-    ``var_p`` / ``var_q`` / ``cov_pq`` map observed node ids to their true
-    values; hidden nodes' values come from the missing spec.  ``line_params``
-    maps unordered endpoint pairs to (r, x) for every known line.
+    ``var_p`` / ``var_q`` / ``cov_pq`` map node ids to their true values and
+    must cover every observed and every hidden load; ``missing`` names the
+    hidden ones.  ``line_params`` maps unordered endpoint pairs to (r, x)
+    for every known line.
     """
     if tol_rel is None:
         # ~3.9 sigma of the sqdiff statistic's own sampling noise

@@ -23,23 +23,27 @@ from .network import (
 )
 from .powerflow import InjectionModel
 
+# The uniform ranges of every draw: line resistance and reactance; the
+# injection variances, a scale times a spread; the p-q correlation; and the
+# mean active and reactive injections, negative as loads draw power.
+_R_RANGE = (0.05, 0.30)
+_X_RANGE = (0.05, 0.30)
+_VAR_SCALE = 1e-4
+_VAR_SPREAD = (0.5, 2.0)
+_CORR_RANGE = (0.2, 0.8)
+_MEAN_P_RANGE = (-1.5e-2, -0.5e-2)
+_MEAN_Q_RANGE = (-0.8e-2, -0.2e-2)
+
 
 @dataclass(frozen=True)
 class FeederSpec:
-    """Shape and statistics ranges for a synthetic feeder."""
+    """Shape of a synthetic feeder and the distribution of its injections."""
 
     n_loads: int
     n_trees: int = 1
     extra_lines: int = 0
     max_children: int = 3
     chain_bias: float = 0.4
-    r_range: tuple[float, float] = (0.05, 0.30)
-    x_range: tuple[float, float] = (0.05, 0.30)
-    var_scale: float = 1e-4
-    var_spread: tuple[float, float] = (0.5, 2.0)
-    corr_range: tuple[float, float] = (0.2, 0.8)
-    mean_p_range: tuple[float, float] = (-1.5e-2, -0.5e-2)
-    mean_q_range: tuple[float, float] = (-0.8e-2, -0.2e-2)
     distribution: str = "gaussian"
 
     def validate(self):
@@ -49,9 +53,6 @@ class FeederSpec:
             )
         if self.max_children < 1:
             raise InfeasibleSpec("max_children must be >= 1")
-        for lo, hi in (self.r_range, self.x_range):
-            if not (0.0 < lo <= hi):
-                raise InfeasibleSpec("impedance ranges must be positive")
         if self.extra_lines < 0:
             raise InfeasibleSpec("extra_lines must be >= 0")
 
@@ -69,11 +70,6 @@ def preset(name: str) -> FeederSpec:
         return PRESETS[name]
     except KeyError:
         raise InfeasibleSpec(f"unknown preset {name!r}") from None
-
-
-def _draw_range(rng, rng_pair):
-    lo, hi = rng_pair
-    return rng.uniform(lo, hi)
 
 
 def synth_layout(spec: FeederSpec, seed) -> RadialForest:
@@ -109,12 +105,7 @@ def synth_layout(spec: FeederSpec, seed) -> RadialForest:
             else:
                 eligible = [u for u in tree_nodes if degree[u] < spec.max_children]
                 parent = eligible[rng.integers(0, len(eligible))]
-            ln = Line(
-                a,
-                parent,
-                r=_draw_range(rng, spec.r_range),
-                x=_draw_range(rng, spec.x_range),
-            )
+            ln = Line(a, parent, r=rng.uniform(*_R_RANGE), x=rng.uniform(*_X_RANGE))
             lines.append(ln)
             used_pairs.add(ln.key)
             degree[parent] += 1
@@ -139,8 +130,8 @@ def synth_layout(spec: FeederSpec, seed) -> RadialForest:
             Line(
                 key[0],
                 key[1],
-                r=_draw_range(rng, spec.r_range),
-                x=_draw_range(rng, spec.x_range),
+                r=rng.uniform(*_R_RANGE),
+                x=rng.uniform(*_X_RANGE),
                 status=STATUS_OPEN,
             )
         )
@@ -155,13 +146,12 @@ def draw_injections(spec: FeederSpec, load_ids, seed) -> InjectionModel:
     rng = np.random.default_rng(seed)
     ids = tuple(load_ids)
     n = len(ids)
-    lo, hi = spec.var_spread
-    var_p = spec.var_scale * rng.uniform(lo, hi, size=n)
-    var_q = spec.var_scale * rng.uniform(lo, hi, size=n)
-    rho = rng.uniform(*spec.corr_range, size=n)
+    var_p = _VAR_SCALE * rng.uniform(*_VAR_SPREAD, size=n)
+    var_q = _VAR_SCALE * rng.uniform(*_VAR_SPREAD, size=n)
+    rho = rng.uniform(*_CORR_RANGE, size=n)
     cov_pq = rho * np.sqrt(var_p * var_q)
-    mu_p = rng.uniform(*spec.mean_p_range, size=n)
-    mu_q = rng.uniform(*spec.mean_q_range, size=n)
+    mu_p = rng.uniform(*_MEAN_P_RANGE, size=n)
+    mu_q = rng.uniform(*_MEAN_Q_RANGE, size=n)
     return InjectionModel(
         node_ids=ids,
         mu_p=mu_p,

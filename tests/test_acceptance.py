@@ -172,7 +172,7 @@ def test_criterion_4_missing_data_population_exactness():
         vp, vq, s = inj.as_maps()
         try:
             rec, diag = learn_with_missing(
-                ms, MissingSpec.from_injections(hidden, inj), vp, vq, s,
+                ms, MissingSpec(hidden), vp, vq, s,
                 line_param_map(forest.lines), forest.substation_children(),
             )
         except GridForestError:

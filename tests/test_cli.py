@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,7 @@ def test_learn_missing_cli(workspace):
     forest = fileio.load_network(workspace / "network.json")
     inj = fileio.load_injection(workspace / "injection.json")
     hidden = choose_hidden(forest, 1, 7)
-    fileio.save_missing(
-        workspace / "missing.json", MissingSpec.from_injections(hidden, inj)
-    )
+    fileio.save_missing(workspace / "missing.json", MissingSpec(hidden))
     observed = tuple(i for i in forest.load_ids if i not in set(hidden))
     from gridforest.powerflow import sample_voltages
 
@@ -114,11 +113,8 @@ def test_learn_missing_cli(workspace):
 
 def test_learn_missing_analytic_cli(workspace):
     forest = fileio.load_network(workspace / "network.json")
-    inj = fileio.load_injection(workspace / "injection.json")
     hidden = choose_hidden(forest, 1, 7)
-    fileio.save_missing(
-        workspace / "missing.json", MissingSpec.from_injections(hidden, inj)
-    )
+    fileio.save_missing(workspace / "missing.json", MissingSpec(hidden))
     out = workspace / "missing_result.json"
     rc = main(["learn-missing", "--network", str(workspace / "network.json"),
                "--inj", str(workspace / "injection.json"),
@@ -215,7 +211,7 @@ def test_learn_missing_rejects_a_load_that_does_not_fluctuate(tmp_path, capsys, 
     load = hidden[0] if where == "hidden" else next(a for a in (1, 3) if a not in hidden)
     zero = _zero_variances(tmp_path, load)
     inj = fileio.load_injection(zero)
-    fileio.save_missing(tmp_path / "missing.json", MissingSpec.from_injections(hidden, inj))
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec(hidden))
     args = ["learn-missing", "--network", str(tmp_path / "network.json"), "--inj", str(zero),
             "--missing", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r.json")]
     if mode == "analytic":
@@ -267,7 +263,7 @@ def test_learn_params_names_a_magnitude_only_file(tmp_path, capsys):
     forest = fileio.load_network(tmp_path / "network.json")
     inj = fileio.load_injection(tmp_path / "injection.json")
     hidden = choose_hidden(forest, 1, 0)
-    fileio.save_missing(tmp_path / "missing.json", MissingSpec.from_injections(hidden, inj))
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec(hidden))
     observed = tuple(i for i in forest.load_ids if i not in set(hidden))
     samples = magnitude_only(sample_voltages(forest, inj, 50_000, seed=1))
     path, obs = tmp_path / "magnitude.csv", tmp_path / "obs.csv"
@@ -295,9 +291,8 @@ def test_tol_rel_must_be_a_finite_positive_number(tmp_path, capsys, command, val
     # naming the option, not a learner failure or a silent result
     assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
     forest = fileio.load_network(tmp_path / "network.json")
-    inj = fileio.load_injection(tmp_path / "injection.json")
     spec = tmp_path / "missing.json"
-    fileio.save_missing(spec, MissingSpec.from_injections(choose_hidden(forest, 1, 0), inj))
+    fileio.save_missing(spec, MissingSpec(choose_hidden(forest, 1, 0)))
     args = [command, "--network", str(tmp_path / "network.json"),
             "--inj", str(tmp_path / "injection.json"), "--analytic",
             "--out", str(tmp_path / "r.json")]
@@ -354,8 +349,7 @@ def _learn_after_edit(tmp_path, capsys, name, edit, command="learn"):
     the decoded ``name`` file; returns (exit code, stderr)."""
     assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
     forest = fileio.load_network(tmp_path / "network.json")
-    inj = fileio.load_injection(tmp_path / "injection.json")
-    spec = MissingSpec.from_injections(choose_hidden(forest, 1, 0), inj)
+    spec = MissingSpec(choose_hidden(forest, 1, 0))
     fileio.save_missing(tmp_path / "missing.json", spec)
     path = tmp_path / name
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -509,22 +503,36 @@ def test_injection_value_not_a_number(tmp_path, capsys):
 
 def test_missing_spec_id_missing(tmp_path, capsys):
     def edit(doc):
-        del doc["hidden"][0]["id"]
+        doc["hidden"][0] = None
         return doc
 
     rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
     assert rc == 1
-    assert f"{tmp_path / 'missing.json'}: hidden[0].id: missing" in err
+    assert f"{tmp_path / 'missing.json'}: hidden[0]: expected an integer, got null" in err
 
 
 def test_missing_spec_repeated_id(tmp_path, capsys):
     def edit(doc):
-        doc["hidden"].append(dict(doc["hidden"][0]))
+        doc["hidden"].append(doc["hidden"][0])
         return doc
 
     rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
     assert rc == 1
-    assert f"{tmp_path / 'missing.json'}: hidden[1].id: duplicate hidden node id " in err
+    assert f"{tmp_path / 'missing.json'}: hidden[1]: duplicate hidden node id " in err
+
+
+def test_missing_spec_in_the_former_format(tmp_path, capsys):
+    # a spec that also carries the hidden nodes' statistics is refused,
+    # never read with its statistics dropped: they come from --inj
+    def edit(doc):
+        doc["hidden"] = [{"id": i, "var_p": 1.0, "var_q": 1.0, "cov_pq": 0.5}
+                         for i in doc["hidden"]]
+        return doc
+
+    rc, err = _learn_after_edit(tmp_path, capsys, "missing.json", edit, "learn-missing")
+    assert rc == 1
+    assert err == (f"error: {tmp_path / 'missing.json'}: hidden[0]: "
+                   "expected an integer, got an object\n")
 
 
 def _eval_after_edit(tmp_path, capsys, edit):
@@ -589,9 +597,10 @@ def test_missing_inj_for_analytic(workspace):
     assert rc == 1
 
 
-def _chain_missing_args(tmp_path, hidden):
+def _chain_missing_args(tmp_path, hidden, var_p2=1.0):
     """learn-missing arguments on the chain slack 0 - load 1 - load 2, with
-    samples of load 1 only and ``hidden`` as the missing spec."""
+    samples of load 1 only, drawn with unit variances, ``hidden`` as the
+    missing spec and ``var_p2`` as the --inj variance of load 2."""
     from gridforest.network import Line, Node, build_forest
     from gridforest.powerflow import InjectionModel, sample_voltages
 
@@ -600,8 +609,8 @@ def _chain_missing_args(tmp_path, hidden):
     inj = InjectionModel(node_ids=(1, 2), mu_p=[0, 0], mu_q=[0, 0],
                          var_p=[1, 1], var_q=[1, 1], cov_pq=[0.5, 0.5])
     fileio.save_network(tmp_path / "net.json", forest)
-    fileio.save_injection(tmp_path / "inj.json", inj)
-    fileio.save_missing(tmp_path / "missing.json", MissingSpec(hidden=(hidden,)))
+    fileio.save_injection(tmp_path / "inj.json", replace(inj, var_p=[1, var_p2]))
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec((hidden,)))
     samples = restrict_samples(sample_voltages(forest, inj, 5000, seed=0), (1,))
     fileio.save_samples(tmp_path / "obs.csv", samples)
     return ["learn-missing", "--network", str(tmp_path / "net.json"),
@@ -612,20 +621,16 @@ def _chain_missing_args(tmp_path, hidden):
 
 
 def test_learner_failure_exit_code(tmp_path, capsys):
-    # hidden load 2 with a far too large var_p explains no statistic of the
-    # data, so the learner cannot place it
-    from gridforest.missing import HiddenNodeInfo
-
-    rc = main(_chain_missing_args(tmp_path, HiddenNodeInfo(2, 100.0, 1.0, 0.5)))
+    # hidden load 2 with a far too large known var_p explains no statistic of
+    # the data, so the learner cannot place it
+    rc = main(_chain_missing_args(tmp_path, 2, var_p2=100.0))
     assert rc == 2
     assert "learner failure: hidden nodes never placed: [2]" in capsys.readouterr().err
 
 
 def test_missing_spec_names_a_foreign_node(tmp_path, capsys):
     # a hidden id that is not a load of the network is an input error
-    from gridforest.missing import HiddenNodeInfo
-
-    rc = main(_chain_missing_args(tmp_path, HiddenNodeInfo(99, 1.0, 1.0, 0.5)))
+    rc = main(_chain_missing_args(tmp_path, 99))
     assert rc == 1
     err = capsys.readouterr().err
     assert str(tmp_path / "missing.json") in err and "hidden node 99" in err
@@ -647,10 +652,9 @@ def test_missing_spec_breaking_placement_assumptions(tmp_path, capsys, hops):
     # is an input error naming the spec file, not a learner failure
     assert main(["synth", "--preset", "bus_29_1", "--seed", "11", "--out", str(tmp_path)]) == 0
     forest = fileio.load_network(tmp_path / "network.json")
-    inj = fileio.load_injection(tmp_path / "injection.json")
     a, b = _near_pair(forest, hops)
     spec = tmp_path / "missing.json"
-    fileio.save_missing(spec, MissingSpec.from_injections((a, b), inj))
+    fileio.save_missing(spec, MissingSpec((a, b)))
     capsys.readouterr()
     rc = main(["learn-missing", "--network", str(tmp_path / "network.json"),
                "--inj", str(tmp_path / "injection.json"), "--missing", str(spec),
@@ -816,6 +820,68 @@ def test_learn_rejects_samples_of_other_nodes(tmp_path, capsys, corrupt, error, 
     err = capsys.readouterr().err
     assert str(path) in err and text in err
     assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "data"])
+@pytest.mark.parametrize("command", ["learn", "learn-params", "learn-missing"])
+def test_inj_must_cover_every_network_load(tmp_path, capsys, command, mode):
+    # checked where --inj enters, naming the file and the load; the load
+    # dropped here is hidden for learn-missing, whose --inj covers those too
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj = tmp_path / "network.json", tmp_path / "injection.json"
+    assert main(["simulate", "--network", str(net), "--inj", str(inj),
+                 "--samples", "50", "--out", str(tmp_path)]) == 0
+    hidden = choose_hidden(fileio.load_network(net), 2, 5)
+    fileio.save_missing(tmp_path / "missing.json", MissingSpec(hidden))
+    doc = json.loads(inj.read_text())
+    doc["nodes"] = [nd for nd in doc["nodes"] if nd["id"] != hidden[0]]
+    lacking = tmp_path / "lacking.json"
+    lacking.write_text(json.dumps(doc))
+    args = [command, "--network", str(net), "--inj", str(lacking),
+            "--out", str(tmp_path / "r.json")]
+    args += ["--analytic"] if mode == "analytic" else ["--data", str(tmp_path / "samples.csv")]
+    if command == "learn-missing":
+        args += ["--missing", str(tmp_path / "missing.json")]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {lacking}: no injection statistics for network load {hidden[0]}\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("m", [400, 6400])
+def test_learn_missing_drops_the_hidden_columns_of_the_data(tmp_path, m):
+    # hidden nodes carry no data: the learner drops their columns from a
+    # samples file that holds them, as --analytic drops their moments
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj = str(tmp_path / "network.json"), str(tmp_path / "injection.json")
+    assert main(["simulate", "--network", net, "--inj", inj,
+                 "--samples", str(m), "--out", str(tmp_path)]) == 0
+    spec = tmp_path / "missing.json"
+    fileio.save_missing(spec, MissingSpec(choose_hidden(fileio.load_network(net), 2, 5)))
+    out = tmp_path / "result.json"
+    assert main(["learn-missing", "--network", net, "--inj", inj, "--missing", str(spec),
+                 "--data", str(tmp_path / "samples.csv"), "--out", str(out)]) == 0
+    assert fileio.load_result(out)["metrics"]["struct_err"] == 0.0
+
+
+def test_synth_names_a_load_count_below_one(tmp_path, capsys):
+    # --n 0 is a count, not an absent option
+    assert main(["synth", "--n", "0", "--out", str(tmp_path)]) == 1
+    assert "error: need n_loads >= n_trees >= 1, got (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "network.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+def test_simulate_names_a_bad_sample_count(workspace, capsys, value):
+    rc = main(["simulate", "--network", str(workspace / "network.json"),
+               "--inj", str(workspace / "injection.json"),
+               "--samples", value, "--out", str(workspace)])
+    assert rc == 1
+    assert (f"error: argument --samples: must be an integer >= 1, got '{value}'"
+            in capsys.readouterr().err)
+    assert not (workspace / "samples.csv").exists()
 
 
 def _documented_exit_codes() -> dict[str, int]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridforest import fileio
 from gridforest.errors import MalformedJSON, MalformedSamples
-from gridforest.missing import HiddenNodeInfo, MissingSpec
+from gridforest.missing import MissingSpec
 from gridforest.network import Node, build_forest
 from gridforest.powerflow import InjectionModel, VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
@@ -235,13 +235,10 @@ def test_injection_json_round_trip_property(inj):
         assert _bits(getattr(back, name)) == _bits(getattr(inj, name))
 
 
-@st.composite
-def missing_specs(draw):
-    """A missing spec on distinct ids with finite covariances."""
-    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True))
-    return MissingSpec(
-        hidden=tuple(HiddenNodeInfo(i, draw(_FINITE), draw(_FINITE), draw(_FINITE)) for i in ids)
-    )
+def missing_specs():
+    """A missing spec on distinct ids."""
+    ids = st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True)
+    return ids.map(lambda ids: MissingSpec(tuple(ids)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,11 +248,7 @@ def test_missing_spec_json_round_trip_property(spec):
         path = Path(tmp) / "missing.json"
         fileio.save_missing(path, spec)
         back = fileio.load_missing(path)
-    assert back.ids == spec.ids
-    for name in ("var_p", "var_q", "cov_pq"):
-        assert _bits([getattr(h, name) for h in back.hidden]) == _bits(
-            [getattr(h, name) for h in spec.hidden]
-        )
+    assert back == spec
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,12 +330,32 @@ def test_json_missing_or_null_key_property(kind, forest, inj, spec, null, data):
 
 
 def test_missing_spec_round_trip(tmp_path):
-    spec = MissingSpec(
-        hidden=(HiddenNodeInfo(4, 1.5, 0.9, 0.4), HiddenNodeInfo(9, 1.0, 1.0, 0.2))
-    )
+    spec = MissingSpec((4, 9))
     path = tmp_path / "missing.json"
     fileio.save_missing(path, spec)
+    assert json.loads(path.read_text()) == {"hidden": [4, 9]}
     assert fileio.load_missing(path) == spec
+
+
+@pytest.mark.parametrize(
+    "hidden, where, message",
+    [
+        # the former format, which also carried each node's statistics
+        ([{"id": 4, "var_p": 1.5, "var_q": 0.9, "cov_pq": 0.4}], "hidden[0]",
+         "expected an integer, got an object"),
+        ([4, 9.5], "hidden[1]", "expected an integer, got a number"),
+        ([4, 9, 4], "hidden[2]", "duplicate hidden node id 4"),
+        ({"4": 1}, "hidden", "expected an array, got an object"),
+    ],
+    ids=["old_format", "fractional_id", "repeated_id", "not_an_array"],
+)
+def test_missing_spec_rejects_a_bad_entry(tmp_path, hidden, where, message):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps({"hidden": hidden}))
+    with pytest.raises(MalformedJSON) as exc_info:
+        fileio.load_missing(path)
+    assert (exc_info.value.path, exc_info.value.where) == (str(path), where)
+    assert str(exc_info.value) == f"{path}: {where}: {message}"
 
 
 def test_curves_round_trip(tmp_path):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from gridforest.errors import AssumptionViolated, InfeasibleSpec, NoConsistentPlacement
+from gridforest.errors import (
+    AssumptionViolated,
+    InfeasibleSpec,
+    NoConsistentPlacement,
+    UnobservedNode,
+)
 from gridforest.missing import (
-    HiddenNodeInfo,
     MissingSpec,
     learn_with_missing,
     residual_match,
@@ -25,7 +29,7 @@ def observed_momset(forest, inj, hidden=()):
 
 
 def run_missing(forest, inj, hidden, ms=None, **kw):
-    spec = MissingSpec.from_injections(hidden, inj)
+    spec = MissingSpec(hidden)
     ms = observed_momset(forest, inj, hidden) if ms is None else ms
     vp, vq, s = inj.as_maps()
     return learn_with_missing(
@@ -59,9 +63,7 @@ def test_hidden_siblings_flagged():
     f = build_forest(
         nodes, [Line(1, 0, r=1, x=1), Line(2, 1, r=1, x=1), Line(3, 1, r=1, x=1)]
     )
-    spec = MissingSpec(
-        hidden=(HiddenNodeInfo(2, 1, 1, 0.5), HiddenNodeInfo(3, 1, 1, 0.5))
-    )
+    spec = MissingSpec((2, 3))
     out = validate_missing_spec(f, spec)
     assert any("2 hops" in v for v in out)
 
@@ -77,14 +79,14 @@ def test_hidden_in_different_trees_ok():
             Line(3, 9, r=1, x=1), Line(4, 3, r=1, x=1),
         ],
     )
-    spec = MissingSpec(hidden=(HiddenNodeInfo(2, 1, 1, 0.5), HiddenNodeInfo(4, 1, 1, 0.5)))
+    spec = MissingSpec((2, 4))
     assert validate_missing_spec(f, spec) == []
 
 
 def test_hidden_substation_child_flagged():
     nodes = [Node(0, "substation"), Node(1, "load"), Node(2, "load")]
     f = build_forest(nodes, [Line(1, 0, r=1, x=1), Line(2, 1, r=1, x=1)])
-    spec = MissingSpec(hidden=(HiddenNodeInfo(1, 1, 1, 0.5),))
+    spec = MissingSpec((1,))
     out = validate_missing_spec(f, spec)
     assert any("immediate substation child" in v for v in out)
 
@@ -92,10 +94,8 @@ def test_hidden_substation_child_flagged():
 def test_choose_hidden_respects_assumptions():
     spec = FeederSpec(n_loads=30, n_trees=2, extra_lines=5)
     forest = synth_layout(spec, 5)
-    inj = draw_injections(spec, forest.load_ids, 6)
     hidden = choose_hidden(forest, 3, 9)
-    mspec = MissingSpec.from_injections(hidden, inj)
-    assert validate_missing_spec(forest, mspec) == []
+    assert validate_missing_spec(forest, MissingSpec(hidden)) == []
 
 
 def test_choose_hidden_infeasible():
@@ -302,12 +302,26 @@ def test_all_hidden_nodes_placed_once():
 
 def test_hidden_node_with_observations_rejected():
     f, inj = hidden_leaf_fixture()
-    spec = MissingSpec.from_injections((3,), inj)
+    spec = MissingSpec((3,))
     ms = observed_momset(f, inj, hidden=())  # 3 still observed
     vp, vq, s = inj.as_maps()
     with pytest.raises(AssumptionViolated):
         learn_with_missing(
             ms, spec, vp, vq, s, line_param_map(f.lines), f.substation_children()
+        )
+
+
+@pytest.mark.parametrize("where, load", [("observed", 4), ("hidden", 3)])
+@pytest.mark.parametrize("name", ["var_p", "var_q", "cov_pq"])
+def test_known_statistics_must_cover_observed_and_hidden_loads(name, where, load):
+    # a gap in any of the three maps is named on entry, not met as a KeyError
+    f, inj = hidden_leaf_fixture()
+    known = dict(zip(("var_p", "var_q", "cov_pq"), inj.as_maps()))
+    known[name] = {a: v for a, v in known[name].items() if a != load}
+    with pytest.raises(UnobservedNode, match=rf"known {name} missing for nodes \[{load}\]"):
+        learn_with_missing(
+            observed_momset(f, inj, (3,)), MissingSpec((3,)), *known.values(),
+            line_param_map(f.lines), f.substation_children(),
         )
 
 
@@ -406,7 +420,7 @@ def test_declared_child_keeps_its_slack_edge_when_no_check_matches():
 def test_finite_sample_recovery_smoke():
     forest, inj = random_feeder(23, n_range=(18, 26), k_max=1)
     hidden = choose_hidden(forest, 1, 2)
-    spec = MissingSpec.from_injections(hidden, inj)
+    spec = MissingSpec(hidden)
     observed = tuple(i for i in forest.load_ids if i not in set(hidden))
     samples = restrict_samples(sample_voltages(forest, inj, 60_000, seed=5), observed)
     ms = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)

@@ -137,7 +137,7 @@ def test_exact_tie_picks_smallest_id():
     ones = {5: 1.0, 7: 1.0, 9: 1.0}
     lines = {(5, 9): (1.0, 1.0), (5, 7): (1.0, 1.0), (0, 5): (1.0, 1.0)}
     rec, mdiag = learn_with_missing(
-        ms, MissingSpec(hidden=()), ones, ones, ones, lines, declared
+        ms, MissingSpec(()), ones, ones, ones, lines, declared
     )
     assert {ev.child: ev.parent for ev in mdiag.events} == {9: 5, 7: 5, 5: 0}
     assert rec.parent == {9: 5, 7: 5, 5: 0}
