@@ -21,7 +21,6 @@ from .lines import EdgeEstimate, estimate_edge, learn_structure_and_params
 from .missing import (
     MissingSpec,
     learn_with_missing,
-    residual_match,
     validate_missing_spec,
 )
 from .structure import estimate_injection_stats, learn_structure
@@ -51,7 +50,6 @@ __all__ = [
     "learn_with_missing",
     "line_param_map",
     "preset",
-    "residual_match",
     "sample_voltages",
     "synth_feeder",
     "validate_missing_spec",

@@ -37,7 +37,6 @@ from .experiments import (
 )
 from .missing import validate_missing_spec
 from .moments import MomentSet
-from .network import line_param_map
 from .powerflow import sample_voltages
 from .synth import FeederSpec, draw_injections, preset, synth_layout
 
@@ -70,15 +69,26 @@ def _tol_rel(text: str) -> float:
     return value
 
 
-def _sample_count(text: str) -> int:
-    """--samples: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(k: int):
+    """An argparse type: an integer >= ``k``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = k - 1
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {k}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _moment_source(sp):
+    """--data or --analytic, never both."""
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--data", help="samples CSV (omit with --analytic)")
+    group.add_argument("--analytic", action="store_true", help="population-moment mode")
 
 
 def _build_parser() -> _Parser:
@@ -90,14 +100,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, help="number of load nodes")
     sp.add_argument("--trees", type=int, default=1, help="number of substations")
     sp.add_argument("--extra-lines", type=int, default=0, help="open tie lines to add")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("simulate", help="draw voltage samples from a network")
     sp.add_argument("--network", required=True)
     sp.add_argument("--inj", required=True)
-    sp.add_argument("--samples", type=_sample_count, required=True, help="sample count m")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=_int_at_least(2), required=True, help="sample count m")
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("moments", help="dump empirical moments of a samples file")
@@ -106,26 +116,23 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("learn", help="recover structure and injection statistics")
     sp.add_argument("--network", required=True, help="truth network (priors + scoring)")
-    sp.add_argument("--data", help="samples CSV (omit with --analytic)")
+    _moment_source(sp)
     sp.add_argument("--inj", help="true injection model (needed for --analytic)")
-    sp.add_argument("--analytic", action="store_true", help="population-moment mode")
     sp.add_argument("--no-estimate", action="store_true", help="structure only")
     sp.add_argument("--out", required=True, help="result JSON path")
 
     sp = sub.add_parser("learn-params", help="recover structure and line parameters")
     sp.add_argument("--network", required=True)
-    sp.add_argument("--data", help="samples CSV (omit with --analytic)")
+    _moment_source(sp)
     sp.add_argument("--inj", required=True, help="known true injection variances")
-    sp.add_argument("--analytic", action="store_true")
     sp.add_argument("--tol-rel", type=_tol_rel, default=None)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("learn-missing", help="recover structure with hidden nodes")
     sp.add_argument("--network", required=True)
-    sp.add_argument("--data", help="samples CSV of the observed nodes")
+    _moment_source(sp)
     sp.add_argument("--inj", required=True, help="known true injection statistics")
     sp.add_argument("--missing", required=True, help="missing-spec JSON")
-    sp.add_argument("--analytic", action="store_true")
     sp.add_argument("--tol-rel", type=_tol_rel, default=None)
     sp.add_argument("--out", required=True)
 
@@ -136,23 +143,22 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("reproduce-fig4", help="error-decay study (13-load feeder)")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seeds", type=int, default=24)
+    sp.add_argument("--seeds", type=_int_at_least(1), default=24)
 
     sp = sub.add_parser("reproduce-fig5", help="missing-data study (29-load feeder)")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seeds", type=int, default=24)
+    sp.add_argument("--seeds", type=_int_at_least(1), default=24)
     return p
 
 
 def _load_momset(args, forest, inj, hidden=()):
-    """Moments of the network's loads less the ``hidden`` ids: population
-    moments of ``inj`` (--analytic) or those of the --data samples, whose
-    nodes must be the network's loads; the columns of the hidden ids may be
-    absent, and are dropped when present."""
+    """Population moments of ``inj`` (--analytic) or the moments of the
+    --data samples, whose nodes must be the network's loads; the columns of
+    the ``hidden`` ids may be absent.  ``run_learner`` drops the hidden rows."""
     if args.analytic:
         if inj is None:
             raise CliConfigError("--analytic needs --inj")
-        return population_moments(forest, inj, hidden)
+        return population_moments(forest, inj)
     if not args.data:
         raise CliConfigError("need --data unless --analytic")
     samples = fileio.load_samples(args.data)
@@ -163,11 +169,7 @@ def _load_momset(args, forest, inj, hidden=()):
     unobserved = sorted(loads - observed - set(hidden))
     if unobserved:
         raise UnobservedNode(f"{args.data}: no samples for network load {unobserved[0]}")
-    momset = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
-    if not hidden:
-        return momset
-    hidden = set(hidden)
-    return momset.restrict([i for i in samples.node_ids if i not in hidden])
+    return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
 
 
 def _cmd_synth(args) -> int:
@@ -212,11 +214,6 @@ def _cmd_learn(args) -> int:
     spec = None
     if args.command == "learn-missing":
         spec = fileio.load_missing(args.missing)
-        foreign = sorted(set(spec.ids) - set(truth.load_ids))
-        if foreign:
-            raise UnknownNode(
-                f"{args.missing}: hidden node {foreign[0]} is not a load of the network"
-            )
         violations = validate_missing_spec(truth, spec)
         if violations:
             raise AssumptionViolated(f"{args.missing}: {'; '.join(violations)}")
@@ -238,8 +235,7 @@ def _cmd_learn(args) -> int:
         raise UnobservedNode(f"{args.data}: {what} estimation needs the theta channel, "
                              f"but the theta column is blank{hint}")
     forest, parts = run_learner(
-        args.command, momset, truth.substation_children(), line_param_map(truth.lines), inj,
-        analytic=args.analytic, spec=spec, tol_rel=getattr(args, "tol_rel", None),
+        args.command, truth, momset, inj, spec=spec, tol_rel=getattr(args, "tol_rel", None),
         estimate=estimate,
     )
     metrics = {"struct_err": structural_error(truth, forest.parent)}

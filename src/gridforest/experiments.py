@@ -25,9 +25,13 @@ starts them, because ``os.fork`` then warns in a process with other
 threads, as numpy's BLAS pool makes this one.
 
 ``run_learner`` is the one learner path: it maps a task (``learn``,
-``learn-params``, ``learn-missing``) to its learner and holds the
-learn-params tolerance default.  The sweep cells and the command line both
-call it, and both take population moments from ``population_moments``.
+``learn-params``, ``learn-missing``) to its learner, reads the priors
+(substation children, line parameters) from the network and drops the
+hidden nodes' rows of the moments for learn-missing.  Each learner keeps
+its own tolerance default, which follows the moments: population moments
+(``m`` None) or samples.  The sweep cells and the command line both call
+it with the moments of every load, and both take population moments from
+``population_moments``.
 """
 
 from __future__ import annotations
@@ -163,46 +167,34 @@ def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
 # -- the learner path -------------------------------------------------------------------
 
 
-def _observed(forest: RadialForest, momset: MomentSet, hidden) -> MomentSet:
-    """The moments of the loads not in ``hidden``."""
-    if not hidden:
-        return momset
-    hidden = set(hidden)
-    return momset.restrict([i for i in forest.load_ids if i not in hidden])
-
-
-def population_moments(forest: RadialForest, inj: InjectionModel, hidden=()) -> MomentSet:
-    """Population moments of the loads not in ``hidden``, slacks as zero ids."""
+def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
+    """Population moments of the loads, slacks as zero ids."""
     am = analytic_moments(forest, inj.for_nodes(forest.load_ids))
-    return _observed(forest, MomentSet.from_analytic(am, zero_ids=forest.slack_ids), hidden)
+    return MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
 
 
-def empirical_moments(
-    forest: RadialForest, inj: InjectionModel, m: int, draws, hidden=()
-) -> MomentSet:
+def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, draws) -> MomentSet:
     """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with a
-    seed, of the loads not in ``hidden``, slacks as zero ids.  ``draws`` are
-    that seed's standard-draw statistics, ``draw_moments(inj.distribution, m,
-    forest.n_loads, seed)``; no sample is formed.
+    seed, slacks as zero ids.  ``draws`` are that seed's standard-draw
+    statistics, ``draw_moments(inj.distribution, m, forest.n_loads, seed)``;
+    no sample is formed.
     """
     moments = fold_moments(forest, inj, *draws)
-    momset = MomentSet(forest.load_ids, *moments, m=m, zero_ids=forest.slack_ids)
-    return _observed(forest, momset, hidden)
+    return MomentSet(forest.load_ids, *moments, m=m, zero_ids=forest.slack_ids)
 
 
-def run_learner(
-    task, momset, declared, params, inj, *, analytic, spec=None, tol_rel=None, estimate=True
-):
+def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate=True):
     """Run ``task``'s learner; returns ``(forest, parts)``, where ``parts`` are
     the task's ``fileio.result_to_dict`` keywords (``inj_hat`` is None unless
-    ``estimate``).  ``declared`` are the substation children, ``params`` the
-    known line parameters, ``inj`` the known injection statistics and
-    ``spec`` the hidden nodes.  With ``tol_rel`` None each learner takes its
-    default; for learn-params that is 1e-9 on population moments
-    (``analytic``) and 1e-6 on samples.
+    ``estimate``).  The priors come from ``network``: its substation children
+    and its line parameters.  ``inj`` are the known injection statistics and
+    ``spec`` the hidden nodes, whose rows of ``momset`` learn-missing drops.
+    Population moments are those with ``momset.m`` None.  With ``tol_rel``
+    None each learner takes its default.
     """
+    declared, params = network.substation_children(), line_param_map(network.lines)
     if task == "learn":
-        if analytic:  # such moments give a wrong forest, with no error
+        if momset.m is None:  # such moments give a wrong forest, with no error
             check_fluctuating(*inj.as_maps()[:2], momset.node_ids)
         forest, diag = learn_structure(
             momset, declared, line_params=params, return_diagnostics=True
@@ -211,12 +203,12 @@ def run_learner(
         return forest, dict(inj_hat=inj_hat, margins=diag.decisions)
     vp, vq, s = inj.as_maps()
     if task == "learn-params":
-        if tol_rel is None:
-            tol_rel = 1e-9 if analytic else 1e-6
         forest, estimates, diag = learn_structure_and_params(
             momset, vp, vq, declared, rel_tol=tol_rel, return_diagnostics=True
         )
         return forest, dict(edge_estimates=estimates, margins=diag.decisions)
+    hidden = set(spec.ids)
+    momset = momset.restrict([i for i in momset.node_ids if i not in hidden])
     forest, diag = learn_with_missing(momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel)
     return forest, dict(events=diag.events)
 
@@ -273,8 +265,6 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
     """
     config.validate()
     forest = synth_layout(config.feeder, config.layout_seed)
-    declared = forest.substation_children()
-    params = line_param_map(forest.lines)
     report = MetricsReport()
 
     cells = []  # (task, inj, m, seed, sample seed, missing spec)
@@ -292,10 +282,7 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
 
     def score(task, inj, m, seed, spec, momset):
         try:
-            recovered, parts = run_learner(
-                config.task, momset, declared, params, inj,
-                analytic=config.analytic, spec=spec,
-            )
+            recovered, parts = run_learner(config.task, forest, momset, inj, spec=spec)
         except GridForestError as exc:
             parent_map = getattr(exc, "parent_map", {})
             report.add(task, m, seed, "struct_err", structural_error(forest, parent_map))
@@ -314,15 +301,13 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
 
     if config.analytic:
         for task, inj, m, seed, _sample_seed, spec in cells:
-            hidden = spec.ids if spec else ()
-            score(task, inj, m, seed, spec, population_moments(forest, inj, hidden))
+            score(task, inj, m, seed, spec, population_moments(forest, inj))
     else:
         n = forest.n_loads
         jobs = [(inj.distribution, m, n, s) for (_t, inj, m, _s, s, _h) in cells]
         with contextlib.closing(_cell_draws(jobs, n)) as all_draws:
             for (task, inj, m, seed, _sample_seed, spec), draws in zip(cells, all_draws):
-                hidden = spec.ids if spec else ()
-                score(task, inj, m, seed, spec, empirical_moments(forest, inj, m, draws, hidden))
+                score(task, inj, m, seed, spec, empirical_moments(forest, inj, m, draws))
 
     if outdir is not None:
         outdir = Path(outdir)
@@ -334,7 +319,7 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
 # -- canned reproductions ------------------------------------------------------------------
 
 
-def fig4_config(seeds=tuple(range(24)), analytic=False) -> ExperimentConfig:
+def fig4_config(seeds=tuple(range(24))) -> ExperimentConfig:
     """Error-decay study on the 13-load / 3-substation synthetic feeder."""
     from .synth import preset
 
@@ -344,11 +329,10 @@ def fig4_config(seeds=tuple(range(24)), analytic=False) -> ExperimentConfig:
         m_grid=(400, 1600, 6400, 25600),
         seeds=tuple(seeds),
         layout_seed=7,
-        analytic=analytic,
     )
 
 
-def fig5_config(seeds=tuple(range(24)), analytic=False) -> ExperimentConfig:
+def fig5_config(seeds=tuple(range(24))) -> ExperimentConfig:
     """Missing-data study on the 29-load single-tree synthetic feeder."""
     from .synth import preset
 
@@ -359,7 +343,6 @@ def fig5_config(seeds=tuple(range(24)), analytic=False) -> ExperimentConfig:
         seeds=tuple(seeds),
         layout_seed=11,
         missing_counts=(1, 2, 3),
-        analytic=analytic,
     )
 
 

@@ -127,16 +127,20 @@ def learn_structure_and_params(
     var_q,
     substation_children,
     *,
-    rel_tol: float = 1e-9,
+    rel_tol: float | None = None,
     return_diagnostics: bool = False,
 ):
     """Recover the forest, then per discovered edge its (r, x) and own cov_pq.
 
     ``var_p`` / ``var_q`` map node id to the known true injection variances.
+    ``rel_tol`` is ``estimate_edge``'s tolerance; None takes 1e-9 on
+    population moments (``momset.m`` None) and 1e-6 on samples.
     An edge whose variance sums or statistics are not positive raises
     AssumptionViolated naming it.  With ``return_diagnostics`` the parent
     selections' ``StructureDiagnostics`` come third.
     """
+    if rel_tol is None:
+        rel_tol = 1e-9 if momset.m is None else 1e-6
     diag = StructureDiagnostics()
     parent = recover_parent_map(momset, substation_children, diagnostics=diag)
     momset = momset.with_zero_ids(substation_children.keys())

@@ -103,15 +103,11 @@ def validate_missing_spec(forest_truth: RadialForest, spec: MissingSpec) -> list
     violations = []
     ids = spec.ids
     for h in ids:
-        if h not in forest_truth.nodes:
-            violations.append(f"hidden node {h} not in the grid")
-            continue
-        if forest_truth.is_slack(h):
-            violations.append(f"hidden node {h} is a substation")
-            continue
-        if forest_truth.is_slack(forest_truth.parent[h]):
+        if not forest_truth.is_load(h):
+            violations.append(f"hidden node {h} is not a load of the network")
+        elif forest_truth.is_slack(forest_truth.parent[h]):
             violations.append(f"hidden node {h} is an immediate substation child")
-    known = [h for h in ids if h in forest_truth.nodes and forest_truth.is_load(h)]
+    known = [h for h in ids if forest_truth.is_load(h)]
     for i, a in enumerate(known):
         for b in known[i + 1 :]:
             dist = forest_truth.tree_distance(a, b)
@@ -120,13 +116,6 @@ def validate_missing_spec(forest_truth: RadialForest, spec: MissingSpec) -> list
                     f"hidden nodes {a} and {b} are {int(dist)} hops apart"
                 )
     return violations
-
-
-def residual_match(lhs: float, rhs: float, scale: float, tol_rel: float) -> bool:
-    """Tolerance form of the algorithm's exact equality checks."""
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    return abs(lhs - rhs) <= tol_rel * scale
 
 
 def _predicted_sqdiff(r: float, x: float, p: float, q: float, s: float) -> float:
@@ -221,8 +210,8 @@ class _MissingLearner:
 
         scale = max(abs(lhs), 1e-300)
 
-        def ok(mc):
-            return residual_match(mc.lhs, mc.rhs, scale, self.tol_rel)
+        def ok(mc):  # the tolerance form of the algorithm's exact equalities
+            return mc.residual <= self.tol_rel * scale
 
         direct = event.checks[:1]
         ranked = sorted(event.checks[1:], key=lambda mc: (mc.residual, mc.candidate))

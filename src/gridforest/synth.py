@@ -37,14 +37,13 @@ _MEAN_Q_RANGE = (-0.8e-2, -0.2e-2)
 
 @dataclass(frozen=True)
 class FeederSpec:
-    """Shape of a synthetic feeder and the distribution of its injections."""
+    """Shape of a synthetic feeder."""
 
     n_loads: int
     n_trees: int = 1
     extra_lines: int = 0
     max_children: int = 3
     chain_bias: float = 0.4
-    distribution: str = "gaussian"
 
     def validate(self):
         if self.n_trees < 1 or self.n_loads < self.n_trees:
@@ -159,7 +158,6 @@ def draw_injections(spec: FeederSpec, load_ids, seed) -> InjectionModel:
         var_p=var_p,
         var_q=var_q,
         cov_pq=cov_pq,
-        distribution=spec.distribution,
     )
 
 

@@ -873,15 +873,54 @@ def test_synth_names_a_load_count_below_one(tmp_path, capsys):
     assert not (tmp_path / "network.json").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+@pytest.mark.parametrize("value", ["0", "1", "-3", "2.5", "many"])
 def test_simulate_names_a_bad_sample_count(workspace, capsys, value):
+    # the learners need two samples, so one is refused before any is drawn
     rc = main(["simulate", "--network", str(workspace / "network.json"),
                "--inj", str(workspace / "injection.json"),
                "--samples", value, "--out", str(workspace)])
     assert rc == 1
-    assert (f"error: argument --samples: must be an integer >= 1, got '{value}'"
+    assert (f"error: argument --samples: must be an integer >= 2, got '{value}'"
             in capsys.readouterr().err)
     assert not (workspace / "samples.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, least, value",
+    [
+        ("synth", "--seed", 0, "-1"),
+        ("synth", "--seed", 0, "1.5"),
+        ("simulate", "--seed", 0, "-2"),
+        ("reproduce-fig4", "--seeds", 1, "0"),
+        ("reproduce-fig5", "--seeds", 1, "-1"),
+    ],
+)
+def test_integer_options_name_a_bad_value(workspace, capsys, command, option, least, value):
+    args = {
+        "synth": ["--preset", "bus_13_3"],
+        "simulate": ["--network", str(workspace / "network.json"),
+                     "--inj", str(workspace / "injection.json"), "--samples", "10"],
+    }.get(command, [])
+    out = workspace / "out"
+    assert main([command, *args, option, value, "--out", str(out)]) == 1
+    assert (f"error: argument {option}: must be an integer >= {least}, got '{value}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "learn-params", "learn-missing"])
+def test_analytic_and_data_are_exclusive(workspace, capsys, command):
+    # --analytic reads no samples, so a --data beside it is an input error,
+    # even when the file does not exist
+    args = [command, "--network", str(workspace / "network.json"),
+            "--inj", str(workspace / "injection.json"), "--analytic",
+            "--data", str(workspace / "absent.csv"), "--out", str(workspace / "r.json")]
+    if command == "learn-missing":
+        args += ["--missing", str(workspace / "missing.json")]
+    assert main(args) == 1
+    assert ("error: argument --data: not allowed with argument --analytic"
+            in capsys.readouterr().err)
+    assert not (workspace / "r.json").exists()
 
 
 def _documented_exit_codes() -> dict[str, int]:

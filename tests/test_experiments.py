@@ -3,21 +3,26 @@ import os
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridforest import experiments
-from gridforest.errors import InfeasibleSpec
+from gridforest.errors import AssumptionViolated, InfeasibleSpec
 from gridforest.experiments import (
     ExperimentConfig,
     fig4_config,
     fig5_config,
     fractional_error,
+    population_moments,
     run_experiment,
+    run_learner,
     structural_error,
 )
-from gridforest.synth import FeederSpec, synth_layout
+from gridforest.missing import MissingSpec, learn_with_missing
+from gridforest.network import line_param_map
+from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder, synth_layout
 
 from conftest import sampled_moments
 
@@ -140,6 +145,39 @@ def test_failures_recorded_not_fatal():
     assert len(vals) == 4
 
 
+@pytest.mark.parametrize("m", [None, 6400], ids=["population", "samples"])
+def test_learn_missing_drops_the_hidden_rows_itself(m):
+    # the learner path takes every load's moments and learns as the
+    # hidden-node learner does on the observed loads' moments
+    forest, inj = synth_feeder(preset("bus_29_1"), 11)
+    spec = MissingSpec(choose_hidden(forest, 2, 5))
+    if m is None:
+        full = population_moments(forest, inj)
+    else:
+        full = sampled_moments(forest, inj, m, 3)
+    got, parts = run_learner("learn-missing", forest, full, inj, spec=spec)
+    observed = full.restrict([i for i in forest.load_ids if i not in spec.ids])
+    vp, vq, s = inj.as_maps()
+    want, diag = learn_with_missing(
+        observed, spec, vp, vq, s, line_param_map(forest.lines), forest.substation_children()
+    )
+    assert got.parent == want.parent
+    assert parts["events"] == diag.events
+
+
+def test_learn_checks_fluctuation_on_population_moments_only():
+    # a load with no injection variance gives a wrong forest from population
+    # moments; samples carry their own variances, so they are not checked
+    forest, inj = synth_feeder(preset("bus_13_3"), 0)
+    still = np.arange(inj.n) > 0  # the first load does not fluctuate
+    zero = replace(inj, var_p=inj.var_p * still, var_q=inj.var_q * still,
+                   cov_pq=inj.cov_pq * still)
+    with pytest.raises(AssumptionViolated, match="no injection variance"):
+        run_learner("learn", forest, population_moments(forest, inj), zero)
+    got, _ = run_learner("learn", forest, sampled_moments(forest, inj, 50_000, 2), zero)
+    assert got.parent == forest.parent
+
+
 def test_fig5_cells_match_sampled_oracle(monkeypatch):
     # cells that take their moments from the draws score as cells that form
     # the samples and call from_samples; the oracle stands in for every
@@ -153,11 +191,11 @@ def test_fig5_cells_match_sampled_oracle(monkeypatch):
         jobs.extend(cell_jobs)
         return cell_draws(cell_jobs, n)
 
-    def oracle(forest, inj, m, draws, hidden):
+    def oracle(forest, inj, m, draws):
         _dist, job_m, _n, seed = jobs[len(calls)]  # the cells come in job order
         assert job_m == m
-        want = sampled_moments(forest, inj, m, seed, hidden)
-        got = from_draws(forest, inj, m, draws, hidden)
+        want = sampled_moments(forest, inj, m, seed)
+        got = from_draws(forest, inj, m, draws)
         for c in ("eps", "theta", "eps_theta"):
             b = want.full_cov(c)
             np.testing.assert_allclose(got.full_cov(c), b, rtol=0, atol=1e-12 * np.abs(b).max())

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridforest.errors import BothRootsFeasible, NoRealRoot, SingularSystem, UnobservedNode
+from gridforest import lines
 from gridforest.lines import estimate_edge, learn_structure_and_params
 from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
@@ -288,6 +289,32 @@ def test_single_edge_feeder_reduces_to_estimate_edge():
     est = ests[(load, slack)]
     assert est.r_hat == pytest.approx(single.r_hat, rel=1e-12)
     assert est.x_hat == pytest.approx(single.x_hat, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, rel_tol", [(None, 1e-9), (4000, 1e-6)], ids=["population", "samples"])
+def test_default_tolerance_follows_the_moments(monkeypatch, m, rel_tol):
+    spec = FeederSpec(n_loads=13, n_trees=3, extra_lines=10)
+    forest = synth_layout(spec, 21)
+    inj = draw_injections(spec, forest.load_ids, 3)
+    if m is None:
+        ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    else:
+        samples = sample_voltages(forest, inj, m, seed=4)
+        ms = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+    vp, vq, _ = inj.as_maps()
+    declared = forest.substation_children()
+    tols = []
+
+    def spy(*args, rel_tol, **kw):
+        tols.append(rel_tol)
+        return estimate_edge(*args, rel_tol=rel_tol, **kw)
+
+    monkeypatch.setattr(lines, "estimate_edge", spy)
+    rec, ests = learn_structure_and_params(ms, vp, vq, declared)
+    assert set(tols) == {rel_tol}  # on this feeder both tolerances give the same edges
+    want_rec, want = learn_structure_and_params(ms, vp, vq, declared, rel_tol=rel_tol)
+    assert rec.parent == want_rec.parent
+    assert ests == want
 
 
 def test_magnitude_only_moments_rejected():

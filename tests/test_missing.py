@@ -10,7 +10,6 @@ from gridforest.errors import (
 from gridforest.missing import (
     MissingSpec,
     learn_with_missing,
-    residual_match,
     validate_missing_spec,
 )
 from gridforest.moments import MomentSet
@@ -36,23 +35,6 @@ def run_missing(forest, inj, hidden, ms=None, **kw):
         ms, spec, vp, vq, s, line_param_map(forest.lines),
         forest.substation_children(), **kw,
     )
-
-
-# -- residual_match -----------------------------------------------------------------
-
-
-def test_residual_match_exact():
-    assert residual_match(1.0, 1.0, 1.0, tol_rel=1e-12)
-
-
-def test_residual_match_rejects_beyond_tolerance():
-    assert not residual_match(1.0, 1.1, 1.0, tol_rel=0.05)
-    assert residual_match(1.0, 1.04, 1.0, tol_rel=0.05)
-
-
-def test_residual_match_needs_positive_scale():
-    with pytest.raises(ValueError):
-        residual_match(1.0, 1.0, 0.0, tol_rel=0.1)
 
 
 # -- assumption validation -----------------------------------------------------------
@@ -89,6 +71,14 @@ def test_hidden_substation_child_flagged():
     spec = MissingSpec((1,))
     out = validate_missing_spec(f, spec)
     assert any("immediate substation child" in v for v in out)
+
+
+@pytest.mark.parametrize("hidden", [99, 0], ids=["foreign", "substation"])
+def test_hidden_node_that_is_no_load_flagged(hidden):
+    nodes = [Node(0, "substation"), Node(1, "load"), Node(2, "load")]
+    f = build_forest(nodes, [Line(1, 0, r=1, x=1), Line(2, 1, r=1, x=1)])
+    out = validate_missing_spec(f, MissingSpec((hidden, 2)))
+    assert out == [f"hidden node {hidden} is not a load of the network"]
 
 
 def test_choose_hidden_respects_assumptions():

@@ -319,6 +319,12 @@ def test_sample_rows_equal_per_sample_solve():
         np.testing.assert_allclose(eps, s.eps[j], rtol=1e-8, atol=1e-12)
 
 
+def _tagged_feeder(spec, dist):
+    """``synth_feeder(spec, 5)`` with its injections drawn from ``dist``."""
+    forest, inj = synth_feeder(spec, 5)
+    return forest, replace(inj, distribution=dist)
+
+
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
 @pytest.mark.parametrize(
     "spec",
@@ -326,7 +332,7 @@ def test_sample_rows_equal_per_sample_solve():
     ids=["bus_13_3", "chain_40"],
 )
 def test_sampler_matches_complex_reference(spec, dist):
-    forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
+    forest, inj = _tagged_feeder(spec, dist)
     assert inj.distribution == dist
     m, seed = 300, [7, 1]
     s = sample_voltages(forest, inj, m, seed)
@@ -355,11 +361,12 @@ _MOMENT_FEEDERS = pytest.mark.parametrize(
 
 def assert_moments_from_draws(spec, hidden, m, dist):
     # the moments taken from the draws are those of the samples themselves
-    forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
+    forest, inj = _tagged_feeder(spec, dist)
     hidden = choose_hidden(forest, hidden, 3) if hidden else ()
     seed = [7, 1, m]
     draws = draw_moments(dist, m, forest.n_loads, seed)
-    got = empirical_moments(forest, inj, m, draws, hidden)
+    got = empirical_moments(forest, inj, m, draws)
+    got = got.restrict([i for i in got.node_ids if i not in hidden])
     want = sampled_moments(forest, inj, m, seed, hidden)
     assert got.node_ids == want.node_ids
     assert got.zero_ids == want.zero_ids
@@ -398,7 +405,7 @@ def test_draw_rows_keep_the_paper_blocks_above_a_floor():
 def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
     # the draw and fold steps, composed, are bit for bit the one-pass blocked
     # moments, on each side of the first draw-block boundary
-    forest, inj = synth_feeder(replace(spec, distribution=dist), 5)
+    forest, inj = _tagged_feeder(spec, dist)
     m, seed = _draw_rows(forest.n_loads) + extra, [7, 1]
     want = one_pass_sample_moments(forest, inj, m, seed)
     zbar, s = draw_moments(dist, m, forest.n_loads, seed)
