@@ -28,12 +28,11 @@ from .errors import (
     UnobservedNode,
 )
 from .experiments import (
-    injection_errors,
     population_moments,
     reproduce_fig4,
     reproduce_fig5,
     run_learner,
-    structural_error,
+    score,
 )
 from .missing import validate_missing_spec
 from .moments import MomentSet
@@ -85,8 +84,8 @@ def _int_at_least(k: int):
 
 
 def _moment_source(sp):
-    """--data or --analytic, never both."""
-    group = sp.add_mutually_exclusive_group()
+    """--data or --analytic: exactly one."""
+    group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", help="samples CSV (omit with --analytic)")
     group.add_argument("--analytic", action="store_true", help="population-moment mode")
 
@@ -151,6 +150,15 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _load_injection(path, network):
+    """The --inj model at ``path``, which must cover every load of ``network``."""
+    inj = fileio.load_injection(path)
+    lacking = sorted(set(network.load_ids) - set(inj.node_ids))
+    if lacking:
+        raise UnobservedNode(f"{path}: no injection statistics for network load {lacking[0]}")
+    return inj
+
+
 def _load_momset(args, forest, inj, hidden=()):
     """Population moments of ``inj`` (--analytic) or the moments of the
     --data samples, whose nodes must be the network's loads; the columns of
@@ -159,8 +167,6 @@ def _load_momset(args, forest, inj, hidden=()):
         if inj is None:
             raise CliConfigError("--analytic needs --inj")
         return population_moments(forest, inj)
-    if not args.data:
-        raise CliConfigError("need --data unless --analytic")
     samples = fileio.load_samples(args.data)
     observed, loads = set(samples.node_ids), set(forest.load_ids)
     foreign = sorted(observed - loads)
@@ -169,7 +175,7 @@ def _load_momset(args, forest, inj, hidden=()):
     unobserved = sorted(loads - observed - set(hidden))
     if unobserved:
         raise UnobservedNode(f"{args.data}: no samples for network load {unobserved[0]}")
-    return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
+    return MomentSet.from_samples(samples)
 
 
 def _cmd_synth(args) -> int:
@@ -180,7 +186,7 @@ def _cmd_synth(args) -> int:
     else:
         raise CliConfigError("need --preset or --n")
     forest = synth_layout(spec, args.seed)
-    inj = draw_injections(spec, forest.load_ids, [args.seed, 1])
+    inj = draw_injections(forest.load_ids, [args.seed, 1])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.save_network(out / "network.json", forest)
@@ -191,7 +197,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     forest = fileio.load_network(args.network)
-    inj = fileio.load_injection(args.inj)
+    inj = _load_injection(args.inj, forest)
     samples = sample_voltages(forest, inj, args.samples, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,13 +223,7 @@ def _cmd_learn(args) -> int:
         violations = validate_missing_spec(truth, spec)
         if violations:
             raise AssumptionViolated(f"{args.missing}: {'; '.join(violations)}")
-    inj = fileio.load_injection(args.inj) if args.inj else None
-    if inj is not None:
-        lacking = sorted(set(truth.load_ids) - set(inj.node_ids))
-        if lacking:
-            raise UnobservedNode(
-                f"{args.inj}: no injection statistics for network load {lacking[0]}"
-            )
+    inj = _load_injection(args.inj, truth) if args.inj else None
     momset = _load_momset(args, truth, inj, hidden=spec.ids if spec else ())
     estimate = not getattr(args, "no_estimate", False)
     # learn-missing reads eps only, so magnitude-only data is enough there
@@ -238,9 +238,7 @@ def _cmd_learn(args) -> int:
         args.command, truth, momset, inj, spec=spec, tol_rel=getattr(args, "tol_rel", None),
         estimate=estimate,
     )
-    metrics = {"struct_err": structural_error(truth, forest.parent)}
-    if parts.get("inj_hat") is not None and inj is not None:
-        metrics.update(injection_errors(parts["inj_hat"], inj))
+    metrics = score(truth, forest.parent, parts, inj)
     fileio.save_result(args.out, fileio.result_to_dict(forest, metrics=metrics, **parts))
     print(f"struct_err={metrics['struct_err']:.4f} -> {args.out}")
     return 0
@@ -249,9 +247,8 @@ def _cmd_learn(args) -> int:
 def _cmd_eval(args) -> int:
     truth = fileio.load_network(args.network)
     parent, inj_hat = fileio.result_from_dict(fileio.load_result(args.result), args.result)
-    metrics = {"struct_err": structural_error(truth, parent)}
-    if args.inj and inj_hat is not None:
-        metrics.update(injection_errors(inj_hat, fileio.load_injection(args.inj)))
+    inj = _load_injection(args.inj, truth) if args.inj else None
+    metrics = score(truth, parent, {"inj_hat": inj_hat}, inj)
     print(json.dumps(metrics, indent=1))
     return 0
 

@@ -29,9 +29,10 @@ threads, as numpy's BLAS pool makes this one.
 (substation children, line parameters) from the network and drops the
 hidden nodes' rows of the moments for learn-missing.  Each learner keeps
 its own tolerance default, which follows the moments: population moments
-(``m`` None) or samples.  The sweep cells and the command line both call
-it with the moments of every load, and both take population moments from
-``population_moments``.
+(``m`` None) or samples.  ``score`` turns its result into the metrics.  The
+sweep cells and the command line both call the two with the plain moments
+of every load (the learners register the slacks), and both take population
+moments from ``population_moments``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .moments import MomentSet
 from .network import RadialForest, line_param_map
 from .powerflow import InjectionModel, analytic_moments, draw_moments, fold_moments
 from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
-from .structure import check_fluctuating, estimate_injection_stats, learn_structure
+from .structure import StructureDiagnostics, check_fluctuating, estimate_injection_stats
+from .structure import learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
 TASKS = ("learn", "learn-params", "learn-missing")
@@ -168,49 +170,59 @@ def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
 
 
 def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
-    """Population moments of the loads, slacks as zero ids."""
-    am = analytic_moments(forest, inj.for_nodes(forest.load_ids))
-    return MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
+    """Population moments of the loads."""
+    return MomentSet.from_analytic(analytic_moments(forest, inj))
 
 
 def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, draws) -> MomentSet:
     """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with a
-    seed, slacks as zero ids.  ``draws`` are that seed's standard-draw
-    statistics, ``draw_moments(inj.distribution, m, forest.n_loads, seed)``;
-    no sample is formed.
+    seed.  ``draws`` are that seed's standard-draw statistics,
+    ``draw_moments(inj.distribution, m, forest.n_loads, seed)``; no sample is
+    formed.
     """
-    moments = fold_moments(forest, inj, *draws)
-    return MomentSet(forest.load_ids, *moments, m=m, zero_ids=forest.slack_ids)
+    return MomentSet(forest.load_ids, *fold_moments(forest, inj, *draws), m=m)
 
 
 def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate=True):
     """Run ``task``'s learner; returns ``(forest, parts)``, where ``parts`` are
     the task's ``fileio.result_to_dict`` keywords (``inj_hat`` is None unless
-    ``estimate``).  The priors come from ``network``: its substation children
-    and its line parameters.  ``inj`` are the known injection statistics and
-    ``spec`` the hidden nodes, whose rows of ``momset`` learn-missing drops.
-    Population moments are those with ``momset.m`` None.  With ``tol_rel``
-    None each learner takes its default.
+    ``estimate``) and ``score`` scores them.  The priors come from
+    ``network``: its substation children and its line parameters.  ``inj``
+    are the known injection statistics and ``spec`` the hidden nodes, whose
+    rows of ``momset`` learn-missing drops.  Population moments are those
+    with ``momset.m`` None.  With ``tol_rel`` None each learner takes its
+    default.  The learners register the slacks themselves.
     """
     declared, params = network.substation_children(), line_param_map(network.lines)
+    diag = StructureDiagnostics()
     if task == "learn":
         if momset.m is None:  # such moments give a wrong forest, with no error
             check_fluctuating(*inj.as_maps()[:2], momset.node_ids)
-        forest, diag = learn_structure(
-            momset, declared, line_params=params, return_diagnostics=True
-        )
+        forest = learn_structure(momset, declared, line_params=params, diagnostics=diag)
         inj_hat = estimate_injection_stats(momset, forest) if estimate else None
         return forest, dict(inj_hat=inj_hat, margins=diag.decisions)
     vp, vq, s = inj.as_maps()
     if task == "learn-params":
-        forest, estimates, diag = learn_structure_and_params(
-            momset, vp, vq, declared, rel_tol=tol_rel, return_diagnostics=True
+        forest, estimates = learn_structure_and_params(
+            momset, vp, vq, declared, rel_tol=tol_rel, diagnostics=diag
         )
         return forest, dict(edge_estimates=estimates, margins=diag.decisions)
     hidden = set(spec.ids)
     momset = momset.restrict([i for i in momset.node_ids if i not in hidden])
     forest, diag = learn_with_missing(momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel)
     return forest, dict(events=diag.events)
+
+
+def score(truth: RadialForest, parent, parts, inj: InjectionModel | None = None) -> dict:
+    """Metrics of a ``run_learner`` result: ``struct_err``, then the injection
+    errors if ``parts`` hold an ``inj_hat`` and ``inj`` is given, and the line
+    errors if they hold ``edge_estimates``."""
+    metrics = {"struct_err": structural_error(truth, parent)}
+    if parts.get("inj_hat") is not None and inj is not None:
+        metrics.update(injection_errors(parts["inj_hat"], inj))
+    if "edge_estimates" in parts:
+        metrics.update(line_errors(parts["edge_estimates"], truth))
+    return metrics
 
 
 # -- cells ------------------------------------------------------------------------------
@@ -270,7 +282,7 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
     cells = []  # (task, inj, m, seed, sample seed, missing spec)
     for m in config.m_grid:
         for seed in config.seeds:
-            inj = draw_injections(config.feeder, forest.load_ids, [config.layout_seed, seed])
+            inj = draw_injections(forest.load_ids, [config.layout_seed, seed])
             if config.task != "learn-missing":
                 cells.append((config.task, inj, m, seed, [config.layout_seed, seed, m], None))
                 continue
@@ -280,34 +292,26 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
                 sample_seed = [config.layout_seed, seed, m, count]
                 cells.append((f"learn-missing/h{count}", inj, m, seed, sample_seed, spec))
 
-    def score(task, inj, m, seed, spec, momset):
+    def run_cell(task, inj, m, seed, spec, momset):
         try:
             recovered, parts = run_learner(config.task, forest, momset, inj, spec=spec)
         except GridForestError as exc:
-            parent_map = getattr(exc, "parent_map", {})
-            report.add(task, m, seed, "struct_err", structural_error(forest, parent_map))
-            report.add(task, m, seed, "failed", 1.0)
             report.failures.append((task, m, seed, repr(exc)))
-            return
-        report.add(task, m, seed, "struct_err", structural_error(forest, recovered.parent))
-        if "inj_hat" in parts:
-            scores = injection_errors(parts["inj_hat"], inj)
-        elif "edge_estimates" in parts:
-            scores = line_errors(parts["edge_estimates"], forest)
+            metrics = {**score(forest, getattr(exc, "parent_map", {}), {}), "failed": 1.0}
         else:
-            scores = {}
-        for name, val in scores.items():
+            metrics = score(forest, recovered.parent, parts, inj)
+        for name, val in metrics.items():
             report.add(task, m, seed, name, val)
 
     if config.analytic:
         for task, inj, m, seed, _sample_seed, spec in cells:
-            score(task, inj, m, seed, spec, population_moments(forest, inj))
+            run_cell(task, inj, m, seed, spec, population_moments(forest, inj))
     else:
         n = forest.n_loads
         jobs = [(inj.distribution, m, n, s) for (_t, inj, m, _s, s, _h) in cells]
         with contextlib.closing(_cell_draws(jobs, n)) as all_draws:
             for (task, inj, m, seed, _sample_seed, spec), draws in zip(cells, all_draws):
-                score(task, inj, m, seed, spec, empirical_moments(forest, inj, m, draws))
+                run_cell(task, inj, m, seed, spec, empirical_moments(forest, inj, m, draws))
 
     if outdir is not None:
         outdir = Path(outdir)

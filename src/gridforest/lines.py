@@ -128,21 +128,21 @@ def learn_structure_and_params(
     substation_children,
     *,
     rel_tol: float | None = None,
-    return_diagnostics: bool = False,
+    diagnostics: StructureDiagnostics | None = None,
 ):
-    """Recover the forest, then per discovered edge its (r, x) and own cov_pq.
+    """Recover the forest, then per discovered edge its (r, x) and own cov_pq;
+    returns ``(forest, estimates)``, the estimates keyed by (child, parent).
 
     ``var_p`` / ``var_q`` map node id to the known true injection variances.
     ``rel_tol`` is ``estimate_edge``'s tolerance; None takes 1e-9 on
     population moments (``momset.m`` None) and 1e-6 on samples.
     An edge whose variance sums or statistics are not positive raises
-    AssumptionViolated naming it.  With ``return_diagnostics`` the parent
-    selections' ``StructureDiagnostics`` come third.
+    AssumptionViolated naming it.  ``diagnostics`` receives the parent
+    selections (``recover_parent_map``).
     """
     if rel_tol is None:
         rel_tol = 1e-9 if momset.m is None else 1e-6
-    diag = StructureDiagnostics()
-    parent = recover_parent_map(momset, substation_children, diagnostics=diag)
+    parent = recover_parent_map(momset, substation_children, diagnostics=diagnostics)
     momset = momset.with_zero_ids(substation_children.keys())
 
     missing = [a for a in parent if a not in var_p or a not in var_q]
@@ -172,6 +172,4 @@ def learn_structure_and_params(
 
     line_params = {tuple(sorted(e)): (est.r_hat, est.x_hat) for e, est in estimates.items()}
     forest = forest_from_parent_map(parent, substation_children, line_params=line_params)
-    if return_diagnostics:
-        return forest, estimates, diag
     return forest, estimates

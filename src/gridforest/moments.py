@@ -15,7 +15,9 @@ per-node scalar accessors.
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
 A zero id must not be an observed node (ValueError otherwise), so the
-learners take every one of ``node_ids`` as a load.
+learners take every one of ``node_ids`` as a load.  The program builds its
+moments without zero ids: each learner registers the slacks it is given
+(``with_zero_ids``).
 """
 
 from __future__ import annotations

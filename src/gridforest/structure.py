@@ -117,8 +117,9 @@ def recover_parent_map(
     entries keep the temporaries small whatever N is.
     """
     declared = _declared_map(substation_children)
-    loads = sorted(set(momset.node_ids))
-    unknown = [c for c in declared if c not in set(loads)]
+    observed = set(momset.node_ids)
+    loads = sorted(observed)
+    unknown = [c for c in declared if c not in observed]
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
@@ -216,17 +217,16 @@ def learn_structure(
     substation_children,
     *,
     line_params=None,
-    return_diagnostics: bool = False,
-):
-    """Recover the operational forest from voltage-magnitude moments alone."""
-    diag = StructureDiagnostics()
-    parent = recover_parent_map(momset, substation_children, diagnostics=diag)
-    forest = forest_from_parent_map(
+    diagnostics: StructureDiagnostics | None = None,
+) -> RadialForest:
+    """Recover the operational forest from voltage-magnitude moments alone.
+
+    ``diagnostics`` receives the parent selections (``recover_parent_map``).
+    """
+    parent = recover_parent_map(momset, substation_children, diagnostics=diagnostics)
+    return forest_from_parent_map(
         parent, substation_children.keys(), line_params=line_params
     )
-    if return_diagnostics:
-        return forest, diag
-    return forest
 
 
 def solve_edge_system(r: float, x: float, a_stat: float, b_stat: float, c_stat: float):
@@ -248,16 +248,17 @@ def estimate_injection_stats(
     momset: MomentSet,
     forest: RadialForest,
     *,
-    return_diagnostics: bool = False,
-):
+    diagnostics: EstimationDiagnostics | None = None,
+) -> InjectionModel:
     """Recover per-node injection means and second moments on a known forest.
 
     Edges are walked leaf-upward: each edge's three pairwise statistics
     determine the subtree sums of (var_p, var_q, cov_pq), and the
     already-estimated descendant sums are subtracted off.
 
-    Negative solved variances are clamped to zero and reported.  Covariances
-    are clamped into the Cauchy-Schwarz bound the model requires.
+    Negative solved variances are clamped to zero and covariances into the
+    Cauchy-Schwarz bound the model requires; ``diagnostics`` receives the
+    clamped values.
     """
     if not momset.has_theta:
         raise UnobservedNode("statistics estimation needs the theta channel")
@@ -267,7 +268,7 @@ def estimate_injection_stats(
     if missing:
         raise UnobservedNode(f"moments missing for nodes {missing}")
 
-    diag = EstimationDiagnostics()
+    diag = EstimationDiagnostics() if diagnostics is None else diagnostics
     ids = forest.load_ids
     var_p, var_q, cov_pq = np.zeros((3, forest.n_loads))
     desc = {a: np.zeros(3) for a in ids}
@@ -299,7 +300,7 @@ def estimate_injection_stats(
     mu_v = momset.mu_eps[idx] + 1j * momset.mu_theta[idx]
     mu = apply_local_inverse(forest, mu_v)
 
-    inj = InjectionModel(
+    return InjectionModel(
         node_ids=ids,
         mu_p=mu.real,
         mu_q=-mu.imag,
@@ -307,6 +308,3 @@ def estimate_injection_stats(
         var_q=var_q,
         cov_pq=cov_pq,
     )
-    if return_diagnostics:
-        return inj, diag
-    return inj

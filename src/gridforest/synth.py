@@ -140,7 +140,7 @@ def synth_layout(spec: FeederSpec, seed) -> RadialForest:
     return build_forest(nodes, lines)
 
 
-def draw_injections(spec: FeederSpec, load_ids, seed) -> InjectionModel:
+def draw_injections(load_ids, seed) -> InjectionModel:
     """Random injection statistics satisfying the positivity assumptions."""
     rng = np.random.default_rng(seed)
     ids = tuple(load_ids)
@@ -164,7 +164,7 @@ def draw_injections(spec: FeederSpec, load_ids, seed) -> InjectionModel:
 def synth_feeder(spec: FeederSpec, seed) -> tuple[RadialForest, InjectionModel]:
     """Layout and injection model from one seed (layout first, then statistics)."""
     forest = synth_layout(spec, seed)
-    inj = draw_injections(spec, forest.load_ids, np.random.default_rng(seed).integers(2**32))
+    inj = draw_injections(forest.load_ids, np.random.default_rng(seed).integers(2**32))
     return forest, inj
 
 

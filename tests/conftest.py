@@ -537,5 +537,5 @@ def random_feeder(seed, n_range=(2, 50), k_max=5, extra=10):
         n_loads=n, n_trees=k, extra_lines=min(int(rng.integers(0, extra)), cap)
     )
     forest = synth_layout(spec, int(rng.integers(2**31)))
-    inj = draw_injections(spec, forest.load_ids, int(rng.integers(2**31)))
+    inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
     return forest, inj

@@ -43,7 +43,7 @@ def _random_feeders(count, seed, n_lo=2, n_hi=80, k_hi=11):
             extra_lines=min(int(rng.integers(0, 20)), cap),
         )
         forest = synth_layout(spec, int(rng.integers(2**31)))
-        inj = draw_injections(spec, forest.load_ids, int(rng.integers(2**31)))
+        inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
         out.append((forest, inj))
     return out
 
@@ -160,7 +160,7 @@ def test_criterion_4_missing_data_population_exactness():
         k = int(rng.integers(1, 4))
         spec = FeederSpec(n_loads=n, n_trees=k, extra_lines=int(rng.integers(0, n)))
         forest = synth_layout(spec, int(rng.integers(2**31)))
-        inj = draw_injections(spec, forest.load_ids, int(rng.integers(2**31)))
+        inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
         try:
             hidden = choose_hidden(
                 forest, int(rng.integers(1, 4)), int(rng.integers(2**31)), max_tries=50
@@ -275,7 +275,7 @@ def test_criterion_8_invariant_suites():
         k = int(rng.integers(1, min(n, 6) + 1))
         spec = FeederSpec(n_loads=n, n_trees=k, extra_lines=int(rng.integers(0, 10)))
         forest = synth_layout(spec, int(rng.integers(2**31)))
-        inj = draw_injections(spec, forest.load_ids, int(rng.integers(2**31)))
+        inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
         am = analytic_moments(forest, inj)
         pos = forest.load_index
         vp, vq, cs = inj.as_maps()

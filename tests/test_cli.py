@@ -86,6 +86,7 @@ def test_learn_params_cli(workspace):
     assert rc == 0
     result = fileio.load_result(out)
     assert result["metrics"]["struct_err"] == 0.0
+    assert result["metrics"]["r_err"] < 1e-9 and result["metrics"]["x_err"] < 1e-9
     assert all(e["residual"] < 1e-6 for e in result["line_estimates"])
 
 
@@ -128,7 +129,8 @@ def test_learn_missing_analytic_cli(workspace):
 
 def test_learn_params_from_samples_cli(workspace):
     # the command line's default tolerance on samples is 1e-6
-    from gridforest.lines import learn_structure_and_params
+    from gridforest.experiments import line_errors
+    from gridforest.lines import EdgeEstimate, learn_structure_and_params
     from gridforest.moments import MomentSet
 
     main(["simulate", "--network", str(workspace / "network.json"),
@@ -148,7 +150,17 @@ def test_learn_params_from_samples_cli(workspace):
         momset, vp, vq, forest.substation_children(), rel_tol=1e-6
     )
     expected = fileio.result_to_dict(forest, edge_estimates=estimates)["line_estimates"]
-    assert fileio.load_result(out)["line_estimates"] == expected
+    result = fileio.load_result(out)
+    assert result["line_estimates"] == expected
+    # the metrics score the line estimates the result holds
+    saved = {
+        (e["child"], e["parent"]): EdgeEstimate(
+            e["r_hat"], e["x_hat"], e["cov_pq_hat"], e["residual"], e["root_choice"]
+        )
+        for e in result["line_estimates"]
+    }
+    assert result["metrics"] == {"struct_err": 0.0, **line_errors(saved, forest)}
+    assert result["metrics"]["r_err"] > 0.0
 
 
 def _zero_variances(tmp_path, load):
@@ -850,6 +862,37 @@ def test_inj_must_cover_every_network_load(tmp_path, capsys, command, mode):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_every_command_checks_the_inj_against_the_network(tmp_path, capsys, command):
+    # simulate and eval read --inj as the learners do: one that lacks a load
+    # exits 1 naming the file and the load, and so does an unreadable one,
+    # also when the result to score holds no injection estimate
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj = tmp_path / "network.json", tmp_path / "injection.json"
+    doc = json.loads(inj.read_text())
+    dropped = doc["nodes"].pop(0)["id"]
+    lacking = tmp_path / "lacking.json"
+    lacking.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "simulate":
+        args = ["simulate", "--network", str(net), "--samples", "10", "--out", str(out)]
+    else:
+        assert main(["learn-params", "--network", str(net), "--inj", str(inj), "--analytic",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        args = ["eval", "--result", str(tmp_path / "r.json"), "--network", str(net)]
+    capsys.readouterr()
+    assert main([*args, "--inj", str(lacking)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and not out.exists()
+    assert captured.err == (
+        f"error: {lacking}: no injection statistics for network load {dropped}\n"
+    )
+    absent = tmp_path / "absent.json"
+    assert main([*args, "--inj", str(absent)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and str(absent) in captured.err
+
+
 @pytest.mark.parametrize("m", [400, 6400])
 def test_learn_missing_drops_the_hidden_columns_of_the_data(tmp_path, m):
     # hidden nodes carry no data: the learner drops their columns from a
@@ -919,6 +962,18 @@ def test_analytic_and_data_are_exclusive(workspace, capsys, command):
         args += ["--missing", str(workspace / "missing.json")]
     assert main(args) == 1
     assert ("error: argument --data: not allowed with argument --analytic"
+            in capsys.readouterr().err)
+    assert not (workspace / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "learn-params", "learn-missing"])
+def test_a_moment_source_is_required(workspace, capsys, command):
+    args = [command, "--network", str(workspace / "network.json"),
+            "--inj", str(workspace / "injection.json"), "--out", str(workspace / "r.json")]
+    if command == "learn-missing":
+        args += ["--missing", str(workspace / "missing.json")]
+    assert main(args) == 1
+    assert ("error: one of the arguments --data --analytic is required"
             in capsys.readouterr().err)
     assert not (workspace / "r.json").exists()
 

@@ -11,17 +11,30 @@ import pytest
 from gridforest import experiments
 from gridforest.errors import AssumptionViolated, InfeasibleSpec
 from gridforest.experiments import (
+    TASKS,
     ExperimentConfig,
     fig4_config,
     fig5_config,
     fractional_error,
+    injection_errors,
     population_moments,
     run_experiment,
     run_learner,
+    score,
     structural_error,
 )
+from gridforest.lines import learn_structure_and_params
 from gridforest.missing import MissingSpec, learn_with_missing
+from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
+from gridforest.powerflow import analytic_moments, sample_voltages
+from gridforest.structure import (
+    EstimationDiagnostics,
+    StructureDiagnostics,
+    estimate_injection_stats,
+    learn_structure,
+    recover_parent_map,
+)
 from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder, synth_layout
 
 from conftest import sampled_moments
@@ -176,6 +189,99 @@ def test_learn_checks_fluctuation_on_population_moments_only():
         run_learner("learn", forest, population_moments(forest, inj), zero)
     got, _ = run_learner("learn", forest, sampled_moments(forest, inj, 50_000, 2), zero)
     assert got.parent == forest.parent
+
+
+# -- the learner contract -----------------------------------------------------------------
+
+_MODES = pytest.mark.parametrize("m", [None, 2000], ids=["population", "samples"])
+
+
+def _moments(forest, inj, m, zero_ids=()):
+    """Population moments (``m`` None) or those of ``m`` samples."""
+    if m is None:
+        return MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=zero_ids)
+    return MomentSet.from_samples(sample_voltages(forest, inj, m, 3), zero_ids=zero_ids)
+
+
+def _bits(value):
+    """``value`` with every array and injection model as its bytes, so that
+    == compares bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "cov_pq"):  # an InjectionModel
+        return _bits([value.node_ids, value.mu_p, value.mu_q, value.var_p, value.var_q,
+                      value.cov_pq])
+    if hasattr(value, "edge_params"):  # a RadialForest
+        return _bits([value.parent, value.edge_params])
+    return value
+
+
+@_MODES
+def test_structure_learners_give_the_same_bits_with_a_diagnostics_object(m):
+    # the object receives recover_parent_map's evidence and changes nothing
+    forest, inj = synth_feeder(preset("bus_13_3"), 4)
+    ms = _moments(forest, inj, m)
+    declared = forest.substation_children()
+    vp, vq, _ = inj.as_maps()
+    want = StructureDiagnostics()
+    recover_parent_map(ms, declared, diagnostics=want)
+    assert want.decisions
+
+    diag = StructureDiagnostics()
+    got = learn_structure(ms, declared, diagnostics=diag)
+    assert _bits(got) == _bits(learn_structure(ms, declared))
+    assert diag == want
+
+    diag = StructureDiagnostics()
+    got = learn_structure_and_params(ms, vp, vq, declared, diagnostics=diag)
+    assert _bits(got) == _bits(learn_structure_and_params(ms, vp, vq, declared))
+    assert diag == want
+
+
+@pytest.mark.parametrize("m", [None, 6], ids=["population", "samples"])
+def test_statistics_give_the_same_bits_with_a_diagnostics_object(m):
+    # six samples make negative variances and covariances out of bound
+    forest, inj = synth_feeder(preset("bus_13_3"), 4)
+    ms = _moments(forest, inj, m)
+    diag = EstimationDiagnostics()
+    got = estimate_injection_stats(ms, forest, diagnostics=diag)
+    assert _bits(got) == _bits(estimate_injection_stats(ms, forest))
+    clamped = bool(diag.clamped_variances) and bool(diag.clamped_covariances)
+    assert clamped == (m is not None)
+    # each clamp records the solved value the model then holds at its bound
+    k = forest.load_index
+    for a, name, raw in diag.clamped_variances:
+        assert raw < 0.0 and getattr(got, name)[k(a)] == 0.0
+    for a, raw in diag.clamped_covariances:
+        bound = np.sqrt(got.var_p[k(a)] * got.var_q[k(a)])
+        assert abs(raw) > bound and abs(got.cov_pq[k(a)]) == bound
+
+
+@_MODES
+@pytest.mark.parametrize("task", TASKS)
+def test_learners_register_the_slacks_themselves(task, m):
+    # moments built with the slacks as zero ids learn the same bits
+    forest, inj = synth_feeder(preset("bus_13_3"), 4)
+    spec = MissingSpec(choose_hidden(forest, 2, 5))
+    plain = run_learner(task, forest, _moments(forest, inj, m), inj, spec=spec)
+    zeroed = run_learner(task, forest, _moments(forest, inj, m, forest.slack_ids), inj,
+                         spec=spec)
+    assert plain[0].parent == forest.parent
+    assert _bits(plain) == _bits(zeroed)
+
+
+def test_score_gives_struct_err_alone_without_both_injection_models():
+    forest, inj = synth_feeder(preset("bus_13_3"), 4)
+    _, parts = run_learner("learn", forest, population_moments(forest, inj), inj)
+    assert score(forest, forest.parent, parts) == {"struct_err": 0.0}
+    assert score(forest, forest.parent, {**parts, "inj_hat": None}, inj) == {"struct_err": 0.0}
+    assert score(forest, {}, {}, inj) == {"struct_err": 1.0}
+    want = {"struct_err": 0.0, **injection_errors(parts["inj_hat"], inj)}
+    assert score(forest, forest.parent, parts, inj) == want
 
 
 def test_fig5_cells_match_sampled_oracle(monkeypatch):

@@ -24,7 +24,7 @@ from conftest import magnitude_only
 def feeder():
     spec = FeederSpec(n_loads=9, n_trees=2, extra_lines=4)
     forest = synth_layout(spec, 13)
-    inj = draw_injections(spec, forest.load_ids, 14)
+    inj = draw_injections(forest.load_ids, 14)
     return forest, inj
 
 

@@ -276,7 +276,7 @@ def test_population_structure_and_params_exact(seed):
 def test_single_edge_feeder_reduces_to_estimate_edge():
     spec = FeederSpec(n_loads=1, n_trees=1)
     forest = synth_layout(spec, 1)
-    inj = draw_injections(spec, forest.load_ids, 2)
+    inj = draw_injections(forest.load_ids, 2)
     ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
     vp, vq, s = inj.as_maps()
     (load,) = forest.load_ids
@@ -295,7 +295,7 @@ def test_single_edge_feeder_reduces_to_estimate_edge():
 def test_default_tolerance_follows_the_moments(monkeypatch, m, rel_tol):
     spec = FeederSpec(n_loads=13, n_trees=3, extra_lines=10)
     forest = synth_layout(spec, 21)
-    inj = draw_injections(spec, forest.load_ids, 3)
+    inj = draw_injections(forest.load_ids, 3)
     if m is None:
         ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
     else:
@@ -335,7 +335,7 @@ def test_finite_sample_param_error_decays():
     for m in (2000, 32_000):
         errs = []
         for seed in range(10):
-            inj = draw_injections(spec, forest.load_ids, [77, seed])
+            inj = draw_injections(forest.load_ids, [77, seed])
             vp, vq, _ = inj.as_maps()
             samples = sample_voltages(forest, inj, m, [m, seed])
             ms = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)

@@ -238,7 +238,7 @@ def test_population_randomized_suite():
         k = int(rng.integers(1, 4))
         spec = FeederSpec(n_loads=n, n_trees=k, extra_lines=int(rng.integers(0, 10)))
         forest = synth_layout(spec, int(rng.integers(2**31)))
-        inj = draw_injections(spec, forest.load_ids, int(rng.integers(2**31)))
+        inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
         try:
             hidden = choose_hidden(forest, int(rng.integers(1, 4)), trial, max_tries=40)
         except InfeasibleSpec:

@@ -98,7 +98,7 @@ def test_observed_zero_id_rejected_at_construction():
     # that load: learn_structure would return 12 of bus_13_3's 13 edges
     spec = preset("bus_13_3")
     forest = synth_layout(spec, 7)
-    inj = draw_injections(spec, forest.load_ids, [7, 0])
+    inj = draw_injections(forest.load_ids, [7, 0])
     samples = sample_voltages(forest, inj, 400, seed=1)
     zero_ids = (*forest.slack_ids, 1)
     with pytest.raises(ValueError, match=r"zero ids \[1\] are observed nodes"):

@@ -10,6 +10,7 @@ from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest, line_param_map
 from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltages
 from gridforest.structure import (
+    EstimationDiagnostics,
     StructureDiagnostics,
     estimate_injection_stats,
     learn_structure,
@@ -110,9 +111,8 @@ def test_declared_child_must_be_observed():
 def test_selection_margins_recorded():
     forest, inj = random_feeder(6, n_range=(6, 20), k_max=2)
     ms = analytic_momset(forest, inj)
-    rec, diag = learn_structure(
-        ms, forest.substation_children(), return_diagnostics=True
-    )
+    diag = StructureDiagnostics()
+    learn_structure(ms, forest.substation_children(), diagnostics=diag)
     non_declared = [a for a in forest.load_ids if not forest.is_slack(forest.parent[a])]
     assert {d.child for d in diag.decisions} == set(non_declared)
     assert all(d.margin > 0 for d in diag.decisions)
@@ -126,7 +126,8 @@ def test_exact_tie_picks_smallest_id():
     cov = np.array([[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 4.0]])
     ms = MomentSet((5, 7, 9), np.zeros(3), np.zeros(3), cov, cov, cov, zero_ids=(0,))
     declared = {0: (5,)}
-    rec, diag = learn_structure(ms, declared, return_diagnostics=True)
+    diag = StructureDiagnostics()
+    rec = learn_structure(ms, declared, diagnostics=diag)
     assert rec.parent == {9: 5, 7: 5, 5: 0}
     tie, single = diag.decisions
     assert (tie.child, tie.parent, tie.runner_up) == (9, 5, 7)
@@ -347,7 +348,8 @@ def test_negative_variance_clamped_and_flagged():
     # tiny m makes negative solved variances likely across seeds
     for seed in range(30):
         ms = sample_momset(forest, inj, 6, seed)
-        inj_hat, diag = estimate_injection_stats(ms, forest, return_diagnostics=True)
+        diag = EstimationDiagnostics()
+        inj_hat = estimate_injection_stats(ms, forest, diagnostics=diag)
         assert np.all(inj_hat.var_p >= 0) and np.all(inj_hat.var_q >= 0)
         if diag.clamped_variances:
             raw = [v for (_n, _f, v) in diag.clamped_variances]
@@ -364,7 +366,7 @@ def test_estimation_error_non_increasing_in_m():
     for m in grid:
         vals = []
         for seed in range(12):
-            inj = draw_injections(spec, forest.load_ids, [31, seed])
+            inj = draw_injections(forest.load_ids, [31, seed])
             ms = sample_momset(forest, inj, m, [m, seed])
             inj_hat = estimate_injection_stats(ms, forest)
             vals.append(np.mean(np.abs(inj_hat.var_p - inj.var_p) / inj.var_p))

@@ -63,7 +63,7 @@ def test_infeasible_specs():
 def test_injections_satisfy_positivity():
     spec = preset("bus_29_1")
     forest = synth_layout(spec, 1)
-    inj = draw_injections(spec, forest.load_ids, 2)
+    inj = draw_injections(forest.load_ids, 2)
     assert np.all(inj.var_p > 0.0) and np.all(inj.var_q > 0.0) and np.all(inj.cov_pq > 0.0)
     assert np.all(np.abs(inj.cov_pq) <= np.sqrt(inj.var_p * inj.var_q) + 1e-15)
     assert np.all(inj.mu_p < 0)
