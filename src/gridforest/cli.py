@@ -28,9 +28,10 @@ from .errors import (
     UnobservedNode,
 )
 from .experiments import (
+    fig4_config,
+    fig5_config,
     population_moments,
-    reproduce_fig4,
-    reproduce_fig5,
+    run_experiment,
     run_learner,
     score,
 )
@@ -95,10 +96,11 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic feeder and injection model")
-    sp.add_argument("--preset", choices=("bus_13_3", "bus_29_1", "bus_83_11"))
-    sp.add_argument("--n", type=int, help="number of load nodes")
-    sp.add_argument("--trees", type=int, default=1, help="number of substations")
-    sp.add_argument("--extra-lines", type=int, default=0, help="open tie lines to add")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--preset", choices=("bus_13_3", "bus_29_1", "bus_83_11"))
+    group.add_argument("--n", type=int, help="number of load nodes")
+    sp.add_argument("--trees", type=int, help="number of substations (with --n; default 1)")
+    sp.add_argument("--extra-lines", type=int, help="open tie lines to add (with --n; default 0)")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True, help="output directory")
 
@@ -150,13 +152,21 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_injection(path, network):
-    """The --inj model at ``path``, which must cover every load of ``network``."""
-    inj = fileio.load_injection(path)
-    lacking = sorted(set(network.load_ids) - set(inj.node_ids))
+def _loads_only(path, data, network, what, hidden=()):
+    """``data`` read from ``path``, whose ``node_ids`` must be the loads of
+    ``network``; only the ``hidden`` loads may lack ``what``."""
+    foreign = sorted(set(data.node_ids) - set(network.load_ids))
+    if foreign:
+        raise UnknownNode(f"{path}: node {foreign[0]} is not a load of the network")
+    lacking = sorted(set(network.load_ids) - set(data.node_ids) - set(hidden))
     if lacking:
-        raise UnobservedNode(f"{path}: no injection statistics for network load {lacking[0]}")
-    return inj
+        raise UnobservedNode(f"{path}: no {what} for network load {lacking[0]}")
+    return data
+
+
+def _load_injection(path, network):
+    """The --inj model at ``path``, whose nodes must be the loads of ``network``."""
+    return _loads_only(path, fileio.load_injection(path), network, "injection statistics")
 
 
 def _load_momset(args, forest, inj, hidden=()):
@@ -167,24 +177,17 @@ def _load_momset(args, forest, inj, hidden=()):
         if inj is None:
             raise CliConfigError("--analytic needs --inj")
         return population_moments(forest, inj)
-    samples = fileio.load_samples(args.data)
-    observed, loads = set(samples.node_ids), set(forest.load_ids)
-    foreign = sorted(observed - loads)
-    if foreign:
-        raise UnknownNode(f"{args.data}: node {foreign[0]} is not a load of the network")
-    unobserved = sorted(loads - observed - set(hidden))
-    if unobserved:
-        raise UnobservedNode(f"{args.data}: no samples for network load {unobserved[0]}")
+    samples = _loads_only(args.data, fileio.load_samples(args.data), forest, "samples", hidden)
     return MomentSet.from_samples(samples)
 
 
 def _cmd_synth(args) -> int:
-    if args.preset:
-        spec = preset(args.preset)
-    elif args.n is not None:
-        spec = FeederSpec(n_loads=args.n, n_trees=args.trees, extra_lines=args.extra_lines)
-    else:
-        raise CliConfigError("need --preset or --n")
+    shape = {"n_trees": args.trees, "extra_lines": args.extra_lines}  # FeederSpec fields
+    shape = {field: value for field, value in shape.items() if value is not None}
+    if args.preset and shape:
+        option = "--trees" if "n_trees" in shape else "--extra-lines"
+        raise CliConfigError(f"argument {option}: not allowed with argument --preset")
+    spec = preset(args.preset) if args.preset else FeederSpec(args.n, **shape)
     forest = synth_layout(spec, args.seed)
     inj = draw_injections(forest.load_ids, [args.seed, 1])
     out = Path(args.out)
@@ -246,17 +249,17 @@ def _cmd_learn(args) -> int:
 
 def _cmd_eval(args) -> int:
     truth = fileio.load_network(args.network)
-    parent, inj_hat = fileio.result_from_dict(fileio.load_result(args.result), args.result)
+    parent, parts = fileio.result_from_dict(fileio.load_result(args.result), args.result)
     inj = _load_injection(args.inj, truth) if args.inj else None
-    metrics = score(truth, parent, {"inj_hat": inj_hat}, inj)
+    metrics = score(truth, parent, parts, inj)
     print(json.dumps(metrics, indent=1))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     """reproduce-fig4 and reproduce-fig5."""
-    run = reproduce_fig4 if args.command == "reproduce-fig4" else reproduce_fig5
-    report = run(args.out, seeds=tuple(range(args.seeds)))
+    config = fig4_config if args.command == "reproduce-fig4" else fig5_config
+    report = run_experiment(config(range(args.seeds)), args.out)
     for key, val in report.aggregates().items():
         print(f"{key}: {val:.5f}")
     for (task, m), (failed, cells) in report.failures_per_cell().items():

@@ -17,9 +17,8 @@ network's map, the learners and the scoring stay in this process and take
 the cells in order: the fold needs the forest and its cached path-sum
 matrix, which a worker would rebuild, and the report then does not depend
 on the number of workers.  The draws run in process instead when fewer than
-two CPUs are usable, the sweep has one cell, it uses population moments
-(``analytic``; it draws nothing), or the platform cannot tell the usable
-CPUs (``os.sched_getaffinity``) or lacks the start method.  Before Python
+two CPUs are usable, the sweep has one cell, or the platform cannot tell the
+usable CPUs (``os.sched_getaffinity``) or lacks the start method.  Before Python
 3.12 the workers are forked from this process; from 3.12 on a fork server
 starts them, because ``os.fork`` then warns in a process with other
 threads, as numpy's BLAS pool makes this one.
@@ -59,6 +58,7 @@ from .structure import learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
 TASKS = ("learn", "learn-params", "learn-missing")
+_FRACTION_FLOOR = 1e-300  # the least |truth| fractional_error divides by
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     layout_seed: int = 7
     missing_counts: tuple[int, ...] = ()
-    analytic: bool = False
 
     def validate(self):
         if self.task not in TASKS:
@@ -132,11 +131,11 @@ def structural_error(truth: RadialForest, recovered_parent: dict[int, int]) -> f
     return wrong / truth.n_loads
 
 
-def fractional_error(estimate: np.ndarray, truth: np.ndarray, floor: float = 1e-300) -> float:
+def fractional_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Mean |estimate - truth| / |truth| over entries."""
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    return float(np.mean(np.abs(estimate - truth) / np.maximum(np.abs(truth), floor)))
+    return float(np.mean(np.abs(estimate - truth) / np.maximum(np.abs(truth), _FRACTION_FLOOR)))
 
 
 def injection_errors(inj_hat: InjectionModel, inj: InjectionModel) -> dict[str, float]:
@@ -153,7 +152,7 @@ def injection_errors(inj_hat: InjectionModel, inj: InjectionModel) -> dict[str, 
 def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
     params = line_param_map(truth.lines)
     rerrs, xerrs = [], []
-    for (a, b), est in estimates.items():
+    for (a, b), est in sorted(estimates.items()):  # a result file's order
         key = (a, b) if a < b else (b, a)
         if key not in params:
             continue
@@ -287,31 +286,23 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
                 cells.append((config.task, inj, m, seed, [config.layout_seed, seed, m], None))
                 continue
             for count in config.missing_counts:
-                hidden = choose_hidden(forest, count, [config.layout_seed, seed, count])
-                spec = MissingSpec(hidden)
+                spec = MissingSpec(choose_hidden(forest, count, [config.layout_seed, seed, count]))
                 sample_seed = [config.layout_seed, seed, m, count]
                 cells.append((f"learn-missing/h{count}", inj, m, seed, sample_seed, spec))
 
-    def run_cell(task, inj, m, seed, spec, momset):
-        try:
-            recovered, parts = run_learner(config.task, forest, momset, inj, spec=spec)
-        except GridForestError as exc:
-            report.failures.append((task, m, seed, repr(exc)))
-            metrics = {**score(forest, getattr(exc, "parent_map", {}), {}), "failed": 1.0}
-        else:
-            metrics = score(forest, recovered.parent, parts, inj)
-        for name, val in metrics.items():
-            report.add(task, m, seed, name, val)
-
-    if config.analytic:
-        for task, inj, m, seed, _sample_seed, spec in cells:
-            run_cell(task, inj, m, seed, spec, population_moments(forest, inj))
-    else:
-        n = forest.n_loads
-        jobs = [(inj.distribution, m, n, s) for (_t, inj, m, _s, s, _h) in cells]
-        with contextlib.closing(_cell_draws(jobs, n)) as all_draws:
-            for (task, inj, m, seed, _sample_seed, spec), draws in zip(cells, all_draws):
-                run_cell(task, inj, m, seed, spec, empirical_moments(forest, inj, m, draws))
+    jobs = [(inj.distribution, m, forest.n_loads, s) for (_t, inj, m, _s, s, _h) in cells]
+    with contextlib.closing(_cell_draws(jobs, forest.n_loads)) as all_draws:
+        for (task, inj, m, seed, _sample_seed, spec), draws in zip(cells, all_draws):
+            momset = empirical_moments(forest, inj, m, draws)
+            try:
+                recovered, parts = run_learner(config.task, forest, momset, inj, spec=spec)
+            except GridForestError as exc:
+                report.failures.append((task, m, seed, repr(exc)))
+                metrics = {**score(forest, getattr(exc, "parent_map", {}), {}), "failed": 1.0}
+            else:
+                metrics = score(forest, recovered.parent, parts, inj)
+            for name, val in metrics.items():
+                report.add(task, m, seed, name, val)
 
     if outdir is not None:
         outdir = Path(outdir)
@@ -349,10 +340,3 @@ def fig5_config(seeds=tuple(range(24))) -> ExperimentConfig:
         missing_counts=(1, 2, 3),
     )
 
-
-def reproduce_fig4(outdir, seeds=tuple(range(24))) -> MetricsReport:
-    return run_experiment(fig4_config(seeds), outdir=outdir)
-
-
-def reproduce_fig5(outdir, seeds=tuple(range(24))) -> MetricsReport:
-    return run_experiment(fig5_config(seeds), outdir=outdir)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridForestError, MalformedJSON, MalformedSamples
+from .lines import EdgeEstimate
 from .missing import MissingSpec
 from .network import Line, Node, RadialForest, build_forest
 from .powerflow import InjectionModel, VoltageSamples
@@ -231,8 +232,9 @@ def save_samples(path, samples: VoltageSamples):
             fh.write("".join(rows))
 
 
+_CSV = dict(delimiter=",", quotechar='"', comments=None)  # the fields of a samples line
 _SAMPLE_ROW = np.dtype([("sample", "i8"), ("node", "i8"), ("eps", "f8"), ("theta", "f8")])
-# A magnitude-only row: the theta cell is read as text and must be empty.
+# A magnitude-only row: the theta cell is read as text, empty when blank.
 _BLANK_THETA_ROW = np.dtype([("sample", "i8"), ("node", "i8"), ("eps", "f8"), ("theta", "U1")])
 
 
@@ -248,28 +250,33 @@ def load_samples(path) -> VoltageSamples:
     is named. Anything else raises MalformedSamples naming the file and the
     1-based line.
 
-    Blocks of ``_BLOCK_ROWS`` lines are parsed by numpy's C reader. A block it
-    cannot read sends the file through ``_read_rows``, which parses row by
-    row and names the first bad line.
+    numpy's C reader parses every row, in blocks of ``_BLOCK_ROWS`` lines whose
+    rows of either theta mode are counted; only a block it cannot read is read
+    again, in halves, to name its first bad line.
     """
+    blocks = []  # (rows, whether each row gives theta)
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
+        header = _fields(fh.readline())
         if header[:4] != ["sample", "node", "eps", "theta"]:
             raise MalformedSamples(path, 1, f"unexpected samples header {header}")
-        parsed = _read_blocks(fh)
-    table, has_theta = parsed or _read_rows(path)
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            blocks.append(_read_block(lines) or _bad_line(path, lines, len(blocks)))
 
     def check(bad, msg):  # row i of the table is line i + 2 of the file
         bad = np.flatnonzero(bad)
         if bad.size:
             raise MalformedSamples(path, int(bad[0]) + 2, msg)
 
-    if not len(table):
+    if not blocks:
         raise MalformedSamples(path, 2, "no data rows")
-    eps = table["eps"]
-    theta = table["theta"] if has_theta else None
-    finite = np.isfinite(eps) if theta is None else np.isfinite(eps) & np.isfinite(theta)
-    check(~finite, "eps and theta must be finite")
+    table, given = (np.concatenate(part) for part in zip(*blocks))
+    del blocks  # the table holds their rows: free them before the checks
+    if given.any():  # name the first row of the smaller theta mode
+        if given.sum() < len(given) / 2:
+            check(given, "theta given, but other rows leave it blank")
+        check(~given, "blank theta, but other rows give theta")
+    eps, theta = table["eps"], table["theta"]  # theta is 0 where blank
+    check(~(np.isfinite(eps) & np.isfinite(theta)), "eps and theta must be finite")
     j = table["sample"]
     check((j < 0) | (j >= len(table)), "sample index out of range")
     node_ids, pos = np.unique(table["node"], return_inverse=True)
@@ -284,29 +291,29 @@ def load_samples(path) -> VoltageSamples:
     return VoltageSamples(  # rows of ``first`` are in (sample, node) order
         node_ids=node_ids.tolist(),
         eps=eps[first].reshape(m, n),
-        theta=None if theta is None else theta[first].reshape(m, n),
+        theta=theta[first].reshape(m, n) if given[0] else None,
     )
 
 
-def _read_blocks(fh):
-    """(table, has_theta) for the data lines left in ``fh``, parsed in blocks by
-    ``np.loadtxt``; None if some line is not a row numpy can read. The first
-    line decides whether theta is given; the table lacks theta when it is not."""
-    blocks, has_theta = [], None
-    while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-        if has_theta is None:
-            has_theta = _parse_block(lines[:1], _SAMPLE_ROW) is not None
-        rows = _parse_block(lines, _SAMPLE_ROW if has_theta else _BLANK_THETA_ROW)
-        if rows is None:
+def _read_block(lines):
+    """(rows, given): one ``_SAMPLE_ROW`` per line and whether it gives theta
+    (0 where blank), or None if some line is not a row. Lines that do not all
+    read with theta are read with a blank theta cell, those with a cell again."""
+    rows = _parse_block(lines, _SAMPLE_ROW)
+    if rows is not None:
+        return rows, np.ones(len(rows), bool)
+    text = _parse_block(lines, _BLANK_THETA_ROW)
+    if text is None:
+        return None
+    given = text["theta"] != ""
+    rows = np.zeros(len(text), _SAMPLE_ROW)
+    rows[["sample", "node", "eps"]] = text[["sample", "node", "eps"]]
+    if given.any():
+        theta = _parse_block([lines[k] for k in np.flatnonzero(given)], _SAMPLE_ROW)
+        if theta is None:
             return None
-        if not has_theta:
-            if (rows["theta"] != "").any():
-                return None
-            rows = rows[["sample", "node", "eps"]]
-        blocks.append(rows)
-    if not blocks:
-        return np.empty(0, _SAMPLE_ROW), True
-    return np.concatenate(blocks), has_theta
+        rows[given] = theta
+    return rows, given
 
 
 def _parse_block(lines, dtype):
@@ -316,47 +323,41 @@ def _parse_block(lines, dtype):
             # numpy only warns on a block of empty lines, and numpy 1.x only
             # warns when it truncates "1.5" to an integer
             warnings.simplefilter("error")
-            rows = np.loadtxt(
-                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
+            rows = np.loadtxt(lines, dtype=dtype, ndmin=1, **_CSV)
     except (ValueError, Warning):
         return None
     return rows if len(rows) == len(lines) else None  # loadtxt skips empty lines
 
 
-def _read_rows(path):
-    """(table, has_theta), parsed row by row; raises MalformedSamples at the first
-    line that is not a row. Slow; load_samples calls it only when a block
-    fails to parse, to name the bad line."""
-    lines = {False: [], True: []}  # lines with a blank / a given theta cell
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)  # the header, checked by the caller
+def _bad_line(path, lines, block):
+    """Raise MalformedSamples at the first bad one of ``lines``, block ``block``
+    of ``path``, halved until one line is left; when both halves read, the
+    line before the cut opens a quote that runs on into the next."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _read_block(lines[lo:mid]) is None:
+            hi = mid
+        elif _read_block(lines[mid:hi]) is None:
+            lo = mid
+        else:
+            lo, hi = mid - 1, mid
+    fields = _fields(lines[lo])
+    if any(f.endswith(("\n", "\r")) for f in fields):
+        msg = "a quoted field spans lines; every row must be one line"
+    elif len(fields) != 4:
+        msg = f"expected 4 fields sample,node,eps,theta, found {len(fields)}"
+    else:
+        msg = "expected integer sample,node and numeric eps,theta"
+    raise MalformedSamples(path, 2 + block * _BLOCK_ROWS + lo, msg)
 
-        def parsed():
-            line = rd.line_num
-            for rec in rd:
-                line += 1
-                if rd.line_num != line:
-                    msg = "a quoted field spans lines; every row must be one line"
-                    raise MalformedSamples(path, line, msg)
-                if len(rec) != 4:
-                    msg = f"expected 4 fields sample,node,eps,theta, found {len(rec)}"
-                    raise MalformedSamples(path, rd.line_num, msg)
-                lines[bool(rec[3])].append(rd.line_num)
-                yield int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3] or 0)
 
-        try:
-            table = np.fromiter(parsed(), dtype=_SAMPLE_ROW)
-        except (ValueError, OverflowError, csv.Error):
-            msg = "expected integer sample,node and numeric eps,theta"
-            raise MalformedSamples(path, rd.line_num, msg) from None
-    blank, given = lines[False], lines[True]
-    if blank and given:
-        if len(given) < len(blank):
-            raise MalformedSamples(path, given[0], "theta given, but other rows leave it blank")
-        raise MalformedSamples(path, blank[0], "blank theta, but other rows give theta")
-    return table, not blank
+def _fields(line):
+    """The text fields of one CSV line, as numpy's reader splits them; a quote
+    left open keeps the line ending in its field."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty line, which has no fields
+        return np.loadtxt([line], dtype=str, ndmin=2, **_CSV).ravel().tolist()
 
 
 # -- missing spec ------------------------------------------------------------------------
@@ -456,21 +457,31 @@ def save_result(path, data: dict):
 
 def load_result(path) -> dict:
     """The decoded result document; ``result_from_dict`` reads its edges and
-    injection estimate."""
+    estimates."""
     return _read_json(path)
 
 
-def result_from_dict(data: dict, source=None) -> tuple[dict[int, int], InjectionModel | None]:
-    """The recovered parent map (child -> parent) of a result document, and its
-    injection estimate, None if it has none; ``source`` names its file in
-    errors."""
+def result_from_dict(data: dict, source=None) -> tuple[dict[int, int], dict]:
+    """The recovered parent map (child -> parent) of a result document, and the
+    parts ``experiments.score`` reads: ``inj_hat`` (None if absent) and any
+    ``edge_estimates``; ``source`` names its file in errors."""
     rd = _JsonReader(data, source)
     parent = {
         rd.get(e, "child", int, at): rd.get(e, "parent", int, at) for e, at in rd.rows("edges")
     }
-    if "injection" not in rd.top:
-        return parent, None
-    return parent, injection_from_dict(rd.top["injection"], source, at="injection")
+    parts = {"inj_hat": None}
+    if "injection" in rd.top:
+        parts["inj_hat"] = injection_from_dict(rd.top["injection"], source, at="injection")
+    if "line_estimates" in rd.top:
+        numbers = ("r_hat", "x_hat", "cov_pq_hat", "residual")
+        parts["edge_estimates"] = {
+            (rd.get(e, "child", int, at), rd.get(e, "parent", int, at)): EdgeEstimate(
+                **{key: rd.get(e, key, float, at) for key in numbers},
+                root_choice=rd.get(e, "root_choice", str, at),
+            )
+            for e, at in rd.rows("line_estimates")
+        }
+    return parent, parts
 
 
 # -- curves ------------------------------------------------------------------------------

@@ -33,6 +33,7 @@ _VAR_SPREAD = (0.5, 2.0)
 _CORR_RANGE = (0.2, 0.8)
 _MEAN_P_RANGE = (-1.5e-2, -0.5e-2)
 _MEAN_Q_RANGE = (-0.8e-2, -0.2e-2)
+_HIDDEN_TRIES = 400  # random orders choose_hidden tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def synth_feeder(spec: FeederSpec, seed) -> tuple[RadialForest, InjectionModel]:
     return forest, inj
 
 
-def choose_hidden(forest: RadialForest, count: int, seed, max_tries: int = 400):
+def choose_hidden(forest: RadialForest, count: int, seed):
     """Random hidden-node set: pairwise more than two hops apart, never a
     direct substation child."""
     if count == 0:
@@ -177,7 +178,7 @@ def choose_hidden(forest: RadialForest, count: int, seed, max_tries: int = 400):
     candidates = [a for a in forest.load_ids if not forest.is_slack(forest.parent[a])]
     if not candidates:
         raise InfeasibleSpec("no eligible hidden nodes on this feeder")
-    for _ in range(max_tries):
+    for _ in range(_HIDDEN_TRIES):
         picked: list[int] = []
         for a in rng.permutation(candidates):
             a = int(a)

@@ -162,9 +162,7 @@ def test_criterion_4_missing_data_population_exactness():
         forest = synth_layout(spec, int(rng.integers(2**31)))
         inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
         try:
-            hidden = choose_hidden(
-                forest, int(rng.integers(1, 4)), int(rng.integers(2**31)), max_tries=50
-            )
+            hidden = choose_hidden(forest, int(rng.integers(1, 4)), int(rng.integers(2**31)))
         except InfeasibleSpec:
             continue
         built += 1

@@ -578,8 +578,11 @@ def _drop_injection_var_p(doc):
         (lambda doc: [doc], "top level", "expected an object, got an array"),
         (lambda doc: {**doc, "injection": "none"}, "injection", "expected an object, got a string"),
         (_drop_injection_var_p, r"injection\.nodes\[2\]\.var_p", "missing"),
+        (lambda doc: {**doc, "line_estimates": [{"child": 1, "parent": 0}]},
+         r"line_estimates\[0\]\.r_hat", "missing"),
     ],
-    ids=["no_edges", "null_child", "list_root", "string_injection", "injection_key_missing"],
+    ids=["no_edges", "null_child", "list_root", "string_injection", "injection_key_missing",
+         "line_estimate_key_missing"],
 )
 def test_eval_rejects_malformed_result(tmp_path, capsys, edit, where, message):
     rc, out = _eval_after_edit(tmp_path, capsys, edit)
@@ -893,6 +896,63 @@ def test_every_command_checks_the_inj_against_the_network(tmp_path, capsys, comm
     assert not captured.out and str(absent) in captured.err
 
 
+@pytest.mark.parametrize("command", ["simulate", "learn", "learn-params", "learn-missing", "eval"])
+def test_every_command_rejects_an_inj_node_that_is_no_load(tmp_path, capsys, command):
+    # the --inj nodes must be the network's loads: an extra node exits 1
+    # naming the file and the node, as in a samples file
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj = tmp_path / "network.json", tmp_path / "injection.json"
+    doc = json.loads(inj.read_text())
+    doc["nodes"].append({**doc["nodes"][0], "id": 9999})
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps(doc))
+    spec = tmp_path / "missing.json"
+    fileio.save_missing(spec, MissingSpec(choose_hidden(fileio.load_network(net), 2, 5)))
+    result, out = tmp_path / "r.json", tmp_path / "out"
+    assert main(["learn", "--network", str(net), "--inj", str(inj), "--analytic",
+                 "--out", str(result)]) == 0
+    args = {
+        "simulate": ["--samples", "10", "--out", str(out)],
+        "learn": ["--analytic", "--out", str(out)],
+        "learn-params": ["--analytic", "--out", str(out)],
+        "learn-missing": ["--analytic", "--missing", str(spec), "--out", str(out)],
+        "eval": ["--result", str(result)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--network", str(net), "--inj", str(foreign), *args]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and not out.exists()
+    assert captured.err == f"error: {foreign}: node 9999 is not a load of the network\n"
+
+
+@pytest.mark.parametrize("command", ["learn", "learn-params"])
+def test_eval_prints_the_metrics_of_the_result(tmp_path, capsys, command):
+    # eval scores every estimate the result holds, injection statistics and
+    # line parameters, as the learner did when it saved them, to the bit
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj = str(tmp_path / "network.json"), str(tmp_path / "injection.json")
+    assert main(["simulate", "--network", net, "--inj", inj, "--samples", "400",
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "result.json"
+    assert main([command, "--network", net, "--inj", inj,
+                 "--data", str(tmp_path / "samples.csv"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--result", str(out), "--network", net, "--inj", inj]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics == fileio.load_result(out)["metrics"]
+    assert ("omega_p_err" if command == "learn" else "r_err") in metrics
+
+
+@pytest.mark.parametrize("option, value", [("--n", "40"), ("--trees", "5"), ("--extra-lines", "2")])
+def test_synth_preset_takes_no_shape_option(tmp_path, capsys, option, value):
+    # a preset fixes the feeder's shape, so a shape option beside it is an
+    # input error naming the option
+    assert main(["synth", "--preset", "bus_13_3", option, value, "--out", str(tmp_path)]) == 1
+    assert (f"error: argument {option}: not allowed with argument --preset"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "network.json").exists()
+
+
 @pytest.mark.parametrize("m", [400, 6400])
 def test_learn_missing_drops_the_hidden_columns_of_the_data(tmp_path, m):
     # hidden nodes carry no data: the learner drops their columns from a
@@ -1015,5 +1075,6 @@ def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch,
             raise exc
 
         monkeypatch.setitem(_COMMANDS, "synth", raiser)
-        assert main(["synth", "--out", str(tmp_path)]) == documented[name], name
+        argv = ["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]
+        assert main(argv) == documented[name], name
     capsys.readouterr()

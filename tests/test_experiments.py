@@ -35,7 +35,14 @@ from gridforest.structure import (
     learn_structure,
     recover_parent_map,
 )
-from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder, synth_layout
+from gridforest.synth import (
+    FeederSpec,
+    choose_hidden,
+    draw_injections,
+    preset,
+    synth_feeder,
+    synth_layout,
+)
 
 from conftest import sampled_moments
 
@@ -83,9 +90,12 @@ def test_invalid_configs():
 
 
 def test_population_mode_zero_structural_error():
-    report = run_experiment(small_config(analytic=True, m_grid=(2,), seeds=(0,)))
-    assert report.aggregate("learn", 2, "struct_err") == 0.0
-    assert report.aggregate("learn", 2, "omega_p_err") < 1e-8
+    forest = synth_layout(FeederSpec(n_loads=8, n_trees=2, extra_lines=3), 5)
+    inj = draw_injections(forest.load_ids, [5, 0])
+    got, parts = run_learner("learn", forest, population_moments(forest, inj), inj)
+    metrics = score(forest, got.parent, parts, inj)
+    assert metrics["struct_err"] == 0.0
+    assert metrics["omega_p_err"] < 1e-8
 
 
 def test_error_decreases_with_samples():
@@ -96,18 +106,15 @@ def test_error_decreases_with_samples():
 
 
 def test_learn_missing_analytic_mode_exact():
-    cfg = ExperimentConfig(
-        task="learn-missing",
-        feeder=FeederSpec(n_loads=14, n_trees=1, extra_lines=4),
-        m_grid=(2,),
-        seeds=(0, 1, 2),
-        layout_seed=3,
-        missing_counts=(1, 2),
-        analytic=True,
-    )
-    report = run_experiment(cfg)
-    assert report.aggregate("learn-missing/h1", 2, "struct_err") == 0.0
-    assert report.aggregate("learn-missing/h2", 2, "struct_err") == 0.0
+    forest = synth_layout(FeederSpec(n_loads=14, n_trees=1, extra_lines=4), 3)
+    for seed in (0, 1, 2):
+        inj = draw_injections(forest.load_ids, [3, seed])
+        for count in (1, 2):
+            spec = MissingSpec(choose_hidden(forest, count, [3, seed, count]))
+            got, _ = run_learner(
+                "learn-missing", forest, population_moments(forest, inj), inj, spec=spec
+            )
+            assert got.parent == forest.parent
 
 
 def test_curves_file_deterministic(tmp_path):

@@ -139,6 +139,80 @@ def test_samples_across_blocks(tmp_path, with_theta):
     assert exc_info.value.line == bad
 
 
+def _small_block_samples(tmp_path, monkeypatch, edit):
+    """A samples CSV of 6 samples of 3 nodes, read in blocks of 4 lines, after
+    ``edit`` rewrote its data rows (row k is line k + 2)."""
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(3)
+    eps, theta = rng.normal(size=(2, 6, 3))
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, VoltageSamples(node_ids=(1, 2, 3), eps=eps, theta=theta))
+    header, *rows = path.read_text().splitlines()
+    edit(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+def _blank_theta(rows, *ks):
+    for k in ks:
+        rows[k] = rows[k].rsplit(",", 1)[0] + ","
+
+
+@pytest.mark.parametrize(
+    "blank, line, text",
+    [
+        (set(range(18)) - {4, 5, 6, 7, 13}, 6, "theta given, but other rows leave it blank"),
+        ({8, 9, 10, 11}, 10, "blank theta, but other rows give theta"),
+        (set(range(9)), 2, "blank theta, but other rows give theta"),  # a tie
+    ],
+    ids=["given_in_blocks_2_and_4", "blank_block_3", "tie"],
+)
+def test_samples_theta_mode_changes_between_blocks(tmp_path, monkeypatch, blank, line, text):
+    # the modes are counted over every block; the first row of the smaller
+    # side is named, the blank side on a tie
+    path = _small_block_samples(tmp_path, monkeypatch, lambda rows: _blank_theta(rows, *blank))
+    with pytest.raises(MalformedSamples, match=text) as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == line
+
+
+def _set_cell(rows, k, field, value):
+    cells = rows[k].split(",")
+    cells[field] = value
+    rows[k] = ",".join(cells)
+
+
+def test_samples_bad_line_after_a_mixed_block(tmp_path, monkeypatch):
+    # block 1 mixes the theta modes; the bad eps in block 3 is named first
+    def edit(rows):
+        _blank_theta(rows, 1)
+        _set_cell(rows, 9, 2, "abc")
+
+    path = _small_block_samples(tmp_path, monkeypatch, edit)
+    with pytest.raises(MalformedSamples, match="expected integer") as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == 11
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(2, "0.1_5"), (0, "1_0"), (0, "\u0661"), (3, "0.1_5")],
+    ids=["eps_underscore", "sample_underscore", "sample_arabic_indic_digit", "theta_underscore"],
+)
+def test_samples_numbers_are_numpy_numbers(tmp_path, monkeypatch, field, value):
+    # int() and float() read "1_0", "0.1_5" and the Arabic-Indic digit one;
+    # numpy's reader, the one grammar of the file, does not; the bad line
+    # shares its block with a row of blank theta
+    def edit(rows):
+        _blank_theta(rows, 8)
+        _set_cell(rows, 9, field, value)
+
+    path = _small_block_samples(tmp_path, monkeypatch, edit)
+    with pytest.raises(MalformedSamples, match="expected integer") as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == 11
+
+
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1e16, -1e16, 0.1)
 
 
@@ -258,8 +332,10 @@ def test_result_json_round_trip_property(forest, inj):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "result.json"
         fileio.save_result(path, fileio.result_to_dict(forest, inj_hat=inj))
-        parent, back = fileio.result_from_dict(fileio.load_result(path), path)
+        parent, parts = fileio.result_from_dict(fileio.load_result(path), path)
     assert parent == forest.parent
+    assert "edge_estimates" not in parts
+    back = parts["inj_hat"]
     if inj is None:
         assert back is None
         return

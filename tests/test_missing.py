@@ -240,7 +240,7 @@ def test_population_randomized_suite():
         forest = synth_layout(spec, int(rng.integers(2**31)))
         inj = draw_injections(forest.load_ids, int(rng.integers(2**31)))
         try:
-            hidden = choose_hidden(forest, int(rng.integers(1, 4)), trial, max_tries=40)
+            hidden = choose_hidden(forest, int(rng.integers(1, 4)), trial)
         except InfeasibleSpec:
             continue
         rec, _ = run_missing(forest, inj, hidden)
@@ -253,7 +253,7 @@ def test_events_fire_at_their_targets_pop(seed):
     # nodes of one pop in their own pop order; the declared substation
     # children resolve last, in id order
     forest, inj = random_feeder(seed, n_range=(12, 40), k_max=3)
-    hidden = choose_hidden(forest, 2, seed, max_tries=60)
+    hidden = choose_hidden(forest, 2, seed)
     declared = forest.substation_children()
     diag = StructureDiagnostics()
     selected = recover_parent_map(observed_momset(forest, inj, hidden), declared, diagnostics=diag)
@@ -280,7 +280,7 @@ def test_exactly_one_zero_residual_check_per_event():
 def test_all_hidden_nodes_placed_once():
     forest, inj = random_feeder(19, n_range=(14, 30), k_max=2)
     try:
-        hidden = choose_hidden(forest, 3, 4, max_tries=60)
+        hidden = choose_hidden(forest, 3, 4)
     except InfeasibleSpec:
         hidden = choose_hidden(forest, 2, 4)
     rec, _ = run_missing(forest, inj, hidden)
