@@ -9,19 +9,16 @@ standard draws (``empirical_moments``) and never forms the (m, n) voltage
 matrices.  Learner failures are recorded per cell, never fatal.  Identical
 configs produce byte-identical curves.csv files.
 
-The cells are independent, and their draws are most of a sweep's time, so
-``run_experiment`` lists the cells first and computes each cell's draw
-statistics (``powerflow.draw_moments``, fixed by the cell's own seed) in a
-pool of worker processes, one per usable CPU.  The fold through the
-network's map, the learners and the scoring stay in this process and take
-the cells in order: the fold needs the forest and its cached path-sum
-matrix, which a worker would rebuild, and the report then does not depend
-on the number of workers.  The draws run in process instead when fewer than
-two CPUs are usable, the sweep has one cell, or the platform cannot tell the
-usable CPUs (``os.sched_getaffinity``) or lacks the start method.  Before Python
-3.12 the workers are forked from this process; from 3.12 on a fork server
-starts them, because ``os.fork`` then warns in a process with other
-threads, as numpy's BLAS pool makes this one.
+The cells are independent, so ``run_experiment`` lists them first and maps
+``_run_cell`` over them, which draws, learns and scores one cell from the
+forest, the task and the cell alone.  It maps them in a pool of worker
+processes, one per usable CPU, and takes the results in cell order, so the
+report does not depend on the number of workers.  The cells run in process
+instead when fewer than two CPUs are usable, the sweep has one cell, or the
+platform cannot tell the usable CPUs (``os.sched_getaffinity``) or lacks the
+start method.  Before Python 3.12 the workers are forked from this process;
+from 3.12 on a fork server starts them, because ``os.fork`` then warns in a
+process with other threads, as numpy's BLAS pool makes this one.
 
 ``run_learner`` is the one learner path: it maps a task (``learn``,
 ``learn-params``, ``learn-missing``) to its learner, reads the priors
@@ -36,7 +33,7 @@ moments from ``population_moments``.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import os
 import sys
 from collections import Counter
@@ -173,12 +170,12 @@ def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
     return MomentSet.from_analytic(analytic_moments(forest, inj))
 
 
-def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, draws) -> MomentSet:
-    """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with a
-    seed.  ``draws`` are that seed's standard-draw statistics,
-    ``draw_moments(inj.distribution, m, forest.n_loads, seed)``; no sample is
-    formed.
+def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, seed) -> MomentSet:
+    """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
+    ``seed``, folded from the draws' own statistics (``draw_moments``); no
+    sample is formed.
     """
+    draws = draw_moments(inj.distribution, m, forest.n_loads, seed)
     return MomentSet(forest.load_ids, *fold_moments(forest, inj, *draws), m=m)
 
 
@@ -229,50 +226,56 @@ def score(truth: RadialForest, parent, parts, inj: InjectionModel | None = None)
 
 # The pool takes the cells in chunks of consecutive cells, one chunk length
 # per sweep: about _CHUNKS_PER_WORKER chunks per worker, so the work
-# balances, and at most _CHUNK_BYTES of covariances, so a chunk's result
-# message stays under glibc's default mmap threshold (128 kB).  A task per
-# cell costs a round trip through the pool per cell, which took back most
-# of the gain on a shared 2-CPU machine; larger messages grew this process's
-# resident memory by 10-20 MB over a few sweeps.
+# balances.  A task per cell costs a round trip through the pool per cell,
+# which took back most of the gain on a shared 2-CPU machine.
 _CHUNKS_PER_WORKER = 4
-_CHUNK_BYTES = 96 << 10
 # A forked worker imports nothing; one from a fork server imports the package
 # on every sweep, which cost about 0.5 s of a 1.4 s fig4 + fig5 pass on
 # Python 3.11.  From 3.12 on, os.fork warns in a process with other threads.
 _START_METHOD = "fork" if sys.version_info < (3, 12) else "forkserver"
 
 
-def _cell_draws(jobs, n: int):
-    """``draw_moments(*job)`` for each job (all for n loads), in job order.
+def _run_cell(forest: RadialForest, task: str, cell) -> tuple[str | None, dict]:
+    """Draw, learn and score one cell of a ``task`` sweep on ``forest``:
+    ``(failure, metrics)``, where ``failure`` is the repr of the learner's
+    GridForestError, or None if it returned."""
+    _label, inj, m, _seed, sample_seed, spec = cell
+    momset = empirical_moments(forest, inj, m, sample_seed)
+    try:
+        recovered, parts = run_learner(task, forest, momset, inj, spec=spec)
+    except GridForestError as exc:
+        return repr(exc), {**score(forest, getattr(exc, "parent_map", {}), {}), "failed": 1.0}
+    return None, score(forest, recovered.parent, parts, inj)
 
-    With at least two usable CPUs and two jobs, a pool of one worker per
-    usable CPU computes them; otherwise they run here, one by one.  A worker
+
+def _map_cells(run, cells) -> list:
+    """``run`` of each cell, in cell order.
+
+    With at least two usable CPUs and two cells, a pool of one worker per
+    usable CPU runs them; otherwise they run here, one by one.  A worker
     that dies fails the sweep (``BrokenProcessPool``).  The workers are shut
-    down and joined when the generator finishes or is closed.
+    down and joined before this returns or raises.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # the CPUs this process may run on; 1 where the platform cannot tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(jobs))
+    workers = min(cpus, len(cells))
     if workers < 2 or _START_METHOD not in multiprocessing.get_all_start_methods():
-        for job in jobs:
-            yield draw_moments(*job)
-        return
-    length = min(_CHUNK_BYTES // (8 * (2 * n) ** 2), len(jobs) // (_CHUNKS_PER_WORKER * workers))
+        return list(map(run, cells))
+    length = max(1, len(cells) // (_CHUNKS_PER_WORKER * workers))
     context = multiprocessing.get_context(_START_METHOD)
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        yield from pool.map(draw_moments, *zip(*jobs), chunksize=max(1, length))
+        return list(pool.map(run, cells, chunksize=length))
 
 
 def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
     """Sweep the grid, score each cell, optionally write curves.csv.
 
-    The cells are listed first, in grid order.  Their draw statistics come
-    from ``_cell_draws``, possibly in worker processes; each cell's fold,
-    learner and scoring run here, in cell order, so the report does not
-    depend on how many workers there were.
+    The cells are listed first, in grid order, and run by ``_map_cells``,
+    possibly in worker processes; the report takes their results in cell
+    order.
     """
     config.validate()
     forest = synth_layout(config.feeder, config.layout_seed)
@@ -290,19 +293,12 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
                 sample_seed = [config.layout_seed, seed, m, count]
                 cells.append((f"learn-missing/h{count}", inj, m, seed, sample_seed, spec))
 
-    jobs = [(inj.distribution, m, forest.n_loads, s) for (_t, inj, m, _s, s, _h) in cells]
-    with contextlib.closing(_cell_draws(jobs, forest.n_loads)) as all_draws:
-        for (task, inj, m, seed, _sample_seed, spec), draws in zip(cells, all_draws):
-            momset = empirical_moments(forest, inj, m, draws)
-            try:
-                recovered, parts = run_learner(config.task, forest, momset, inj, spec=spec)
-            except GridForestError as exc:
-                report.failures.append((task, m, seed, repr(exc)))
-                metrics = {**score(forest, getattr(exc, "parent_map", {}), {}), "failed": 1.0}
-            else:
-                metrics = score(forest, recovered.parent, parts, inj)
-            for name, val in metrics.items():
-                report.add(task, m, seed, name, val)
+    run = functools.partial(_run_cell, forest, config.task)
+    for (task, _inj, m, seed, _s, _h), (failure, metrics) in zip(cells, _map_cells(run, cells)):
+        if failure is not None:
+            report.failures.append((task, m, seed, failure))
+        for name, val in metrics.items():
+            report.add(task, m, seed, name, val)
 
     if outdir is not None:
         outdir = Path(outdir)

@@ -298,7 +298,11 @@ def load_samples(path) -> VoltageSamples:
 def _read_block(lines):
     """(rows, given): one ``_SAMPLE_ROW`` per line and whether it gives theta
     (0 where blank), or None if some line is not a row. Lines that do not all
-    read with theta are read with a blank theta cell, those with a cell again."""
+    read with theta are read with a blank theta cell, those with a cell again.
+    A last line that leaves a quote open is no row: numpy would close it at
+    the block's end (in a row of numbers, an odd count of quotes leaves one open)."""
+    if lines[-1].count('"') % 2:
+        return None
     rows = _parse_block(lines, _SAMPLE_ROW)
     if rows is not None:
         return rows, np.ones(len(rows), bool)
@@ -331,19 +335,19 @@ def _parse_block(lines, dtype):
 
 def _bad_line(path, lines, block):
     """Raise MalformedSamples at the first bad one of ``lines``, block ``block``
-    of ``path``, halved until one line is left; when both halves read, the
-    line before the cut opens a quote that runs on into the next."""
+    of ``path``, halved until one line is left: lines read as a block if and
+    only if each reads alone."""
     lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _read_block(lines[lo:mid]) is None:
             hi = mid
-        elif _read_block(lines[mid:hi]) is None:
-            lo = mid
         else:
-            lo, hi = mid - 1, mid
-    fields = _fields(lines[lo])
-    if any(f.endswith(("\n", "\r")) for f in fields):
+            lo = mid
+    # with a line ending, which the file's last line may lack, a quote left
+    # open keeps it in its field
+    fields = _fields(lines[lo].rstrip("\r\n") + "\n")
+    if any(f.endswith("\n") for f in fields):
         msg = "a quoted field spans lines; every row must be one line"
     elif len(fields) != 4:
         msg = f"expected 4 fields sample,node,eps,theta, found {len(fields)}"

@@ -20,10 +20,8 @@ covariance (A^T A), ``sample_voltages`` maps m rows of draws, and
 (A^T S A), without forming the (m, n) voltage matrices.
 
 The sample moments are two steps.  ``draw_moments`` computes the draws'
-mean and covariance from the distribution, m, n and the seed alone, so the
-experiment sweeps run it in worker processes; ``fold_moments`` maps them
-through (A, c), which needs the network, and runs where the network and
-its cached path-sum matrix live: in the sweep's main process.
+mean and covariance from the distribution, m, n and the seed alone, and
+``fold_moments`` maps them through (A, c).
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -272,8 +270,7 @@ def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, n
     z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
     stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is added
     into the uncentred Gram matrix G = z^T z and the column sums, and
-    S = G/m - zbar^T zbar.  It needs neither the network nor the injection
-    statistics, so it is a module-level function a worker process can run.
+    S = G/m - zbar^T zbar.
     """
     if m < 2:
         raise TooFewSamples(f"need at least 2 samples, got {m}")

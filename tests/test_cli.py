@@ -748,33 +748,39 @@ def _multiline_field(lines):  # the first eps is "0.5\n"
     lines[1:2] = [f'{s},{n},"0.5', f'",{t}']
 
 
+def _open_quote_last_row(lines):  # numpy's reader would close it at the end
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"0.25'
+
+
 def _theta_in_magnitude_file(lines):
     lines[1:] = [ln.rsplit(",", 1)[0] + "," for ln in lines[1:]]
     lines[5] += "0.5"
 
 
-@pytest.mark.parametrize(
-    "corrupt, line, text",
-    [
-        (_drop_row, None, "no row for sample 0"),
-        (_drop_last_row, None, "no row for sample 49"),
-        (_repeat_row, 7, "duplicate"),
-        (_negative_sample, 6, "sample index out of range"),
-        (_blank_theta, 6, "blank theta"),
-        (_nan_eps, 6, "finite"),
-        (_header_only, 2, "no data rows"),
-        (_short_row, 6, "expected"),
-        (_text_eps, 6, "expected"),
-        (_fractional_node, 6, "expected"),
-        (_huge_sample, 6, "expected"),
-        (_empty_line, 7, "expected"),
-        (_trailing_empty_line, 652, "expected"),  # 13 loads x 50 samples + header
-        (_blank_first_theta, 2, "blank theta"),
-        (_fifth_field, 6, "expected 4 fields"),
-        (_theta_in_magnitude_file, 6, "theta given"),
-        (_multiline_field, 2, "spans lines"),
-    ],
-)
+# (corruption of the lines of a 50-sample bus_13_3 file, line named, error text)
+MALFORMED_SAMPLES = [
+    (_drop_row, None, "no row for sample 0"),
+    (_drop_last_row, None, "no row for sample 49"),
+    (_repeat_row, 7, "duplicate"),
+    (_negative_sample, 6, "sample index out of range"),
+    (_blank_theta, 6, "blank theta"),
+    (_nan_eps, 6, "finite"),
+    (_header_only, 2, "no data rows"),
+    (_short_row, 6, "expected"),
+    (_text_eps, 6, "expected"),
+    (_fractional_node, 6, "expected"),
+    (_huge_sample, 6, "expected"),
+    (_empty_line, 7, "expected"),
+    (_trailing_empty_line, 652, "expected"),  # 13 loads x 50 samples + header
+    (_blank_first_theta, 2, "blank theta"),
+    (_fifth_field, 6, "expected 4 fields"),
+    (_theta_in_magnitude_file, 6, "theta given"),
+    (_multiline_field, 2, "spans lines"),
+    (_open_quote_last_row, 651, "spans lines"),
+]
+
+
+@pytest.mark.parametrize("corrupt, line, text", MALFORMED_SAMPLES)
 def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
     from gridforest.errors import MalformedSamples
 

@@ -1,7 +1,9 @@
+import functools
 import multiprocessing
 import os
 import sys
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -294,21 +296,15 @@ def test_score_gives_struct_err_alone_without_both_injection_models():
 def test_fig5_cells_match_sampled_oracle(monkeypatch):
     # cells that take their moments from the draws score as cells that form
     # the samples and call from_samples; the oracle stands in for every
-    # cell's moments, and each cell's own moments (drawn by the workers)
-    # match it to rounding
+    # cell's moments, in process, and each cell's own moments match it to
+    # rounding
     def struct_rows():
         report = run_experiment(fig5_config(seeds=(0, 1)))
         return [r for r in report.rows if r[3] == "struct_err"]
 
-    def recorded(cell_jobs, n):
-        jobs.extend(cell_jobs)
-        return cell_draws(cell_jobs, n)
-
-    def oracle(forest, inj, m, draws):
-        _dist, job_m, _n, seed = jobs[len(calls)]  # the cells come in job order
-        assert job_m == m
+    def oracle(forest, inj, m, seed):
         want = sampled_moments(forest, inj, m, seed)
-        got = from_draws(forest, inj, m, draws)
+        got = from_draws(forest, inj, m, seed)
         for c in ("eps", "theta", "eps_theta"):
             b = want.full_cov(c)
             np.testing.assert_allclose(got.full_cov(c), b, rtol=0, atol=1e-12 * np.abs(b).max())
@@ -318,9 +314,9 @@ def test_fig5_cells_match_sampled_oracle(monkeypatch):
         return want
 
     got = struct_rows()
-    jobs, calls = [], []
-    cell_draws, from_draws = experiments._cell_draws, experiments.empirical_moments
-    monkeypatch.setattr(experiments, "_cell_draws", recorded)
+    calls = []
+    from_draws = experiments.empirical_moments
+    _usable_cpus(monkeypatch, 1)  # the oracle is no function a worker can import
     monkeypatch.setattr(experiments, "empirical_moments", oracle)
     assert got == struct_rows()
     assert len(calls) == len(got)
@@ -344,58 +340,96 @@ _START_METHODS = pytest.mark.parametrize(
 )
 
 
-def _die(*job):
-    """A ``draw_moments`` stand-in that ends the worker process."""
+def _die(*args):
+    """A ``_run_cell`` stand-in that ends the worker process."""
     os._exit(1)
 
 
-def _watch_workers(monkeypatch, fail_at=None):
-    """Record the pids of this process's live children at each learner call;
-    raise a RuntimeError, which is no GridForestError, at call ``fail_at``."""
-    seen = []
-    learner = experiments.run_learner
+# the cell function itself: a forked worker inherits the stand-in in its place
+_RUN_CELL = experiments._run_cell
 
-    def spy(*args, **kwargs):
-        seen.append({p.pid for p in multiprocessing.active_children()})
-        if len(seen) == fail_at:
-            raise RuntimeError("a cell fails outside the learners")
-        return learner(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_learner", spy)
-    return seen
+def _tracked_cell(outdir, main_pid, fail, forest, task, cell):
+    """A ``_run_cell`` stand-in: leaves a file named by the pid of the process
+    that runs the cell in ``outdir``, raises a RuntimeError, which is no
+    GridForestError, at the cell whose (label, m) is ``fail``, and runs the
+    cell.  A worker's cells wait, up to a minute, until a second process has
+    run one, so two workers of a pool each run cells."""
+    (outdir / str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while os.getpid() != main_pid and len(os.listdir(outdir)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if (cell[0], cell[2]) == fail:
+        raise RuntimeError("a cell fails outside the learners")
+    return _RUN_CELL(forest, task, cell)
+
+
+def _track_cells(monkeypatch, outdir, fail=None):
+    """Run the cells through ``_tracked_cell``, in ``outdir``."""
+    outdir.mkdir()
+    cell = functools.partial(_tracked_cell, outdir, os.getpid(), fail)
+    monkeypatch.setattr(experiments, "_run_cell", cell)
+    return outdir
+
+
+def _runners(outdir):
+    """The pids of the processes that ran cells through ``_tracked_cell``."""
+    return {int(path.name) for path in outdir.iterdir()}
+
+
+def _spy_on_this_process(monkeypatch):
+    """The names of the draw, fold and learner calls made in this process."""
+    calls = []
+    for name in ("draw_moments", "fold_moments", "run_learner"):
+
+        def spy(*args, _name=name, _real=getattr(experiments, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, spy)
+    return calls
 
 
 @_START_METHODS
 @pytest.mark.parametrize("make_config", [fig4_config, fig5_config], ids=["fig4", "fig5"])
-def test_pooled_and_in_process_sweeps_agree_bit_for_bit(monkeypatch, make_config, start_method):
+def test_pooled_and_in_process_sweeps_agree_bit_for_bit(
+    monkeypatch, tmp_path, make_config, start_method
+):
     monkeypatch.setattr(experiments, "_START_METHOD", start_method)
     config = make_config(seeds=(0, 1))
-    seen = _watch_workers(monkeypatch)
+    calls = _spy_on_this_process(monkeypatch)
+    alone_cells = _track_cells(monkeypatch, tmp_path / "alone")
     _usable_cpus(monkeypatch, 1)
     alone = run_experiment(config)
-    assert seen and not any(seen)  # every cell drew in process
-    seen.clear()
+    assert _runners(alone_cells) == {os.getpid()}  # every cell ran in process
+    assert set(calls) == {"draw_moments", "fold_moments", "run_learner"}
+    calls.clear()
+    pooled_cells = _track_cells(monkeypatch, tmp_path / "pooled")
     _usable_cpus(monkeypatch, 2)
     pooled = run_experiment(config)
-    assert seen and all(len(pids) == 2 for pids in seen)  # two workers drew
+    workers = _runners(pooled_cells)
+    assert len(workers) == 2 and os.getpid() not in workers  # two workers ran the cells
+    assert calls == []  # and this process drew, folded and learned nothing
     assert repr(pooled.rows) == repr(alone.rows)
     assert pooled.failures == alone.failures
 
 
 @_START_METHODS
-@pytest.mark.parametrize("fail_at", [None, 3], ids=["completes", "cell_raises"])
-def test_no_worker_outlives_the_sweep(monkeypatch, fail_at, start_method):
+@pytest.mark.parametrize(
+    "fail", [None, ("learn-missing/h3", 400)], ids=["completes", "cell_raises"]
+)
+def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path, fail, start_method):
     monkeypatch.setattr(experiments, "_START_METHOD", start_method)
     threads = threading.active_count()
-    seen = _watch_workers(monkeypatch, fail_at)
+    cells = _track_cells(monkeypatch, tmp_path / "cells", fail)  # fails the third cell
     _usable_cpus(monkeypatch, 2)
-    if fail_at is None:
+    if fail is None:
         run_experiment(fig5_config(seeds=(0,)))
     else:
         with pytest.raises(RuntimeError, match="outside the learners"):
             run_experiment(fig5_config(seeds=(0,)))
-    workers = set().union(*seen)
-    assert len(workers) == 2
+    workers = _runners(cells)
+    assert len(workers) == 2 and os.getpid() not in workers
     assert multiprocessing.active_children() == []
     for pid in workers:  # joined, so reaped: the pid names no process
         with pytest.raises(ProcessLookupError):
@@ -403,10 +437,12 @@ def test_no_worker_outlives_the_sweep(monkeypatch, fail_at, start_method):
     assert threading.active_count() == threads  # the pool's own threads are gone too
 
 
-def test_a_dead_worker_fails_the_sweep(monkeypatch):
+@_START_METHODS
+def test_a_dead_worker_fails_the_sweep(monkeypatch, start_method):
     # a worker that dies (killed, out of memory) fails the sweep instead of
     # leaving it waiting for the lost results
-    monkeypatch.setattr(experiments, "draw_moments", _die)
+    monkeypatch.setattr(experiments, "_START_METHOD", start_method)
+    monkeypatch.setattr(experiments, "_run_cell", _die)
     _usable_cpus(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
         run_experiment(fig5_config(seeds=(0,)))

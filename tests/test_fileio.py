@@ -4,6 +4,7 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gridforest.powerflow import InjectionModel, VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 from conftest import magnitude_only
+from test_cli import MALFORMED_SAMPLES
 
 
 @pytest.fixture
@@ -211,6 +213,74 @@ def test_samples_numbers_are_numpy_numbers(tmp_path, monkeypatch, field, value):
     with pytest.raises(MalformedSamples, match="expected integer") as exc_info:
         fileio.load_samples(path)
     assert exc_info.value.line == 11
+
+
+def _open_quote(lines, k, field):
+    """Open a quote at the start of field ``field`` (modulo the fields there
+    are) of line ``k``, which the line does not close."""
+    cells = lines[k].split(",")
+    cells[field % len(cells)] = '"' + cells[field % len(cells)]
+    lines[k] = ",".join(cells)
+
+
+def _load_outcome(path):
+    """The arrays ``load_samples`` reads from ``path``, or its error."""
+    try:
+        s = fileio.load_samples(path)
+    except MalformedSamples as exc:
+        return exc.line, str(exc)
+    theta = None if s.theta is None else s.theta.tobytes()
+    return s.node_ids, s.eps.tobytes(), theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(3, 5),
+    n=st.integers(2, 4),
+    with_theta=st.booleans(),
+    corrupt=st.sampled_from([None] + [corrupt for corrupt, _line, _text in MALFORMED_SAMPLES]),
+    quote=st.one_of(st.none(), st.tuples(st.integers(1, 30), st.integers(0, 3))),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    last_newline=st.booleans(),
+)
+def test_samples_read_the_same_in_any_blocks(
+    m, n, with_theta, corrupt, quote, newline, last_newline
+):
+    # the rows, or the error and its line, do not depend on where the reader
+    # cuts the file into blocks: a quote left open on a block's last line
+    # fails as it does before the next line
+    rng = np.random.default_rng(m * n)
+    theta = rng.normal(size=(m, n)) if with_theta else None
+    samples = VoltageSamples(node_ids=range(1, n + 1), eps=rng.normal(size=(m, n)), theta=theta)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        fileio.save_samples(path, samples)
+        lines = path.read_text().splitlines()
+        if corrupt is not None:
+            corrupt(lines)
+        if quote is not None and len(lines) > 1:
+            _open_quote(lines, 1 + (quote[0] - 1) % (len(lines) - 1), quote[1])
+        path.write_text(newline.join(lines) + (newline if last_newline else ""), newline="")
+        outcomes = set()
+        for rows in (1, 2, 3, 7, fileio._BLOCK_ROWS):
+            with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+                outcomes.add(_load_outcome(path))
+    assert len(outcomes) == 1, outcomes
+
+
+def test_samples_reject_a_quote_left_open_on_the_last_line(tmp_path):
+    # numpy closes the quote at the end of its input; the file has no row
+    # that ends inside a quote
+    rng = np.random.default_rng(2)
+    samples = VoltageSamples(node_ids=(1, 2), eps=rng.normal(size=(2, 2)), theta=None)
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, samples)
+    lines = path.read_text().splitlines()
+    _open_quote(lines, 4, 3)
+    path.write_text("\n".join(lines), newline="")  # no line ending after the quote
+    with pytest.raises(MalformedSamples, match="a quoted field spans lines") as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == 5
 
 
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1e16, -1e16, 0.1)

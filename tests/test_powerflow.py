@@ -364,8 +364,7 @@ def assert_moments_from_draws(spec, hidden, m, dist):
     forest, inj = _tagged_feeder(spec, dist)
     hidden = choose_hidden(forest, hidden, 3) if hidden else ()
     seed = [7, 1, m]
-    draws = draw_moments(dist, m, forest.n_loads, seed)
-    got = empirical_moments(forest, inj, m, draws)
+    got = empirical_moments(forest, inj, m, seed)
     got = got.restrict([i for i in got.node_ids if i not in hidden])
     want = sampled_moments(forest, inj, m, seed, hidden)
     assert got.node_ids == want.node_ids
