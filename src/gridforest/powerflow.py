@@ -270,7 +270,7 @@ def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, n
     z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
     stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is added
     into the uncentred Gram matrix G = z^T z and the column sums, and
-    S = G/m - zbar^T zbar.
+    S = G/m - zbar^T zbar, formed in G's own storage.
     """
     if m < 2:
         raise TooFewSamples(f"need at least 2 samples, got {m}")
@@ -288,7 +288,10 @@ def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, n
         gram += b.T @ b  # numpy takes the symmetric rank-k (SYRK) product
         zsum += ones[: len(b)] @ b  # a matrix-vector product; faster than sum(axis=0)
     zbar = zsum / m
-    return zbar, gram / m - np.outer(zbar, zbar)
+    gram /= m  # S in place, row by row: no (2n, 2n) temporaries
+    for i in range(2 * n):
+        gram[i] -= zbar[i] * zbar
+    return zbar, gram
 
 
 def fold_moments(forest: RadialForest, inj: InjectionModel, zbar, s):

@@ -15,8 +15,11 @@ complex tree sweep.
 The sampled-moments oracle forms the samples that the sweep cells skip.
 The one-pass blocked-moments oracle draws and folds in one function, as the
 package did before it split the sample moments into ``draw_moments`` and
-``fold_moments``.
+``fold_moments``; its draw step centres the Gram matrix as one whole-matrix
+expression, as ``draw_moments`` did before it centred it in place.
 The path-entry and descendant oracles walk the parent and children links.
+The sorted samples-CSV oracle reads the file as one block and assembles it by
+whole-file sorts, as the reader did before it placed each block at its cells.
 The scalar parent-selection oracle takes one pop's row at a time.
 The linear edge oracle solves one edge for (r, x) when its covariance sum is
 known too.  The quadratic edge oracle solves one edge for (r, x, cov_pq) as
@@ -30,10 +33,12 @@ import math
 import numpy as np
 import pytest
 
+from gridforest import fileio
 from gridforest.errors import (
     BothRootsFeasible,
     DimensionMismatch,
     IncompleteCover,
+    MalformedSamples,
     NoRealRoot,
     SingularSystem,
     UnobservedNode,
@@ -241,14 +246,12 @@ def sampled_moments(forest, inj, m: int, seed, hidden=()) -> MomentSet:
     return MomentSet.from_samples(samples, zero_ids=forest.slack_ids)
 
 
-def one_pass_sample_moments(forest, inj, m: int, seed):
-    """Oracle for ``fold_moments`` of ``draw_moments``, bit for bit: the
-    blocked Gram matrix of the draws and its fold through ``_folded_map`` in
-    one pass."""
-    inj = inj.for_nodes(forest.load_ids)
+def blocked_draw_moments(distribution: str, m: int, n: int, seed):
+    """Oracle for ``draw_moments``, bit for bit: the blocked Gram matrix of
+    the draws and the column means, with S = G/m - outer(zbar, zbar) formed
+    as a whole-matrix expression."""
     rng = np.random.default_rng(seed)
-    n = inj.n
-    z1 = _standard_draws(rng, inj.distribution, (m, n))
+    z1 = _standard_draws(rng, distribution, (m, n))
     rows = _draw_rows(n)
     block = np.empty((min(rows, m), 2 * n))
     ones = np.ones(len(block))
@@ -257,15 +260,66 @@ def one_pass_sample_moments(forest, inj, m: int, seed):
     for j0 in range(0, m, rows):
         b = block[: min(rows, m - j0)]
         b[:, :n] = z1[j0 : j0 + len(b)]
-        b[:, n:] = _standard_draws(rng, inj.distribution, (len(b), n))
+        b[:, n:] = _standard_draws(rng, distribution, (len(b), n))
         gram += b.T @ b
         zsum += ones[: len(b)] @ b
     zbar = zsum / m
-    s = gram / m - np.outer(zbar, zbar)
+    return zbar, gram / m - np.outer(zbar, zbar)
+
+
+def one_pass_sample_moments(forest, inj, m: int, seed):
+    """Oracle for ``fold_moments`` of ``draw_moments``, bit for bit: the
+    blocked draw moments and their fold through ``_folded_map`` in one
+    pass."""
+    inj = inj.for_nodes(forest.load_ids)
+    n = inj.n
+    zbar, s = blocked_draw_moments(inj.distribution, m, n, seed)
     a, c = _folded_map(forest, inj)
     cov = a.T @ (s @ a)
     mu = zbar @ a
     return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]
+
+
+def sorted_load_samples(path) -> VoltageSamples:
+    """Oracle for ``fileio.load_samples``: the same arrays, or the same error
+    line and message. The data rows are read as one block, then checked over
+    the concatenated table and assembled by whole-file sorts."""
+    with open(path, newline="") as fh:
+        header = fileio._fields(fh.readline())
+        if header[:4] != ["sample", "node", "eps", "theta"]:
+            raise MalformedSamples(path, 1, f"unexpected samples header {header}")
+        lines = fh.readlines()
+
+    def check(bad, msg):  # row i of the table is line i + 2 of the file
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            raise MalformedSamples(path, int(bad[0]) + 2, msg)
+
+    if not lines:
+        raise MalformedSamples(path, 2, "no data rows")
+    table, given = fileio._read_block(lines) or fileio._bad_line(path, lines, 0)
+    if given.any():  # name the first row of the smaller theta mode
+        if given.sum() < len(given) / 2:
+            check(given, "theta given, but other rows leave it blank")
+        check(~given, "blank theta, but other rows give theta")
+    eps, theta = table["eps"], table["theta"]  # theta is 0 where blank
+    check(~(np.isfinite(eps) & np.isfinite(theta)), "eps and theta must be finite")
+    j = table["sample"]
+    check((j < 0) | (j >= len(table)), "sample index out of range")
+    node_ids, pos = np.unique(table["node"], return_inverse=True)
+    m, n = int(j.max()) + 1, len(node_ids)
+    cell, first = np.unique(j * n + pos, return_index=True)
+    check(~np.isin(np.arange(len(table)), first), "duplicate (sample, node) row")
+    if len(cell) < m * n:
+        gap = np.flatnonzero(cell != np.arange(len(cell)))
+        k = int(gap[0]) if gap.size else len(cell)
+        msg = f"no row for sample {k // n}, node {node_ids[k % n]}"
+        raise MalformedSamples(path, None, msg)
+    return VoltageSamples(  # rows of ``first`` are in (sample, node) order
+        node_ids=node_ids.tolist(),
+        eps=eps[first].reshape(m, n),
+        theta=theta[first].reshape(m, n) if given[0] else None,
+    )
 
 
 def restrict_samples(samples, ids) -> VoltageSamples:

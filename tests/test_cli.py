@@ -752,6 +752,23 @@ def _open_quote_last_row(lines):  # numpy's reader would close it at the end
     lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"0.25'
 
 
+def _repeat_row_then_nan_eps(lines):  # the non-finite line is named, though later
+    lines.insert(2, lines[1])
+    s, n, _, t = lines[-1].split(",")
+    lines[-1] = f"{s},{n},nan,{t}"
+
+
+def _repeat_row_then_drop_rows(lines):  # fewer rows than cells: the duplicate is named
+    lines.insert(2, lines[1])
+    del lines[-3:-1]
+
+
+def _two_repeats_then_drop_rows(lines):  # the first repeat in the file, not in cell order
+    lines.insert(6, lines[5])
+    lines.insert(-1, lines[1])
+    del lines[2:5]
+
+
 def _theta_in_magnitude_file(lines):
     lines[1:] = [ln.rsplit(",", 1)[0] + "," for ln in lines[1:]]
     lines[5] += "0.5"
@@ -777,6 +794,9 @@ MALFORMED_SAMPLES = [
     (_theta_in_magnitude_file, 6, "theta given"),
     (_multiline_field, 2, "spans lines"),
     (_open_quote_last_row, 651, "spans lines"),
+    (_repeat_row_then_nan_eps, 652, "finite"),
+    (_repeat_row_then_drop_rows, 3, "duplicate"),
+    (_two_repeats_then_drop_rows, 4, "duplicate"),
 ]
 
 

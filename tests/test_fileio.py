@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ from gridforest.network import Node, build_forest
 from gridforest.powerflow import InjectionModel, VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
-from conftest import magnitude_only
+from conftest import magnitude_only, sorted_load_samples
 from test_cli import MALFORMED_SAMPLES
 
 
@@ -141,6 +142,49 @@ def test_samples_across_blocks(tmp_path, with_theta):
     assert exc_info.value.line == bad
 
 
+def _traced_peak(call):
+    """The tracemalloc peak, in bytes, while ``call()`` runs, and its result
+    or the MalformedSamples it raised."""
+    tracemalloc.start()
+    try:
+        out = call()
+    except MalformedSamples as exc:
+        out = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_samples_read_in_bounded_bytes_per_row(tmp_path, monkeypatch):
+    # the blocks (33 B a row) and the placed (m, n) arrays (17 B a cell) are
+    # the reader's memory: about 51 B a row read here, where a concatenated
+    # table sorted whole took 90
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 1024)
+    rng = np.random.default_rng(4)
+    m, n = 2048, 16
+    eps, theta = rng.normal(size=(2, m, n))
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, VoltageSamples(node_ids=range(1, n + 1), eps=eps, theta=theta))
+    back = fileio.load_samples(path)  # and the one-off costs of a first read
+    assert back.eps.tobytes() == eps.tobytes() and back.theta.tobytes() == theta.tobytes()
+    peak, _ = _traced_peak(lambda: fileio.load_samples(path))
+    assert peak / (m * n) < 64
+
+
+def test_samples_missing_cells_are_named_without_allocating_them(tmp_path):
+    # 3000 rows on the diagonal of 3000 samples x 3000 nodes: the 9 million
+    # cells (144 MB as eps and theta) are never allocated to find the gap
+    path = tmp_path / "samples.csv"
+    path.write_text(
+        "sample,node,eps,theta\n" + "".join(f"{k},{k},0.5,0.25\n" for k in range(3000))
+    )
+    peak, exc = _traced_peak(lambda: fileio.load_samples(path))
+    assert isinstance(exc, MalformedSamples) and exc.line is None
+    assert "no row for sample 0, node 1" in str(exc)
+    assert peak < 4e6
+
+
 def _small_block_samples(tmp_path, monkeypatch, edit):
     """A samples CSV of 6 samples of 3 nodes, read in blocks of 4 lines, after
     ``edit`` rewrote its data rows (row k is line k + 2)."""
@@ -223,14 +267,20 @@ def _open_quote(lines, k, field):
     lines[k] = ",".join(cells)
 
 
-def _load_outcome(path):
-    """The arrays ``load_samples`` reads from ``path``, or its error."""
+def _load_outcome(path, load=fileio.load_samples):
+    """The arrays ``load`` reads from ``path``, or its error line and message."""
     try:
-        s = fileio.load_samples(path)
+        s = load(path)
     except MalformedSamples as exc:
         return exc.line, str(exc)
     theta = None if s.theta is None else s.theta.tobytes()
     return s.node_ids, s.eps.tobytes(), theta
+
+
+def _shuffle_rows(lines):
+    rows = lines[1:]
+    np.random.default_rng(len(rows)).shuffle(rows)
+    lines[1:] = rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,7 +288,9 @@ def _load_outcome(path):
     m=st.integers(3, 5),
     n=st.integers(2, 4),
     with_theta=st.booleans(),
-    corrupt=st.sampled_from([None] + [corrupt for corrupt, _line, _text in MALFORMED_SAMPLES]),
+    corrupt=st.sampled_from(
+        [None, _shuffle_rows] + [corrupt for corrupt, _line, _text in MALFORMED_SAMPLES]
+    ),
     quote=st.one_of(st.none(), st.tuples(st.integers(1, 30), st.integers(0, 3))),
     newline=st.sampled_from(["\n", "\r\n"]),
     last_newline=st.booleans(),
@@ -247,8 +299,9 @@ def test_samples_read_the_same_in_any_blocks(
     m, n, with_theta, corrupt, quote, newline, last_newline
 ):
     # the rows, or the error and its line, do not depend on where the reader
-    # cuts the file into blocks: a quote left open on a block's last line
-    # fails as it does before the next line
+    # cuts the file into blocks, and are those of the whole-file sort oracle:
+    # a quote left open on a block's last line fails as it does before the
+    # next line
     rng = np.random.default_rng(m * n)
     theta = rng.normal(size=(m, n)) if with_theta else None
     samples = VoltageSamples(node_ids=range(1, n + 1), eps=rng.normal(size=(m, n)), theta=theta)
@@ -265,7 +318,7 @@ def test_samples_read_the_same_in_any_blocks(
         for rows in (1, 2, 3, 7, fileio._BLOCK_ROWS):
             with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
                 outcomes.add(_load_outcome(path))
-    assert len(outcomes) == 1, outcomes
+        assert outcomes == {_load_outcome(path, sorted_load_samples)}, outcomes
 
 
 def test_samples_reject_a_quote_left_open_on_the_last_line(tmp_path):

@@ -31,6 +31,7 @@ from conftest import (
     reference_analytic_moments,
     reference_sample_voltages,
     magnitude_only,
+    blocked_draw_moments,
     one_pass_sample_moments,
     restrict_samples,
     sampled_moments,
@@ -410,6 +411,18 @@ def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
     zbar, s = draw_moments(dist, m, forest.n_loads, seed)
     assert zbar.shape == (2 * forest.n_loads,) and s.shape == (2 * forest.n_loads,) * 2
     for a, b in zip(fold_moments(forest, inj, zbar, s), want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "laplace"])
+@pytest.mark.parametrize("n", [13, 29, 200])
+def test_draw_moments_centre_in_place_bit_for_bit(n, dist):
+    # S centred row by row in the Gram matrix's storage is the whole-matrix
+    # G/m - outer(zbar, zbar), bit for bit, across several draw blocks
+    m = 2 * _draw_rows(n) + 3
+    want = blocked_draw_moments(dist, m, n, [3, n])
+    got = draw_moments(dist, m, n, [3, n])
+    for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
