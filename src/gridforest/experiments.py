@@ -11,14 +11,10 @@ configs produce byte-identical curves.csv files.
 
 The cells are independent, so ``run_experiment`` lists them first and maps
 ``_run_cell`` over them, which draws, learns and scores one cell from the
-forest, the task and the cell alone.  It maps them in a pool of worker
-processes, one per usable CPU, and takes the results in cell order, so the
-report does not depend on the number of workers.  The cells run in process
-instead when fewer than two CPUs are usable, the sweep has one cell, or the
-platform cannot tell the usable CPUs (``os.sched_getaffinity``) or lacks the
-start method.  Before Python 3.12 the workers are forked from this process;
-from 3.12 on a fork server starts them, because ``os.fork`` then warns in a
-process with other threads, as numpy's BLAS pool makes this one.
+forest, the task and the cell alone.  ``parallel.ordered_map`` runs them, in
+chunks of consecutive cells, in a pool of worker processes (one per usable
+CPU, a cgroup CPU quota counted) or in process, and the report takes their
+results in cell order, so it does not depend on the number of workers.
 
 ``run_learner`` is the one learner path: it maps a task (``learn``,
 ``learn-params``, ``learn-missing``) to its learner, reads the priors
@@ -34,8 +30,6 @@ moments from ``population_moments``.
 from __future__ import annotations
 
 import functools
-import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +42,7 @@ from .lines import learn_structure_and_params
 from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
 from .network import RadialForest, line_param_map
+from .parallel import ordered_map, usable_cpus
 from .powerflow import InjectionModel, analytic_moments, draw_moments, fold_moments
 from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
 from .structure import StructureDiagnostics, check_fluctuating, estimate_injection_stats
@@ -229,10 +224,6 @@ def score(truth: RadialForest, parent, parts, inj: InjectionModel | None = None)
 # balances.  A task per cell costs a round trip through the pool per cell,
 # which took back most of the gain on a shared 2-CPU machine.
 _CHUNKS_PER_WORKER = 4
-# A forked worker imports nothing; one from a fork server imports the package
-# on every sweep, which cost about 0.5 s of a 1.4 s fig4 + fig5 pass on
-# Python 3.11.  From 3.12 on, os.fork warns in a process with other threads.
-_START_METHOD = "fork" if sys.version_info < (3, 12) else "forkserver"
 
 
 def _run_cell(forest: RadialForest, task: str, cell) -> tuple[str | None, dict]:
@@ -248,26 +239,18 @@ def _run_cell(forest: RadialForest, task: str, cell) -> tuple[str | None, dict]:
     return None, score(forest, recovered.parent, parts, inj)
 
 
+def _run_chunk(run, chunk) -> list:
+    """``run`` of each cell of ``chunk``: one task of the pool."""
+    return [run(cell) for cell in chunk]
+
+
 def _map_cells(run, cells) -> list:
-    """``run`` of each cell, in cell order.
-
-    With at least two usable CPUs and two cells, a pool of one worker per
-    usable CPU runs them; otherwise they run here, one by one.  A worker
-    that dies fails the sweep (``BrokenProcessPool``).  The workers are shut
-    down and joined before this returns or raises.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the CPUs this process may run on; 1 where the platform cannot tell
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(cells))
-    if workers < 2 or _START_METHOD not in multiprocessing.get_all_start_methods():
-        return list(map(run, cells))
-    length = max(1, len(cells) // (_CHUNKS_PER_WORKER * workers))
-    context = multiprocessing.get_context(_START_METHOD)
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(run, cells, chunksize=length))
+    """``run`` of each cell, in cell order, through ``parallel.ordered_map``
+    over chunks of consecutive cells."""
+    length = max(1, len(cells) // (_CHUNKS_PER_WORKER * usable_cpus()))
+    chunks = [cells[k : k + length] for k in range(0, len(cells), length)]
+    results = ordered_map(functools.partial(_run_chunk, run), chunks)
+    return [out for chunk in results for out in chunk]
 
 
 def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:

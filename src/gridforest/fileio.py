@@ -9,9 +9,12 @@ missing-spec model rejects.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import itertools
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from .errors import GridForestError, MalformedJSON, MalformedSamples
 from .lines import EdgeEstimate
 from .missing import MissingSpec
 from .network import Line, Node, RadialForest, build_forest
+from .parallel import ordered_map
 from .powerflow import InjectionModel, VoltageSamples
 
 
@@ -194,10 +198,13 @@ def load_injection(path) -> InjectionModel:
 # -- voltage samples -------------------------------------------------------------------
 
 
-# Rows per block that save_samples formats and load_samples parses at once:
-# large enough to amortise each numpy call, small enough that a block's
-# strings stay a few MB whatever the file size.
+# Rows per block that load_samples parses at once: large enough to amortise
+# each numpy call, small enough that a block stays a few MB whatever the file
+# size.
 _BLOCK_ROWS = 1 << 14
+# Rows per task of save_samples, in whole samples: about 200 kB of text, so a
+# task is worth a round trip through the worker pool.
+_WRITE_ROWS = 1 << 12
 
 
 def save_samples(path, samples: VoltageSamples):
@@ -206,30 +213,53 @@ def save_samples(path, samples: VoltageSamples):
     byte for byte what ``csv.writer`` writes. ``theta`` is left blank on every
     row of magnitude-only data.
 
-    Whole samples of about ``_BLOCK_ROWS`` rows are formatted and written at a
-    time, so memory stays bounded for any m.
+    The rows are formatted in tasks of whole samples, about ``_WRITE_ROWS``
+    rows each, by ``parallel.ordered_map``: in worker processes, one per
+    usable CPU, or in process. The texts are written in task order, so the
+    bytes do not depend on the workers, and memory stays bounded for any m.
+    The file is written to a temporary sibling, which replaces ``path`` only
+    once it is whole: an error, or a worker that dies (``BrokenProcessPool``),
+    leaves ``path`` as it was.
     """
-    m, n = samples.eps.shape
-    tails = [f",{node}," for node in samples.node_ids]
-    step = max(1, _BLOCK_ROWS // n)  # samples per block
-    with open(path, "w", newline="") as fh:
-        fh.write("sample,node,eps,theta\r\n")
-        for j0 in range(0, m, step):
-            eps = samples.eps[j0 : j0 + step].tolist()
-            if samples.theta is None:
-                rows = [
-                    f"{j}{tail}{e!r},\r\n"
-                    for j, eps_j in enumerate(eps, j0)
-                    for tail, e in zip(tails, eps_j)
-                ]
-            else:
-                theta = samples.theta[j0 : j0 + step].tolist()
-                rows = [
-                    f"{j}{tail}{e!r},{t!r}\r\n"
-                    for j, (eps_j, theta_j) in enumerate(zip(eps, theta), j0)
-                    for tail, e, t in zip(tails, eps_j, theta_j)
-                ]
-            fh.write("".join(rows))
+    path = Path(path)
+    eps, theta = samples.eps, samples.theta
+    m, n = eps.shape
+    step = max(1, _WRITE_ROWS // n)  # samples per task
+    tasks = [
+        (j0, eps[j0 : j0 + step], None if theta is None else theta[j0 : j0 + step])
+        for j0 in range(0, m, step)
+    ]
+    format_rows = functools.partial(_format_rows, [f",{node}," for node in samples.node_ids])
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        texts = ordered_map(format_rows, tasks)
+        with open(temporary, "w", newline="") as fh, contextlib.closing(texts):
+            fh.write("sample,node,eps,theta\r\n")
+            for text in texts:
+                fh.write(text)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)  # left only by a write that failed
+
+
+def _format_rows(tails, task) -> str:
+    """The CSV rows of ``task``, ``(j0, eps, theta)``: the samples j0, j0 + 1, ...
+    whose rows of eps (and of theta, unless it is None) are given; ``tails``
+    holds the ``,node,`` text of each column."""
+    j0, eps, theta = task
+    if theta is None:
+        rows = [
+            f"{j}{tail}{e!r},\r\n"
+            for j, eps_j in enumerate(eps.tolist(), j0)
+            for tail, e in zip(tails, eps_j)
+        ]
+    else:
+        rows = [
+            f"{j}{tail}{e!r},{t!r}\r\n"
+            for j, (eps_j, theta_j) in enumerate(zip(eps.tolist(), theta.tolist()), j0)
+            for tail, e, t in zip(tails, eps_j, theta_j)
+        ]
+    return "".join(rows)
 
 
 _CSV = dict(delimiter=",", quotechar='"', comments=None)  # the fields of a samples line

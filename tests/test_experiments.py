@@ -1,7 +1,6 @@
 import functools
 import multiprocessing
 import os
-import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -10,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridforest import experiments
+from gridforest import experiments, parallel
 from gridforest.errors import AssumptionViolated, InfeasibleSpec
 from gridforest.experiments import (
     TASKS,
@@ -47,6 +46,8 @@ from gridforest.synth import (
 )
 
 from conftest import sampled_moments
+from stand_ins import die
+from test_parallel import _START_METHODS, _usable_cpus
 
 
 def small_config(**kw):
@@ -322,29 +323,6 @@ def test_fig5_cells_match_sampled_oracle(monkeypatch):
     assert len(calls) == len(got)
 
 
-def _usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-# the pool's start method before Python 3.12, where os.fork does not warn in
-# a process with other threads, and on later versions
-_START_METHODS = pytest.mark.parametrize(
-    "start_method",
-    [
-        pytest.param(
-            "fork",
-            marks=pytest.mark.skipif(sys.version_info >= (3, 12), reason="fork warns"),
-        ),
-        "forkserver",
-    ],
-)
-
-
-def _die(*args):
-    """A ``_run_cell`` stand-in that ends the worker process."""
-    os._exit(1)
-
-
 # the cell function itself: a forked worker inherits the stand-in in its place
 _RUN_CELL = experiments._run_cell
 
@@ -395,7 +373,7 @@ def _spy_on_this_process(monkeypatch):
 def test_pooled_and_in_process_sweeps_agree_bit_for_bit(
     monkeypatch, tmp_path, make_config, start_method
 ):
-    monkeypatch.setattr(experiments, "_START_METHOD", start_method)
+    monkeypatch.setattr(parallel, "_START_METHOD", start_method)
     config = make_config(seeds=(0, 1))
     calls = _spy_on_this_process(monkeypatch)
     alone_cells = _track_cells(monkeypatch, tmp_path / "alone")
@@ -419,7 +397,7 @@ def test_pooled_and_in_process_sweeps_agree_bit_for_bit(
     "fail", [None, ("learn-missing/h3", 400)], ids=["completes", "cell_raises"]
 )
 def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path, fail, start_method):
-    monkeypatch.setattr(experiments, "_START_METHOD", start_method)
+    monkeypatch.setattr(parallel, "_START_METHOD", start_method)
     threads = threading.active_count()
     cells = _track_cells(monkeypatch, tmp_path / "cells", fail)  # fails the third cell
     _usable_cpus(monkeypatch, 2)
@@ -441,8 +419,8 @@ def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path, fail, start_method)
 def test_a_dead_worker_fails_the_sweep(monkeypatch, start_method):
     # a worker that dies (killed, out of memory) fails the sweep instead of
     # leaving it waiting for the lost results
-    monkeypatch.setattr(experiments, "_START_METHOD", start_method)
-    monkeypatch.setattr(experiments, "_run_cell", _die)
+    monkeypatch.setattr(parallel, "_START_METHOD", start_method)
+    monkeypatch.setattr(experiments, "_run_cell", die)
     _usable_cpus(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
         run_experiment(fig5_config(seeds=(0,)))

@@ -1,8 +1,13 @@
 import csv
+import functools
 import io
 import json
+import multiprocessing
+import os
 import tempfile
+import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -12,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridforest import fileio
+from gridforest import fileio, parallel
 from gridforest.errors import MalformedJSON, MalformedSamples
 from gridforest.missing import MissingSpec
 from gridforest.network import Node, build_forest
@@ -21,6 +26,8 @@ from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 from conftest import magnitude_only, sorted_load_samples
 from test_cli import MALFORMED_SAMPLES
+from stand_ins import die, tracked_format
+from test_parallel import _START_METHODS, _usable_cpus
 
 
 @pytest.fixture
@@ -140,6 +147,69 @@ def test_samples_across_blocks(tmp_path, with_theta):
     with pytest.raises(MalformedSamples) as exc_info:
         fileio.load_samples(path)
     assert exc_info.value.line == bad
+
+
+def _pool_samples(with_theta):
+    """Samples of 7 nodes in three writer tasks, the last one short."""
+    n = 7
+    m = 2 * (fileio._WRITE_ROWS // n) + 1
+    rng = np.random.default_rng(8)
+    theta = rng.normal(size=(m, n)) if with_theta else None
+    return VoltageSamples(node_ids=range(3, 3 + n), eps=rng.normal(size=(m, n)), theta=theta)
+
+
+@_START_METHODS
+@pytest.mark.parametrize("with_theta", [True, False], ids=["theta", "magnitude"])
+def test_pooled_and_in_process_writers_give_csv_writer_bytes(
+    monkeypatch, tmp_path, with_theta, start_method
+):
+    monkeypatch.setattr(parallel, "_START_METHOD", start_method)
+    s = _pool_samples(with_theta)
+    want = _csv_writer_bytes(s)
+    for cpus in (1, 2):
+        runners = tmp_path / f"cpus{cpus}"
+        runners.mkdir()
+        monkeypatch.setattr(fileio, "_format_rows", functools.partial(tracked_format, runners))
+        _usable_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        fileio.save_samples(tmp_path / f"{cpus}.csv", s)
+        assert (tmp_path / f"{cpus}.csv").read_bytes() == want
+        pids = {int(path.name) for path in runners.iterdir()}
+        if cpus == 1:
+            assert pids == {os.getpid()}  # formatted in process
+            continue
+        assert pids and os.getpid() not in pids  # formatted in workers only
+        assert multiprocessing.active_children() == []
+        for pid in pids:  # joined, so reaped: the pid names no process
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert threading.active_count() == threads  # the pool's own threads are gone too
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["1.csv", "2.csv"]
+
+
+def _raise(*args):
+    raise RuntimeError("formatting fails")
+
+
+@_START_METHODS
+def test_a_failed_samples_write_leaves_the_path_as_it_was(monkeypatch, tmp_path, start_method):
+    # a worker that dies (killed, out of memory) or an error in process leaves
+    # no partial samples CSV, which would read back as fewer whole samples
+    monkeypatch.setattr(parallel, "_START_METHOD", start_method)
+    s = _pool_samples(True)
+    path = tmp_path / "samples.csv"
+    for cpus, stand_in, error in ((2, die, BrokenProcessPool), (1, _raise, RuntimeError)):
+        monkeypatch.setattr(fileio, "_format_rows", stand_in)
+        _usable_cpus(monkeypatch, cpus)
+        with pytest.raises(error):
+            fileio.save_samples(path, s)
+        assert list(tmp_path.iterdir()) == []  # no file written
+        path.write_bytes(b"kept")
+        with pytest.raises(error):
+            fileio.save_samples(path, s)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"kept"
+        path.unlink()
+        assert multiprocessing.active_children() == []
 
 
 def _traced_peak(call):
