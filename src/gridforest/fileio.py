@@ -215,13 +215,16 @@ def save_samples(path, samples: VoltageSamples):
 
     The rows are formatted in tasks of whole samples, about ``_WRITE_ROWS``
     rows each, by ``parallel.ordered_map``: in worker processes, one per
-    usable CPU, or in process. The texts are written in task order, so the
-    bytes do not depend on the workers, and memory stays bounded for any m.
+    usable CPU, or in process. Each text is written as it comes, in task
+    order, so the bytes do not depend on the workers.
     The file is written to a temporary sibling, which replaces ``path`` only
     once it is whole: an error, or a worker that dies (``BrokenProcessPool``),
-    leaves ``path`` as it was.
+    leaves ``path`` as it was. So the directory must be writable, and a
+    successful write puts a new file at ``path``, with the default mode in
+    place of an old file's mode and owner; where ``path`` is a symlink, the
+    file it points to is replaced and the link kept.
     """
-    path = Path(path)
+    path = Path(path).resolve()
     eps, theta = samples.eps, samples.theta
     m, n = eps.shape
     step = max(1, _WRITE_ROWS // n)  # samples per task

@@ -2,11 +2,9 @@
 experiment sweep and the row blocks ``simulate`` writes to the samples CSV.
 
 ``ordered_map(fn, items)`` yields ``fn(item)`` in item order, from a pool of
-one worker process per usable CPU (``usable_cpus``), with at most two tasks
-per worker in flight, so the results waiting in this process stay a few
-tasks' worth whatever the item count.  It runs the items in process instead
-when fewer than two workers would run: one usable CPU, one item, or a
-platform that lacks the start method.  A worker that dies raises
+one worker process per usable CPU (``usable_cpus``).  It runs the items in
+process instead when fewer than two workers would run: one usable CPU, one
+item, or a platform that lacks the start method.  A worker that dies raises
 ``BrokenProcessPool``, and every worker and pool thread is joined before the
 map returns or raises.
 
@@ -21,11 +19,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections import deque
 from pathlib import Path
 
 _START_METHOD = "fork" if sys.version_info < (3, 12) else "forkserver"
-_IN_FLIGHT_PER_WORKER = 2
 
 
 def _cpu_quota(quota: str, period: str) -> int | None:
@@ -39,47 +35,19 @@ def _cpu_quota(quota: str, period: str) -> int | None:
     return max(1, math.ceil(int(quota) / int(period)))
 
 
-def _cgroup_cpus(proc="/proc/self") -> int | None:
-    """The least ``_cpu_quota`` of this process's cgroups and their ancestors,
-    read where ``proc``'s mount table says the cgroup v2 hierarchy and the v1
-    ``cpu`` controller are mounted; None if no quota caps the process or the
-    files cannot be read."""
-    try:
-        text = Path(proc, "cgroup").read_text()
-        groups = dict(line.split(":", 2)[1:] for line in text.splitlines())
-        mounts = Path(proc, "mountinfo").read_text().splitlines()
-    except (OSError, ValueError):
-        return None
+def _cgroup_cpus(root="/sys/fs/cgroup") -> int | None:
+    """The least ``_cpu_quota`` of the files under ``root`` where a container
+    sees its own cgroup: v2's ``cpu.max`` and v1's ``cpu/cpu.cfs_quota_us``
+    with ``cpu/cpu.cfs_period_us``; None if neither caps the process or can be
+    read."""
     caps = []
-    for mount in mounts:
-        fields = mount.split()
-        sep = fields.index("-")  # then the file system type, source and options
-        root, point, fstype, options = fields[3], fields[4], fields[sep + 1], fields[sep + 3]
-        if fstype == "cgroup2":
-            key, files = "", ("cpu.max",)
-        elif fstype == "cgroup" and "cpu" in options.split(","):
-            key = next((k for k in groups if "cpu" in k.split(",")), None)
-            files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
-        else:
-            continue
-        if key not in groups:
-            continue
-        # the process's cgroup below the mount's root; the mount point itself
-        # where the mount does not show that path (another cgroup namespace)
-        below = os.path.relpath(groups[key], root)
-        path = Path(point, below)
-        if below.startswith("..") or not path.is_dir():
-            path = Path(point)
-        for folder in (path, *path.parents):
-            try:  # cpu.max holds "quota period"; v1 one number per file
-                quota, period = " ".join(Path(folder, f).read_text() for f in files).split()
-                caps.append(_cpu_quota(quota, period))
-            except (OSError, ValueError):
-                pass  # no such file here, as in the root cgroup
-            if folder == Path(point):
-                break
-    caps = [cap for cap in caps if cap is not None]
-    return min(caps) if caps else None
+    for files in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:  # cpu.max holds "quota period"; v1 one number per file
+            quota, period = " ".join(Path(root, f).read_text() for f in files).split()
+            caps.append(_cpu_quota(quota, period))
+        except (OSError, ValueError):
+            pass  # no such hierarchy here
+    return min((cap for cap in caps if cap is not None), default=None)
 
 
 def usable_cpus() -> int:
@@ -108,14 +76,5 @@ def ordered_map(fn, items):
 
     context = multiprocessing.get_context(_START_METHOD)
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        window = deque()
-        try:
-            for item in items:
-                if len(window) == _IN_FLIGHT_PER_WORKER * workers:
-                    yield window.popleft().result()
-                window.append(pool.submit(fn, item))
-            while window:
-                yield window.popleft().result()
-        finally:  # on an error or an early close: run no more queued tasks
-            for future in window:
-                future.cancel()
+        # on an error or an early close the map cancels its queued tasks
+        yield from pool.map(fn, items)

@@ -212,6 +212,18 @@ def test_a_failed_samples_write_leaves_the_path_as_it_was(monkeypatch, tmp_path,
         assert multiprocessing.active_children() == []
 
 
+def test_a_samples_write_through_a_symlink_replaces_its_target(tmp_path):
+    s = _pool_samples(False)
+    target = tmp_path / "data" / "samples.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"old")
+    link = tmp_path / "samples.csv"
+    link.symlink_to(target)
+    fileio.save_samples(link, s)
+    assert link.is_symlink() and target.read_bytes() == _csv_writer_bytes(s)
+    assert sorted(p.name for p in target.parent.iterdir()) == ["samples.csv"]
+
+
 def _traced_peak(call):
     """The tracemalloc peak, in bytes, while ``call()`` runs, and its result
     or the MalformedSamples it raised."""

@@ -7,7 +7,6 @@ user of the pool.
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -48,70 +47,31 @@ def test_cpu_quota_parse(quota, period, cpus):
     assert parallel._cpu_quota(quota, period) == cpus
 
 
-def _cgroup_tree(tmp_path, groups, mounts, files):
-    """A /proc/self stand-in holding ``groups`` (the cgroup file's lines) and
-    ``mounts`` (mountinfo lines, with {root} for ``tmp_path``), and the
-    control ``files`` ({path below tmp_path: text})."""
-    proc = tmp_path / "proc"
-    proc.mkdir()
-    (proc / "cgroup").write_text("\n".join(groups) + "\n")
-    (proc / "mountinfo").write_text("\n".join(m.format(root=tmp_path) for m in mounts) + "\n")
+@pytest.mark.parametrize(
+    "files, cpus",
+    [
+        ({"cpu.max": "200000 100000\n"}, 2),  # cgroup v2
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),  # v1
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        # both hierarchies mounted: the least of the two
+        (
+            {"cpu.max": "300000 100000\n", "cpu/cpu.cfs_quota_us": "200000\n",
+             "cpu/cpu.cfs_period_us": "100000\n"},
+            2,
+        ),
+        ({"cpu/cpu.cfs_quota_us": "300000\n"}, None),  # no period file
+        ({"cpu.max": "garbled\n"}, None),
+        ({}, None),  # no cgroup files
+    ],
+    ids=["v2", "v2-no-cap", "v1", "v1-no-cap", "both", "v1-partial", "garbled", "none"],
+)
+def test_cgroup_cpus(tmp_path, files, cpus):
     for name, text in files.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    return proc
-
-
-V2 = "42 32 0:38 / {root}/v2 rw,relatime - cgroup2 cgroup2 rw"
-V1_CPU = "33 32 0:29 / {root}/cpu rw,relatime - cgroup cgroup rw,cpu,cpuacct"
-V1_MEMORY = "36 32 0:32 / {root}/memory rw,relatime - cgroup cgroup rw,memory"
-
-
-@pytest.mark.parametrize(
-    "groups, mounts, files, cpus",
-    [
-        # v2: the least quota of the cgroup and its ancestors
-        (["0::/a/b"], [V2], {"v2/a/cpu.max": "200000 100000", "v2/a/b/cpu.max": "max 100000"}, 2),
-        (["0::/a/b"], [V2], {"v2/a/cpu.max": "max 100000", "v2/a/b/cpu.max": "50000 100000"}, 1),
-        (["0::/"], [V2], {}, None),  # the root cgroup has no cpu.max
-        # v1: the cpu controller's mount, not the memory one
-        (
-            ["4:memory:/m", "1:cpu,cpuacct:/c"],
-            [V1_MEMORY, V1_CPU],
-            {"cpu/c/cpu.cfs_quota_us": "300000\n", "cpu/c/cpu.cfs_period_us": "100000\n",
-             "memory/m/cpu.cfs_quota_us": "100000\n", "memory/m/cpu.cfs_period_us": "100000\n"},
-            3,
-        ),
-        (
-            ["1:cpu,cpuacct:/"],
-            [V1_CPU],
-            {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"},
-            None,
-        ),
-        # both hierarchies mounted: the least of the two
-        (
-            ["1:cpu,cpuacct:/", "0::/a"],
-            [V1_CPU, V2],
-            {"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n",
-             "v2/a/cpu.max": "200000 100000\n"},
-            2,
-        ),
-        # a cgroup path the mount does not show (another cgroup namespace):
-        # the mount point's own files
-        (["0::/elsewhere/x"], [V2], {"v2/cpu.max": "100000 100000\n"}, 1),
-        # no cgroup mounted
-        (["0::/a"], ["24 1 0:22 / / rw - ext4 /dev/vda rw"], {}, None),
-    ],
-    ids=["v2-ancestor", "v2-own", "v2-root", "v1", "v1-no-cap", "hybrid", "namespace", "none"],
-)
-def test_cgroup_cpus(tmp_path, groups, mounts, files, cpus):
-    proc = _cgroup_tree(tmp_path, groups, mounts, files)
-    assert parallel._cgroup_cpus(proc) == cpus
-
-
-def test_cgroup_cpus_without_proc(tmp_path):
-    assert parallel._cgroup_cpus(tmp_path / "absent") is None
+    assert parallel._cgroup_cpus(tmp_path) == cpus
 
 
 @pytest.mark.parametrize("quota, cpus", [(None, 4), (2, 2), (8, 4)])
@@ -122,23 +82,15 @@ def test_usable_cpus_are_capped_by_the_quota(monkeypatch, quota, cpus):
 
 
 @_START_METHODS
-def test_the_map_keeps_item_order_and_two_tasks_per_worker_in_flight(monkeypatch, start_method):
+def test_the_map_keeps_item_order_and_joins_its_workers(monkeypatch, start_method):
     monkeypatch.setattr(parallel, "_START_METHOD", start_method)
     items = list(range(-20, 0))
     _usable_cpus(monkeypatch, 1)
     assert list(parallel.ordered_map(abs, items)) == list(range(20, 0, -1))
     _usable_cpus(monkeypatch, 2)
     assert list(parallel.ordered_map(abs, items)) == list(range(20, 0, -1))
-    submitted = []
-    submit = ProcessPoolExecutor.submit
-
-    def spy(pool, fn, item):
-        submitted.append(item)
-        return submit(pool, fn, item)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    assert multiprocessing.active_children() == []
     results = parallel.ordered_map(abs, items)
     assert next(results) == 20
-    assert submitted == items[:4]  # two workers, two tasks each
     results.close()  # an early close joins the workers
     assert multiprocessing.active_children() == []
