@@ -130,7 +130,8 @@ class BothRootsFeasible(GridForestError):
 class NoConsistentPlacement(GridForestError):
     """No placement check passed within tolerance for some node.
 
-    Carries ``parent_map`` with whatever was recovered before the failure.
+    Carries ``parent_map`` with whatever was recovered before the failure,
+    and ``events``, the run's ``missing.PlacementEvent`` records in order.
     """
 
     def __init__(self, msg, parent_map=None, events=None):

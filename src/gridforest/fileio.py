@@ -275,13 +275,14 @@ def load_samples(path) -> VoltageSamples:
     """Read a samples CSV written by ``save_samples``.
 
     LF or CRLF line endings, spaces around fields and quoted numbers are
-    accepted. Every line after the header is one row of exactly four fields,
-    so an empty line, a quoted field that spans lines or a fifth field is an
-    error. Every (sample, node) pair must appear exactly once, samples are
-    numbered 0..m-1, values are finite, and theta is given on every row or on
-    none; when it is not, the first row of the smaller side (blank or given)
-    is named. Anything else raises MalformedSamples naming the file and the
-    1-based line.
+    accepted. The header is exactly the four names ``sample,node,eps,theta``,
+    with the same spaces and quotes allowed. Every line after it is one row
+    of exactly four fields, so an empty line, a quoted field that spans lines
+    or a fifth field is an error. Every (sample, node) pair must appear
+    exactly once, samples are numbered 0..m-1, values are finite, and theta
+    is given on every row or on none; when it is not, the first row of the
+    smaller side (blank or given) is named. Anything else raises
+    MalformedSamples naming the file and the 1-based line.
 
     numpy's C reader parses every row, in blocks of ``_BLOCK_ROWS`` lines whose
     rows of either theta mode are counted; only a block it cannot read is read
@@ -296,8 +297,8 @@ def load_samples(path) -> VoltageSamples:
     """
     blocks = []  # (rows, whether each row gives theta)
     with open(path, newline="") as fh:
-        header = _fields(fh.readline())
-        if header[:4] != ["sample", "node", "eps", "theta"]:
+        header = [f.strip(" \t") for f in _fields(fh.readline())]
+        if header != ["sample", "node", "eps", "theta"]:
             raise MalformedSamples(path, 1, f"unexpected samples header {header}")
         while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
             blocks.append(_read_block(lines) or _bad_line(path, lines, len(blocks)))
@@ -522,9 +523,9 @@ def result_to_dict(
             {
                 "child": ev.child,
                 "parent": ev.parent,
-                "kind": ev.accepted.kind if ev.accepted else None,
-                "candidate": ev.accepted.candidate if ev.accepted else None,
-                "residual": ev.accepted.residual if ev.accepted else None,
+                "kind": ev.kind,
+                "candidate": ev.candidate,
+                "residual": ev.residual,
                 "wrong_margin": None if ev.wrong_margin == float("inf") else ev.wrong_margin,
             }
             for ev in events

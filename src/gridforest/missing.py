@@ -21,6 +21,9 @@ hidden checks come first and the direct edge second; elsewhere the direct
 edge comes first.  Exact equalities become residual checks with a relative
 tolerance; among hidden candidates the minimum residual wins, and a tie for
 it places none.
+
+Each event leaves one frozen ``PlacementEvent``: the accepted check, if any,
+and the smallest residual of the others; the checks themselves are not kept.
 """
 
 from __future__ import annotations
@@ -63,30 +66,22 @@ class MissingSpec:
             seen.add(i)
 
 
-@dataclass
-class MatchCheck:
-    kind: str  # direct_edge | missing_leaf_child | missing_intermediate
-    child: int
-    parent: int
-    candidate: int | None
-    lhs: float
-    rhs: float
-    residual: float
-    accepted: bool = False
-
-
-@dataclass
+@dataclass(frozen=True)
 class PlacementEvent:
+    """One placement event: ``child`` matched to parent candidate ``parent``,
+    whose measured eps squared difference is ``lhs``.  ``kind`` (direct_edge
+    | missing_leaf_child | missing_intermediate), ``candidate`` (the hidden
+    node placed) and ``residual`` describe the accepted check, all None when
+    no check passed; ``wrong_margin`` is the smallest residual among the
+    other checks, inf when there are none."""
+
     child: int
     parent: int
-    accepted: MatchCheck | None
-    checks: list[MatchCheck] = field(default_factory=list)
-
-    @property
-    def wrong_margin(self) -> float:
-        """Smallest residual among the non-accepted alternatives."""
-        others = [c.residual for c in self.checks if not c.accepted]
-        return min(others) if others else math.inf
+    lhs: float
+    kind: str | None
+    candidate: int | None
+    residual: float | None
+    wrong_margin: float
 
 
 @dataclass
@@ -197,35 +192,35 @@ class _MissingLearner:
         adds = {None: (p0, q0, s0)}
         for d in sorted(self.hidden_left):
             adds[d] = (p0 + self.var_p[d], q0 + self.var_q[d], s0 + self.cov_pq[d])
-        event = PlacementEvent(child=a, parent=b, accepted=None)
-        self.diag.events.append(event)
 
+        # one (residual, candidate) per check: the direct edge (candidate
+        # None) first, then the hidden nodes in id order
         params = self.lines.get((a, b) if a < b else (b, a))
-        if params is not None:
-            hidden_kind = "missing_intermediate" if has_parked else "missing_leaf_child"
-            for d, add in adds.items():
-                rhs = _predicted_sqdiff(*params, *add)
-                kind = "direct_edge" if d is None else hidden_kind
-                event.checks.append(MatchCheck(kind, a, b, d, lhs, rhs, abs(lhs - rhs)))
-
+        checks = [] if params is None else [
+            (abs(lhs - _predicted_sqdiff(*params, *add)), d) for d, add in adds.items()
+        ]
         scale = max(abs(lhs), 1e-300)
 
-        def ok(mc):  # the tolerance form of the algorithm's exact equalities
-            return mc.residual <= self.tol_rel * scale
+        def ok(check):  # the tolerance form of the algorithm's exact equalities
+            return check[0] <= self.tol_rel * scale
 
-        direct = event.checks[:1]
-        ranked = sorted(event.checks[1:], key=lambda mc: (mc.residual, mc.candidate))
+        direct = checks[:1]
+        ranked = sorted(checks[1:])  # by residual, then candidate
         tie = len(ranked) > 1 and ok(ranked[1]) and (
-            abs(ranked[1].residual - ranked[0].residual) <= _TIE_RTOL * scale
+            abs(ranked[1][0] - ranked[0][0]) <= _TIE_RTOL * scale
         )
         best = [] if tie else ranked[:1]
         order = best + direct if has_parked else direct + best
-        acc = event.accepted = next(filter(ok, order), None)
+        acc = next(filter(ok, order), None)
+        residual, d = (None, None) if acc is None else acc
+        hidden_kind = "missing_intermediate" if has_parked else "missing_leaf_child"
+        kind = None if acc is None else "direct_edge" if d is None else hidden_kind
+        self.diag.events.append(PlacementEvent(
+            a, b, lhs, kind, d, residual,
+            wrong_margin=min((r for r, c in checks if acc is None or c != d), default=math.inf),
+        ))
 
-        d = None if acc is None else acc.candidate
-        if acc is not None:
-            acc.accepted = True
-        elif tie or forced:
+        if acc is None and (tie or forced):
             self.diag.unresolved.append(a)
         if acc is None and not forced:
             # Park: a's parent may be hidden (or the checks missed under noise).

@@ -178,8 +178,8 @@ def test_criterion_4_missing_data_population_exactness():
         if rec.parent == forest.parent:
             wins += 1
             for ev in diag.events:
-                if ev.accepted is not None and len(ev.checks) > 1:
-                    scale = max(abs(ev.accepted.lhs), 1e-300)
+                if ev.kind is not None and ev.wrong_margin < np.inf:
+                    scale = max(abs(ev.lhs), 1e-300)
                     min_margin = min(min_margin, ev.wrong_margin / scale)
     _report(
         4,

@@ -3,6 +3,7 @@ import json
 import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -758,6 +759,11 @@ def _repeat_row_then_nan_eps(lines):  # the non-finite line is named, though lat
     lines[-1] = f"{s},{n},nan,{t}"
 
 
+def _nan_eps_then_drop_last_row(lines):  # the non-finite line is named, not the gap
+    _nan_eps(lines)
+    del lines[-1]
+
+
 def _repeat_row_then_drop_rows(lines):  # fewer rows than cells: the duplicate is named
     lines.insert(2, lines[1])
     del lines[-3:-1]
@@ -795,6 +801,7 @@ MALFORMED_SAMPLES = [
     (_multiline_field, 2, "spans lines"),
     (_open_quote_last_row, 651, "spans lines"),
     (_repeat_row_then_nan_eps, 652, "finite"),
+    (_nan_eps_then_drop_last_row, 6, "finite"),
     (_repeat_row_then_drop_rows, 3, "duplicate"),
     (_two_repeats_then_drop_rows, 4, "duplicate"),
 ]
@@ -812,9 +819,12 @@ def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
     lines = path.read_text().splitlines()
     corrupt(lines)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedSamples) as exc_info:
-        fileio.load_samples(path)
-    assert (exc_info.value.path, exc_info.value.line) == (str(path), line)
+    # the line named does not depend on where the reader cuts its blocks
+    for rows in (fileio._BLOCK_ROWS, 1, 2, 3, 7):
+        with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+            with pytest.raises(MalformedSamples) as exc_info:
+                fileio.load_samples(path)
+        assert (exc_info.value.path, exc_info.value.line) == (str(path), line), rows
     capsys.readouterr()
     rc = main(["learn", "--network", str(tmp_path / "network.json"),
                "--data", str(path), "--out", str(tmp_path / "result.json")])
@@ -951,7 +961,7 @@ def test_every_command_rejects_an_inj_node_that_is_no_load(tmp_path, capsys, com
     assert captured.err == f"error: {foreign}: node 9999 is not a load of the network\n"
 
 
-@pytest.mark.parametrize("command", ["learn", "learn-params"])
+@pytest.mark.parametrize("command", ["learn", "learn-params", "learn-missing"])
 def test_eval_prints_the_metrics_of_the_result(tmp_path, capsys, command):
     # eval scores every estimate the result holds, injection statistics and
     # line parameters, as the learner did when it saved them, to the bit
@@ -959,14 +969,20 @@ def test_eval_prints_the_metrics_of_the_result(tmp_path, capsys, command):
     net, inj = str(tmp_path / "network.json"), str(tmp_path / "injection.json")
     assert main(["simulate", "--network", net, "--inj", inj, "--samples", "400",
                  "--out", str(tmp_path)]) == 0
+    spec = []
+    if command == "learn-missing":
+        hidden = choose_hidden(fileio.load_network(net), 1, 0)
+        fileio.save_missing(tmp_path / "missing.json", MissingSpec(hidden))
+        spec = ["--missing", str(tmp_path / "missing.json")]
     out = tmp_path / "result.json"
-    assert main([command, "--network", net, "--inj", inj,
+    assert main([command, "--network", net, "--inj", inj, *spec,
                  "--data", str(tmp_path / "samples.csv"), "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["eval", "--result", str(out), "--network", net, "--inj", inj]) == 0
     metrics = json.loads(capsys.readouterr().out)
     assert metrics == fileio.load_result(out)["metrics"]
-    assert ("omega_p_err" if command == "learn" else "r_err") in metrics
+    assert {"learn": "omega_p_err", "learn-params": "r_err",
+            "learn-missing": "struct_err"}[command] in metrics
 
 
 @pytest.mark.parametrize("option, value", [("--n", "40"), ("--trees", "5"), ("--extra-lines", "2")])

@@ -103,6 +103,33 @@ def test_samples_without_theta(tmp_path, feeder):
     np.testing.assert_array_equal(back.eps, s.eps)
 
 
+@pytest.mark.parametrize(
+    "header, ok",
+    [
+        ("sample, node, eps, theta", True),  # spaces around fields, as on rows
+        ('sample,node,eps,"theta"', True),
+        ("sample,node,eps,theta,extra", False),
+        ("sample,node,eps,theta,", False),
+        ("sample,node,eps", False),
+        ('sample,node,eps,"theta', False),  # a quote left open
+    ],
+)
+def test_samples_header_follows_the_rows_grammar(tmp_path, feeder, header, ok):
+    # the header is exactly the four names, read as the rows are read
+    forest, inj = feeder
+    s = sample_voltages(forest, inj, 3, seed=1)
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, s)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([header, *lines[1:]]) + "\n")
+    if ok:
+        np.testing.assert_array_equal(fileio.load_samples(path).eps, s.eps)
+    else:
+        with pytest.raises(MalformedSamples, match="unexpected samples header") as exc_info:
+            fileio.load_samples(path)
+        assert exc_info.value.line == 1
+
+
 def _csv_writer_bytes(s) -> bytes:
     """The per-element csv.writer loop the samples format was defined by."""
     buf = io.StringIO(newline="")

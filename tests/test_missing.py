@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gridforest.errors import (
 )
 from gridforest.missing import (
     MissingSpec,
+    _predicted_sqdiff,
     learn_with_missing,
     validate_missing_spec,
 )
@@ -129,7 +132,7 @@ def test_hidden_leaf_placed():
     f, inj = hidden_leaf_fixture()
     rec, diag = run_missing(f, inj, (3,))
     assert rec.parent == f.parent
-    kinds = {ev.child: ev.accepted.kind for ev in diag.events if ev.accepted}
+    kinds = {ev.child: ev.kind for ev in diag.events}
     assert kinds[2] == "missing_leaf_child"
 
 
@@ -151,9 +154,8 @@ def test_hidden_intermediate_placed():
     )
     rec, diag = run_missing(f, inj, (2,))
     assert rec.parent == f.parent
-    accepted = {ev.child: ev.accepted for ev in diag.events if ev.accepted}
-    assert accepted[1].kind == "missing_intermediate"
-    assert accepted[1].candidate == 2
+    accepted = {ev.child: (ev.kind, ev.candidate) for ev in diag.events}
+    assert accepted[1] == ("missing_intermediate", 2)
 
 
 def test_hidden_node_with_four_children():
@@ -193,7 +195,7 @@ def test_hidden_leaf_and_intermediate_in_same_tree():
     )
     rec, diag = run_missing(f, inj, (2, 6))
     assert rec.parent == f.parent
-    kinds = {ev.accepted.kind for ev in diag.events if ev.accepted}
+    kinds = {ev.kind for ev in diag.events}
     assert "missing_leaf_child" in kinds and "missing_intermediate" in kinds
 
 
@@ -210,7 +212,7 @@ def test_hidden_leaf_under_declared_substation_child():
     rec, diag = run_missing(f, inj, (2,))
     assert rec.parent == f.parent
     forced = [ev for ev in diag.events if ev.child == 1][0]
-    assert forced.accepted.kind == "missing_leaf_child"
+    assert forced.kind == "missing_leaf_child"
 
 
 def test_hidden_intermediate_under_declared_substation_child():
@@ -228,7 +230,7 @@ def test_hidden_intermediate_under_declared_substation_child():
     rec, diag = run_missing(f, inj, (2,))
     assert rec.parent == f.parent
     forced = [ev for ev in diag.events if ev.child == 1][0]
-    assert forced.accepted.kind == "missing_intermediate"
+    assert forced.kind == "missing_intermediate"
 
 
 def test_population_randomized_suite():
@@ -266,15 +268,16 @@ def test_events_fire_at_their_targets_pop(seed):
 
 
 def test_exactly_one_zero_residual_check_per_event():
+    # the accepted check is exact, and every other check misses
     f, inj = hidden_leaf_fixture()
     rec, diag = run_missing(f, inj, (3,))
-    for ev in diag.events:
-        if ev.accepted is None or not ev.checks:
-            continue
-        zero = [c for c in ev.checks if c.residual <= 1e-9 * max(abs(c.lhs), 1e-300)]
-        assert len(zero) == 1
-        assert zero[0] is ev.accepted
-        assert ev.wrong_margin > 0
+    accepted = [ev for ev in diag.events if ev.kind is not None]
+    assert accepted
+    for ev in accepted:
+        zero = 1e-9 * max(abs(ev.lhs), 1e-300)
+        assert ev.residual <= zero < ev.wrong_margin
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        accepted[0].kind = None
 
 
 def test_all_hidden_nodes_placed_once():
@@ -340,9 +343,8 @@ def test_ambiguous_candidates_reported():
     # both hidden leaves explain node 2's edge equally well, so neither is
     # placed there (nor anywhere else)
     ev = next(ev for ev in info.value.events if ev.child == 2)
-    assert ev.accepted is None
-    zero = [c for c in ev.checks if c.residual <= 1e-9 * abs(c.lhs)]
-    assert sorted(c.candidate for c in zero) == [4, 5]
+    assert (ev.kind, ev.candidate, ev.residual) == (None, None, None)
+    assert ev.wrong_margin <= 1e-9 * abs(ev.lhs)
     assert not {4, 5} & set(info.value.parent_map)
     assert "hidden nodes never placed: [4, 5]" in str(info.value)
 
@@ -380,8 +382,8 @@ def test_direct_edge_under_parked_children_then_adoption():
     assert diag.parked == [(3, 2)]
     assert diag.fallback_edges == [(3, 2)]
     ev = next(ev for ev in diag.events if ev.child == 2)
-    assert [c.kind for c in ev.checks] == ["direct_edge", "missing_intermediate"]
-    assert ev.accepted is ev.checks[0]
+    assert (ev.kind, ev.candidate) == ("direct_edge", None)
+    assert ev.wrong_margin > 1e-9 * abs(ev.lhs)  # the interposition check missed
     assert diag.unresolved == []
 
 
@@ -401,8 +403,9 @@ def test_declared_child_keeps_its_slack_edge_when_no_check_matches():
     rec, diag = run_missing(f, inj, (), ms=ms)
     assert rec.parent == f.parent
     ev = next(ev for ev in diag.events if ev.child == 1)
-    assert (ev.parent, ev.accepted) == (0, None)
-    assert [c.kind for c in ev.checks] == ["direct_edge"]
+    assert (ev.parent, ev.kind) == (0, None)
+    # the one check, the direct edge of leaf 1, missed
+    assert ev.wrong_margin == abs(ev.lhs - _predicted_sqdiff(0.2, 0.3, 1.2, 0.8, 0.5))
     assert diag.unresolved == [1]
     assert diag.parked == []
 
