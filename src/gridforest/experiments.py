@@ -43,7 +43,7 @@ from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
 from .network import RadialForest, line_param_map
 from .parallel import ordered_map, usable_cpus
-from .powerflow import InjectionModel, analytic_moments, draw_moments, fold_moments
+from .powerflow import InjectionModel, analytic_moments, draw_moments, voltage_factor
 from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
 from .structure import StructureDiagnostics, check_fluctuating, estimate_injection_stats
 from .structure import learn_structure
@@ -167,11 +167,12 @@ def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
 
 def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, seed) -> MomentSet:
     """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
-    ``seed``, folded from the draws' own statistics (``draw_moments``); no
-    sample is formed.
+    ``seed``, taken from the draws' own mean and covariance S
+    (``draw_moments``): the forward map's factor with weight S.  No sample
+    and no (2n, 2n) voltage covariance is formed.
     """
-    draws = draw_moments(inj.distribution, m, forest.n_loads, seed)
-    return MomentSet(forest.load_ids, *fold_moments(forest, inj, *draws), m=m)
+    zbar, s = draw_moments(inj.distribution, m, forest.n_loads, seed)
+    return MomentSet(forest.load_ids, *voltage_factor(forest, inj, zbar), s, m=m)
 
 
 def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate=True):

@@ -1,16 +1,23 @@
 """Sample statistics consumed by the learners.
 
 A MomentSet holds the per-node means (``mu_eps``, ``mu_theta``, in
-``node_ids`` order) and three covariance blocks (eps, theta, eps-theta).  It
-can be backed either by finite samples (divisor m, matching the estimators
-the learners are defined with) or by population moment matrices, so learners
-run identically in empirical and analytic mode.  The blocks are formed once,
-with one matrix product each in sample mode, and never change afterwards.
+``node_ids`` order) and the voltage covariance as one factor: a node-major
+real array ``rows`` (eps rows first, then theta rows when the phase channel
+is observed; k columns) and an optional k x k ``weight``, the identity when
+None, with covariance ``rows · weight · rowsᵀ``.  The sources fill ``rows``
+without forming that covariance: population moments take the rows of the
+forward map (k = 2n), finite samples their centred values divided by √m
+(k = m, divisor m, matching the estimators the learners are defined with),
+and a sweep cell the rows of the forward map weighted by the draws' own
+covariance.  So learners run identically in empirical and analytic mode.
 
-The learners read the blocks as arrays: parent selection slices the eps
-block (``full_cov``), and each learner reads the statistics of all the
-(child, parent) edges it walks with one ``edge_stats`` call.  There are no
-per-node scalar accessors.
+Only the eps block ``cov_eps`` is formed, once, because parent selection
+reads it whole.  Each learner reads the statistics of all the (child,
+parent) edges it walks with one ``edge_stats`` call, which takes each edge
+from the difference of its two rows, so only the shared part of the two
+nodes' voltages cancels.  With a weight, ``rows · weight`` is formed once
+too, so that an edge costs O(k) in every mode.  There are no per-node
+scalar accessors.
 
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
@@ -22,10 +29,27 @@ moments without zero ids: each learner registers the slacks it is given
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import TooFewSamples, UnobservedNode
 from .powerflow import AnalyticMoments, VoltageSamples
+
+# Entries of row differences that edge_stats holds at once per channel:
+# 128 kB whatever k is, so that the learners' edge walk adds little to the
+# memory the rows take.
+_EDGE_BLOCK = 1 << 14
+
+
+def _difference(rows, a, b) -> np.ndarray:
+    """rows[a] - rows[b], where a row index of -1 stands for a zero row (so
+    a slack parent gives the child's own row)."""
+    d, g = rows[a], rows[b]
+    d[a < 0] = 0.0
+    g[b < 0] = 0.0
+    d -= g
+    return d
 
 
 class MomentSet:
@@ -34,25 +58,29 @@ class MomentSet:
         node_ids,
         mu_eps,
         mu_theta,
-        cov_eps,
-        cov_theta,
-        cov_eps_theta,
+        rows,
+        weight=None,
         *,
         m=None,
         zero_ids=(),
     ):
         self.node_ids = tuple(int(i) for i in node_ids)
         self._pos = {i: k for k, i in enumerate(self.node_ids)}
-        self.zero_ids = frozenset(int(i) for i in zero_ids)
-        overlap = self.zero_ids.intersection(self.node_ids)
-        if overlap:
-            raise ValueError(f"zero ids {sorted(overlap)} are observed nodes")
+        self.zero_ids = self._zero(zero_ids)
         self.m = m
-        self.mu_eps = None if mu_eps is None else np.asarray(mu_eps, dtype=float)
+        self.mu_eps = np.asarray(mu_eps, dtype=float)
         self.mu_theta = None if mu_theta is None else np.asarray(mu_theta, dtype=float)
-        self._cov_eps = cov_eps
-        self._cov_theta = cov_theta
-        self._cov_eps_theta = cov_eps_theta
+        n, channels = len(self.node_ids), 1 if mu_theta is None else 2
+        self.rows = np.asarray(rows, dtype=float)
+        if self.rows.ndim != 2 or len(self.rows) != channels * n:
+            raise ValueError(f"rows must have {channels * n} rows, got shape {self.rows.shape}")
+        self.weight = weight
+        # rows · weight, so that a pair's d · (weight d) is d · (the pair's
+        # difference of these rows)
+        self._wrows = self.rows if weight is None else self.rows @ weight
+        # the rows of each node in ``rows``: one line per channel
+        self._rix = np.arange(channels * n).reshape(channels, n)
+        self.cov_eps = self.rows[:n] @ self._wrows[:n].T
 
     # -- constructors -----------------------------------------------------------
 
@@ -61,46 +89,33 @@ class MomentSet:
         """Empirical moments with divisor m (biased, by construction)."""
         if samples.m < 2:
             raise TooFewSamples(f"need at least 2 samples, got {samples.m}")
-        m = samples.m
-        mu_eps = samples.eps.mean(axis=0)
-        ce = samples.eps - mu_eps
-        cov_eps = (ce.T @ ce) / m
-        mu_theta = cov_theta = cov_eps_theta = None
-        if samples.theta is not None:
-            mu_theta = samples.theta.mean(axis=0)
-            ct = samples.theta - mu_theta
-            cov_theta = (ct.T @ ct) / m
-            cov_eps_theta = (ce.T @ ct) / m
-        return cls(
-            samples.node_ids,
-            mu_eps,
-            mu_theta,
-            cov_eps,
-            cov_theta,
-            cov_eps_theta,
-            m=m,
-            zero_ids=zero_ids,
-        )
+        m, n = samples.m, len(samples.node_ids)
+        channels = [samples.eps] if samples.theta is None else [samples.eps, samples.theta]
+        rows = np.empty((len(channels) * n, m))
+        means = [None, None]  # eps, theta
+        for k, values in enumerate(channels):
+            means[k] = values.mean(axis=0)
+            np.subtract(values.T, means[k][:, None], out=rows[k * n : (k + 1) * n])
+        rows /= np.sqrt(m)
+        return cls(samples.node_ids, *means, rows, m=m, zero_ids=zero_ids)
 
     @classmethod
     def from_analytic(cls, am: AnalyticMoments, zero_ids=()):
-        """Population mode: statistics read off the moment matrices."""
-        return cls(
-            am.node_ids,
-            am.mu_eps,
-            am.mu_theta,
-            am.omega_eps,
-            am.omega_theta,
-            am.omega_eps_theta,
-            m=None,
-            zero_ids=zero_ids,
-        )
+        """Population mode: the rows of the forward map, with unit weight."""
+        return cls(am.node_ids, am.mu_eps, am.mu_theta, am.rows, m=None, zero_ids=zero_ids)
 
     # -- queries ---------------------------------------------------------------------
 
     @property
     def has_theta(self) -> bool:
-        return self.mu_theta is not None or self._cov_theta is not None
+        return self.mu_theta is not None
+
+    def _zero(self, ids) -> frozenset:
+        zero = frozenset(int(i) for i in ids)
+        overlap = zero.intersection(self.node_ids)
+        if overlap:
+            raise ValueError(f"zero ids {sorted(overlap)} are observed nodes")
+        return zero
 
     def _index(self, a):
         try:
@@ -108,50 +123,49 @@ class MomentSet:
         except KeyError:
             raise UnobservedNode(f"node {a} has no observations") from None
 
-    def _positions(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Row of each id in the blocks (0 for a zero id) and the zero-id mask."""
+    def _rows_of(self, ids) -> np.ndarray:
+        """Rows of each id in ``rows``, one line per channel; -1 for a zero id."""
         ids = [int(i) for i in ids]
         zero = np.array([i in self.zero_ids for i in ids], dtype=bool)
-        idx = [0 if z else self._index(i) for i, z in zip(ids, zero)]
-        return np.array(idx, dtype=int), zero
+        pos = np.array([0 if z else self._index(i) for i, z in zip(ids, zero)], dtype=int)
+        return np.where(zero, -1, self._rix[:, pos])
+
+    def _forms(self, ra, rb) -> np.ndarray:
+        """``d · (weight d)`` of each pair of rows, with d = row a - row b
+        (a row of -1 is zero), and with theta also ``d_t · (weight d_t)`` and
+        ``d_e · (weight d_t)``: an array of one or three lines over the
+        pairs.  The pairs go in blocks of about ``_EDGE_BLOCK`` entries, and
+        each pair's value does not depend on the block it is in."""
+        channels, count = ra.shape
+        out = np.empty((2 * channels - 1, count))
+        step = max(1, _EDGE_BLOCK // max(self.rows.shape[1], 1))
+        for j0 in range(0, count, step):
+            a, b = ra[:, j0 : j0 + step], rb[:, j0 : j0 + step]
+            d = _difference(self.rows, a, b)
+            w = d if self.weight is None else _difference(self._wrows, a, b)
+            out[0, j0 : j0 + step] = np.einsum("ij,ij->i", d[0], w[0])
+            if channels == 2:
+                out[1, j0 : j0 + step] = np.einsum("ij,ij->i", d[1], w[1])
+                out[2, j0 : j0 + step] = np.einsum("ij,ij->i", d[0], w[1])
+        return out
 
     def edge_stats(self, children, parents):
         """Centered squared differences (eps, theta) and cross product of
         each (child, parent) pair, as arrays over the pairs.
 
-        eps is var(a) - 2 cov(a, b) + var(b) and cross is
-        C(a, a) - C(a, b) - C(b, a) + C(b, b), in that operation order, so
-        every entry equals the one-pair ``sqdiff`` bit for bit.  A zero id
-        has zero moments, so a slack parent gives the child's own moments.
-        theta and cross are None on a magnitude-only set.
+        Each pair's statistics come from the difference d of its two rows,
+        as ``d · (weight d)``, so every entry equals the one-pair ``sqdiff``
+        bit for bit.  A zero id has zero moments, so a slack parent gives
+        the child's own moments.  theta and cross are None on a
+        magnitude-only set.
         """
-        ia, za = self._positions(children)
-        ib, zb = self._positions(parents)
-        if len(ia) != len(ib):
-            raise ValueError(f"{len(ia)} children but {len(ib)} parents")
-        zab = za | zb
-
-        def entries(block, rows, cols, zero):
-            return np.where(zero, 0.0, block[rows, cols])
-
-        def sq(block):
-            return (
-                entries(block, ia, ia, za)
-                - 2.0 * entries(block, ia, ib, zab)
-                + entries(block, ib, ib, zb)
-            )
-
-        eps = sq(self._cov_eps)
+        ra, rb = self._rows_of(children), self._rows_of(parents)
+        if ra.shape != rb.shape:
+            raise ValueError(f"{ra.shape[1]} children but {rb.shape[1]} parents")
+        stats = self._forms(ra, rb)
         if not self.has_theta:
-            return eps, None, None
-        c = self._cov_eps_theta
-        cross = (
-            entries(c, ia, ia, za)
-            - entries(c, ia, ib, zab)
-            - entries(c, ib, ia, zab)
-            + entries(c, ib, ib, zb)
-        )
-        return eps, sq(self._cov_theta), cross
+            return stats[0], None, None
+        return stats[0], stats[1], stats[2]
 
     def sqdiff(self, channel: str, a, b) -> float:
         """One-pair view of ``edge_stats``; symmetric in (a, b), zero at a == b."""
@@ -167,56 +181,33 @@ class MomentSet:
         extra = frozenset(int(i) for i in ids)
         if extra <= self.zero_ids:
             return self
-        return MomentSet(
-            self.node_ids,
-            self.mu_eps,
-            self.mu_theta,
-            self._cov_eps,
-            self._cov_theta,
-            self._cov_eps_theta,
-            m=self.m,
-            zero_ids=self.zero_ids | extra,
-        )
+        out = copy.copy(self)
+        out.zero_ids = self._zero(self.zero_ids | extra)
+        return out
 
     def restrict(self, ids) -> "MomentSet":
         """Moments of a subset of the observed nodes, in the given order.
 
-        Zero ids carry over; an id that is not observed raises UnobservedNode.
+        The view shares ``rows`` and ``weight``; only the eps block is
+        sliced.  Zero ids carry over; an id that is not observed raises
+        UnobservedNode.
         """
         ids = tuple(int(i) for i in ids)
         idx = np.array([self._index(i) for i in ids], dtype=int)
-        block = np.ix_(idx, idx)
-
-        def take(arr, sel):
-            return None if arr is None else arr[sel]
-
-        return MomentSet(
-            ids,
-            take(self.mu_eps, idx),
-            take(self.mu_theta, idx),
-            take(self._cov_eps, block),
-            take(self._cov_theta, block),
-            take(self._cov_eps_theta, block),
-            m=self.m,
-            zero_ids=self.zero_ids,
-        )
-
-    def full_cov(self, channel: str) -> np.ndarray:
-        """Full covariance matrix over node_ids for one channel pair."""
-        if channel == "eps":
-            return self._cov_eps
-        if not self.has_theta:
-            raise UnobservedNode("theta channel not observed")
-        if channel == "theta":
-            return self._cov_theta
-        if channel == "eps_theta":
-            return self._cov_eps_theta
-        raise ValueError(f"unknown channel {channel!r}")
+        out = copy.copy(self)
+        out.node_ids = ids
+        out._pos = {i: k for k, i in enumerate(ids)}
+        out.mu_eps = self.mu_eps[idx]
+        out.mu_theta = None if self.mu_theta is None else self.mu_theta[idx]
+        out._rix = self._rix[:, idx]
+        out.cov_eps = self.cov_eps[np.ix_(idx, idx)]
+        return out
 
     def to_dict(self) -> dict:
         """Debug dump of the single-node statistics."""
-        var_eps = np.diag(self._cov_eps)
-        var_theta = np.diag(self._cov_theta) if self.has_theta else None
+        var_eps = np.diag(self.cov_eps)
+        if self.has_theta:
+            var_theta = self._forms(self._rix, np.full_like(self._rix, -1))[1]
         return {
             "m": self.m,
             "nodes": [

@@ -12,16 +12,17 @@ with T_z = T_r + j T_x the path-sum inverse for impedance weights r + jx
 Everything else is one real map.  Each node's injection pair is its mean
 plus its Cholesky factor times two standard draws z1, z2; ``_folded_map``
 folds the factors into the rows of T_r and T_x, giving a real (2n x 2n) map
-A and a mean row c with [eps, theta] = [z1, z2] A + [Re c, Im c].  The
-population moments, the samples and the sample moments are that map under
-three draw statistics: ``analytic_moments`` takes the draws' unit
-covariance (A^T A), ``sample_voltages`` maps m rows of draws, and
-``fold_moments`` maps the draws' own divisor-m mean and covariance S
-(A^T S A), without forming the (m, n) voltage matrices.
-
-The sample moments are two steps.  ``draw_moments`` computes the draws'
-mean and covariance from the distribution, m, n and the seed alone, and
-``fold_moments`` maps them through (A, c).
+A and a mean row c with [eps, theta] = [z1, z2] A + [Re c, Im c].  Draws
+with mean zbar and covariance W give voltages with mean zbar A + c and
+covariance A^T W A, which is never formed: ``voltage_factor`` returns that
+mean and the node-major factor A^T, and ``moments.MomentSet`` holds the
+factor with W as its weight.  The population moments, the samples and the
+sample moments are that map under three draw statistics:
+``analytic_moments`` takes the draws' zero mean and unit covariance,
+``sample_voltages`` maps m rows of draws, and a sweep cell takes the draws'
+own divisor-m mean and covariance S from ``draw_moments``, which computes
+them from the distribution, m, n and the seed alone, without forming the
+(m, n) voltage matrices.
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -159,15 +160,13 @@ class VoltageSamples:
 
 @dataclass(frozen=True)
 class AnalyticMoments:
-    """Population means and covariance matrices of (theta, eps) over loads;
-    ``omega_eps_theta`` is E[eps theta^T] (rows eps, columns theta)."""
+    """Population means of (theta, eps) over loads and the node-major factor
+    ``rows`` (2n x 2n, eps rows first) of their covariance rows rows^T."""
 
     node_ids: tuple[int, ...]
     mu_theta: np.ndarray
     mu_eps: np.ndarray
-    omega_theta: np.ndarray
-    omega_eps: np.ndarray
-    omega_eps_theta: np.ndarray
+    rows: np.ndarray
 
 
 def _standard_draws(rng, distribution: str, shape) -> np.ndarray:
@@ -213,27 +212,30 @@ def _folded_map(forest: RadialForest, inj: InjectionModel) -> tuple[np.ndarray, 
     return a, (inj.mu_p - 1j * inj.mu_q) @ tz
 
 
-def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
-    """Exact voltage moments induced by an injection model.
-
-    The identity-covariance case of ``fold_moments``: the standard draws
-    have zero mean and unit covariance, so through the map (A, c) of
-    ``_folded_map`` the voltages [eps, theta] have covariance A^T A and mean
-    [Re c, Im c], for every tagged distribution.  The blocks are sliced in
-    ``fold_moments``' layout.
+def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
+    """``(mu_eps, mu_theta, rows)`` of the voltages of draws with mean
+    ``zbar``: the mean zbar A + [Re c, Im c] over the loads and the
+    node-major factor rows = A^T (eps rows first) of the map (A, c) of
+    ``_folded_map``, so that draws with covariance W give the voltage
+    covariance rows W rows^T.
     """
     inj = inj.for_nodes(forest.load_ids)
     a, c = _folded_map(forest, inj)
-    cov = a.T @ a
+    mu = zbar @ a
     n = inj.n
-    return AnalyticMoments(
-        node_ids=forest.load_ids,
-        mu_theta=c.imag,
-        mu_eps=c.real,
-        omega_theta=cov[n:, n:],
-        omega_eps=cov[:n, :n],
-        omega_eps_theta=cov[:n, n:],
-    )
+    return mu[:n] + c.real, mu[n:] + c.imag, np.ascontiguousarray(a.T)
+
+
+def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
+    """Exact voltage moments induced by an injection model.
+
+    The standard draws have zero mean and unit covariance, so through the
+    map (A, c) of ``_folded_map`` the voltages [eps, theta] have mean
+    [Re c, Im c] and covariance A^T A for every tagged distribution; the
+    factor A^T is kept as ``rows`` (``voltage_factor``).
+    """
+    mu_eps, mu_theta, rows = voltage_factor(forest, inj, np.zeros(2 * forest.n_loads))
+    return AnalyticMoments(forest.load_ids, mu_theta, mu_eps, rows)
 
 
 def sample_voltages(
@@ -292,19 +294,3 @@ def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, n
     for i in range(2 * n):
         gram[i] -= zbar[i] * zbar
     return zbar, gram
-
-
-def fold_moments(forest: RadialForest, inj: InjectionModel, zbar, s):
-    """The voltage moments of draws with mean ``zbar`` and covariance ``s``
-    (``draw_moments``' statistics), through the map (A, c) of ``_folded_map``:
-    ``(mu_eps, mu_theta, cov_eps, cov_theta, cov_eps_theta)`` over the loads,
-    in the order ``MomentSet`` takes them.  The covariance of [eps, theta]
-    is A^T S A and its mean is zbar A + [Re c, Im c].
-    """
-    inj = inj.for_nodes(forest.load_ids)
-    a, c = _folded_map(forest, inj)
-    cov = a.T @ (s @ a)
-    mu = zbar @ a
-    n = inj.n
-    return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]
-

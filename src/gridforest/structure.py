@@ -110,11 +110,13 @@ def recover_parent_map(
     (its parent would have to be an undeclared slack), carrying every other
     node's selection.
 
-    The squared differences are taken for a block of pops at a time, each
-    row against every load in id order and masked to the later pops by pop
-    position, in the operation order of the scalar ``MomentSet.sqdiff``, so
-    every value matches it bit for bit.  Blocks of about ``_SELECT_BLOCK``
-    entries keep the temporaries small whatever N is.
+    The squared differences var(a) - 2 cov(a, b) + var(b) are read off the
+    eps block ``momset.cov_eps`` for a block of pops at a time, each row
+    against every load in id order and masked to the later pops by pop
+    position.  They agree with ``MomentSet.sqdiff``, which takes each pair
+    from the difference of its rows, to rounding, not bit for bit.  Blocks
+    of about ``_SELECT_BLOCK`` entries keep the temporaries small whatever N
+    is.
     """
     declared = _declared_map(substation_children)
     observed = set(momset.node_ids)
@@ -123,7 +125,7 @@ def recover_parent_map(
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
-    cov = momset.full_cov("eps")
+    cov = momset.cov_eps
     pos = {a: k for k, a in enumerate(momset.node_ids)}
     # columns stay in id order, so argmin takes the smallest id among exact ties
     ids = np.array(loads, dtype=int)
@@ -288,7 +290,7 @@ def estimate_injection_stats(
         if forest.is_load(p):
             desc[p] += np.array([var_p[k], var_q[k], cov_pq[k]]) + desc[a]
 
-    bound = np.sqrt(var_p * var_q)
+    bound = np.sqrt(var_p) * np.sqrt(var_q)  # var_p * var_q under- or overflows
     for k, a in enumerate(ids):
         if abs(cov_pq[k]) > bound[k]:
             diag.clamped_covariances.append((a, float(cov_pq[k])))

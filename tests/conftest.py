@@ -13,10 +13,12 @@ u through T_z, with the real blocks read off.
 The forward-model oracle solves one injection vector pair by the package's
 complex tree sweep.
 The sampled-moments oracle forms the samples that the sweep cells skip.
-The one-pass blocked-moments oracle draws and folds in one function, as the
-package did before it split the sample moments into ``draw_moments`` and
-``fold_moments``; its draw step centres the Gram matrix as one whole-matrix
-expression, as ``draw_moments`` did before it centred it in place.
+The one-pass blocked-moments oracle draws and maps in one function the mean
+and factor a sweep cell takes from ``draw_moments`` and ``voltage_factor``;
+its draw step centres the Gram matrix as one whole-matrix expression, as
+``draw_moments`` did before it centred it in place.  The moment-blocks
+oracle forms the whole voltage covariance from a factor, which the package
+never does.
 The path-entry and descendant oracles walk the parent and children links.
 The sorted samples-CSV oracle reads the file as one block and assembles it by
 whole-file sorts, as the reader did before it placed each block at its cells.
@@ -268,16 +270,31 @@ def blocked_draw_moments(distribution: str, m: int, n: int, seed):
 
 
 def one_pass_sample_moments(forest, inj, m: int, seed):
-    """Oracle for ``fold_moments`` of ``draw_moments``, bit for bit: the
-    blocked draw moments and their fold through ``_folded_map`` in one
-    pass."""
+    """Oracle for a sweep cell's moments (``experiments.empirical_moments``),
+    bit for bit: ``(mu_eps, mu_theta, rows, weight)`` from the blocked draw
+    moments and the map of ``_folded_map`` in one pass."""
     inj = inj.for_nodes(forest.load_ids)
     n = inj.n
     zbar, s = blocked_draw_moments(inj.distribution, m, n, seed)
     a, c = _folded_map(forest, inj)
-    cov = a.T @ (s @ a)
     mu = zbar @ a
-    return mu[:n] + c.real, mu[n:] + c.imag, cov[:n, :n], cov[n:, n:], cov[:n, n:]
+    return mu[:n] + c.real, mu[n:] + c.imag, np.ascontiguousarray(a.T), s
+
+
+def moment_blocks(moments) -> dict:
+    """Oracle: the covariance blocks of an ``AnalyticMoments`` or a
+    ``MomentSet`` over its nodes, by ``AnalyticMoments``' former field names
+    (``omega_eps``, and with theta ``omega_theta`` and ``omega_eps_theta`` =
+    E[eps theta^T]), formed whole as rows · weight · rows^T."""
+    rows, weight = moments.rows, getattr(moments, "weight", None)
+    if isinstance(moments, MomentSet):
+        rows = rows[moments._rix.ravel()]
+    cov = rows @ rows.T if weight is None else rows @ weight @ rows.T
+    n = len(moments.node_ids)
+    blocks = {"omega_eps": cov[:n, :n]}
+    if len(cov) > n:
+        blocks.update(omega_theta=cov[n:, n:], omega_eps_theta=cov[:n, n:])
+    return blocks
 
 
 def sorted_load_samples(path) -> VoltageSamples:
@@ -464,7 +481,7 @@ def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
-    cov = momset.full_cov("eps")
+    cov = momset.cov_eps
     pos = {a: k for k, a in enumerate(momset.node_ids)}
     var_of = {a: float(cov[pos[a], pos[a]]) for a in loads}
     order = sorted(loads, key=lambda a: (-var_of[a], a))
@@ -512,7 +529,7 @@ def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:
 
 
 def _aligned_matrix(momset, ids, channel: str) -> np.ndarray:
-    mat = momset.full_cov(channel)
+    mat = moment_blocks(momset)[channel]
     pos = {i: k for k, i in enumerate(momset.node_ids)}
     idx = np.array([pos[i] for i in ids], dtype=int)
     return mat[np.ix_(idx, idx)]
@@ -529,16 +546,16 @@ def direct_injection_stats(momset, forest) -> InjectionModel:
     ids = forest.load_ids
     hz = reduced_laplacian(forest, "z")
     g, bm = hz.real, hz.imag
-    cov_e = _aligned_matrix(momset, ids, "eps")
-    cov_t = _aligned_matrix(momset, ids, "theta")
-    cov_et = _aligned_matrix(momset, ids, "eps_theta")
+    cov_e = _aligned_matrix(momset, ids, "omega_eps")
+    cov_t = _aligned_matrix(momset, ids, "omega_theta")
+    cov_et = _aligned_matrix(momset, ids, "omega_eps_theta")
     cov_te = cov_et.T
     var_p = np.diag(g @ cov_e @ g.T - g @ cov_et @ bm.T - bm @ cov_te @ g.T + bm @ cov_t @ bm.T)
     var_q = np.diag(bm @ cov_e @ bm.T + bm @ cov_et @ g.T + g @ cov_te @ bm.T + g @ cov_t @ g.T)
     cov_pq = np.diag(-g @ cov_e @ bm.T - g @ cov_et @ g.T + bm @ cov_te @ bm.T + bm @ cov_t @ g.T)
     var_p = np.maximum(var_p, 0.0)
     var_q = np.maximum(var_q, 0.0)
-    bound = np.sqrt(var_p * var_q)
+    bound = np.sqrt(var_p) * np.sqrt(var_q)
     idx = [momset.node_ids.index(i) for i in ids]
     mu_theta, mu_eps = momset.mu_theta[idx], momset.mu_eps[idx]
     tz = dense_path_matrix(forest, "r") + 1j * dense_path_matrix(forest, "x")

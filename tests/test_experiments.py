@@ -45,7 +45,7 @@ from gridforest.synth import (
     synth_layout,
 )
 
-from conftest import sampled_moments
+from conftest import moment_blocks, sampled_moments
 from stand_ins import die
 from test_parallel import _START_METHODS, _usable_cpus
 
@@ -267,7 +267,7 @@ def test_statistics_give_the_same_bits_with_a_diagnostics_object(m):
     for a, name, raw in diag.clamped_variances:
         assert raw < 0.0 and getattr(got, name)[k(a)] == 0.0
     for a, raw in diag.clamped_covariances:
-        bound = np.sqrt(got.var_p[k(a)] * got.var_q[k(a)])
+        bound = np.sqrt(got.var_p[k(a)]) * np.sqrt(got.var_q[k(a)])
         assert abs(raw) > bound and abs(got.cov_pq[k(a)]) == bound
 
 
@@ -306,9 +306,9 @@ def test_fig5_cells_match_sampled_oracle(monkeypatch):
     def oracle(forest, inj, m, seed):
         want = sampled_moments(forest, inj, m, seed)
         got = from_draws(forest, inj, m, seed)
-        for c in ("eps", "theta", "eps_theta"):
-            b = want.full_cov(c)
-            np.testing.assert_allclose(got.full_cov(c), b, rtol=0, atol=1e-12 * np.abs(b).max())
+        got_blocks = moment_blocks(got)
+        for name, b in moment_blocks(want).items():
+            np.testing.assert_allclose(got_blocks[name], b, rtol=0, atol=1e-12 * np.abs(b).max())
         for a, b in ((got.mu_eps, want.mu_eps), (got.mu_theta, want.mu_theta)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
         calls.append(seed)
@@ -356,9 +356,9 @@ def _runners(outdir):
 
 
 def _spy_on_this_process(monkeypatch):
-    """The names of the draw, fold and learner calls made in this process."""
+    """The names of the draw and learner calls made in this process."""
     calls = []
-    for name in ("draw_moments", "fold_moments", "run_learner"):
+    for name in ("draw_moments", "run_learner"):
 
         def spy(*args, _name=name, _real=getattr(experiments, name), **kwargs):
             calls.append(_name)
@@ -380,14 +380,14 @@ def test_pooled_and_in_process_sweeps_agree_bit_for_bit(
     _usable_cpus(monkeypatch, 1)
     alone = run_experiment(config)
     assert _runners(alone_cells) == {os.getpid()}  # every cell ran in process
-    assert set(calls) == {"draw_moments", "fold_moments", "run_learner"}
+    assert set(calls) == {"draw_moments", "run_learner"}
     calls.clear()
     pooled_cells = _track_cells(monkeypatch, tmp_path / "pooled")
     _usable_cpus(monkeypatch, 2)
     pooled = run_experiment(config)
     workers = _runners(pooled_cells)
     assert len(workers) == 2 and os.getpid() not in workers  # two workers ran the cells
-    assert calls == []  # and this process drew, folded and learned nothing
+    assert calls == []  # and this process drew and learned nothing
     assert repr(pooled.rows) == repr(alone.rows)
     assert pooled.failures == alone.failures
 

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from gridforest.errors import BothRootsFeasible, NoRealRoot, SingularSystem, UnobservedNode
 from gridforest import lines
+from gridforest.experiments import injection_errors, line_errors
 from gridforest.lines import estimate_edge, learn_structure_and_params
 from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
 from gridforest.powerflow import analytic_moments, sample_voltages
-from gridforest.synth import FeederSpec, draw_injections, synth_layout
+from gridforest.structure import estimate_injection_stats
+from gridforest.synth import FeederSpec, draw_injections, synth_feeder, synth_layout
 
 from conftest import (
     estimate_edge_linear,
@@ -271,6 +273,22 @@ def test_population_structure_and_params_exact(seed):
         assert est.r_hat == pytest.approx(r, rel=1e-6)
         assert est.x_hat == pytest.approx(x, rel=1e-6)
         assert est.cov_pq_hat == pytest.approx(s[a], rel=1e-6)
+
+
+def test_population_accuracy_on_a_2000_deep_chain():
+    # the statistics and the line parameters of a 2000-deep chain round-trip
+    # from population moments far inside perfbench's 1e-6: each edge's
+    # statistics cancel only the edge's own rows, not the whole path
+    spec = FeederSpec(2000, n_trees=1, chain_bias=1.0, max_children=1)
+    forest, inj = synth_feeder(spec, 1)
+    assert max(forest.depth.values()) == 2000
+    ms = MomentSet.from_analytic(analytic_moments(forest, inj))
+    stats_err = max(injection_errors(estimate_injection_stats(ms, forest), inj).values())
+    assert stats_err < 1e-8
+    vp, vq, _ = inj.as_maps()
+    rec, ests = learn_structure_and_params(ms, vp, vq, forest.substation_children())
+    assert rec.parent == forest.parent
+    assert max(line_errors(ests, forest).values()) < 1e-12
 
 
 def test_single_edge_feeder_reduces_to_estimate_edge():

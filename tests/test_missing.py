@@ -21,7 +21,7 @@ from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltag
 from gridforest.structure import StructureDiagnostics, learn_structure, recover_parent_map
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
-from conftest import random_feeder, restrict_samples
+from conftest import moment_blocks, random_feeder, restrict_samples
 
 
 def observed_momset(forest, inj, hidden=()):
@@ -350,13 +350,19 @@ def test_ambiguous_candidates_reported():
 
 
 def nudge_eps_cov(ms, a, b, delta):
-    """Add ``delta`` in place to the eps covariance of loads ``a`` and ``b``
-    (to both triangles; to the variance when ``a == b``)."""
-    cov = ms.full_cov("eps")
+    """``ms`` built from its covariance blocks (rows the identity, the whole
+    covariance the weight), with ``delta`` added to the eps covariance of
+    loads ``a`` and ``b`` (to both triangles; to the variance when
+    ``a == b``)."""
+    blocks = moment_blocks(ms)
+    et = blocks["omega_eps_theta"]
+    cov = np.block([[blocks["omega_eps"], et], [et.T, blocks["omega_theta"]]])
     i, j = ms.node_ids.index(a), ms.node_ids.index(b)
     cov[i, j] += delta
     if i != j:
         cov[j, i] += delta
+    return MomentSet(ms.node_ids, ms.mu_eps, ms.mu_theta, np.eye(len(cov)), cov,
+                     zero_ids=ms.zero_ids)
 
 
 def test_direct_edge_under_parked_children_then_adoption():
@@ -376,7 +382,7 @@ def test_direct_edge_under_parked_children_then_adoption():
         cov_pq=[0.5, 0.6, 0.4, 0.55],
     )
     ms = observed_momset(f, inj, (4,))
-    nudge_eps_cov(ms, 3, 2, 0.05 * ms.sqdiff("eps", 3, 2))
+    ms = nudge_eps_cov(ms, 3, 2, 0.05 * ms.sqdiff("eps", 3, 2))
     rec, diag = run_missing(f, inj, (4,), ms=ms)
     assert rec.parent == f.parent
     assert diag.parked == [(3, 2)]
@@ -399,7 +405,7 @@ def test_declared_child_keeps_its_slack_edge_when_no_check_matches():
         var_p=[1.2, 0.9, 1.5], var_q=[0.8, 1.3, 0.7], cov_pq=[0.5, 0.6, 0.4],
     )
     ms = observed_momset(f, inj)
-    nudge_eps_cov(ms, 1, 1, 0.05 * ms.sqdiff("eps", 1, 0))
+    ms = nudge_eps_cov(ms, 1, 1, 0.05 * ms.sqdiff("eps", 1, 0))
     rec, diag = run_missing(f, inj, (), ms=ms)
     assert rec.parent == f.parent
     ev = next(ev for ev in diag.events if ev.child == 1)

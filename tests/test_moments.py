@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridforest.errors import TooFewSamples, UnobservedNode
+from gridforest.experiments import empirical_moments
+from gridforest.missing import _predicted_sqdiff
 from gridforest.moments import MomentSet
 from gridforest.powerflow import (
     VoltageSamples,
     analytic_moments,
     sample_voltages,
 )
-from gridforest.synth import draw_injections, preset, synth_layout
+from gridforest.synth import (
+    FeederSpec,
+    choose_hidden,
+    draw_injections,
+    preset,
+    synth_feeder,
+    synth_layout,
+)
 
 from conftest import (
     descendant_set,
@@ -45,7 +56,7 @@ def test_two_point_sqdiff():
 def test_constant_samples_zero_variance():
     s = VoltageSamples(node_ids=(5,), eps=np.full((4, 1), 2.5))
     ms = MomentSet.from_samples(s)
-    assert ms.full_cov("eps")[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert ms.cov_eps[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sqdiff_same_node_zero():
@@ -82,8 +93,8 @@ def test_theta_channel_absent():
 
 def test_zero_ids_reduce_to_single_node_stats():
     ms = MomentSet.from_samples(two_point_samples(), zero_ids=(0,))
-    assert ms.sqdiff("eps", 1, 0) == ms.full_cov("eps")[0, 0]
-    assert ms.sqdiff("eps", 0, 1) == ms.full_cov("eps")[0, 0]
+    assert ms.sqdiff("eps", 1, 0) == ms.cov_eps[0, 0]
+    assert ms.sqdiff("eps", 0, 1) == ms.cov_eps[0, 0]
     assert ms.sqdiff("eps", 0, 0) == 0.0
 
 
@@ -223,22 +234,57 @@ def test_restriction_to_observed_subset():
         view.sqdiff("eps", keep[0], forest.load_ids[-1])
 
 
+def test_restriction_slices_only_the_eps_block():
+    # the view shares the factor, so its peak is about one observed-by-
+    # observed eps block; the theta and cross blocks are not copied
+    forest, inj = synth_feeder(FeederSpec(400, n_trees=4, extra_lines=100), 1)
+    hidden = set(choose_hidden(forest, 20, 1))
+    keep = [i for i in forest.load_ids if i not in hidden]
+    ms = MomentSet.from_analytic(analytic_moments(forest, inj))
+    tracemalloc.start()
+    try:
+        view = ms.restrict(keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert view.rows is ms.rows
+    assert peak < 1.5 * 8 * len(keep) ** 2
+
+
+def test_edge_stats_on_a_deep_chain():
+    # each edge's eps statistic is its subtree's closed form to 1e-12 on a
+    # 1500-deep chain: the rows' difference cancels only the shared path,
+    # where var(a) - 2 cov(a, b) + var(b) cancels about depth^3 worth of
+    # digits
+    spec = FeederSpec(1500, n_trees=1, chain_bias=1.0, max_children=1)
+    forest, inj = synth_feeder(spec, 1)
+    assert max(forest.depth.values()) == 1500
+    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    order = sorted(forest.load_ids, key=lambda a: -forest.depth[a])  # leaf first
+    eps, _, _ = ms.edge_stats(order, [forest.parent[a] for a in order])
+    vp, vq, s = inj.as_maps()
+    sums = np.cumsum([(vp[a], vq[a], s[a]) for a in order], axis=0)  # subtree sums
+    want = [_predicted_sqdiff(*forest.edge_params[a], *sums[k]) for k, a in enumerate(order)]
+    np.testing.assert_allclose(eps, want, rtol=1e-12, atol=0)
+
+
 def _scalar_stat(ms, channel, a, b):
-    """Reference: one pair's statistic from single block entries, as Python
-    floats, in the operation order edge_stats promises (zero ids read 0)."""
+    """Reference: one pair's statistic from its own two rows of the factor
+    alone (a zero id's row is zero), in the operation order edge_stats
+    promises."""
     if a == b:
         return 0.0
-    mat = ms.full_cov("eps_theta" if channel == "cross" else channel)
     pos = {i: k for k, i in enumerate(ms.node_ids)}
 
-    def c(i, j):
-        if i in ms.zero_ids or j in ms.zero_ids:
-            return 0.0
-        return float(mat[pos[i], pos[j]])
+    def row(i, theta):
+        if i in ms.zero_ids:
+            return np.zeros(ms.rows.shape[1])
+        return ms.rows[ms._rix[int(theta), pos[i]]]
 
-    if channel == "cross":
-        return c(a, a) - c(a, b) - c(b, a) + c(b, b)
-    return c(a, a) - 2.0 * c(a, b) + c(b, b)
+    de = row(a, False) - row(b, False)
+    dt = row(a, True) - row(b, True)
+    x, y = {"eps": (de, de), "theta": (dt, dt), "cross": (de, dt)}[channel]
+    return float(np.einsum("j,j->", x, y))
 
 
 def test_edge_stats_match_scalar_bit_for_bit():
@@ -258,6 +304,20 @@ def test_edge_stats_match_scalar_bit_for_bit():
     for channel, vals in zip(("eps", "theta", "cross"), got):
         for a, b, v in zip(children, parents, vals.tolist()):
             assert v == _scalar_stat(ms, channel, a, b)
+            assert v == ms.sqdiff(channel, a, b)
+
+
+def test_weighted_edge_stats_match_one_pair_bit_for_bit():
+    # a sweep cell's set, the forward map's rows weighted by the draws'
+    # covariance: each edge reads the same in a block of edges as alone
+    forest, inj = synth_feeder(FeederSpec(300, n_trees=3), 3)
+    ms = empirical_moments(forest, inj, 400, 1).with_zero_ids(forest.slack_ids)
+    assert ms.weight is not None
+    children = list(forest.load_ids)
+    parents = [forest.parent[a] for a in children]
+    got = ms.edge_stats(children, parents)
+    for channel, vals in zip(("eps", "theta", "cross"), got):
+        for a, b, v in zip(children, parents, vals.tolist()):
             assert v == ms.sqdiff(channel, a, b)
 
 

@@ -18,7 +18,6 @@ from gridforest.powerflow import (
     _standard_draws,
     analytic_moments,
     draw_moments,
-    fold_moments,
     sample_voltages,
 )
 from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder
@@ -31,6 +30,7 @@ from conftest import (
     reference_analytic_moments,
     reference_sample_voltages,
     magnitude_only,
+    moment_blocks,
     blocked_draw_moments,
     one_pass_sample_moments,
     restrict_samples,
@@ -119,7 +119,7 @@ def test_single_node_eps_variance(single):
     # var contributions: r^2 * 1 + x^2 * 1 + 2 r x * 0.5 = 1 + 4 + 2 = 7
     inj = unit_injections(single)
     am = analytic_moments(single, inj)
-    assert am.omega_eps[0, 0] == pytest.approx(7.0, abs=1e-14)
+    assert moment_blocks(am)["omega_eps"][0, 0] == pytest.approx(7.0, abs=1e-14)
 
 
 def test_degenerate_zero_covariances(single):
@@ -128,17 +128,17 @@ def test_degenerate_zero_covariances(single):
         var_p=[0.0], var_q=[0.0], cov_pq=[0.0],
     )
     am = analytic_moments(single, inj)
-    assert np.all(am.omega_eps == 0) and np.all(am.omega_theta == 0)
+    blocks = moment_blocks(am)
+    assert np.all(blocks["omega_eps"] == 0) and np.all(blocks["omega_theta"] == 0)
     assert am.mu_eps[0] == pytest.approx(0.3 * 1.0 + (-0.1) * 2.0)
 
 
 def test_moment_matrix_symmetries(chain2):
     inj = unit_injections(chain2, var_p=1.3, var_q=0.7, cov=0.2)
-    am = analytic_moments(chain2, inj)
-    np.testing.assert_allclose(am.omega_eps, am.omega_eps.T)
-    np.testing.assert_allclose(am.omega_theta, am.omega_theta.T)
-    assert np.all(np.linalg.eigvalsh(am.omega_eps) > -1e-12)
-    assert np.all(np.linalg.eigvalsh(am.omega_theta) > -1e-12)
+    blocks = moment_blocks(analytic_moments(chain2, inj))
+    for name in ("omega_eps", "omega_theta"):
+        np.testing.assert_allclose(blocks[name], blocks[name].T)
+        assert np.all(np.linalg.eigvalsh(blocks[name]) > -1e-12)
 
 
 def assert_matches_reference_moments(forest, inj):
@@ -146,8 +146,9 @@ def assert_matches_reference_moments(forest, inj):
     absolute entry of the complex oracle (exactly, for an all-zero block)."""
     am = analytic_moments(forest, inj)
     assert am.node_ids == forest.load_ids
+    fields = {"mu_theta": am.mu_theta, "mu_eps": am.mu_eps, **moment_blocks(am)}
     for name, want in reference_analytic_moments(forest, inj).items():
-        got = getattr(am, name)
+        got = fields[name]
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
@@ -192,12 +193,12 @@ def test_variance_ordering_along_ancestry():
     # deviation variance grows strictly toward the leaves
     for seed in range(8):
         forest, inj = random_feeder(seed, n_range=(3, 40))
-        am = analytic_moments(forest, inj)
+        var = np.diag(moment_blocks(analytic_moments(forest, inj))["omega_eps"])
         pos = forest.load_index
         for a in forest.load_ids:
             b = forest.parent[a]
             if forest.is_load(b):
-                assert am.omega_eps[pos(a), pos(a)] > am.omega_eps[pos(b), pos(b)]
+                assert var[pos(a)] > var[pos(b)]
 
 
 def test_parent_is_argmin_over_non_descendants():
@@ -372,7 +373,9 @@ def assert_moments_from_draws(spec, hidden, m, dist):
     assert got.zero_ids == frozenset()  # the learners register the slacks
     assert got.m == want.m == m
     pairs = [(got.mu_eps, want.mu_eps), (got.mu_theta, want.mu_theta)]
-    pairs += [(got.full_cov(c), want.full_cov(c)) for c in ("eps", "theta", "eps_theta")]
+    pairs += [(got.cov_eps, want.cov_eps)]
+    got_blocks, want_blocks = moment_blocks(got), moment_blocks(want)
+    pairs += [(got_blocks[name], want_blocks[name]) for name in want_blocks]
     for a, b in pairs:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
 
@@ -403,14 +406,17 @@ def test_draw_rows_keep_the_paper_blocks_above_a_floor():
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("spec", [preset("bus_13_3"), preset("bus_29_1")], ids=["n13", "n29"])
 def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
-    # the draw and fold steps, composed, are bit for bit the one-pass blocked
-    # moments, on each side of the first draw-block boundary
+    # a sweep cell's draw step and forward-map factor, composed, are bit for
+    # bit the one-pass blocked moments, on each side of the first draw-block
+    # boundary
     forest, inj = _tagged_feeder(spec, dist)
     m, seed = _draw_rows(forest.n_loads) + extra, [7, 1]
     want = one_pass_sample_moments(forest, inj, m, seed)
     zbar, s = draw_moments(dist, m, forest.n_loads, seed)
     assert zbar.shape == (2 * forest.n_loads,) and s.shape == (2 * forest.n_loads,) * 2
-    for a, b in zip(fold_moments(forest, inj, zbar, s), want, strict=True):
+    got = empirical_moments(forest, inj, m, seed)
+    assert got.rows.flags.c_contiguous
+    for a, b in zip((got.mu_eps, got.mu_theta, got.rows, got.weight), want, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
@@ -439,7 +445,7 @@ def test_empirical_matches_analytic_at_clt_scale(chain2):
     s = sample_voltages(chain2, inj, m, seed=3)
     for k in range(2):
         emp = s.eps[:, k].var()
-        ana = am.omega_eps[k, k]
+        ana = moment_blocks(am)["omega_eps"][k, k]
         assert abs(emp - ana) < 5.0 * ana / np.sqrt(m)
 
 
@@ -447,7 +453,7 @@ def test_monte_carlo_convergence_rate(single):
     # log-error vs log-m regression slope near -1/2
     inj = unit_injections(single)
     am = analytic_moments(single, inj)
-    truth = am.omega_eps[0, 0]
+    truth = moment_blocks(am)["omega_eps"][0, 0]
     ms = [100, 1000, 10_000, 100_000, 1_000_000]
     errs = []
     for m in ms:
@@ -502,7 +508,8 @@ def test_non_gaussian_second_moments(dist, chain2):
     m = 200_000
     s = sample_voltages(chain2, inj, m, seed=8)
     emp = s.eps[:, 1].var()
-    assert abs(emp - am.omega_eps[1, 1]) < 8.0 * am.omega_eps[1, 1] / np.sqrt(m)
+    var = moment_blocks(am)["omega_eps"][1, 1]
+    assert abs(emp - var) < 8.0 * var / np.sqrt(m)
 
 
 def test_voltage_samples_restrict_and_without_theta(chain2):

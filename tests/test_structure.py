@@ -17,7 +17,7 @@ from gridforest.structure import (
     recover_parent_map,
     solve_edge_system,
 )
-from gridforest.synth import FeederSpec, draw_injections, synth_layout
+from gridforest.synth import FeederSpec, draw_injections, preset, synth_layout
 
 from conftest import (
     direct_injection_stats,
@@ -124,7 +124,7 @@ def test_exact_tie_picks_smallest_id():
     # 7 and to 5 are both exactly 4.0, and the smaller id wins although 7 is
     # popped first
     cov = np.array([[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 4.0]])
-    ms = MomentSet((5, 7, 9), np.zeros(3), np.zeros(3), cov, cov, cov, zero_ids=(0,))
+    ms = MomentSet((5, 7, 9), np.zeros(3), None, np.eye(3), cov, zero_ids=(0,))
     declared = {0: (5,)}
     diag = StructureDiagnostics()
     rec = learn_structure(ms, declared, diagnostics=diag)
@@ -171,7 +171,7 @@ def random_eps_momset(seed, n, *, ties=False):
     ids = rng.choice(10 * n + 10, size=n + 2, replace=False)
     b = rng.integers(0, 2, (n, 4)) if ties else rng.standard_normal((n, n))
     cov = (b @ b.T).astype(float)
-    return MomentSet(ids[:n], np.zeros(n), None, cov, None, None, zero_ids=ids[n:])
+    return MomentSet(ids[:n], np.zeros(n), None, np.eye(n), cov, zero_ids=ids[n:])
 
 
 def declare(momset, seed, count, *, last):
@@ -356,6 +356,24 @@ def test_negative_variance_clamped_and_flagged():
             assert all(v < 0 for v in raw)
             return
     pytest.fail("no negative variance produced across 30 tiny-sample runs")
+
+
+@pytest.mark.parametrize("var", [1e-170, 1e170], ids=["tiny", "huge"])
+def test_no_covariance_clamped_at_extreme_variances(var):
+    # var_p * var_q underflows to 0 at the tiny end (every covariance would
+    # be clamped to 0) and overflows at the huge end; the clamp's bound is
+    # sqrt(var_p) * sqrt(var_q), the bound InjectionModel checks
+    forest = synth_layout(preset("bus_13_3"), 7)
+    n = forest.n_loads
+    inj = InjectionModel(
+        node_ids=forest.load_ids, mu_p=np.zeros(n), mu_q=np.zeros(n),
+        var_p=np.full(n, var), var_q=np.full(n, var),
+        cov_pq=np.full(n, 0.5 * np.sqrt(var) * np.sqrt(var)),
+    )
+    diag = EstimationDiagnostics()
+    got = estimate_injection_stats(analytic_momset(forest, inj), forest, diagnostics=diag)
+    assert diag.clamped_covariances == [] and diag.clamped_variances == []
+    np.testing.assert_allclose(got.cov_pq, inj.cov_pq, rtol=1e-12, atol=0)
 
 
 def test_estimation_error_non_increasing_in_m():
