@@ -246,9 +246,10 @@ class RadialForest:
         applied to the identity, O(N^2), built once per forest.  Each entry
         adds the shared-path weights in root-to-leaf order.
 
-        ``kind`` must be "z", the only path-sum matrix the forward model
-        uses; the argument stays because perfbench's tracer wraps this method
-        and passes it on.
+        No program path calls it: only the test oracles and perfbench's
+        tracer do, and deleting it waits for the benchmark change that
+        re-bases the tracer (ROADMAP item 1, step 3).  ``kind`` must be
+        "z"; the argument stays because the tracer passes it on.
         """
         if kind != "z":
             raise ValueError(f"only the complex path-sum matrix is built, got kind {kind!r}")

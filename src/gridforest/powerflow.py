@@ -6,23 +6,25 @@ voltage deviations:
     eps + j theta = T_z (p - j q)
 
 with T_z = T_r + j T_x the path-sum inverse for impedance weights r + jx
-(equivalently theta = T_x p - T_r q and eps = T_r p + T_x q), which
-``network.apply_path_inverse`` applies by one complex tree sweep.
+(equivalently theta = T_x p - T_r q and eps = T_r p + T_x q).  Its one
+operator is the complex tree sweep ``network.apply_path_inverse`` over a
+block of columns: no dense T_z or map is formed.  A sweep makes no BLAS
+call, so the samples do not depend on the BLAS thread count.
 
-Everything else is one real map.  Each node's injection pair is its mean
-plus its Cholesky factor times two standard draws z1, z2; ``_folded_map``
-folds the factors into the rows of T_r and T_x, giving a real (2n x 2n) map
-A and a mean row c with [eps, theta] = [z1, z2] A + [Re c, Im c].  Draws
-with mean zbar and covariance W give voltages with mean zbar A + c and
-covariance A^T W A, which is never formed: ``voltage_factor`` returns that
-mean and the node-major factor A^T, and ``moments.MomentSet`` holds the
-factor with W as its weight.  The population moments, the samples and the
-sample moments are that map under three draw statistics:
-``analytic_moments`` takes the draws' zero mean and unit covariance,
-``sample_voltages`` maps m rows of draws, and a sweep cell takes the draws'
-own divisor-m mean and covariance S from ``draw_moments``, which computes
-them from the distribution, m, n and the seed alone, without forming the
-(m, n) voltage matrices.
+Each node's injection pair is its mean plus its Cholesky factor times two
+standard draws z1, z2 (``_cholesky``), so a row of draws z = [z1, z2] maps
+to the voltages [eps, theta] = z A + [Re c, Im c], with A real (2n x 2n)
+and c = T_z (mu_p - j mu_q).  Draws with mean zbar and covariance W give
+voltages with the mean of the mean injection, one vector sweep, and the
+covariance rows W rows^T, never formed, with rows = A^T node-major: T_z is
+symmetric, so ``voltage_factor`` sweeps blocks of unit columns and scales
+them by those columns' factors.  ``moments.MomentSet`` holds rows and W.
+The population moments, the samples and the sample moments are that map
+under three draw statistics: ``analytic_moments`` takes the draws' zero
+mean and unit covariance, ``sample_voltages`` sweeps blocks of the samples'
+injections, and a sweep cell takes the draws' own divisor-m mean and
+covariance S from ``draw_moments``, which computes them from the
+distribution, m, n and the seed alone, without the (m, n) voltages.
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -35,9 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples, TooFewSamples
-from .network import RadialForest
+from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
+
+# Complex entries per block that voltage_factor and sample_voltages sweep at
+# once: 1 MB, about a third of a 600-load factor's bytes.  Past 724 loads the
+# factor sweeps an eighth of its columns at once, so at most eight sweeps.
+_SWEEP_BLOCK = 1 << 16
 
 # Entries of standard draws per block that draw_moments adds into its Gram
 # matrix at once: large enough to amortise each product, small enough that a
@@ -180,87 +187,79 @@ def _standard_draws(rng, distribution: str, shape) -> np.ndarray:
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-def _folded_map(forest: RadialForest, inj: InjectionModel) -> tuple[np.ndarray, np.ndarray]:
-    """The map (A, c) from one row of standard draws [z1, z2] to the voltages:
-    [eps, theta] = [z1, z2] A + [Re c, Im c], with ``inj`` in load order.
-
-    Each node's pair is p = mu_p + a11 z1, q = mu_q + a21 z1 + a22 z2, with
-    [[a11, 0], [a21, a22]] the Cholesky factor of [[var_p, cov_pq],
-    [cov_pq, var_q]], so second moments are exact for any tagged
-    distribution.  The factor is folded into the rows of T_r = Re T_z and
-    T_x = Im T_z, giving the real (2n, 2n) map
-
-        A = [[a11 T_r + a21 T_x,  a11 T_x - a21 T_r],
-             [a22 T_x,           -a22 T_r          ]]
-
-    (eps columns first), and c = (mu_p - j mu_q) T_z is the mean row.
-    """
+def _cholesky(inj: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a11, a21, a22)``: each node's Cholesky factor [[a11, 0], [a21, a22]]
+    of [[var_p, cov_pq], [cov_pq, var_q]], so that p = mu_p + a11 z1 and
+    q = mu_q + a21 z1 + a22 z2 have the model's second moments."""
     a11 = np.sqrt(inj.var_p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a21 = np.where(a11 > 0.0, inj.cov_pq / np.where(a11 > 0.0, a11, 1.0), 0.0)
+    a21 = np.divide(inj.cov_pq, a11, out=np.zeros(inj.n), where=a11 > 0.0)
     a22 = np.sqrt(np.maximum(inj.var_q - a21**2, 0.0))
-    a11, a21, a22 = a11[:, None], a21[:, None], a22[:, None]
+    return a11, a21, a22
 
-    tz = forest.h_inverse_matrix("z")
-    tr, tx = tz.real, tz.imag
-    n = inj.n
-    a = np.empty((2 * n, 2 * n))
-    a[:n, :n] = a11 * tr + a21 * tx
-    a[:n, n:] = a11 * tx - a21 * tr
-    a[n:, :n] = a22 * tx
-    a[n:, n:] = -a22 * tr
-    return a, (inj.mu_p - 1j * inj.mu_q) @ tz
+
+def _injections(inj: InjectionModel, z1, z2) -> np.ndarray:
+    """p - j q of the standard draws z1, z2 (one row or rows of them)."""
+    a11, a21, a22 = _cholesky(inj)
+    return (inj.mu_p + a11 * z1) - 1j * (inj.mu_q + a21 * z1 + a22 * z2)
 
 
 def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
-    """``(mu_eps, mu_theta, rows)`` of the voltages of draws with mean
-    ``zbar``: the mean zbar A + [Re c, Im c] over the loads and the
-    node-major factor rows = A^T (eps rows first) of the map (A, c) of
-    ``_folded_map``, so that draws with covariance W give the voltage
-    covariance rows W rows^T.
+    """``(mu_eps, mu_theta, rows)`` of the voltages of draws [z1, z2] with mean
+    ``zbar``: the mean, one sweep of the draws' mean injection, and the
+    node-major factor ``rows`` (2n x 2n, eps rows first), so that draws with
+    covariance W give the voltage covariance rows W rows^T.
+
+    Columns k and n + k of rows are the voltages of a unit z1 and z2 draw
+    at load k: column k of T_z scaled by load k's factors.  A block of
+    columns is one sweep of unit columns, which adds the shared-path weights
+    root first, so T_z is exactly symmetric and rows is exactly A^T.
     """
     inj = inj.for_nodes(forest.load_ids)
-    a, c = _folded_map(forest, inj)
-    mu = zbar @ a
     n = inj.n
-    return mu[:n] + c.real, mu[n:] + c.imag, np.ascontiguousarray(a.T)
+    mu = apply_path_inverse(forest, _injections(inj, zbar[:n], zbar[n:]))
+    a11, a21, a22 = _cholesky(inj)
+    rows = np.empty((2 * n, 2 * n))
+    quarter = rows.reshape(2, n, 2, n)  # quarter[e, :, c] is rows' (e, c) quarter
+    width = max(1, _SWEEP_BLOCK // n, n // 8)
+    for j0 in range(0, n, width):
+        j = slice(j0, min(j0 + width, n))
+        t = apply_path_inverse(forest, np.eye(n, j.stop - j0, -j0, dtype=complex))
+        tr, tx = t.real, t.imag
+        quarter[0, :, 0, j] = a11[j] * tr + a21[j] * tx
+        quarter[0, :, 1, j] = a22[j] * tx
+        quarter[1, :, 0, j] = a11[j] * tx - a21[j] * tr
+        quarter[1, :, 1, j] = -(a22[j] * tr)
+    return mu.real, mu.imag, rows
 
 
 def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
-    """Exact voltage moments induced by an injection model.
-
-    The standard draws have zero mean and unit covariance, so through the
-    map (A, c) of ``_folded_map`` the voltages [eps, theta] have mean
-    [Re c, Im c] and covariance A^T A for every tagged distribution; the
-    factor A^T is kept as ``rows`` (``voltage_factor``).
-    """
+    """Exact voltage moments induced by an injection model: ``voltage_factor``
+    of the draws' zero mean, with their unit covariance as the weight."""
     mu_eps, mu_theta, rows = voltage_factor(forest, inj, np.zeros(2 * forest.n_loads))
     return AnalyticMoments(forest.load_ids, mu_theta, mu_eps, rows)
 
 
-def sample_voltages(
-    forest: RadialForest, inj: InjectionModel, m: int, seed
-) -> VoltageSamples:
+def sample_voltages(forest: RadialForest, inj: InjectionModel, m: int, seed) -> VoltageSamples:
     """Monte-Carlo voltage samples; deterministic for a given seed.
 
-    Two standard draws z1, z2 per node and sample go through the map of
-    ``_folded_map`` by four real products, so each row equals the linear
-    solve for its injections, without forming p - j q.
+    Two standard draws z1, z2 per node and sample give the injections p - j q,
+    and one sweep per block of samples maps them to the voltages: each row is
+    the linear solve of its injections, with the same bits whatever the block.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     inj = inj.for_nodes(forest.load_ids)
+    n = inj.n
     rng = np.random.default_rng(seed)
     # one (2, m, n) draw is the same stream as two sequential (m, n) draws
-    z1, z2 = _standard_draws(rng, inj.distribution, (2, m, inj.n))
-    a, c = _folded_map(forest, inj)
-    n = inj.n
-    eps = z1 @ a[:n, :n]
-    eps += z2 @ a[n:, :n]
-    eps += c.real
-    theta = z1 @ a[:n, n:]
-    theta += z2 @ a[n:, n:]
-    theta += c.imag
+    z1, z2 = _standard_draws(rng, inj.distribution, (2, m, n))
+    eps, theta = np.empty((m, n)), np.empty((m, n))
+    height = max(1, _SWEEP_BLOCK // n)
+    for j0 in range(0, m, height):
+        b = slice(j0, j0 + height)
+        v = apply_path_inverse(forest, _injections(inj, z1[b], z2[b]).T)
+        eps[b] = v.real.T
+        theta[b] = v.imag.T
     return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)
 
 

@@ -13,9 +13,13 @@ u through T_z, with the real blocks read off.
 The forward-model oracle solves one injection vector pair by the package's
 complex tree sweep.
 The sampled-moments oracle forms the samples that the sweep cells skip.
-The one-pass blocked-moments oracle draws and maps in one function the mean
-and factor a sweep cell takes from ``draw_moments`` and ``voltage_factor``;
-its draw step centres the Gram matrix as one whole-matrix expression, as
+The folded-map oracle forms the dense real map from a row of standard
+draws to the voltages, on ``h_inverse_matrix``, which the package no longer
+forms.  The one-pass blocked-moments oracle draws and maps in one function
+the mean and factor a sweep cell takes from ``draw_moments`` and
+``voltage_factor``: the factor is that dense map, and the mean the
+forward-model oracle's solve of the draws' mean injection.  Its draw step
+centres the Gram matrix as one whole-matrix expression, as
 ``draw_moments`` did before it centred it in place.  The moment-blocks
 oracle forms the whole voltage covariance from a factor, which the package
 never does.
@@ -52,7 +56,6 @@ from gridforest.powerflow import (
     InjectionModel,
     VoltageSamples,
     _draw_rows,
-    _folded_map,
     _standard_draws,
     sample_voltages,
 )
@@ -195,6 +198,15 @@ def solve_lcpf(forest, p, q) -> tuple[np.ndarray, np.ndarray]:
     return v.imag, v.real
 
 
+def injection_factors(inj):
+    """(a11, a21, a22): each node's Cholesky factor [[a11, 0], [a21, a22]] of
+    its injection covariance [[var_p, cov_pq], [cov_pq, var_q]]."""
+    a11 = np.sqrt(inj.var_p)
+    a21 = np.divide(inj.cov_pq, a11, out=np.zeros(inj.n), where=a11 > 0.0)
+    a22 = np.sqrt(np.maximum(inj.var_q - a21**2, 0.0))
+    return a11, a21, a22
+
+
 def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: (eps, theta) samples by the complex form, with the seed
     semantics of ``sample_voltages``: two sequential (m, n) draws z1, z2,
@@ -204,9 +216,7 @@ def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np
     rng = np.random.default_rng(seed)
     z1 = _standard_draws(rng, inj.distribution, (m, inj.n))
     z2 = _standard_draws(rng, inj.distribution, (m, inj.n))
-    a11 = np.sqrt(inj.var_p)
-    a21 = np.divide(inj.cov_pq, a11, out=np.zeros(inj.n), where=a11 > 0.0)
-    a22 = np.sqrt(np.maximum(inj.var_q - a21**2, 0.0))
+    a11, a21, a22 = injection_factors(inj)
     u = np.empty((m, inj.n), dtype=complex)
     u.real = inj.mu_p + a11 * z1
     u.imag = -(inj.mu_q + a21 * z1 + a22 * z2)
@@ -269,16 +279,38 @@ def blocked_draw_moments(distribution: str, m: int, n: int, seed):
     return zbar, gram / m - np.outer(zbar, zbar)
 
 
+def folded_map(forest, inj):
+    """Oracle: the dense real map (A, c) from one row of standard draws
+    [z1, z2] to the voltages, [eps, theta] = [z1, z2] A + [Re c, Im c], on
+    the dense T_z of ``h_inverse_matrix``: the Cholesky factors folded into
+    the rows of T_r and T_x,
+
+        A = [[a11 T_r + a21 T_x,  a11 T_x - a21 T_r],
+             [a22 T_x,           -a22 T_r          ]]
+
+    (eps columns first), and the mean row c = (mu_p - j mu_q) T_z."""
+    inj = inj.for_nodes(forest.load_ids)
+    a11, a21, a22 = (f[:, None] for f in injection_factors(inj))
+    tz = forest.h_inverse_matrix("z")
+    tr, tx = tz.real, tz.imag
+    a = np.block([[a11 * tr + a21 * tx, a11 * tx - a21 * tr], [a22 * tx, -a22 * tr]])
+    return a, (inj.mu_p - 1j * inj.mu_q) @ tz
+
+
 def one_pass_sample_moments(forest, inj, m: int, seed):
     """Oracle for a sweep cell's moments (``experiments.empirical_moments``),
-    bit for bit: ``(mu_eps, mu_theta, rows, weight)`` from the blocked draw
-    moments and the map of ``_folded_map`` in one pass."""
+    bit for bit: ``(mu_eps, mu_theta, rows, weight)`` in one pass, with the
+    blocked draw moments as the weight, the dense map A^T of ``folded_map``
+    as the rows, and the means solved for the draws' mean injection by
+    ``solve_lcpf``."""
     inj = inj.for_nodes(forest.load_ids)
     n = inj.n
     zbar, s = blocked_draw_moments(inj.distribution, m, n, seed)
-    a, c = _folded_map(forest, inj)
-    mu = zbar @ a
-    return mu[:n] + c.real, mu[n:] + c.imag, np.ascontiguousarray(a.T), s
+    a11, a21, a22 = injection_factors(inj)
+    p = inj.mu_p + a11 * zbar[:n]
+    q = inj.mu_q + a21 * zbar[:n] + a22 * zbar[n:]
+    mu_theta, mu_eps = solve_lcpf(forest, p, q)
+    return mu_eps, mu_theta, np.ascontiguousarray(folded_map(forest, inj)[0].T), s
 
 
 def moment_blocks(moments) -> dict:

@@ -1,7 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gridforest
+from gridforest import powerflow
 
 from gridforest.errors import (
     DimensionMismatch,
@@ -32,6 +41,7 @@ from conftest import (
     magnitude_only,
     moment_blocks,
     blocked_draw_moments,
+    folded_map,
     one_pass_sample_moments,
     restrict_samples,
     sampled_moments,
@@ -349,6 +359,70 @@ def test_sampler_matches_complex_reference(spec, dist):
     assert np.array_equal(both[1], _standard_draws(rng, dist, (m, inj.n)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [preset("bus_13_3"), FeederSpec(n_loads=15, n_trees=3, extra_lines=5)],
+    ids=["bus_13_3", "n15_3_trees"],
+)
+def test_sweep_blocks_give_the_same_bits(spec, monkeypatch):
+    # one column (or sample) per sweep, seven, and all of them: the factor is
+    # the dense map's A^T and the samples are one set of bits, whatever the
+    # block (below 16 loads the factor's floor of an eighth of its columns
+    # is one column)
+    forest, inj = synth_feeder(spec, 5)
+    n, m = forest.n_loads, 50
+    want = np.ascontiguousarray(folded_map(forest, inj)[0].T)
+    samples = []
+    for width in (1, 7, max(n, m)):
+        monkeypatch.setattr(powerflow, "_SWEEP_BLOCK", width * n)
+        assert analytic_moments(forest, inj).rows.tobytes() == want.tobytes()
+        s = sample_voltages(forest, inj, m, seed=5)
+        samples.append(s.eps.tobytes() + s.theta.tobytes())
+    assert samples[0] == samples[1] == samples[2]
+
+
+def test_factor_peak_memory_is_near_its_own_bytes():
+    # the factor is swept in blocks of columns beside no dense (2n, 2n) map
+    # and no dense T_z: on a 600-deep chain the traced peak stays within
+    # 1.5x the factor's own bytes (a dense map and its copy took 2.5x)
+    spec = FeederSpec(n_loads=600, n_trees=1, chain_bias=1.0, max_children=1)
+    forest, inj = synth_feeder(spec, 1)
+    tracemalloc.start()
+    try:
+        rows = analytic_moments(forest, inj).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1200, 1200)
+    assert peak <= 1.5 * rows.nbytes, peak / rows.nbytes
+
+
+_SAMPLES_DIGEST = """
+import hashlib
+from gridforest.powerflow import sample_voltages
+from gridforest.synth import preset, synth_feeder
+forest, inj = synth_feeder(preset("bus_83_11"), 5)
+s = sample_voltages(forest, inj, 6400, 5)
+print(hashlib.sha256(s.eps.tobytes() + s.theta.tobytes()).hexdigest())
+"""
+
+
+def test_samples_do_not_depend_on_the_blas_thread_count():
+    # the sweeps make no BLAS call, so OpenBLAS's thread count cannot change
+    # how the samples' sums are split; each count runs in a fresh process
+    src = str(Path(gridforest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", _SAMPLES_DIGEST],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
+
+
 _MOMENT_FEEDERS = pytest.mark.parametrize(
     "spec, hidden",
     [
@@ -418,6 +492,12 @@ def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
     assert got.rows.flags.c_contiguous
     for a, b in zip((got.mu_eps, got.mu_theta, got.rows, got.weight), want, strict=True):
         assert a.tobytes() == b.tobytes()
+    # the means are the dense map's zbar A + c, up to the order of the sums
+    a, c = folded_map(forest, inj)
+    mu = zbar @ a
+    n = forest.n_loads
+    for got_mu, dense in ((got.mu_eps, mu[:n] + c.real), (got.mu_theta, mu[n:] + c.imag)):
+        np.testing.assert_allclose(got_mu, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "laplace"])
