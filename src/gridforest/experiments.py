@@ -41,7 +41,7 @@ from .fileio import save_curves
 from .lines import learn_structure_and_params
 from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
-from .network import RadialForest, line_param_map
+from .network import RadialForest, line_key, line_param_map
 from .parallel import ordered_map, usable_cpus
 from .powerflow import InjectionModel, analytic_moments, draw_moments, voltage_factor
 from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise InfeasibleSpec("need at least one seed")
         if self.task == "learn-missing" and not self.missing_counts:
             raise InfeasibleSpec("learn-missing needs missing_counts")
+        for count in self.missing_counts:
+            if count < 0:
+                raise InfeasibleSpec(f"hidden-node count must be >= 0, got {count}")
 
 
 @dataclass
@@ -145,7 +148,7 @@ def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
     params = line_param_map(truth.lines)
     rerrs, xerrs = [], []
     for (a, b), est in sorted(estimates.items()):  # a result file's order
-        key = (a, b) if a < b else (b, a)
+        key = line_key(a, b)
         if key not in params:
             continue
         r, x = params[key]
@@ -240,18 +243,11 @@ def _run_cell(forest: RadialForest, task: str, cell) -> tuple[str | None, dict]:
     return None, score(forest, recovered.parent, parts, inj)
 
 
-def _run_chunk(run, chunk) -> list:
-    """``run`` of each cell of ``chunk``: one task of the pool."""
-    return [run(cell) for cell in chunk]
-
-
 def _map_cells(run, cells) -> list:
     """``run`` of each cell, in cell order, through ``parallel.ordered_map``
-    over chunks of consecutive cells."""
+    in chunks of consecutive cells."""
     length = max(1, len(cells) // (_CHUNKS_PER_WORKER * usable_cpus()))
-    chunks = [cells[k : k + length] for k in range(0, len(cells), length)]
-    results = ordered_map(functools.partial(_run_chunk, run), chunks)
-    return [out for chunk in results for out in chunk]
+    return list(ordered_map(run, cells, chunksize=length))
 
 
 def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:

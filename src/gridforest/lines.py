@@ -29,6 +29,7 @@ from .errors import (
     UnobservedNode,
 )
 from .moments import MomentSet
+from .network import line_key
 from .structure import (
     StructureDiagnostics,
     forest_from_parent_map,
@@ -170,6 +171,6 @@ def learn_structure_and_params(
         if b in desc:
             desc[b] += (sp, sq, est.cov_pq_hat + desc_s)
 
-    line_params = {tuple(sorted(e)): (est.r_hat, est.x_hat) for e, est in estimates.items()}
+    line_params = {line_key(*e): (est.r_hat, est.x_hat) for e, est in estimates.items()}
     forest = forest_from_parent_map(parent, substation_children, line_params=line_params)
     return forest, estimates

@@ -42,7 +42,7 @@ from .errors import (
     located,
 )
 from .moments import MomentSet
-from .network import RadialForest
+from .network import RadialForest, line_key
 from .structure import (
     StructureDiagnostics,
     _declared_map,
@@ -195,7 +195,7 @@ class _MissingLearner:
 
         # one (residual, candidate) per check: the direct edge (candidate
         # None) first, then the hidden nodes in id order
-        params = self.lines.get((a, b) if a < b else (b, a))
+        params = self.lines.get(line_key(a, b))
         checks = [] if params is None else [
             (abs(lhs - _predicted_sqdiff(*params, *add)), d) for d, add in adds.items()
         ]
@@ -272,8 +272,7 @@ class _MissingLearner:
         # plain children (repairs noise-induced parking; no-op at population).
         for host in sorted(self.parked):
             for w in self.parked[host]:
-                key = (w, host) if w < host else (host, w)
-                if w not in self.parent and key in self.lines:
+                if w not in self.parent and line_key(w, host) in self.lines:
                     self.parent[w] = host
                     self.diag.fallback_edges.append((w, host))
 

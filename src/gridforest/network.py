@@ -10,8 +10,9 @@ Each edge weighs its complex impedance z = r + jx, and the path-sum matrix
 of those weights is T_z = T_r + j T_x, the only one the forward model
 needs.  Products with T_z are two tree sweeps (``apply_path_inverse``), and
 products with its inverse, the reduced Laplacian with weights 1/z, are one
-local sweep over the edges (``apply_local_inverse``); dense inversion exists
-only in the test oracles.
+local sweep over the edges (``apply_local_inverse``), both over the walk
+table the forest records once; dense inversion exists only in the test
+oracles.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ class Line:
 
     @property
     def key(self) -> tuple[int, int]:
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
+        return line_key(self.a, self.b)
+
+
+def line_key(a, b) -> tuple[int, int]:
+    """The unordered endpoint pair of a line between ``a`` and ``b``."""
+    return (a, b) if a < b else (b, a)
 
 
 def line_param_map(lines) -> dict[tuple[int, int], tuple[float, float]]:
@@ -81,9 +87,11 @@ def line_param_map(lines) -> dict[tuple[int, int], tuple[float, float]]:
 class RadialForest:
     """Validated operational forest: parent links oriented toward each slack.
 
-    Immutable after construction; all caches are append-only, so concurrent
-    reads are safe.  A construction error carries the ``location`` of the
-    node or line at fault in ``nodes`` or ``lines`` (``errors.located``).
+    Immutable after construction: it holds no cache, so concurrent reads are
+    safe.  ``_walk`` is the table the tree sweeps read: one ``(row, parent
+    row, r + jx)`` entry per load in ``topo_order``, with parent row -1 for a
+    slack.  A construction error carries the ``location`` of the node or line
+    at fault in ``nodes`` or ``lines`` (``errors.located``).
     """
 
     def __init__(self, nodes, lines):
@@ -151,6 +159,8 @@ class RadialForest:
         self.edge_params: dict[int, tuple[float, float]] = {}  # keyed by child id
         children_acc: dict[int, list[int]] = {i: [] for i in self.nodes}
         order: list[int] = []  # loads, parents before children
+        walk: list[tuple[int, int, complex]] = []  # their sweep entries
+        pos = self._loadpos
 
         visited: set[int] = set()
         for k, slack in enumerate(self.slack_ids):
@@ -158,8 +168,7 @@ class RadialForest:
             self.depth[slack] = 0
             visited.add(slack)
             frontier = [slack]
-            while frontier:
-                cur = frontier.pop(0)
+            for cur in frontier:  # breadth first: the list grows as it is walked
                 for nxt, ln in adj[cur]:
                     if nxt in visited:
                         continue
@@ -173,6 +182,7 @@ class RadialForest:
                     self.depth[nxt] = self.depth[cur] + 1
                     self.edge_params[nxt] = (ln.r, ln.x)
                     order.append(nxt)
+                    walk.append((pos[nxt], pos.get(cur, -1), complex(ln.r, ln.x)))
                     frontier.append(nxt)
 
         missing = [i for i in self.load_ids if i not in visited]
@@ -182,8 +192,7 @@ class RadialForest:
 
         self.children = {i: tuple(c) for i, c in children_acc.items()}
         self.topo_order: tuple[int, ...] = tuple(order)
-
-        self._hinv: np.ndarray | None = None
+        self._walk: tuple[tuple[int, int, complex], ...] = tuple(walk)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -212,10 +221,6 @@ class RadialForest:
         """Loads directly attached to each slack (the declared prior)."""
         return {s: self.children_of(s) for s in self.slack_ids}
 
-    def edge_weight(self, a) -> complex:
-        """Impedance r + jx of the line between load ``a`` and its parent."""
-        return complex(*self.edge_params[a])
-
     # -- path structure ----------------------------------------------------------
 
     def _lca(self, a, b):
@@ -243,7 +248,7 @@ class RadialForest:
 
     def h_inverse_matrix(self, kind: str) -> np.ndarray:
         """Full N x N complex path-sum matrix T_z: the two-sweep operator
-        applied to the identity, O(N^2), built once per forest.  Each entry
+        applied to the identity, O(N^2), built anew on each call.  Each entry
         adds the shared-path weights in root-to-leaf order.
 
         No program path calls it: only the test oracles and perfbench's
@@ -253,41 +258,37 @@ class RadialForest:
         """
         if kind != "z":
             raise ValueError(f"only the complex path-sum matrix is built, got kind {kind!r}")
-        if self._hinv is None:
-            self._hinv = apply_path_inverse(self, np.eye(self.n_loads))
-        return self._hinv
+        return apply_path_inverse(self, np.eye(self.n_loads))
 
 
 def apply_path_inverse(forest: RadialForest, u) -> np.ndarray:
     """Apply T_z to a complex vector or (N, k) block.
 
     Bottom-up subtree sums, then top-down accumulation of weighted sums
-    along each root-to-node path, with edge weights r + jx.  Exact, O(N k);
-    columns are independent.  A vector runs as a one-column block, so it
-    gives the same bits as that column of a block.
+    along each root-to-node path, with edge weights r + jx, both over the
+    forest's walk table.  Exact, O(N k); columns are independent.  A vector
+    runs as a one-column block, so it gives the same bits as that column of
+    a block.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim not in (1, 2) or u.shape[0] != forest.n_loads:
-        raise DimensionMismatch(
-            f"u must have shape ({forest.n_loads},) or ({forest.n_loads}, k), got {u.shape}"
-        )
-    pos = forest._loadpos
-    s = (u[:, None] if u.ndim == 1 else u).copy()
-    for a in reversed(forest.topo_order):
-        p = forest.parent[a]
-        if forest.is_load(p):
-            s[pos[p]] += s[pos[a]]
+    n = forest.n_loads
+    if u.ndim not in (1, 2) or u.shape[0] != n:
+        raise DimensionMismatch(f"u must have shape ({n},) or ({n}, k), got {u.shape}")
+    # one extra row, which parent row -1 indexes: a slack's, 0 in v
+    s = np.zeros((n + 1, 1 if u.ndim == 1 else u.shape[1]), dtype=complex)
+    s[:n] = u[:, None] if u.ndim == 1 else u
     v = np.zeros_like(s)
-    for a in forest.topo_order:
-        p = forest.parent[a]
-        base = v[pos[p]] if forest.is_load(p) else 0.0
-        v[pos[a]] = base + forest.edge_weight(a) * s[pos[a]]
-    return v[:, 0] if u.ndim == 1 else v
+    rows_s, rows_v = list(s), list(v)  # a view per row, made once
+    for a, p, _ in reversed(forest._walk):
+        rows_s[p] += rows_s[a]
+    for a, p, z in forest._walk:
+        np.add(rows_v[p], z * rows_s[a], out=rows_v[a])
+    return v[:n, 0] if u.ndim == 1 else v[:n]
 
 
 def apply_local_inverse(forest: RadialForest, v) -> np.ndarray:
     """Exact inverse of ``apply_path_inverse`` on a complex vector, in one
-    O(N) sweep.
+    O(N) sweep over the forest's walk table.
 
     This is the reduced Laplacian with edge weights 1/z applied to ``v``:
     u_a = (v_a - v_parent) / z_a - sum over children c of (v_c - v_a) / z_c,
@@ -297,16 +298,13 @@ def apply_local_inverse(forest: RadialForest, v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (forest.n_loads,):
         raise DimensionMismatch(f"v must have shape ({forest.n_loads},), got {v.shape}")
-    pos = forest._loadpos
+    v = np.append(v, 0.0)  # parent row -1, a slack's: v = 0 there
     u = np.zeros_like(v)
-    for a in forest.topo_order:
-        p = forest.parent[a]
-        up = forest.is_load(p)
-        flow = (v[pos[a]] - (v[pos[p]] if up else 0.0)) / forest.edge_weight(a)
-        u[pos[a]] += flow
-        if up:
-            u[pos[p]] -= flow
-    return u
+    for a, p, z in forest._walk:
+        flow = (v[a] - v[p]) / z
+        u[a] += flow
+        u[p] -= flow
+    return u[:-1]
 
 
 def build_forest(nodes, lines) -> RadialForest:

@@ -1,10 +1,11 @@
 """One worker pool for the package's independent tasks: the cells of an
 experiment sweep and the row blocks ``simulate`` writes to the samples CSV.
 
-``ordered_map(fn, items)`` yields ``fn(item)`` in item order, from a pool of
-one worker process per usable CPU (``usable_cpus``).  It runs the items in
+``ordered_map(fn, items, chunksize)`` yields ``fn(item)`` in item order, from
+a pool of one worker process per usable CPU (``usable_cpus``), which takes the
+items in tasks of ``chunksize`` consecutive items.  It runs the items in
 process instead when fewer than two workers would run: one usable CPU, one
-item, or a platform that lacks the start method.  A worker that dies raises
+task, or a platform that lacks the start method.  A worker that dies raises
 ``BrokenProcessPool``, and every worker and pool thread is joined before the
 map returns or raises.
 
@@ -58,9 +59,10 @@ def usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
-def ordered_map(fn, items):
+def ordered_map(fn, items, chunksize=1):
     """Yield ``fn(item)`` for each of the sequence ``items``, in item order.
 
+    The pool takes the items in tasks of ``chunksize`` consecutive items.
     ``fn`` and the items must pickle: a module-level function, possibly bound
     by ``functools.partial``.  A caller that may stop before the last result
     closes the generator (``contextlib.closing``), which joins the workers at
@@ -68,7 +70,7 @@ def ordered_map(fn, items):
     """
     import multiprocessing
 
-    workers = min(usable_cpus(), len(items))
+    workers = min(usable_cpus(), -(-len(items) // chunksize))
     if workers < 2 or _START_METHOD not in multiprocessing.get_all_start_methods():
         yield from map(fn, items)
         return
@@ -77,4 +79,4 @@ def ordered_map(fn, items):
     context = multiprocessing.get_context(_START_METHOD)
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         # on an error or an early close the map cancels its queued tasks
-        yield from pool.map(fn, items)
+        yield from pool.map(fn, items, chunksize=chunksize)

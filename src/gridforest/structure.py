@@ -43,6 +43,7 @@ from .network import (
     RadialForest,
     apply_local_inverse,
     build_forest,
+    line_key,
 )
 from .powerflow import InjectionModel
 
@@ -208,8 +209,7 @@ def forest_from_parent_map(
     ]
     lines = []
     for child, par in sorted(parent.items()):
-        key = (child, par) if child < par else (par, child)
-        r, x = line_params.get(key, (1.0, 1.0))
+        r, x = line_params.get(line_key(child, par), (1.0, 1.0))
         lines.append(Line(child, par, r=r, x=x))
     return build_forest(nodes, lines)
 

@@ -20,6 +20,7 @@ from .network import (
     Node,
     RadialForest,
     build_forest,
+    line_key,
 )
 from .powerflow import InjectionModel
 
@@ -123,7 +124,7 @@ def synth_layout(spec: FeederSpec, seed) -> RadialForest:
     placed = 0
     while placed < spec.extra_lines:
         u, v = rng.choice(all_ids, size=2, replace=False)
-        key = (int(min(u, v)), int(max(u, v)))
+        key = line_key(int(u), int(v))
         if key in used_pairs:
             continue
         lines.append(
@@ -172,6 +173,8 @@ def synth_feeder(spec: FeederSpec, seed) -> tuple[RadialForest, InjectionModel]:
 def choose_hidden(forest: RadialForest, count: int, seed):
     """Random hidden-node set: pairwise more than two hops apart, never a
     direct substation child."""
+    if count < 0:
+        raise InfeasibleSpec(f"hidden-node count must be >= 0, got {count}")
     if count == 0:
         return ()
     rng = np.random.default_rng(seed)

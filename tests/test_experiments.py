@@ -90,6 +90,8 @@ def test_invalid_configs():
         small_config(task="nope").validate()
     with pytest.raises(InfeasibleSpec):
         small_config(task="learn-missing").validate()
+    with pytest.raises(InfeasibleSpec, match="must be >= 0, got -1"):
+        small_config(task="learn-missing", missing_counts=(1, -1)).validate()
 
 
 def test_population_mode_zero_structural_error():

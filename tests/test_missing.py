@@ -96,6 +96,9 @@ def test_choose_hidden_infeasible():
     forest = synth_layout(spec, 0)
     with pytest.raises(InfeasibleSpec):
         choose_hidden(forest, 1, 0)  # all loads are substation children
+    forest = synth_layout(FeederSpec(n_loads=30, n_trees=2, extra_lines=5), 5)
+    with pytest.raises(InfeasibleSpec, match="must be >= 0, got -1"):
+        choose_hidden(forest, -1, 9)  # not after _HIDDEN_TRIES orders
 
 
 # -- population placements -------------------------------------------------------------

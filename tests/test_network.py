@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,9 +165,26 @@ def test_h_inverse_matrix_matches_entries(chain4):
                 for b in forest.load_ids:
                     got = part[forest.load_index(a), forest.load_index(b)]
                     assert got == h_inverse_entry(forest, kind, a, b)
-        assert forest.h_inverse_matrix("z") is tz  # built once per forest
     with pytest.raises(ValueError, match="kind 'r'"):
         chain4.h_inverse_matrix("r")
+
+
+def test_the_forest_keeps_no_matrix():
+    # the dense T_z is the caller's: once it is dropped, its N^2 * 16 bytes
+    # are freed, and the forest holds nothing it was built from
+    forest = synth_layout(FeederSpec(n_loads=300, n_trees=3, extra_lines=20), 1)
+    size = forest.n_loads**2 * 16
+    attrs = dict(vars(forest))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert forest.h_inverse_matrix("z").nbytes == size
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= size / 10, kept / size
+    assert vars(forest).keys() == attrs.keys()
+    assert all(vars(forest)[k] is v for k, v in attrs.items())  # none set anew
 
 
 # -- row differences --------------------------------------------------------------

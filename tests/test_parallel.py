@@ -89,6 +89,7 @@ def test_the_map_keeps_item_order_and_joins_its_workers(monkeypatch, start_metho
     assert list(parallel.ordered_map(abs, items)) == list(range(20, 0, -1))
     _usable_cpus(monkeypatch, 2)
     assert list(parallel.ordered_map(abs, items)) == list(range(20, 0, -1))
+    assert list(parallel.ordered_map(abs, items, chunksize=3)) == list(range(20, 0, -1))
     assert multiprocessing.active_children() == []
     results = parallel.ordered_map(abs, items)
     assert next(results) == 20
