@@ -1,9 +1,9 @@
 """Experiment harness: synthesize, simulate, learn, score, emit curve data.
 
 A run sweeps a sample-count grid times a seed list (times a hidden-node
-count list for missing-data studies).  Each cell redraws injection
-statistics and samples, runs the selected learner, and scores the result
-against the ground truth.  The learners read the samples only through their
+count list for missing-data studies).  Each seed draws its injection
+statistics (and hidden sets) once; each cell draws its samples, runs the
+selected learner, and scores the result against the ground truth.  The learners read the samples only through their
 means and covariances, so a cell takes those moments straight from the
 standard draws (``empirical_moments``) and never forms the (m, n) voltage
 matrices.  Learner failures are recorded per cell, never fatal.  Identical
@@ -170,12 +170,13 @@ def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
 
 def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, seed) -> MomentSet:
     """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
-    ``seed``, taken from the draws' own mean and covariance S
-    (``draw_moments``): the forward map's factor with weight S.  No sample
-    and no (2n, 2n) voltage covariance is formed.
+    ``seed``, taken from the draws' own mean and covariance factor L
+    (``draw_moments``): the forward map's factor times L, with min(m, 2n)
+    columns.  No sample and no (2n, 2n) voltage covariance is formed.
     """
-    zbar, s = draw_moments(inj.distribution, m, forest.n_loads, seed)
-    return MomentSet(forest.load_ids, *voltage_factor(forest, inj, zbar), s, m=m)
+    zbar, factor = draw_moments(inj.distribution, m, forest.n_loads, seed)
+    mu_eps, mu_theta, rows = voltage_factor(forest, inj, zbar)
+    return MomentSet(forest.load_ids, mu_eps, mu_theta, rows @ factor, m=m)
 
 
 def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate=True):
@@ -261,16 +262,27 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
     forest = synth_layout(config.feeder, config.layout_seed)
     report = MetricsReport()
 
+    # a seed's injections and hidden sets do not depend on m: drawn once
+    injections = {
+        seed: draw_injections(forest.load_ids, [config.layout_seed, seed]) for seed in config.seeds
+    }
+    specs = {}
+    if config.task == "learn-missing":
+        for seed in config.seeds:
+            for count in config.missing_counts:
+                hidden = choose_hidden(forest, count, [config.layout_seed, seed, count])
+                specs[seed, count] = MissingSpec(hidden)
+
     cells = []  # (task, inj, m, seed, sample seed, missing spec)
     for m in config.m_grid:
         for seed in config.seeds:
-            inj = draw_injections(forest.load_ids, [config.layout_seed, seed])
+            inj = injections[seed]
             if config.task != "learn-missing":
                 cells.append((config.task, inj, m, seed, [config.layout_seed, seed, m], None))
                 continue
             for count in config.missing_counts:
-                spec = MissingSpec(choose_hidden(forest, count, [config.layout_seed, seed, count]))
                 sample_seed = [config.layout_seed, seed, m, count]
+                spec = specs[seed, count]
                 cells.append((f"learn-missing/h{count}", inj, m, seed, sample_seed, spec))
 
     run = functools.partial(_run_cell, forest, config.task)

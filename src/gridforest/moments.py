@@ -3,21 +3,20 @@
 A MomentSet holds the per-node means (``mu_eps``, ``mu_theta``, in
 ``node_ids`` order) and the voltage covariance as one factor: a node-major
 real array ``rows`` (eps rows first, then theta rows when the phase channel
-is observed; k columns) and an optional k x k ``weight``, the identity when
-None, with covariance ``rows · weight · rowsᵀ``.  The sources fill ``rows``
-without forming that covariance: population moments take the rows of the
-forward map (k = 2n), finite samples their centred values divided by √m
-(k = m, divisor m, matching the estimators the learners are defined with),
-and a sweep cell the rows of the forward map weighted by the draws' own
-covariance.  So learners run identically in empirical and analytic mode.
+is observed; k columns), with covariance ``rows · rowsᵀ``.  The sources fill
+``rows`` without forming that covariance: population moments take the rows
+of the forward map (k = 2n), finite samples their centred values divided by
+√m (k = m, divisor m, matching the estimators the learners are defined
+with), and a sweep cell the rows of the forward map times a factor of the
+draws' own covariance (k = min(m, 2n)).  So learners run identically in
+empirical and analytic mode.
 
 Only the eps block ``cov_eps`` is formed, once, because parent selection
 reads it whole.  Each learner reads the statistics of all the (child,
 parent) edges it walks with one ``edge_stats`` call, which takes each edge
 from the difference of its two rows, so only the shared part of the two
-nodes' voltages cancels.  With a weight, ``rows · weight`` is formed once
-too, so that an edge costs O(k) in every mode.  There are no per-node
-scalar accessors.
+nodes' voltages cancels, at O(k) per edge.  There are no per-node scalar
+accessors.
 
 Substation ids may be registered as ``zero_ids``: their channels are
 identically zero, so statistics against them reduce to single-node moments.
@@ -53,17 +52,7 @@ def _difference(rows, a, b) -> np.ndarray:
 
 
 class MomentSet:
-    def __init__(
-        self,
-        node_ids,
-        mu_eps,
-        mu_theta,
-        rows,
-        weight=None,
-        *,
-        m=None,
-        zero_ids=(),
-    ):
+    def __init__(self, node_ids, mu_eps, mu_theta, rows, *, m=None, zero_ids=()):
         self.node_ids = tuple(int(i) for i in node_ids)
         self._pos = {i: k for k, i in enumerate(self.node_ids)}
         self.zero_ids = self._zero(zero_ids)
@@ -74,13 +63,9 @@ class MomentSet:
         self.rows = np.asarray(rows, dtype=float)
         if self.rows.ndim != 2 or len(self.rows) != channels * n:
             raise ValueError(f"rows must have {channels * n} rows, got shape {self.rows.shape}")
-        self.weight = weight
-        # rows · weight, so that a pair's d · (weight d) is d · (the pair's
-        # difference of these rows)
-        self._wrows = self.rows if weight is None else self.rows @ weight
         # the rows of each node in ``rows``: one line per channel
         self._rix = np.arange(channels * n).reshape(channels, n)
-        self.cov_eps = self.rows[:n] @ self._wrows[:n].T
+        self.cov_eps = self.rows[:n] @ self.rows[:n].T  # numpy takes SYRK here
 
     # -- constructors -----------------------------------------------------------
 
@@ -101,7 +86,7 @@ class MomentSet:
 
     @classmethod
     def from_analytic(cls, am: AnalyticMoments, zero_ids=()):
-        """Population mode: the rows of the forward map, with unit weight."""
+        """Population mode: the rows of the forward map."""
         return cls(am.node_ids, am.mu_eps, am.mu_theta, am.rows, m=None, zero_ids=zero_ids)
 
     # -- queries ---------------------------------------------------------------------
@@ -131,22 +116,21 @@ class MomentSet:
         return np.where(zero, -1, self._rix[:, pos])
 
     def _forms(self, ra, rb) -> np.ndarray:
-        """``d · (weight d)`` of each pair of rows, with d = row a - row b
-        (a row of -1 is zero), and with theta also ``d_t · (weight d_t)`` and
-        ``d_e · (weight d_t)``: an array of one or three lines over the
-        pairs.  The pairs go in blocks of about ``_EDGE_BLOCK`` entries, and
-        each pair's value does not depend on the block it is in."""
+        """``d · d`` of each pair of rows, with d = row a - row b (a row of
+        -1 is zero), and with theta also ``d_t · d_t`` and ``d_e · d_t``: an
+        array of one or three lines over the pairs.  The pairs go in blocks
+        of about ``_EDGE_BLOCK`` entries, and each pair's value does not
+        depend on the block it is in."""
         channels, count = ra.shape
         out = np.empty((2 * channels - 1, count))
         step = max(1, _EDGE_BLOCK // max(self.rows.shape[1], 1))
         for j0 in range(0, count, step):
             a, b = ra[:, j0 : j0 + step], rb[:, j0 : j0 + step]
             d = _difference(self.rows, a, b)
-            w = d if self.weight is None else _difference(self._wrows, a, b)
-            out[0, j0 : j0 + step] = np.einsum("ij,ij->i", d[0], w[0])
+            out[0, j0 : j0 + step] = np.einsum("ij,ij->i", d[0], d[0])
             if channels == 2:
-                out[1, j0 : j0 + step] = np.einsum("ij,ij->i", d[1], w[1])
-                out[2, j0 : j0 + step] = np.einsum("ij,ij->i", d[0], w[1])
+                out[1, j0 : j0 + step] = np.einsum("ij,ij->i", d[1], d[1])
+                out[2, j0 : j0 + step] = np.einsum("ij,ij->i", d[0], d[1])
         return out
 
     def edge_stats(self, children, parents):
@@ -154,8 +138,8 @@ class MomentSet:
         each (child, parent) pair, as arrays over the pairs.
 
         Each pair's statistics come from the difference d of its two rows,
-        as ``d · (weight d)``, so every entry equals the one-pair ``sqdiff``
-        bit for bit.  A zero id has zero moments, so a slack parent gives
+        as ``d · d``, so every entry equals the one-pair ``sqdiff`` bit for
+        bit.  A zero id has zero moments, so a slack parent gives
         the child's own moments.  theta and cross are None on a
         magnitude-only set.
         """
@@ -188,9 +172,8 @@ class MomentSet:
     def restrict(self, ids) -> "MomentSet":
         """Moments of a subset of the observed nodes, in the given order.
 
-        The view shares ``rows`` and ``weight``; only the eps block is
-        sliced.  Zero ids carry over; an id that is not observed raises
-        UnobservedNode.
+        The view shares ``rows``; only the eps block is sliced.  Zero ids
+        carry over; an id that is not observed raises UnobservedNode.
         """
         ids = tuple(int(i) for i in ids)
         idx = np.array([self._index(i) for i in ids], dtype=int)

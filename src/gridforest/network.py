@@ -266,24 +266,25 @@ def apply_path_inverse(forest: RadialForest, u) -> np.ndarray:
 
     Bottom-up subtree sums, then top-down accumulation of weighted sums
     along each root-to-node path, with edge weights r + jx, both over the
-    forest's walk table.  Exact, O(N k); columns are independent.  A vector
-    runs as a one-column block, so it gives the same bits as that column of
-    a block.
+    forest's walk table and one buffer: a row holds its node's subtree sum
+    until the top-down pass replaces it by the node's voltage, after its
+    parent's.  Exact, O(N k); columns are independent.  A vector runs as a
+    one-column block, so it gives the same bits as that column of a block.
     """
     u = np.asarray(u, dtype=complex)
     n = forest.n_loads
     if u.ndim not in (1, 2) or u.shape[0] != n:
         raise DimensionMismatch(f"u must have shape ({n},) or ({n}, k), got {u.shape}")
-    # one extra row, which parent row -1 indexes: a slack's, 0 in v
+    # one extra row, which parent row -1 indexes: a slack's
     s = np.zeros((n + 1, 1 if u.ndim == 1 else u.shape[1]), dtype=complex)
     s[:n] = u[:, None] if u.ndim == 1 else u
-    v = np.zeros_like(s)
-    rows_s, rows_v = list(s), list(v)  # a view per row, made once
+    rows = list(s)  # a view per row, made once
     for a, p, _ in reversed(forest._walk):
-        rows_s[p] += rows_s[a]
+        rows[p] += rows[a]
+    s[n] = 0.0  # the slack's voltage, where its children's sums went
     for a, p, z in forest._walk:
-        np.add(rows_v[p], z * rows_s[a], out=rows_v[a])
-    return v[:n, 0] if u.ndim == 1 else v[:n]
+        np.add(rows[p], z * rows[a], out=rows[a])
+    return s[:n, 0] if u.ndim == 1 else s[:n]
 
 
 def apply_local_inverse(forest: RadialForest, v) -> np.ndarray:

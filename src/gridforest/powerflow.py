@@ -14,17 +14,18 @@ call, so the samples do not depend on the BLAS thread count.
 Each node's injection pair is its mean plus its Cholesky factor times two
 standard draws z1, z2 (``_cholesky``), so a row of draws z = [z1, z2] maps
 to the voltages [eps, theta] = z A + [Re c, Im c], with A real (2n x 2n)
-and c = T_z (mu_p - j mu_q).  Draws with mean zbar and covariance W give
-voltages with the mean of the mean injection, one vector sweep, and the
-covariance rows W rows^T, never formed, with rows = A^T node-major: T_z is
+and c = T_z (mu_p - j mu_q).  Draws with mean zbar and covariance L L^T
+give voltages with the mean of the mean injection, one vector sweep, and
+the covariance factor rows L, with rows = A^T node-major: T_z is
 symmetric, so ``voltage_factor`` sweeps blocks of unit columns and scales
-them by those columns' factors.  ``moments.MomentSet`` holds rows and W.
+them by those columns' factors.  ``moments.MomentSet`` holds that factor.
 The population moments, the samples and the sample moments are that map
 under three draw statistics: ``analytic_moments`` takes the draws' zero
-mean and unit covariance, ``sample_voltages`` sweeps blocks of the samples'
-injections, and a sweep cell takes the draws' own divisor-m mean and
-covariance S from ``draw_moments``, which computes them from the
-distribution, m, n and the seed alone, without the (m, n) voltages.
+mean and unit covariance (L = I), ``sample_voltages`` sweeps blocks of the
+samples' injections, and a sweep cell takes the draws' own divisor-m mean
+and a factor L of their covariance from ``draw_moments``, which computes
+them from the distribution, m, n and the seed alone, without the (m, n)
+voltages.
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -207,7 +208,7 @@ def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
     """``(mu_eps, mu_theta, rows)`` of the voltages of draws [z1, z2] with mean
     ``zbar``: the mean, one sweep of the draws' mean injection, and the
     node-major factor ``rows`` (2n x 2n, eps rows first), so that draws with
-    covariance W give the voltage covariance rows W rows^T.
+    covariance L L^T give the voltage covariance factor rows L.
 
     Columns k and n + k of rows are the voltages of a unit z1 and z2 draw
     at load k: column k of T_z scaled by load k's factors.  A block of
@@ -234,7 +235,8 @@ def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
 
 def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
     """Exact voltage moments induced by an injection model: ``voltage_factor``
-    of the draws' zero mean, with their unit covariance as the weight."""
+    of the draws' zero mean; their unit covariance (L = I) leaves its rows
+    the covariance factor."""
     mu_eps, mu_theta, rows = voltage_factor(forest, inj, np.zeros(2 * forest.n_loads))
     return AnalyticMoments(forest.load_ids, mu_theta, mu_eps, rows)
 
@@ -264,18 +266,29 @@ def sample_voltages(forest: RadialForest, inj: InjectionModel, m: int, seed) -> 
 
 
 def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Divisor-m mean ``zbar`` (2n,) and covariance ``S`` (2n, 2n) of the m
-    rows of standard draws z = [z1, z2] that ``sample_voltages`` maps for n
-    loads and ``seed``.
+    """Divisor-m mean ``zbar`` (2n,) and a factor ``L`` of the divisor-m
+    covariance S = L L^T of the m rows of standard draws z = [z1, z2] that
+    ``sample_voltages`` maps for n loads and ``seed``.  L has min(m, 2n)
+    columns.
 
-    z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
-    stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is added
-    into the uncentred Gram matrix G = z^T z and the column sums, and
-    S = G/m - zbar^T zbar, formed in G's own storage.
+    When m > 2n, z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)``
+    rows, the same stream as ``sample_voltages``' single draw.  Each block
+    [z1 | z2] is added into the uncentred Gram matrix G = z^T z and the
+    column sums, S = G/m - zbar^T zbar is formed in G's own storage, and L
+    is its Cholesky factor (2n columns).  When m <= 2n, S is singular, and
+    L is the centred draws z^T over sqrt(m) (m columns), drawn as
+    ``sample_voltages`` draws them.
     """
     if m < 2:
         raise TooFewSamples(f"need at least 2 samples, got {m}")
     rng = np.random.default_rng(seed)
+    if m <= 2 * n:
+        # (2, n, m) to (2n, m): z1's rows, then z2's
+        z = _standard_draws(rng, distribution, (2, m, n)).transpose(0, 2, 1).reshape(2 * n, m)
+        zbar = z.mean(axis=1)
+        z -= zbar[:, None]
+        z /= np.sqrt(m)
+        return zbar, z
     z1 = _standard_draws(rng, distribution, (m, n))
     rows = _draw_rows(n)
     block = np.empty((min(rows, m), 2 * n))
@@ -292,4 +305,4 @@ def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, n
     gram /= m  # S in place, row by row: no (2n, 2n) temporaries
     for i in range(2 * n):
         gram[i] -= zbar[i] * zbar
-    return zbar, gram
+    return zbar, np.linalg.cholesky(gram)

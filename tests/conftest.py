@@ -298,11 +298,11 @@ def folded_map(forest, inj):
 
 
 def one_pass_sample_moments(forest, inj, m: int, seed):
-    """Oracle for a sweep cell's moments (``experiments.empirical_moments``),
-    bit for bit: ``(mu_eps, mu_theta, rows, weight)`` in one pass, with the
-    blocked draw moments as the weight, the dense map A^T of ``folded_map``
-    as the rows, and the means solved for the draws' mean injection by
-    ``solve_lcpf``."""
+    """Oracle for a sweep cell's moments (``experiments.empirical_moments``):
+    ``(mu_eps, mu_theta, rows, s)`` in one pass, with the dense map A^T of
+    ``folded_map`` as the rows and the blocked draw covariance ``s``, so that
+    the voltage covariance is rows · s · rows^T, and the means solved for
+    the draws' mean injection by ``solve_lcpf``."""
     inj = inj.for_nodes(forest.load_ids)
     n = inj.n
     zbar, s = blocked_draw_moments(inj.distribution, m, n, seed)
@@ -317,11 +317,11 @@ def moment_blocks(moments) -> dict:
     """Oracle: the covariance blocks of an ``AnalyticMoments`` or a
     ``MomentSet`` over its nodes, by ``AnalyticMoments``' former field names
     (``omega_eps``, and with theta ``omega_theta`` and ``omega_eps_theta`` =
-    E[eps theta^T]), formed whole as rows · weight · rows^T."""
-    rows, weight = moments.rows, getattr(moments, "weight", None)
+    E[eps theta^T]), formed whole as rows · rows^T."""
+    rows = moments.rows
     if isinstance(moments, MomentSet):
         rows = rows[moments._rix.ravel()]
-    cov = rows @ rows.T if weight is None else rows @ weight @ rows.T
+    cov = rows @ rows.T
     n = len(moments.node_ids)
     blocks = {"omega_eps": cov[:n, :n]}
     if len(cov) > n:

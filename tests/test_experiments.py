@@ -162,6 +162,25 @@ def test_learn_missing_task_records_counts():
     assert report.aggregate("learn-missing/h1", 3000, "struct_err") <= 0.5
 
 
+def test_each_seed_draws_its_inputs_once(monkeypatch):
+    # a seed's injections and hidden sets do not depend on m: they are drawn
+    # once per seed and (seed, count), not once per sample count
+    calls = []
+    for name in ("draw_injections", "choose_hidden"):
+
+        def spy(*args, _name=name, _real=getattr(experiments, name)):
+            calls.append((_name, repr(args[-1])))
+            return _real(*args)
+
+        monkeypatch.setattr(experiments, name, spy)
+    _usable_cpus(monkeypatch, 1)
+    run_experiment(replace(fig5_config(seeds=(0, 1)), m_grid=(400, 1600)))
+    assert sorted(calls) == sorted(
+        [("draw_injections", repr([11, seed])) for seed in (0, 1)]
+        + [("choose_hidden", repr([11, seed, k])) for seed in (0, 1) for k in (1, 2, 3)]
+    )
+
+
 def test_failures_recorded_not_fatal():
     # tiny m forces frequent learner failures; cells still score
     cfg = small_config(m_grid=(2,), seeds=tuple(range(4)))

@@ -353,10 +353,10 @@ def test_ambiguous_candidates_reported():
 
 
 def nudge_eps_cov(ms, a, b, delta):
-    """``ms`` built from its covariance blocks (rows the identity, the whole
-    covariance the weight), with ``delta`` added to the eps covariance of
-    loads ``a`` and ``b`` (to both triangles; to the variance when
-    ``a == b``)."""
+    """``ms`` built from its covariance blocks, with ``delta`` added to the
+    eps covariance of loads ``a`` and ``b`` (to both triangles; to the
+    variance when ``a == b``), and the nudged covariance factored again
+    (its Cholesky factor the rows)."""
     blocks = moment_blocks(ms)
     et = blocks["omega_eps_theta"]
     cov = np.block([[blocks["omega_eps"], et], [et.T, blocks["omega_theta"]]])
@@ -364,8 +364,8 @@ def nudge_eps_cov(ms, a, b, delta):
     cov[i, j] += delta
     if i != j:
         cov[j, i] += delta
-    return MomentSet(ms.node_ids, ms.mu_eps, ms.mu_theta, np.eye(len(cov)), cov,
-                     zero_ids=ms.zero_ids)
+    rows = np.linalg.cholesky(cov)
+    return MomentSet(ms.node_ids, ms.mu_eps, ms.mu_theta, rows, zero_ids=ms.zero_ids)
 
 
 def test_direct_edge_under_parked_children_then_adoption():

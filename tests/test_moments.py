@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -307,12 +308,17 @@ def test_edge_stats_match_scalar_bit_for_bit():
             assert v == ms.sqdiff(channel, a, b)
 
 
-def test_weighted_edge_stats_match_one_pair_bit_for_bit():
-    # a sweep cell's set, the forward map's rows weighted by the draws'
-    # covariance: each edge reads the same in a block of edges as alone
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("m", [2, 599, 600, 601, 15_000], ids=["2", "2n-1", "2n", "2n+1", "50n"])
+def test_sweep_cell_edge_stats_match_one_pair_bit_for_bit(m, dist):
+    # a sweep cell's set, the forward map's rows times a factor of the
+    # draws' covariance, on both sides of m = 2n: each edge reads the same
+    # in a block of edges as alone
     forest, inj = synth_feeder(FeederSpec(300, n_trees=3), 3)
-    ms = empirical_moments(forest, inj, 400, 1).with_zero_ids(forest.slack_ids)
-    assert ms.weight is not None
+    assert 2 * forest.n_loads == 600
+    inj = dataclasses.replace(inj, distribution=dist)
+    ms = empirical_moments(forest, inj, m, 1).with_zero_ids(forest.slack_ids)
+    assert ms.rows.shape == (600, min(m, 600))
     children = list(forest.load_ids)
     parents = [forest.parent[a] for a in children]
     got = ms.edge_stats(children, parents)

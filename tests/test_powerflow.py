@@ -450,8 +450,22 @@ def assert_moments_from_draws(spec, hidden, m, dist):
     pairs += [(got.cov_eps, want.cov_eps)]
     got_blocks, want_blocks = moment_blocks(got), moment_blocks(want)
     pairs += [(got_blocks[name], want_blocks[name]) for name in want_blocks]
+    # the statistics of every observed edge, a slack parent's too
+    children = [a for a in got.node_ids if forest.parent[a] not in hidden]
+    parents = [forest.parent[a] for a in children]
+    got_edges = got.with_zero_ids(forest.slack_ids).edge_stats(children, parents)
+    pairs += zip(got_edges, want.edge_stats(children, parents), strict=True)
     for a, b in pairs:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+# sample counts on both sides of 2n, where a sweep cell's draw factor turns
+# from the centred draws (m columns) to the Cholesky factor (2n columns)
+_SIDES_OF_2N = pytest.mark.parametrize("count", ["2", "2n-1", "2n", "2n+1", "50n"])
+
+
+def _sample_count(count: str, n: int) -> int:
+    return {"2": 2, "2n-1": 2 * n - 1, "2n": 2 * n, "2n+1": 2 * n + 1, "50n": 50 * n}[count]
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
@@ -459,6 +473,27 @@ def assert_moments_from_draws(spec, hidden, m, dist):
 @_MOMENT_FEEDERS
 def test_moments_from_draws_match_sample_moments(spec, hidden, m, dist):
     assert_moments_from_draws(spec, hidden, m, dist)
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@_SIDES_OF_2N
+@_MOMENT_FEEDERS
+def test_moments_from_draws_on_both_sides_of_2n(spec, hidden, count, dist):
+    assert_moments_from_draws(spec, hidden, _sample_count(count, spec.n_loads), dist)
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@_SIDES_OF_2N
+@pytest.mark.parametrize("n", [13, 29, 200])
+def test_draw_factor_is_the_blocked_covariance(n, count, dist):
+    # L L^T is the blocked Gram matrix's S, and L has min(m, 2n) columns:
+    # the centred draws up to m = 2n, the Cholesky factor of S past it
+    m = _sample_count(count, n)
+    want_zbar, s = blocked_draw_moments(dist, m, n, [5, m])
+    zbar, factor = draw_moments(dist, m, n, [5, m])
+    assert factor.shape == (2 * n, min(m, 2 * n))
+    np.testing.assert_allclose(zbar, want_zbar, rtol=0, atol=1e-12 * np.abs(want_zbar).max())
+    np.testing.assert_allclose(factor @ factor.T, s, rtol=0, atol=1e-12 * np.abs(s).max())
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
@@ -485,13 +520,17 @@ def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
     # boundary
     forest, inj = _tagged_feeder(spec, dist)
     m, seed = _draw_rows(forest.n_loads) + extra, [7, 1]
-    want = one_pass_sample_moments(forest, inj, m, seed)
-    zbar, s = draw_moments(dist, m, forest.n_loads, seed)
-    assert zbar.shape == (2 * forest.n_loads,) and s.shape == (2 * forest.n_loads,) * 2
+    mu_eps, mu_theta, rows, s = one_pass_sample_moments(forest, inj, m, seed)
+    want = (mu_eps, mu_theta, rows @ np.linalg.cholesky(s))
+    zbar, factor = draw_moments(dist, m, forest.n_loads, seed)
+    assert zbar.shape == (2 * forest.n_loads,) and factor.shape == (2 * forest.n_loads,) * 2
     got = empirical_moments(forest, inj, m, seed)
     assert got.rows.flags.c_contiguous
-    for a, b in zip((got.mu_eps, got.mu_theta, got.rows, got.weight), want, strict=True):
+    for a, b in zip((got.mu_eps, got.mu_theta, got.rows), want, strict=True):
         assert a.tobytes() == b.tobytes()
+    # the factor's covariance is the dense rows · S · rows^T, to rounding
+    cov = rows @ s @ rows.T
+    np.testing.assert_allclose(got.rows @ got.rows.T, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
     # the means are the dense map's zbar A + c, up to the order of the sums
     a, c = folded_map(forest, inj)
     mu = zbar @ a
@@ -504,9 +543,11 @@ def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
 @pytest.mark.parametrize("n", [13, 29, 200])
 def test_draw_moments_centre_in_place_bit_for_bit(n, dist):
     # S centred row by row in the Gram matrix's storage is the whole-matrix
-    # G/m - outer(zbar, zbar), bit for bit, across several draw blocks
+    # G/m - outer(zbar, zbar), bit for bit, across several draw blocks, and
+    # so is its Cholesky factor
     m = 2 * _draw_rows(n) + 3
-    want = blocked_draw_moments(dist, m, n, [3, n])
+    zbar, s = blocked_draw_moments(dist, m, n, [3, n])
+    want = (zbar, np.linalg.cholesky(s))
     got = draw_moments(dist, m, n, [3, n])
     for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()

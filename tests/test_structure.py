@@ -123,8 +123,13 @@ def test_exact_tie_picks_smallest_id():
     # pops 9 (var 4), 7 (var 2), 5 (var 1): node 9's squared differences to
     # 7 and to 5 are both exactly 4.0, and the smaller id wins although 7 is
     # popped first
-    cov = np.array([[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 4.0]])
-    ms = MomentSet((5, 7, 9), np.zeros(3), None, np.eye(3), cov, zero_ids=(0,))
+    # covariance [[1, 0.5, 0.5], [0.5, 2, 1], [0.5, 1, 4]] from a factor with
+    # small dyadic entries, whose products and sums are exact
+    rows = 0.5 * np.array(
+        [[2, 0, 0, 0, 0, 0, 0], [1, 2, 1, 1, 1, 0, 0], [1, 1, 1, 0, 0, 3, 2]], dtype=float
+    )
+    ms = MomentSet((5, 7, 9), np.zeros(3), None, rows, zero_ids=(0,))
+    assert ms.cov_eps.tolist() == [[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 4.0]]
     declared = {0: (5,)}
     diag = StructureDiagnostics()
     rec = learn_structure(ms, declared, diagnostics=diag)
@@ -165,13 +170,12 @@ def assert_same_selection(momset, declared):
 
 def random_eps_momset(seed, n, *, ties=False):
     """Eps moments of n loads with scattered ids, and two unobserved zero
-    ids.  With ``ties`` the covariance is the Gram matrix of 0/1 rows, so
-    many variances and squared differences tie."""
+    ids, whose factor is the rows b (covariance b bᵀ).  With ``ties`` the
+    rows are 0/1, so many variances and squared differences tie exactly."""
     rng = np.random.default_rng(seed)
     ids = rng.choice(10 * n + 10, size=n + 2, replace=False)
     b = rng.integers(0, 2, (n, 4)) if ties else rng.standard_normal((n, n))
-    cov = (b @ b.T).astype(float)
-    return MomentSet(ids[:n], np.zeros(n), None, np.eye(n), cov, zero_ids=ids[n:])
+    return MomentSet(ids[:n], np.zeros(n), None, b.astype(float), zero_ids=ids[n:])
 
 
 def declare(momset, seed, count, *, last):
