@@ -12,9 +12,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import itertools
+import io
 import json
 import os
+import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -198,10 +200,11 @@ def load_injection(path) -> InjectionModel:
 # -- voltage samples -------------------------------------------------------------------
 
 
-# Rows per block that load_samples parses at once: large enough to amortise
-# each numpy call, small enough that a block stays a few MB whatever the file
-# size.
-_BLOCK_ROWS = 1 << 14
+# Bytes per block that load_samples parses at once (a block ends at the first
+# line ending from there on): large enough to amortise each numpy call and
+# each round trip through the worker pool, small enough that a block stays a
+# few MB whatever the file size.
+_BLOCK_BYTES = 1 << 20
 # Rows per task of save_samples, in whole samples: about 200 kB of text, so a
 # task is worth a round trip through the worker pool.
 _WRITE_ROWS = 1 << 12
@@ -274,34 +277,48 @@ _BLANK_THETA_ROW = np.dtype([("sample", "i8"), ("node", "i8"), ("eps", "f8"), ("
 def load_samples(path) -> VoltageSamples:
     """Read a samples CSV written by ``save_samples``.
 
-    LF or CRLF line endings, spaces around fields and quoted numbers are
-    accepted. The header is exactly the four names ``sample,node,eps,theta``,
-    with the same spaces and quotes allowed. Every line after it is one row
-    of exactly four fields, so an empty line, a quoted field that spans lines
-    or a fifth field is an error. Every (sample, node) pair must appear
+    The file is UTF-8 text, whatever the locale. LF, CRLF or CR line endings,
+    spaces around fields and quoted numbers are accepted. The header is
+    exactly the four names ``sample,node,eps,theta``, with the same spaces and
+    quotes allowed. Every line after it is one row of exactly four fields, so
+    an empty line, a quoted field that spans lines, a fifth field or a byte
+    that is not UTF-8 is an error. Every (sample, node) pair must appear
     exactly once, samples are numbered 0..m-1, values are finite, and theta
     is given on every row or on none; when it is not, the first row of the
     smaller side (blank or given) is named. Anything else raises
     MalformedSamples naming the file and the 1-based line.
 
-    numpy's C reader parses every row, in blocks of ``_BLOCK_ROWS`` lines whose
-    rows of either theta mode are counted; only a block it cannot read is read
-    again, in halves, to name its first bad line. The checks then run over the
-    blocks in file order, and each block is placed at its rows' (sample, node)
-    cells of the (m, n) arrays and freed; a row whose cell is already taken is
-    the duplicate named. Reading holds about 32 B per row for the blocks plus
-    16 B per cell (8 B without theta); there is no concatenated table and no
-    sort of the whole file. A file with fewer rows than m * n cells misses a
-    cell, and is named from one sort of its cell indices: the m * n arrays are
-    never allocated for it.
+    The main process reads the header and cuts the data lines into blocks of
+    about ``_BLOCK_BYTES`` bytes, each ending just after the first ``\n`` from
+    there on, by seeking. ``parallel.ordered_map`` parses the blocks in worker
+    processes, one per usable CPU, or in process: each task opens the file,
+    reads its byte range, decodes it, splits its lines as text mode with
+    ``newline=""`` does (``_read_bytes``) and returns the block's rows and
+    which of them give theta, or raises the index and message of its first
+    bad line, which the main process turns into the file's line number. A
+    worker holds one block's text and rows at a time. numpy's C reader parses
+    every row of a block, whose rows of either theta mode are counted; only a
+    block it cannot read is read again, in halves, to name its first bad
+    line. A path that is not a regular file (a pipe, as ``--data <(...)``
+    gives) is read in process, in the same blocks.
+
+    The main process takes the blocks in file order and holds them all; the
+    checks then run over them in file order, and each block is placed at its
+    rows' (sample, node) cells of the (m, n) arrays and freed; a row whose
+    cell is already taken is the duplicate named. The main process holds
+    about 32 B per row for the blocks plus 16 B per cell (8 B without theta);
+    there is no concatenated table and no sort of the whole file. A file with
+    fewer rows than m * n cells misses a cell, and is named from one sort of
+    its cell indices: the m * n arrays are never allocated for it.
     """
     blocks = []  # (rows, whether each row gives theta)
-    with open(path, newline="") as fh:
-        header = [f.strip(" \t") for f in _fields(fh.readline())]
-        if header != ["sample", "node", "eps", "theta"]:
-            raise MalformedSamples(path, 1, f"unexpected samples header {header}")
-        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            blocks.append(_read_block(lines) or _bad_line(path, lines, len(blocks)))
+    try:
+        for block in _read_blocks(path):
+            blocks.append(block)
+    except _BadLine as bad:
+        index, msg = bad.args  # the blocks before it hold one row per line
+        line = 2 + sum(len(rows) for rows, _ in blocks) + index
+        raise MalformedSamples(path, line, msg) from None
 
     if not blocks:
         raise MalformedSamples(path, 2, "no data rows")
@@ -375,6 +392,116 @@ def _sorted_repeats(cell):
     return cell, order[1:][cell[1:] == cell[:-1]]
 
 
+class _BadLine(Exception):
+    """The first bad line of a block: ``args`` is (its index in the block,
+    the message)."""
+
+
+def _read_blocks(path):
+    """Yield the (rows, given) of each block of the samples CSV ``path``, in
+    file order, after checking its header; a bad line raises _BadLine."""
+    with open(path, "rb") as fh:
+        head, rest = _first_line(fh)
+        try:
+            header = [f.strip(" \t") for f in _fields(head.decode())]
+        except UnicodeDecodeError as exc:
+            raise MalformedSamples(path, 1, _not_utf8(exc)) from None
+        if header != ["sample", "node", "eps", "theta"]:
+            raise MalformedSamples(path, 1, f"unexpected samples header {header}")
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # it cannot seek
+            yield from map(_read_bytes, _stream_blocks(fh, rest))
+            return
+        path = os.path.abspath(path)
+        tasks = [(path, start, stop) for start, stop in _cuts(fh, len(head))]
+    with contextlib.closing(ordered_map(_read_range, tasks)) as results:
+        yield from results
+
+
+# a line ending, as text mode with newline="" splits lines
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _first_line(fh):
+    """The first line of the binary stream ``fh``, with its line ending, and
+    the bytes read past it."""
+    data = b""
+    while True:
+        more = fh.read(1 << 16)
+        data += more
+        end = _LINE_END.search(data)
+        if not more or (end and end.end() < len(data)):  # a last "\r" may start "\r\n"
+            cut = end.end() if end else len(data)
+            return data[:cut], data[cut:]
+
+
+def _cuts(fh, start):
+    """The (start, stop) byte ranges of the blocks of the regular file ``fh``
+    from byte ``start``: each ends just after the first ``\n`` from its
+    ``_BLOCK_BYTES``-th byte on, the last at the end of the file."""
+    size = os.fstat(fh.fileno()).st_size
+    while start < size:
+        stop = start + _BLOCK_BYTES - 1
+        fh.seek(stop)
+        while (chunk := fh.read(1 << 12)) and (k := chunk.find(b"\n")) < 0:
+            stop += len(chunk)
+        stop = stop + k + 1 if chunk else size
+        yield start, stop
+        start = stop
+
+
+def _stream_blocks(fh, data):
+    """The blocks ``_cuts`` cuts, from a stream that cannot seek: the bytes
+    ``data`` already read from it, then the rest of the binary stream ``fh``."""
+    data = bytearray(data)
+    searched = 0  # the bytes of data known to hold no line ending past the block size
+    while True:
+        cut = data.find(b"\n", max(_BLOCK_BYTES - 1, searched))
+        if cut >= 0:
+            yield data[: cut + 1]
+            del data[: cut + 1]
+            searched = 0
+        elif more := fh.read(1 << 16):
+            searched = len(data)
+            data += more
+        else:
+            if data:
+                yield data
+            return
+
+
+def _read_range(task):
+    """``_read_bytes`` of the bytes ``start:stop`` of the file ``path``, where
+    ``task`` is ``(path, start, stop)``: a worker's task."""
+    path, start, stop = task
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _read_bytes(fh.read(stop - start))
+
+
+def _read_bytes(data):
+    """(rows, given) of the lines of the non-empty block ``data``
+    (``_read_block``), decoded as UTF-8 and split as text mode with
+    ``newline=""`` splits them; the first line that is no row, or holds a
+    byte that does not decode, raises _BadLine."""
+    try:
+        text, undecodable = data.decode(), None
+    except UnicodeDecodeError as exc:
+        text, undecodable = data[: exc.start].decode(), exc
+    lines = list(io.StringIO(text, newline=""))
+    if undecodable is not None and lines and lines[-1][-1] not in "\r\n":
+        lines.pop()  # the start of the line that does not decode
+    if lines and (block := _read_block(lines)) is None:
+        raise _BadLine(*_bad_line(lines))
+    if undecodable is not None:
+        raise _BadLine(len(lines), _not_utf8(undecodable))
+    return block
+
+
+def _not_utf8(exc):
+    """The message for the UnicodeDecodeError ``exc``."""
+    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 text ({exc.reason})"
+
+
 def _read_block(lines):
     """(rows, given): one ``_SAMPLE_ROW`` per line and whether it gives theta
     (0 where blank), or None if some line is not a row. Lines that do not all
@@ -413,10 +540,10 @@ def _parse_block(lines, dtype):
     return rows if len(rows) == len(lines) else None  # loadtxt skips empty lines
 
 
-def _bad_line(path, lines, block):
-    """Raise MalformedSamples at the first bad one of ``lines``, block ``block``
-    of ``path``, halved until one line is left: lines read as a block if and
-    only if each reads alone."""
+def _bad_line(lines):
+    """(index, message) of the first bad one of ``lines``, found by halving
+    until one line is left: lines read as a block if and only if each reads
+    alone."""
     lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -428,12 +555,10 @@ def _bad_line(path, lines, block):
     # open keeps it in its field
     fields = _fields(lines[lo].rstrip("\r\n") + "\n")
     if any(f.endswith("\n") for f in fields):
-        msg = "a quoted field spans lines; every row must be one line"
-    elif len(fields) != 4:
-        msg = f"expected 4 fields sample,node,eps,theta, found {len(fields)}"
-    else:
-        msg = "expected integer sample,node and numeric eps,theta"
-    raise MalformedSamples(path, 2 + block * _BLOCK_ROWS + lo, msg)
+        return lo, "a quoted field spans lines; every row must be one line"
+    if len(fields) != 4:
+        return lo, f"expected 4 fields sample,node,eps,theta, found {len(fields)}"
+    return lo, "expected integer sample,node and numeric eps,theta"
 
 
 def _fields(line):

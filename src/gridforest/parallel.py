@@ -1,5 +1,7 @@
-"""One worker pool for the package's independent tasks: the cells of an
-experiment sweep and the row blocks ``simulate`` writes to the samples CSV.
+"""One worker pool for the package's independent tasks, with three users: the
+cells of an experiment sweep, the row blocks ``save_samples`` formats for
+the samples CSV, and the byte ranges of that file that ``load_samples``
+parses.
 
 ``ordered_map(fn, items, chunksize)`` yields ``fn(item)`` in item order, from
 a pool of one worker process per usable CPU (``usable_cpus``), which takes the

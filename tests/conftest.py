@@ -333,7 +333,7 @@ def sorted_load_samples(path) -> VoltageSamples:
     """Oracle for ``fileio.load_samples``: the same arrays, or the same error
     line and message. The data rows are read as one block, then checked over
     the concatenated table and assembled by whole-file sorts."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = fileio._fields(fh.readline())
         if header[:4] != ["sample", "node", "eps", "theta"]:
             raise MalformedSamples(path, 1, f"unexpected samples header {header}")
@@ -346,7 +346,11 @@ def sorted_load_samples(path) -> VoltageSamples:
 
     if not lines:
         raise MalformedSamples(path, 2, "no data rows")
-    table, given = fileio._read_block(lines) or fileio._bad_line(path, lines, 0)
+    block = fileio._read_block(lines)
+    if block is None:
+        k, msg = fileio._bad_line(lines)
+        raise MalformedSamples(path, k + 2, msg)
+    table, given = block
     if given.any():  # name the first row of the smaller theta mode
         if given.sum() < len(given) / 2:
             check(given, "theta given, but other rows leave it blank")

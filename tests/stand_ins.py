@@ -2,16 +2,18 @@
 
 The pool pickles a task function by reference, so a worker started by a fork
 server imports the module that defines it.  This module imports only the
-samples writer, so such a worker starts faster than one that imports a test
-module.
+samples file module, so such a worker starts faster than one that imports a
+test module.
 """
 
 import os
 
 from gridforest import fileio
 
-# the row formatter itself: a forked worker inherits the stand-in in its place
+# the row formatter and the block reader themselves: a forked worker inherits
+# the stand-ins in their place
 _FORMAT_ROWS = fileio._format_rows
+_READ_RANGE = fileio._read_range
 
 
 def die(*args):
@@ -24,3 +26,10 @@ def tracked_format(outdir, tails, task):
     of the process that formats the task in ``outdir``."""
     (outdir / str(os.getpid())).touch()
     return _FORMAT_ROWS(tails, task)
+
+
+def tracked_read(outdir, task):
+    """A ``fileio._read_range`` stand-in that leaves a file named by the pid
+    of the process that reads the block in ``outdir``."""
+    (outdir / str(os.getpid())).touch()
+    return _READ_RANGE(task)

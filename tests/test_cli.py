@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import json
 import re
@@ -14,6 +15,7 @@ from gridforest.missing import MissingSpec
 from gridforest.synth import choose_hidden
 
 from conftest import magnitude_only, restrict_samples
+from test_parallel import _one_cpu
 
 
 @pytest.fixture
@@ -807,6 +809,19 @@ MALFORMED_SAMPLES = [
 ]
 
 
+# block sizes, in bytes, that cut a samples CSV inside its lines, and the
+# reader's own
+BLOCK_BYTES = (1, 2, 3, 7, 50, fileio._BLOCK_BYTES)
+
+
+@contextlib.contextmanager
+def blocks_of(nbytes):
+    """A context in which ``fileio.load_samples`` cuts its blocks at
+    ``nbytes`` bytes and reads them in process."""
+    with mock.patch.object(fileio, "_BLOCK_BYTES", nbytes), _one_cpu():
+        yield
+
+
 @pytest.mark.parametrize("corrupt, line, text", MALFORMED_SAMPLES)
 def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
     from gridforest.errors import MalformedSamples
@@ -820,11 +835,10 @@ def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
     corrupt(lines)
     path.write_text("\n".join(lines) + "\n")
     # the line named does not depend on where the reader cuts its blocks
-    for rows in (fileio._BLOCK_ROWS, 1, 2, 3, 7):
-        with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
-            with pytest.raises(MalformedSamples) as exc_info:
-                fileio.load_samples(path)
-        assert (exc_info.value.path, exc_info.value.line) == (str(path), line), rows
+    for nbytes in BLOCK_BYTES:
+        with blocks_of(nbytes), pytest.raises(MalformedSamples) as exc_info:
+            fileio.load_samples(path)
+        assert (exc_info.value.path, exc_info.value.line) == (str(path), line), nbytes
     capsys.readouterr()
     rc = main(["learn", "--network", str(tmp_path / "network.json"),
                "--data", str(path), "--out", str(tmp_path / "result.json")])
@@ -833,6 +847,26 @@ def test_learn_rejects_malformed_samples(tmp_path, capsys, corrupt, line, text):
     assert str(path) in err and text in err
     if line is not None:
         assert f"line {line}" in err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_learn_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # the file is UTF-8 whatever the locale: a byte that does not decode is a
+    # malformed line, named with the file, not a bare UnicodeDecodeError
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    assert main(["simulate", "--network", str(tmp_path / "network.json"),
+                 "--inj", str(tmp_path / "injection.json"),
+                 "--samples", "50", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "samples.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    lines[2] = lines[2][:-1] + b"\xff"
+    path.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    rc = main(["learn", "--network", str(tmp_path / "network.json"),
+               "--data", str(path), "--out", str(tmp_path / "result.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 3" in err and "byte 0xff is not UTF-8" in err
     assert not (tmp_path / "result.json").exists()
 
 

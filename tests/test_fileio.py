@@ -10,7 +10,6 @@ import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +24,9 @@ from gridforest.powerflow import InjectionModel, VoltageSamples, sample_voltages
 from gridforest.synth import FeederSpec, draw_injections, synth_layout
 
 from conftest import magnitude_only, sorted_load_samples
-from test_cli import MALFORMED_SAMPLES
-from stand_ins import die, tracked_format
-from test_parallel import _START_METHODS, _usable_cpus
+from test_cli import BLOCK_BYTES, MALFORMED_SAMPLES, blocks_of
+from stand_ins import die, tracked_format, tracked_read
+from test_parallel import _START_METHODS, _one_cpu, _usable_cpus
 
 
 @pytest.fixture
@@ -153,25 +152,28 @@ def test_samples_bytes_match_csv_writer(tmp_path, feeder, with_theta):
 
 @pytest.mark.parametrize("with_theta", [True, False])
 def test_samples_across_blocks(tmp_path, with_theta):
-    # more rows than one block, and neither rows nor samples a whole number of blocks
+    # a file of more than two blocks of the reader's own size, whose cuts fall
+    # inside samples, read in process
     n = 7
-    m = 2 * (fileio._BLOCK_ROWS // n) + 1
-    assert (m * n) % fileio._BLOCK_ROWS and m % (fileio._BLOCK_ROWS // n)
+    m = fileio._BLOCK_BYTES // (10 * n) + 1
     rng = np.random.default_rng(5)
     theta = rng.normal(size=(m, n)) if with_theta else None
     s = VoltageSamples(node_ids=range(10, 10 + n), eps=rng.normal(size=(m, n)), theta=theta)
     path = tmp_path / "samples.csv"
     fileio.save_samples(path, s)
     assert path.read_bytes() == _csv_writer_bytes(s)
-    back = fileio.load_samples(path)
+    assert path.stat().st_size > 2 * fileio._BLOCK_BYTES
+    with _one_cpu():
+        back = fileio.load_samples(path)
     assert back.node_ids == s.node_ids
     np.testing.assert_array_equal(back.eps, s.eps)
     np.testing.assert_array_equal(back.theta, s.theta)
+    # an empty line in the second block: its line, halfway through the block
+    bad = path.read_bytes()[: 3 * fileio._BLOCK_BYTES // 2].count(b"\n") + 1
     lines = path.read_text().splitlines()
-    bad = fileio._BLOCK_ROWS + 100  # a line in the second block
     lines.insert(bad - 1, "")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedSamples) as exc_info:
+    with _one_cpu(), pytest.raises(MalformedSamples) as exc_info:
         fileio.load_samples(path)
     assert exc_info.value.line == bad
 
@@ -251,6 +253,120 @@ def test_a_samples_write_through_a_symlink_replaces_its_target(tmp_path):
     assert sorted(p.name for p in target.parent.iterdir()) == ["samples.csv"]
 
 
+def _blocked_samples(tmp_path, monkeypatch):
+    """A samples CSV of about 20 kB, and blocks of 4 kB: five blocks, each
+    cut inside a line."""
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 1 << 12)
+    rng = np.random.default_rng(6)
+    eps, theta = rng.normal(size=(2, 60, 7))
+    samples = VoltageSamples(node_ids=range(1, 8), eps=eps, theta=theta)
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, samples)
+    return path, samples
+
+
+def _corrupt_line(path, line, edit):
+    """Rewrite the 1-based ``line`` of ``path``, as bytes, with ``edit``."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_bytes(b"\r\n".join(lines))
+
+
+@_START_METHODS
+def test_pooled_and_in_process_readers_agree(monkeypatch, tmp_path, start_method):
+    monkeypatch.setattr(parallel, "_START_METHOD", start_method)
+    path, samples = _blocked_samples(tmp_path, monkeypatch)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(path.read_bytes())
+    _corrupt_line(bad, 350, lambda line: line.replace(b",", b",abc", 1))  # in block 4
+    errors = set()
+    for cpus in (1, 2):
+        runners = tmp_path / f"cpus{cpus}"
+        runners.mkdir()
+        monkeypatch.setattr(fileio, "_read_range", functools.partial(tracked_read, runners))
+        _usable_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        back = fileio.load_samples(path)
+        assert back.node_ids == samples.node_ids
+        assert back.eps.tobytes() == samples.eps.tobytes()
+        assert back.theta.tobytes() == samples.theta.tobytes()
+        pids = {int(p.name) for p in runners.iterdir()}
+        if cpus == 1:
+            assert pids == {os.getpid()}  # read in process
+        else:
+            assert pids and os.getpid() not in pids  # blocks parsed in workers only
+            for pid in pids:  # joined, so reaped: the pid names no process
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        with pytest.raises(MalformedSamples) as exc_info:
+            fileio.load_samples(bad)
+        errors.add((exc_info.value.path, exc_info.value.line, str(exc_info.value)))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads  # the pool's own threads are gone too
+    assert len(errors) == 1 and next(iter(errors))[:2] == (str(bad), 350), errors
+    monkeypatch.setattr(fileio, "_read_range", die)
+    with pytest.raises(BrokenProcessPool):
+        fileio.load_samples(path)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("line", [3, 350], ids=["first_block", "later_block"])
+def test_a_byte_that_is_not_utf8_names_its_line(monkeypatch, tmp_path, line):
+    # pooled and in process; the lines before it in its block are read first
+    path, _ = _blocked_samples(tmp_path, monkeypatch)
+    _corrupt_line(path, line, lambda text: text[:5] + b"\xff" + text[6:])
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        with pytest.raises(MalformedSamples, match=r"byte 0xff is not UTF-8") as exc_info:
+            fileio.load_samples(path)
+        assert (exc_info.value.path, exc_info.value.line) == (str(path), line)
+        assert multiprocessing.active_children() == []
+    _corrupt_line(path, line - 1, lambda text: text + b",7")  # an earlier bad line wins
+    with pytest.raises(MalformedSamples, match="expected 4 fields") as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == line - 1
+    _corrupt_line(path, 1, lambda text: b"\xe2\x82" + text)  # the header
+    with pytest.raises(MalformedSamples, match=r"byte 0xe2 is not UTF-8") as exc_info:
+        fileio.load_samples(path)
+    assert exc_info.value.line == 1
+
+
+@pytest.mark.parametrize("nbytes", BLOCK_BYTES + (1 << 12,))
+def test_a_stream_is_cut_where_the_file_is(tmp_path, monkeypatch, nbytes):
+    # the blocks of a stream that cannot seek are the file's byte ranges
+    path, _ = _blocked_samples(tmp_path, monkeypatch)
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", nbytes)
+    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        head, rest = fileio._first_line(fh)
+        cuts = list(fileio._cuts(fh, len(head)))
+        fh.seek(len(head) + len(rest))
+        blocks = list(fileio._stream_blocks(fh, rest))
+    assert head == b"sample,node,eps,theta\r\n"
+    assert [bytes(block) for block in blocks] == [data[a:b] for a, b in cuts]
+    assert cuts[0][0] == len(head) and cuts[-1][1] == len(data)
+    assert all(data[b - 1 : b] == b"\n" and b - a >= nbytes for a, b in cuts[:-1])
+
+
+def test_samples_read_from_a_pipe(tmp_path, monkeypatch):
+    # a pipe, as ``--data <(cat samples.csv)`` gives, cannot seek: it is read
+    # in process, in the same blocks, with the same rows or error line
+    path, _ = _blocked_samples(tmp_path, monkeypatch)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(path.read_bytes())
+    _corrupt_line(bad, 350, lambda line: line.replace(b",", b",abc", 1))
+    for source in (path, bad):  # the pipe takes the file's place, and its name
+        data = source.read_bytes()
+        want = _load_outcome(source)
+        source.unlink()
+        os.mkfifo(source)
+        writer = threading.Thread(target=source.write_bytes, args=[data], daemon=True)
+        writer.start()
+        assert _load_outcome(source) == want
+        writer.join()
+    assert want[0] == 350
+
+
 def _traced_peak(call):
     """The tracemalloc peak, in bytes, while ``call()`` runs, and its result
     or the MalformedSamples it raised."""
@@ -268,8 +384,10 @@ def _traced_peak(call):
 def test_samples_read_in_bounded_bytes_per_row(tmp_path, monkeypatch):
     # the blocks (33 B a row) and the placed (m, n) arrays (17 B a cell) are
     # the reader's memory: about 51 B a row read here, where a concatenated
-    # table sorted whole took 90
-    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 1024)
+    # table sorted whole took 90. Blocks of about 700 rows, read in process,
+    # where tracemalloc sees their text and lines too
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 1 << 15)
+    _usable_cpus(monkeypatch, 1)
     rng = np.random.default_rng(4)
     m, n = 2048, 16
     eps, theta = rng.normal(size=(2, m, n))
@@ -294,10 +412,9 @@ def test_samples_missing_cells_are_named_without_allocating_them(tmp_path):
     assert peak < 4e6
 
 
-def _small_block_samples(tmp_path, monkeypatch, edit):
-    """A samples CSV of 6 samples of 3 nodes, read in blocks of 4 lines, after
-    ``edit`` rewrote its data rows (row k is line k + 2)."""
-    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 4)
+def _small_block_samples(tmp_path, edit):
+    """A samples CSV of 6 samples of 3 nodes, after ``edit`` rewrote its data
+    rows (row k is line k + 2)."""
     rng = np.random.default_rng(3)
     eps, theta = rng.normal(size=(2, 6, 3))
     path = tmp_path / "samples.csv"
@@ -306,6 +423,16 @@ def _small_block_samples(tmp_path, monkeypatch, edit):
     edit(rows)
     path.write_text("\n".join([header, *rows]) + "\n")
     return path
+
+
+def _rejected_in_any_blocks(path, text, line):
+    """Assert that ``path`` fails at ``line`` with ``text`` in blocks of every
+    size, down to one line and up to about 4 lines (180 bytes) or the whole
+    file."""
+    for nbytes in BLOCK_BYTES + (180,):
+        with blocks_of(nbytes), pytest.raises(MalformedSamples, match=text) as exc_info:
+            fileio.load_samples(path)
+        assert exc_info.value.line == line, nbytes
 
 
 def _blank_theta(rows, *ks):
@@ -322,13 +449,11 @@ def _blank_theta(rows, *ks):
     ],
     ids=["given_in_blocks_2_and_4", "blank_block_3", "tie"],
 )
-def test_samples_theta_mode_changes_between_blocks(tmp_path, monkeypatch, blank, line, text):
+def test_samples_theta_mode_changes_between_blocks(tmp_path, blank, line, text):
     # the modes are counted over every block; the first row of the smaller
-    # side is named, the blank side on a tie
-    path = _small_block_samples(tmp_path, monkeypatch, lambda rows: _blank_theta(rows, *blank))
-    with pytest.raises(MalformedSamples, match=text) as exc_info:
-        fileio.load_samples(path)
-    assert exc_info.value.line == line
+    # side is named, the blank side on a tie (the ids count blocks of 4 rows)
+    path = _small_block_samples(tmp_path, lambda rows: _blank_theta(rows, *blank))
+    _rejected_in_any_blocks(path, text, line)
 
 
 def _set_cell(rows, k, field, value):
@@ -337,16 +462,14 @@ def _set_cell(rows, k, field, value):
     rows[k] = ",".join(cells)
 
 
-def test_samples_bad_line_after_a_mixed_block(tmp_path, monkeypatch):
-    # block 1 mixes the theta modes; the bad eps in block 3 is named first
+def test_samples_bad_line_after_a_mixed_block(tmp_path):
+    # a block mixes the theta modes; the bad eps in a later block is named first
     def edit(rows):
         _blank_theta(rows, 1)
         _set_cell(rows, 9, 2, "abc")
 
-    path = _small_block_samples(tmp_path, monkeypatch, edit)
-    with pytest.raises(MalformedSamples, match="expected integer") as exc_info:
-        fileio.load_samples(path)
-    assert exc_info.value.line == 11
+    path = _small_block_samples(tmp_path, edit)
+    _rejected_in_any_blocks(path, "expected integer", 11)
 
 
 @pytest.mark.parametrize(
@@ -354,7 +477,7 @@ def test_samples_bad_line_after_a_mixed_block(tmp_path, monkeypatch):
     [(2, "0.1_5"), (0, "1_0"), (0, "\u0661"), (3, "0.1_5")],
     ids=["eps_underscore", "sample_underscore", "sample_arabic_indic_digit", "theta_underscore"],
 )
-def test_samples_numbers_are_numpy_numbers(tmp_path, monkeypatch, field, value):
+def test_samples_numbers_are_numpy_numbers(tmp_path, field, value):
     # int() and float() read "1_0", "0.1_5" and the Arabic-Indic digit one;
     # numpy's reader, the one grammar of the file, does not; the bad line
     # shares its block with a row of blank theta
@@ -362,10 +485,8 @@ def test_samples_numbers_are_numpy_numbers(tmp_path, monkeypatch, field, value):
         _blank_theta(rows, 8)
         _set_cell(rows, 9, field, value)
 
-    path = _small_block_samples(tmp_path, monkeypatch, edit)
-    with pytest.raises(MalformedSamples, match="expected integer") as exc_info:
-        fileio.load_samples(path)
-    assert exc_info.value.line == 11
+    path = _small_block_samples(tmp_path, edit)
+    _rejected_in_any_blocks(path, "expected integer", 11)
 
 
 def _open_quote(lines, k, field):
@@ -401,7 +522,7 @@ def _shuffle_rows(lines):
         [None, _shuffle_rows] + [corrupt for corrupt, _line, _text in MALFORMED_SAMPLES]
     ),
     quote=st.one_of(st.none(), st.tuples(st.integers(1, 30), st.integers(0, 3))),
-    newline=st.sampled_from(["\n", "\r\n"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
     last_newline=st.booleans(),
 )
 def test_samples_read_the_same_in_any_blocks(
@@ -424,8 +545,8 @@ def test_samples_read_the_same_in_any_blocks(
             _open_quote(lines, 1 + (quote[0] - 1) % (len(lines) - 1), quote[1])
         path.write_text(newline.join(lines) + (newline if last_newline else ""), newline="")
         outcomes = set()
-        for rows in (1, 2, 3, 7, fileio._BLOCK_ROWS):
-            with mock.patch.object(fileio, "_BLOCK_ROWS", rows):
+        for nbytes in BLOCK_BYTES:
+            with blocks_of(nbytes):
                 outcomes.add(_load_outcome(path))
         assert outcomes == {_load_outcome(path, sorted_load_samples)}, outcomes
 

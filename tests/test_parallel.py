@@ -1,12 +1,13 @@
 """The worker pool: usable CPUs under a cgroup CPU quota, and the ordered map.
 
-``_START_METHODS`` and ``_usable_cpus`` serve every module that tests a
-user of the pool.
+``_START_METHODS``, ``_usable_cpus`` and ``_one_cpu`` serve every module
+that tests a user of the pool.
 """
 
 import multiprocessing
 import os
 import sys
+from unittest import mock
 
 import pytest
 
@@ -30,6 +31,12 @@ def _usable_cpus(monkeypatch, n):
     """Make ``parallel.usable_cpus`` read ``n``, whatever this host's quota."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(parallel, "_cgroup_cpus", lambda: None)
+
+
+def _one_cpu():
+    """A context in which ``parallel.usable_cpus`` reads 1, so the pool's
+    users run their tasks in process; for tests that map many small tasks."""
+    return mock.patch.object(parallel, "usable_cpus", lambda: 1)
 
 
 @pytest.mark.parametrize(
