@@ -3,11 +3,12 @@
 A run sweeps a sample-count grid times a seed list (times a hidden-node
 count list for missing-data studies).  Each seed draws its injection
 statistics (and hidden sets) once; each cell draws its samples, runs the
-selected learner, and scores the result against the ground truth.  The learners read the samples only through their
-means and covariances, so a cell takes those moments straight from the
-standard draws (``empirical_moments``) and never forms the (m, n) voltage
-matrices.  Learner failures are recorded per cell, never fatal.  Identical
-configs produce byte-identical curves.csv files.
+selected learner, and scores the result against the ground truth.  The
+learners read the samples only through their means and covariances
+(``empirical_moments``), which a cell takes from its samples up to m = 2n
+and, past it, from a swept covariance factor of its draws.  Learner
+failures are recorded per cell, never fatal.  Identical configs produce
+byte-identical curves.csv files.
 
 The cells are independent, so ``run_experiment`` lists them first and maps
 ``_run_cell`` over them, which draws, learns and scores one cell from the
@@ -43,8 +44,8 @@ from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
 from .network import RadialForest, line_key, line_param_map
 from .parallel import ordered_map, usable_cpus
-from .powerflow import InjectionModel, analytic_moments, draw_moments, voltage_factor
-from .powerflow import sample_voltages  # unused here; perfbench's tracer wraps this name
+from .powerflow import InjectionModel, analytic_moments, draw_moments, sample_voltages
+from .powerflow import voltage_moments
 from .structure import StructureDiagnostics, check_fluctuating, estimate_injection_stats
 from .structure import learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
@@ -170,13 +171,16 @@ def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
 
 def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, seed) -> MomentSet:
     """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
-    ``seed``, taken from the draws' own mean and covariance factor L
-    (``draw_moments``): the forward map's factor times L, with min(m, 2n)
-    columns.  No sample and no (2n, 2n) voltage covariance is formed.
+    ``seed``.  Up to m = 2n they are the samples' own (m columns).  Past it
+    they are swept from the draws' mean and the Cholesky factor L of their
+    covariance (``draw_moments``, ``voltage_moments``), 2n columns, and no
+    sample is formed.
     """
-    zbar, factor = draw_moments(inj.distribution, m, forest.n_loads, seed)
-    mu_eps, mu_theta, rows = voltage_factor(forest, inj, zbar)
-    return MomentSet(forest.load_ids, mu_eps, mu_theta, rows @ factor, m=m)
+    n = forest.n_loads
+    if m <= 2 * n:
+        return MomentSet.from_samples(sample_voltages(forest, inj, m, seed))
+    zbar, factor = draw_moments(inj.distribution, m, n, seed)
+    return MomentSet(forest.load_ids, *voltage_moments(forest, inj, zbar, factor), m=m)
 
 
 def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate=True):

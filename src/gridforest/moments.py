@@ -7,9 +7,9 @@ is observed; k columns), with covariance ``rows · rowsᵀ``.  The sources fill
 ``rows`` without forming that covariance: population moments take the rows
 of the forward map (k = 2n), finite samples their centred values divided by
 √m (k = m, divisor m, matching the estimators the learners are defined
-with), and a sweep cell the rows of the forward map times a factor of the
-draws' own covariance (k = min(m, 2n)).  So learners run identically in
-empirical and analytic mode.
+with), and a sweep cell past m = 2n the voltages of the columns of a
+Cholesky factor of its draws' covariance (k = 2n).  So learners run
+identically in empirical and analytic mode.
 
 Only the eps block ``cov_eps`` is formed, once, because parent selection
 reads it whole.  Each learner reads the statistics of all the (child,

@@ -14,18 +14,15 @@ call, so the samples do not depend on the BLAS thread count.
 Each node's injection pair is its mean plus its Cholesky factor times two
 standard draws z1, z2 (``_cholesky``), so a row of draws z = [z1, z2] maps
 to the voltages [eps, theta] = z A + [Re c, Im c], with A real (2n x 2n)
-and c = T_z (mu_p - j mu_q).  Draws with mean zbar and covariance L L^T
-give voltages with the mean of the mean injection, one vector sweep, and
-the covariance factor rows L, with rows = A^T node-major: T_z is
-symmetric, so ``voltage_factor`` sweeps blocks of unit columns and scales
-them by those columns' factors.  ``moments.MomentSet`` holds that factor.
-The population moments, the samples and the sample moments are that map
-under three draw statistics: ``analytic_moments`` takes the draws' zero
-mean and unit covariance (L = I), ``sample_voltages`` sweeps blocks of the
-samples' injections, and a sweep cell takes the draws' own divisor-m mean
-and a factor L of their covariance from ``draw_moments``, which computes
-them from the distribution, m, n and the seed alone, without the (m, n)
-voltages.
+and c = T_z (mu_p - j mu_q).  Every moment source sweeps injections, and
+none multiplies by A.  ``sample_voltages`` sweeps the samples' draws, and
+a sweep cell with m <= 2n takes those samples' moments.  Past 2n a cell
+takes the draws' mean and the Cholesky factor L of their covariance
+(``draw_moments``), and ``voltage_moments`` sweeps the mean draw's
+injection and, for the factor A^T L, the zero-mean injections of L's
+columns.  The population moments (``analytic_moments``) have L = I: T_z is
+symmetric, so A^T is swept as unit columns scaled by their loads' factors,
+n columns rather than 2n.  ``moments.MomentSet`` holds the factor.
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -33,18 +30,19 @@ all vectors and matrices here cover load nodes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples, TooFewSamples
+from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples
 from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
 
-# Complex entries per block that voltage_factor and sample_voltages sweep at
-# once: 1 MB, about a third of a 600-load factor's bytes.  Past 724 loads the
-# factor sweeps an eighth of its columns at once, so at most eight sweeps.
+# Complex entries per block that analytic_moments and _sweeps sweep at once:
+# 1 MB, about a third of a 600-load factor's bytes.  Past 724 loads the
+# population factor sweeps an eighth of its columns at once, so at most
+# eight sweeps.
 _SWEEP_BLOCK = 1 << 16
 
 # Entries of standard draws per block that draw_moments adds into its Gram
@@ -204,11 +202,20 @@ def _injections(inj: InjectionModel, z1, z2) -> np.ndarray:
     return (inj.mu_p + a11 * z1) - 1j * (inj.mu_q + a21 * z1 + a22 * z2)
 
 
-def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
-    """``(mu_eps, mu_theta, rows)`` of the voltages of draws [z1, z2] with mean
-    ``zbar``: the mean, one sweep of the draws' mean injection, and the
-    node-major factor ``rows`` (2n x 2n, eps rows first), so that draws with
-    covariance L L^T give the voltage covariance factor rows L.
+def _sweeps(forest: RadialForest, inj: InjectionModel, z1, z2):
+    """``(block, v)`` per block of rows of the standard draws z1, z2 (k, n):
+    v (n, rows) is the voltages eps + j theta of the block's injections, one
+    sweep, each column with the same bits whatever the block."""
+    height = max(1, _SWEEP_BLOCK // inj.n)
+    for j0 in range(0, len(z1), height):
+        b = slice(j0, j0 + height)
+        yield b, apply_path_inverse(forest, _injections(inj, z1[b], z2[b]).T)
+
+
+def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
+    """Exact voltage moments induced by an injection model: the mean, one
+    sweep of the mean injection, and the node-major factor ``rows`` (2n x 2n,
+    eps rows first) of the draws' unit covariance, rows = A^T.
 
     Columns k and n + k of rows are the voltages of a unit z1 and z2 draw
     at load k: column k of T_z scaled by load k's factors.  A block of
@@ -217,7 +224,7 @@ def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
     """
     inj = inj.for_nodes(forest.load_ids)
     n = inj.n
-    mu = apply_path_inverse(forest, _injections(inj, zbar[:n], zbar[n:]))
+    mu = apply_path_inverse(forest, _injections(inj, 0.0, 0.0))
     a11, a21, a22 = _cholesky(inj)
     rows = np.empty((2 * n, 2 * n))
     quarter = rows.reshape(2, n, 2, n)  # quarter[e, :, c] is rows' (e, c) quarter
@@ -230,15 +237,24 @@ def voltage_factor(forest: RadialForest, inj: InjectionModel, zbar):
         quarter[0, :, 1, j] = a22[j] * tx
         quarter[1, :, 0, j] = a11[j] * tx - a21[j] * tr
         quarter[1, :, 1, j] = -(a22[j] * tr)
+    return AnalyticMoments(forest.load_ids, mu.imag, mu.real, rows)
+
+
+def voltage_moments(forest: RadialForest, inj: InjectionModel, zbar, factor):
+    """``(mu_eps, mu_theta, rows)`` of draws [z1, z2] with mean ``zbar`` and
+    covariance factor L (``factor``, 2n rows, z1's first): the mean is one
+    sweep of the mean draw's injection, and by linearity rows = A^T L (eps
+    rows first) is the voltages of the zero-mean injections of L's columns,
+    swept in blocks of columns."""
+    inj = inj.for_nodes(forest.load_ids)
+    n = inj.n
+    mu = apply_path_inverse(forest, _injections(inj, zbar[:n], zbar[n:]))
+    rows = np.empty((2 * n, factor.shape[1]))
+    centred = replace(inj, mu_p=np.zeros(n), mu_q=np.zeros(n))
+    for b, v in _sweeps(forest, centred, factor[:n].T, factor[n:].T):
+        rows[:n, b] = v.real
+        rows[n:, b] = v.imag
     return mu.real, mu.imag, rows
-
-
-def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
-    """Exact voltage moments induced by an injection model: ``voltage_factor``
-    of the draws' zero mean; their unit covariance (L = I) leaves its rows
-    the covariance factor."""
-    mu_eps, mu_theta, rows = voltage_factor(forest, inj, np.zeros(2 * forest.n_loads))
-    return AnalyticMoments(forest.load_ids, mu_theta, mu_eps, rows)
 
 
 def sample_voltages(forest: RadialForest, inj: InjectionModel, m: int, seed) -> VoltageSamples:
@@ -256,39 +272,26 @@ def sample_voltages(forest: RadialForest, inj: InjectionModel, m: int, seed) -> 
     # one (2, m, n) draw is the same stream as two sequential (m, n) draws
     z1, z2 = _standard_draws(rng, inj.distribution, (2, m, n))
     eps, theta = np.empty((m, n)), np.empty((m, n))
-    height = max(1, _SWEEP_BLOCK // n)
-    for j0 in range(0, m, height):
-        b = slice(j0, j0 + height)
-        v = apply_path_inverse(forest, _injections(inj, z1[b], z2[b]).T)
+    for b, v in _sweeps(forest, inj, z1, z2):
         eps[b] = v.real.T
         theta[b] = v.imag.T
     return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)
 
 
 def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Divisor-m mean ``zbar`` (2n,) and a factor ``L`` of the divisor-m
-    covariance S = L L^T of the m rows of standard draws z = [z1, z2] that
-    ``sample_voltages`` maps for n loads and ``seed``.  L has min(m, 2n)
-    columns.
+    """Divisor-m mean ``zbar`` (2n,) and the Cholesky factor ``L`` (2n x 2n)
+    of the divisor-m covariance S = L L^T of the m rows of standard draws
+    z = [z1, z2] that ``sample_voltages`` maps for n loads and ``seed``.
+    S is singular unless m > 2n, so a smaller m is a ValueError.
 
-    When m > 2n, z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)``
-    rows, the same stream as ``sample_voltages``' single draw.  Each block
-    [z1 | z2] is added into the uncentred Gram matrix G = z^T z and the
-    column sums, S = G/m - zbar^T zbar is formed in G's own storage, and L
-    is its Cholesky factor (2n columns).  When m <= 2n, S is singular, and
-    L is the centred draws z^T over sqrt(m) (m columns), drawn as
-    ``sample_voltages`` draws them.
+    z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
+    stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is
+    added into the uncentred Gram matrix G = z^T z and the column sums, and
+    S = G/m - zbar^T zbar is formed in G's own storage.
     """
-    if m < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {m}")
-    rng = np.random.default_rng(seed)
     if m <= 2 * n:
-        # (2, n, m) to (2n, m): z1's rows, then z2's
-        z = _standard_draws(rng, distribution, (2, m, n)).transpose(0, 2, 1).reshape(2 * n, m)
-        zbar = z.mean(axis=1)
-        z -= zbar[:, None]
-        z /= np.sqrt(m)
-        return zbar, z
+        raise ValueError(f"draw_moments needs m > 2n: S is singular at m = {m}, n = {n}")
+    rng = np.random.default_rng(seed)
     z1 = _standard_draws(rng, distribution, (m, n))
     rows = _draw_rows(n)
     block = np.empty((min(rows, m), 2 * n))

@@ -12,17 +12,19 @@ oracle keeps it too, on the dense oracle T_z: the complex second moments of
 u through T_z, with the real blocks read off.
 The forward-model oracle solves one injection vector pair by the package's
 complex tree sweep.
-The sampled-moments oracle forms the samples that the sweep cells skip.
+The sampled-moments oracle takes the moments of the samples themselves,
+which a sweep cell past m = 2n never forms.
 The folded-map oracle forms the dense real map from a row of standard
 draws to the voltages, on ``h_inverse_matrix``, which the package no longer
 forms.  The one-pass blocked-moments oracle draws and maps in one function
-the mean and factor a sweep cell takes from ``draw_moments`` and
-``voltage_factor``: the factor is that dense map, and the mean the
-forward-model oracle's solve of the draws' mean injection.  Its draw step
-centres the Gram matrix as one whole-matrix expression, as
-``draw_moments`` did before it centred it in place.  The moment-blocks
-oracle forms the whole voltage covariance from a factor, which the package
-never does.
+the mean and the draw covariance S of a sweep cell past m = 2n: the map is
+that dense A^T, and the mean the forward-model oracle's solve of the draws'
+mean injection.  Its draw step centres the Gram matrix as one whole-matrix
+expression, as ``draw_moments`` did before it centred it in place.  The
+swept-factor oracle sweeps the zero-mean injections of all the columns of
+a draw factor L as one block, where the package sweeps blocks of them.
+The moment-blocks oracle forms the whole voltage covariance from a factor,
+which the package never does.
 The path-entry and descendant oracles walk the parent and children links.
 The sorted samples-CSV oracle reads the file as one block and assembles it by
 whole-file sorts, as the reader did before it placed each block at its cells.
@@ -298,11 +300,12 @@ def folded_map(forest, inj):
 
 
 def one_pass_sample_moments(forest, inj, m: int, seed):
-    """Oracle for a sweep cell's moments (``experiments.empirical_moments``):
-    ``(mu_eps, mu_theta, rows, s)`` in one pass, with the dense map A^T of
-    ``folded_map`` as the rows and the blocked draw covariance ``s``, so that
-    the voltage covariance is rows · s · rows^T, and the means solved for
-    the draws' mean injection by ``solve_lcpf``."""
+    """Oracle for a sweep cell's moments past m = 2n
+    (``experiments.empirical_moments``): ``(mu_eps, mu_theta, rows, s)`` in
+    one pass, with the dense map A^T of ``folded_map`` as the rows and the
+    blocked draw covariance ``s``, so that the voltage covariance is
+    rows · s · rows^T, and the means solved for the draws' mean injection
+    by ``solve_lcpf``."""
     inj = inj.for_nodes(forest.load_ids)
     n = inj.n
     zbar, s = blocked_draw_moments(inj.distribution, m, n, seed)
@@ -311,6 +314,20 @@ def one_pass_sample_moments(forest, inj, m: int, seed):
     q = inj.mu_q + a21 * zbar[:n] + a22 * zbar[n:]
     mu_theta, mu_eps = solve_lcpf(forest, p, q)
     return mu_eps, mu_theta, np.ascontiguousarray(folded_map(forest, inj)[0].T), s
+
+
+def swept_factor(forest, inj, factor) -> np.ndarray:
+    """Oracle for a sweep cell's covariance factor past m = 2n
+    (``powerflow.voltage_moments``): one ``apply_path_inverse`` of the
+    zero-mean injections of all the columns of the draw factor L (z1 rows
+    first), the real parts over the imaginary parts."""
+    inj = inj.for_nodes(forest.load_ids)
+    n = inj.n
+    a11, a21, a22 = (f[:, None] for f in injection_factors(inj))
+    zero = np.zeros((n, 1))  # the zero means, added as the package adds them
+    z1, z2 = factor[:n], factor[n:]
+    v = apply_path_inverse(forest, (zero + a11 * z1) - 1j * (zero + a21 * z1 + a22 * z2))
+    return np.concatenate([v.real, v.imag])
 
 
 def moment_blocks(moments) -> dict:

@@ -311,9 +311,9 @@ def test_edge_stats_match_scalar_bit_for_bit():
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
 @pytest.mark.parametrize("m", [2, 599, 600, 601, 15_000], ids=["2", "2n-1", "2n", "2n+1", "50n"])
 def test_sweep_cell_edge_stats_match_one_pair_bit_for_bit(m, dist):
-    # a sweep cell's set, the forward map's rows times a factor of the
-    # draws' covariance, on both sides of m = 2n: each edge reads the same
-    # in a block of edges as alone
+    # a sweep cell's set on both sides of m = 2n, its samples' own moments
+    # and then the swept factor of its draws' covariance: each edge reads
+    # the same in a block of edges as alone
     forest, inj = synth_feeder(FeederSpec(300, n_trees=3), 3)
     assert 2 * forest.n_loads == 600
     inj = dataclasses.replace(inj, distribution=dist)

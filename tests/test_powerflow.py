@@ -19,6 +19,7 @@ from gridforest.errors import (
     TooFewSamples,
 )
 from gridforest.experiments import empirical_moments
+from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, apply_path_inverse, build_forest
 from gridforest.powerflow import (
     InjectionModel,
@@ -46,6 +47,7 @@ from conftest import (
     restrict_samples,
     sampled_moments,
     solve_lcpf,
+    swept_factor,
 )
 
 
@@ -366,19 +368,22 @@ def test_sampler_matches_complex_reference(spec, dist):
 )
 def test_sweep_blocks_give_the_same_bits(spec, monkeypatch):
     # one column (or sample) per sweep, seven, and all of them: the factor is
-    # the dense map's A^T and the samples are one set of bits, whatever the
-    # block (below 16 loads the factor's floor of an eighth of its columns
-    # is one column)
+    # the dense map's A^T, and the samples and a sweep cell's factor past
+    # m = 2n are each one set of bits, whatever the block (below 16 loads
+    # the factor's floor of an eighth of its columns is one column)
     forest, inj = synth_feeder(spec, 5)
     n, m = forest.n_loads, 50
+    assert m > 2 * n
     want = np.ascontiguousarray(folded_map(forest, inj)[0].T)
-    samples = []
+    samples, cells = [], []
     for width in (1, 7, max(n, m)):
         monkeypatch.setattr(powerflow, "_SWEEP_BLOCK", width * n)
         assert analytic_moments(forest, inj).rows.tobytes() == want.tobytes()
         s = sample_voltages(forest, inj, m, seed=5)
         samples.append(s.eps.tobytes() + s.theta.tobytes())
+        cells.append(empirical_moments(forest, inj, m, 5).rows.tobytes())
     assert samples[0] == samples[1] == samples[2]
+    assert cells[0] == cells[1] == cells[2]
 
 
 def test_factor_peak_memory_is_near_its_own_bytes():
@@ -407,19 +412,45 @@ print(hashlib.sha256(s.eps.tobytes() + s.theta.tobytes()).hexdigest())
 """
 
 
-def test_samples_do_not_depend_on_the_blas_thread_count():
-    # the sweeps make no BLAS call, so OpenBLAS's thread count cannot change
-    # how the samples' sums are split; each count runs in a fresh process
+def _digests_by_blas_threads(script: str) -> set[str]:
+    """The output of ``script`` run with OpenBLAS at one thread and at two,
+    each count in a fresh process: one entry per distinct output."""
     src = str(Path(gridforest.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         out = subprocess.run(
-            [sys.executable, "-c", _SAMPLES_DIGEST],
+            [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         digests.add(out.stdout.strip())
+    return digests
+
+
+def test_samples_do_not_depend_on_the_blas_thread_count():
+    # the sweeps make no BLAS call, so OpenBLAS's thread count cannot change
+    # how the samples' sums are split
+    digests = _digests_by_blas_threads(_SAMPLES_DIGEST)
+    assert len(digests) == 1, digests
+
+
+_CELL_DIGEST = """
+import hashlib
+from gridforest.experiments import empirical_moments
+from gridforest.synth import FeederSpec, synth_feeder
+forest, inj = synth_feeder(FeederSpec(500, n_trees=5, extra_lines=125, max_children=5), 1)
+for m in (400, 1000):
+    ms = empirical_moments(forest, inj, m, [1, m])
+    data = ms.rows.tobytes() + ms.mu_eps.tobytes() + ms.mu_theta.tobytes()
+    print(m, hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_cell_moments_up_to_2n_do_not_depend_on_the_blas_thread_count():
+    # up to m = 2n a sweep cell's rows and means are its samples' own, which
+    # no BLAS call splits (its cov_eps is a BLAS product, and is not read here)
+    digests = _digests_by_blas_threads(_CELL_DIGEST)
     assert len(digests) == 1, digests
 
 
@@ -459,8 +490,9 @@ def assert_moments_from_draws(spec, hidden, m, dist):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
 
 
-# sample counts on both sides of 2n, where a sweep cell's draw factor turns
-# from the centred draws (m columns) to the Cholesky factor (2n columns)
+# sample counts on both sides of 2n, where a sweep cell turns from its
+# samples' own moments (m columns) to the swept Cholesky factor of its
+# draws' covariance (2n columns)
 _SIDES_OF_2N = pytest.mark.parametrize("count", ["2", "2n-1", "2n", "2n+1", "50n"])
 
 
@@ -486,14 +518,36 @@ def test_moments_from_draws_on_both_sides_of_2n(spec, hidden, count, dist):
 @_SIDES_OF_2N
 @pytest.mark.parametrize("n", [13, 29, 200])
 def test_draw_factor_is_the_blocked_covariance(n, count, dist):
-    # L L^T is the blocked Gram matrix's S, and L has min(m, 2n) columns:
-    # the centred draws up to m = 2n, the Cholesky factor of S past it
+    # past m = 2n, L L^T is the blocked Gram matrix's S and L is its (2n x
+    # 2n) Cholesky factor; up to 2n, S is singular and draw_moments rejects m
     m = _sample_count(count, n)
+    if m <= 2 * n:
+        with pytest.raises(ValueError, match=f"at m = {m}, n = {n}$"):
+            draw_moments(dist, m, n, [5, m])
+        return
     want_zbar, s = blocked_draw_moments(dist, m, n, [5, m])
     zbar, factor = draw_moments(dist, m, n, [5, m])
-    assert factor.shape == (2 * n, min(m, 2 * n))
+    assert factor.shape == (2 * n, 2 * n)
     np.testing.assert_allclose(zbar, want_zbar, rtol=0, atol=1e-12 * np.abs(want_zbar).max())
     np.testing.assert_allclose(factor @ factor.T, s, rtol=0, atol=1e-12 * np.abs(s).max())
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("count", ["2", "2n-1", "2n"])
+@pytest.mark.parametrize(
+    "spec",
+    [preset("bus_13_3"), preset("bus_29_1"), FeederSpec(n_loads=200, n_trees=2)],
+    ids=["n13", "n29", "n200"],
+)
+def test_cell_up_to_2n_is_its_samples_moments(spec, count, dist):
+    # up to m = 2n a sweep cell's moments are those of its samples, bit for bit
+    forest, inj = _tagged_feeder(spec, dist)
+    m, seed = _sample_count(count, forest.n_loads), [5, 2]
+    got = empirical_moments(forest, inj, m, seed)
+    want = MomentSet.from_samples(sample_voltages(forest, inj, m, seed))
+    assert got.m == m and got.rows.shape == (2 * forest.n_loads, m)
+    for a, b in ((got.rows, want.rows), (got.mu_eps, want.mu_eps), (got.mu_theta, want.mu_theta)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
@@ -515,13 +569,13 @@ def test_draw_rows_keep_the_paper_blocks_above_a_floor():
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("spec", [preset("bus_13_3"), preset("bus_29_1")], ids=["n13", "n29"])
 def test_draw_then_fold_is_the_one_pass_moments(spec, extra, dist):
-    # a sweep cell's draw step and forward-map factor, composed, are bit for
-    # bit the one-pass blocked moments, on each side of the first draw-block
-    # boundary
+    # a sweep cell's draw step and swept factor, composed, are bit for bit
+    # the one-pass blocked means and one whole-block sweep of the Cholesky
+    # factor's columns, on each side of the first draw-block boundary
     forest, inj = _tagged_feeder(spec, dist)
     m, seed = _draw_rows(forest.n_loads) + extra, [7, 1]
     mu_eps, mu_theta, rows, s = one_pass_sample_moments(forest, inj, m, seed)
-    want = (mu_eps, mu_theta, rows @ np.linalg.cholesky(s))
+    want = (mu_eps, mu_theta, swept_factor(forest, inj, np.linalg.cholesky(s)))
     zbar, factor = draw_moments(dist, m, forest.n_loads, seed)
     assert zbar.shape == (2 * forest.n_loads,) and factor.shape == (2 * forest.n_loads,) * 2
     got = empirical_moments(forest, inj, m, seed)
@@ -556,7 +610,7 @@ def test_draw_moments_centre_in_place_bit_for_bit(n, dist):
 def test_moments_from_draws_need_two_samples():
     forest, inj = synth_feeder(preset("bus_13_3"), 5)
     with pytest.raises(TooFewSamples):
-        draw_moments(inj.distribution, 1, forest.n_loads, 0)
+        empirical_moments(forest, inj, 1, 0)
 
 
 def test_empirical_matches_analytic_at_clt_scale(chain2):
