@@ -12,10 +12,13 @@ byte-identical curves.csv files.
 
 The cells are independent, so ``run_experiment`` lists them first and maps
 ``_run_cell`` over them, which draws, learns and scores one cell from the
-forest, the task and the cell alone.  ``parallel.ordered_map`` runs them, in
-chunks of consecutive cells, in a pool of worker processes (one per usable
-CPU, a cgroup CPU quota counted) or in process, and the report takes their
-results in cell order, so it does not depend on the number of workers.
+forest, the task and the cell alone.  ``parallel.ordered_map`` runs them in
+a pool of worker processes (one per usable CPU, a cgroup CPU quota counted)
+or in process.  The pool takes them heaviest first: in descending m, ties in
+grid order, in chunks of consecutive cells of that order, so the last chunks
+are the light ones and the workers finish together.  Each result goes back
+to its cell's place in the grid, so the report takes them in grid order and
+does not depend on the number of workers.
 
 ``run_learner`` is the one learner path: it maps a task (``learn``,
 ``learn-params``, ``learn-missing``) to its learner, reads the priors
@@ -228,10 +231,11 @@ def score(truth: RadialForest, parent, parts, inj: InjectionModel | None = None)
 # -- cells ------------------------------------------------------------------------------
 
 
-# The pool takes the cells in chunks of consecutive cells, one chunk length
-# per sweep: about _CHUNKS_PER_WORKER chunks per worker, so the work
-# balances.  A task per cell costs a round trip through the pool per cell,
-# which took back most of the gain on a shared 2-CPU machine.
+# The pool takes the cells, heaviest first, in chunks of consecutive cells,
+# one chunk length per sweep: about _CHUNKS_PER_WORKER chunks per worker, so
+# the light chunks at the end even out the workers' loads.  A task per cell
+# costs a round trip through the pool per cell, which took back most of the
+# gain on a shared 2-CPU machine.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -249,17 +253,29 @@ def _run_cell(forest: RadialForest, task: str, cell) -> tuple[str | None, dict]:
 
 
 def _map_cells(run, cells) -> list:
-    """``run`` of each cell, in cell order, through ``parallel.ordered_map``
-    in chunks of consecutive cells."""
+    """``run`` of each cell, in cell order, through ``parallel.ordered_map``.
+
+    The map takes the cells heaviest first (longest processing time first):
+    in descending m, a cell's draw count and so its cost, since every cell
+    of a sweep shares n and the task.  The sort is stable, so cells of equal
+    m keep their grid order.  The pool takes them in chunks of consecutive
+    cells of that order, and each result is put back at its cell's index.
+    """
+    order = sorted(range(len(cells)), key=lambda i: -cells[i][2])
     length = max(1, len(cells) // (_CHUNKS_PER_WORKER * usable_cpus()))
-    return list(ordered_map(run, cells, chunksize=length))
+    heaviest_first = list(ordered_map(run, [cells[i] for i in order], chunksize=length))
+    results = [None] * len(cells)
+    for i, result in zip(order, heaviest_first):
+        results[i] = result
+    return results
 
 
 def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
     """Sweep the grid, score each cell, optionally write curves.csv.
 
     The cells are listed first, in grid order, and run by ``_map_cells``,
-    possibly in worker processes; the report takes their results in cell
+    possibly in worker processes, which runs the heaviest (largest m) first
+    and returns the results in grid order; the report takes them in that
     order.
     """
     config.validate()

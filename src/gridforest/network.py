@@ -252,9 +252,9 @@ class RadialForest:
         adds the shared-path weights in root-to-leaf order.
 
         No program path calls it: only the test oracles and perfbench's
-        tracer do, and deleting it waits for the benchmark change that
-        re-bases the tracer (ROADMAP item 1, step 3).  ``kind`` must be
-        "z"; the argument stays because the tracer passes it on.
+        tracer do, and deleting it (ROADMAP item 3) waits for the benchmark
+        change that re-bases the tracer (ROADMAP item 1, step 2).  ``kind``
+        must be "z"; the argument stays because the tracer passes it on.
         """
         if kind != "z":
             raise ValueError(f"only the complex path-sum matrix is built, got kind {kind!r}")

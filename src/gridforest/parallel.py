@@ -19,7 +19,6 @@ such workers import the package once per map.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,13 +28,15 @@ _START_METHOD = "fork" if sys.version_info < (3, 12) else "forkserver"
 
 def _cpu_quota(quota: str, period: str) -> int | None:
     """The CPUs a cgroup CPU quota allows, ``ceil(quota / period)``; None for
-    no cap, a quota of ``max`` (cgroup v2) or -1 (v1).  The arguments are the
-    texts of v2's ``cpu.max`` fields or of v1's ``cpu.cfs_quota_us`` and
+    no cap, a quota of ``max`` (cgroup v2) or -1 (v1), and for no readable
+    cap, a quota or period that is not a positive integer.  The arguments are
+    the texts of v2's ``cpu.max`` fields or of v1's ``cpu.cfs_quota_us`` and
     ``cpu.cfs_period_us``."""
-    quota = quota.strip()
-    if quota in ("max", "-1"):
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:  # max, or not a number
         return None
-    return max(1, math.ceil(int(quota) / int(period)))
+    return -(-quota // period) if quota > 0 and period > 0 else None
 
 
 def _cgroup_cpus(root="/sys/fs/cgroup") -> int | None:

@@ -413,14 +413,49 @@ def test_pooled_and_in_process_sweeps_agree_bit_for_bit(
     assert pooled.failures == alone.failures
 
 
+def test_the_pool_takes_the_heaviest_cells_first(monkeypatch):
+    # longest processing time first: the map gets the cells in descending m,
+    # ties in grid order, and each result goes back to its own cell
+    submitted = []
+
+    def recording_map(fn, items, chunksize=1):
+        submitted.extend(items)
+        return map(fn, items)
+
+    def cell_names(forest, task, cell):  # a result that names its cell
+        label, _inj, m, seed, _sample_seed, _spec = cell
+        return label, {"m": m, "seed": seed}
+
+    monkeypatch.setattr(experiments, "ordered_map", recording_map)
+    monkeypatch.setattr(experiments, "_run_cell", cell_names)
+    config = fig5_config(seeds=(0, 1))
+    report = run_experiment(config)
+
+    def listed(m_grid):
+        return [
+            (f"learn-missing/h{count}", m, seed)
+            for m in m_grid
+            for seed in config.seeds
+            for count in config.missing_counts
+        ]
+
+    grid = listed(config.m_grid)
+    assert [(c[0], c[2], c[3]) for c in submitted] == listed(config.m_grid[::-1])
+    assert report.failures == [(t, m, s, t) for (t, m, s) in grid]
+    assert report.rows == [
+        row for (t, m, s) in grid for row in ((t, m, s, "m", m), (t, m, s, "seed", s))
+    ]
+
+
 @_START_METHODS
 @pytest.mark.parametrize(
-    "fail", [None, ("learn-missing/h3", 400)], ids=["completes", "cell_raises"]
+    "fail", [None, ("learn-missing/h3", 6400)], ids=["completes", "cell_raises"]
 )
 def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path, fail, start_method):
     monkeypatch.setattr(parallel, "_START_METHOD", start_method)
     threads = threading.active_count()
-    cells = _track_cells(monkeypatch, tmp_path / "cells", fail)  # fails the third cell
+    # fails the third cell submitted (heaviest first), with cells still queued
+    cells = _track_cells(monkeypatch, tmp_path / "cells", fail)
     _usable_cpus(monkeypatch, 2)
     if fail is None:
         run_experiment(fig5_config(seeds=(0,)))

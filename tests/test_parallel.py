@@ -48,6 +48,13 @@ def _one_cpu():
         ("150000", "100000", 2),  # a part of a CPU counts as one
         ("400000\n", "100000\n", 4),
         ("1000", "100000", 1),  # never less than one
+        # a quota or period that is not a positive integer is no readable cap
+        ("100000", "0", None),
+        ("100000", "-100000", None),
+        ("0", "100000", None),
+        ("-2", "100000", None),
+        ("garbled", "100000", None),
+        ("100000", "1e5", None),
     ],
 )
 def test_cpu_quota_parse(quota, period, cpus):
@@ -69,9 +76,23 @@ def test_cpu_quota_parse(quota, period, cpus):
         ),
         ({"cpu/cpu.cfs_quota_us": "300000\n"}, None),  # no period file
         ({"cpu.max": "garbled\n"}, None),
+        ({"cpu.max": "100000 0\n"}, None),  # a zero period is no readable cap
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "0\n"}, None),
+        ({"cpu.max": "-2 100000\n"}, None),  # nor is a negative quota
+        ({"cpu/cpu.cfs_quota_us": "-2\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        # an unreadable hierarchy leaves the other one's cap
+        (
+            {"cpu.max": "100000 0\n", "cpu/cpu.cfs_quota_us": "200000\n",
+             "cpu/cpu.cfs_period_us": "100000\n"},
+            2,
+        ),
         ({}, None),  # no cgroup files
     ],
-    ids=["v2", "v2-no-cap", "v1", "v1-no-cap", "both", "v1-partial", "garbled", "none"],
+    ids=[
+        "v2", "v2-no-cap", "v1", "v1-no-cap", "both", "v1-partial", "garbled",
+        "v2-zero-period", "v1-zero-period", "v2-negative-quota", "v1-negative-quota",
+        "both-one-unreadable", "none",
+    ],
 )
 def test_cgroup_cpus(tmp_path, files, cpus):
     for name, text in files.items():
