@@ -21,6 +21,7 @@ from .errors import (
     BothRootsFeasible,
     GridForestError,
     IncompleteCover,
+    MalformedJSON,
     NoConsistentPlacement,
     NoRealRoot,
     SingularSystem,
@@ -152,6 +153,15 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _load_network(path):
+    """The --network forest at ``path``, which must hold a load node: every
+    command that reads one works on its loads."""
+    forest = fileio.load_network(path)
+    if not forest.load_ids:
+        raise MalformedJSON(path, "nodes", "network needs at least one load node")
+    return forest
+
+
 def _loads_only(path, data, network, what, hidden=()):
     """``data`` read from ``path``, whose ``node_ids`` must be the loads of
     ``network``; only the ``hidden`` loads may lack ``what``."""
@@ -199,7 +209,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    forest = fileio.load_network(args.network)
+    forest = _load_network(args.network)
     inj = _load_injection(args.inj, forest)
     samples = sample_voltages(forest, inj, args.samples, args.seed)
     out = Path(args.out)
@@ -219,7 +229,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_learn(args) -> int:
     """learn, learn-params and learn-missing: load, learn, score, save."""
-    truth = fileio.load_network(args.network)
+    truth = _load_network(args.network)
     spec = None
     if args.command == "learn-missing":
         spec = fileio.load_missing(args.missing)
@@ -248,7 +258,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    truth = fileio.load_network(args.network)
+    truth = _load_network(args.network)
     parent, parts = fileio.result_from_dict(fileio.load_result(args.result), args.result)
     inj = _load_injection(args.inj, truth) if args.inj else None
     metrics = score(truth, parent, parts, inj)

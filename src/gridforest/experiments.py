@@ -51,7 +51,7 @@ from .powerflow import InjectionModel, analytic_moments, draw_moments, sample_vo
 from .powerflow import voltage_moments
 from .structure import StructureDiagnostics, check_fluctuating, estimate_injection_stats
 from .structure import learn_structure
-from .synth import FeederSpec, choose_hidden, draw_injections, synth_layout
+from .synth import FeederSpec, choose_hidden, draw_injections, preset, synth_layout
 
 TASKS = ("learn", "learn-params", "learn-missing")
 _FRACTION_FLOOR = 1e-300  # the least |truth| fractional_error divides by
@@ -324,8 +324,6 @@ def run_experiment(config: ExperimentConfig, outdir=None) -> MetricsReport:
 
 def fig4_config(seeds=tuple(range(24))) -> ExperimentConfig:
     """Error-decay study on the 13-load / 3-substation synthetic feeder."""
-    from .synth import preset
-
     return ExperimentConfig(
         task="learn",
         feeder=preset("bus_13_3"),
@@ -337,8 +335,6 @@ def fig4_config(seeds=tuple(range(24))) -> ExperimentConfig:
 
 def fig5_config(seeds=tuple(range(24))) -> ExperimentConfig:
     """Missing-data study on the 29-load single-tree synthetic feeder."""
-    from .synth import preset
-
     return ExperimentConfig(
         task="learn-missing",
         feeder=preset("bus_29_1"),

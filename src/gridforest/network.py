@@ -12,7 +12,8 @@ needs.  Products with T_z are two tree sweeps (``apply_path_inverse``), and
 products with its inverse, the reduced Laplacian with weights 1/z, are one
 local sweep over the edges (``apply_local_inverse``), both over the walk
 table the forest records once; dense inversion exists only in the test
-oracles.
+oracles.  That table is the forest's one oriented form: beside it the forest
+keeps only the parent links, line parameters and load order it is built from.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ def line_param_map(lines) -> dict[tuple[int, int], tuple[float, float]]:
 class RadialForest:
     """Validated operational forest: parent links oriented toward each slack.
 
-    Immutable after construction: it holds no cache, so concurrent reads are
-    safe.  ``_walk`` is the table the tree sweeps read: one ``(row, parent
-    row, r + jx)`` entry per load in ``topo_order``, with parent row -1 for a
-    slack.  A construction error carries the ``location`` of the node or line
-    at fault in ``nodes`` or ``lines`` (``errors.located``).
+    Beside its ``nodes`` and ``lines`` it keeps each load's ``parent`` and
+    ``edge_params`` (the (r, x) of its line up), ``topo_order`` (the loads
+    breadth first) and ``_walk``, the table that the tree sweeps and the
+    statistics estimator read: one ``(row, parent row, r + jx)`` entry per
+    load in ``topo_order``, with parent row -1 for a slack; reversed, it is
+    leaf-first.  It holds no cache, so concurrent reads are safe.  A
+    construction error carries the ``location`` of the node or line at fault
+    in ``nodes`` or ``lines`` (``errors.located``).
     """
 
     def __init__(self, nodes, lines):
@@ -153,19 +157,13 @@ class RadialForest:
             adj[ln.b].append((ln.a, ln))
 
         self.parent: dict[int, int] = {}
-        self.children: dict[int, tuple[int, ...]] = {}
-        self.tree_of: dict[int, int] = {}
-        self.depth: dict[int, int] = {}
         self.edge_params: dict[int, tuple[float, float]] = {}  # keyed by child id
-        children_acc: dict[int, list[int]] = {i: [] for i in self.nodes}
         order: list[int] = []  # loads, parents before children
         walk: list[tuple[int, int, complex]] = []  # their sweep entries
         pos = self._loadpos
 
         visited: set[int] = set()
-        for k, slack in enumerate(self.slack_ids):
-            self.tree_of[slack] = k
-            self.depth[slack] = 0
+        for slack in self.slack_ids:
             visited.add(slack)
             frontier = [slack]
             for cur in frontier:  # breadth first: the list grows as it is walked
@@ -177,9 +175,6 @@ class RadialForest:
                         raise located(MultipleSlacksInComponent(msg), "nodes", index[nxt])
                     visited.add(nxt)
                     self.parent[nxt] = cur
-                    children_acc[cur].append(nxt)
-                    self.tree_of[nxt] = k
-                    self.depth[nxt] = self.depth[cur] + 1
                     self.edge_params[nxt] = (ln.r, ln.x)
                     order.append(nxt)
                     walk.append((pos[nxt], pos.get(cur, -1), complex(ln.r, ln.x)))
@@ -190,7 +185,6 @@ class RadialForest:
             msg = f"load nodes {missing} unreachable from any substation"
             raise located(DisconnectedLoadNode(msg), "nodes", index[missing[0]])
 
-        self.children = {i: tuple(c) for i, c in children_acc.items()}
         self.topo_order: tuple[int, ...] = tuple(order)
         self._walk: tuple[tuple[int, int, complex], ...] = tuple(walk)
 
@@ -212,37 +206,31 @@ class RadialForest:
         except KeyError:
             raise UnknownNode(f"{a} is not a load node") from None
 
-    def children_of(self, a) -> tuple[int, ...]:
-        if a not in self.nodes:
-            raise UnknownNode(f"unknown node {a}")
-        return self.children.get(a, ())
-
     def substation_children(self) -> dict[int, tuple[int, ...]]:
-        """Loads directly attached to each slack (the declared prior)."""
-        return {s: self.children_of(s) for s in self.slack_ids}
-
-    # -- path structure ----------------------------------------------------------
-
-    def _lca(self, a, b):
-        if self.tree_of[a] != self.tree_of[b]:
-            return None
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
+        """Loads directly attached to each slack (the declared prior), in
+        ``topo_order``."""
+        out: dict[int, list[int]] = {s: [] for s in self.slack_ids}
+        for a in self.topo_order:
+            if self.parent[a] in out:
+                out[self.parent[a]].append(a)
+        return {s: tuple(c) for s, c in out.items()}
 
     def tree_distance(self, a, b) -> float:
-        """Hop count between two loads; inf across trees."""
+        """Hop count between two loads, walked along their parent links; inf
+        across trees."""
         self.load_index(a)
         self.load_index(b)
-        lca = self._lca(a, b)
-        if lca is None:
-            return math.inf
-        return float(self.depth[a] + self.depth[b] - 2 * self.depth[lca])
+        up, hops = {}, 0  # a and each ancestor -> its hops from a
+        while a is not None:
+            up[a] = hops
+            a, hops = self.parent.get(a), hops + 1
+        hops = 0
+        while b not in up:
+            b = self.parent.get(b)
+            if b is None:  # b's slack is not a's
+                return math.inf
+            hops += 1
+        return float(up[b] + hops)
 
     # -- dense derived matrices (loads only) -------------------------------------------
 

@@ -40,9 +40,7 @@ from .network import RadialForest, apply_path_inverse
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
 
 # Complex entries per block that analytic_moments and _sweeps sweep at once:
-# 1 MB, about a third of a 600-load factor's bytes.  Past 724 loads the
-# population factor sweeps an eighth of its columns at once, so at most
-# eight sweeps.
+# 1 MB, about a third of a 600-load factor's bytes (``_sweep_width``).
 _SWEEP_BLOCK = 1 << 16
 
 # Entries of standard draws per block that draw_moments adds into its Gram
@@ -50,6 +48,14 @@ _SWEEP_BLOCK = 1 << 16
 # block stays in cache whatever m is.  Past 64 loads a block keeps 256 rows:
 # fewer would cost a pass over the whole (2n, 2n) Gram matrix per few rows.
 _DRAW_BLOCK = 1 << 15
+
+
+def _sweep_width(n: int) -> int:
+    """Columns per sweep block for n loads: about ``_SWEEP_BLOCK`` entries,
+    but past 724 loads an eighth of n, so at most eight sweeps cover n
+    columns.  At least one, n = 0 included.  Each column of a sweep has the
+    same bits whatever the width."""
+    return max(1, _SWEEP_BLOCK // max(n, 1), n // 8)
 
 
 def _draw_rows(n: int) -> int:
@@ -206,9 +212,9 @@ def _sweeps(forest: RadialForest, inj: InjectionModel, z1, z2):
     """``(block, v)`` per block of rows of the standard draws z1, z2 (k, n):
     v (n, rows) is the voltages eps + j theta of the block's injections, one
     sweep, each column with the same bits whatever the block."""
-    height = max(1, _SWEEP_BLOCK // inj.n)
-    for j0 in range(0, len(z1), height):
-        b = slice(j0, j0 + height)
+    width = _sweep_width(inj.n)
+    for j0 in range(0, len(z1), width):
+        b = slice(j0, j0 + width)
         yield b, apply_path_inverse(forest, _injections(inj, z1[b], z2[b]).T)
 
 
@@ -228,7 +234,7 @@ def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMomen
     a11, a21, a22 = _cholesky(inj)
     rows = np.empty((2 * n, 2 * n))
     quarter = rows.reshape(2, n, 2, n)  # quarter[e, :, c] is rows' (e, c) quarter
-    width = max(1, _SWEEP_BLOCK // n, n // 8)
+    width = _sweep_width(n)
     for j0 in range(0, n, width):
         j = slice(j0, min(j0 + width, n))
         t = apply_path_inverse(forest, np.eye(n, j.stop - j0, -j0, dtype=complex))

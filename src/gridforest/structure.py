@@ -21,10 +21,10 @@ parameters enter solely in the statistics estimator.
 ``recover_parent_map`` is the one implementation of this pass; the
 line-parameter and hidden-node learners call it too.  Its map is in pop
 order, which is leaf-first (every node pops before its parent); the
-statistics estimator walks a known forest deepest first.  The learners read
-their edges' statistics with one ``MomentSet.edge_stats`` call and carry a
-node's strict-descendant sums of (var_p, var_q, cov_pq) to its parent as
-``desc[parent] += ...``.
+statistics estimator walks a known forest's walk table in reverse, which is
+leaf-first too.  The learners read their edges' statistics with one
+``MomentSet.edge_stats`` call and carry a node's strict-descendant sums of
+(var_p, var_q, cov_pq) to its parent as ``desc[parent] += ...``.
 """
 
 from __future__ import annotations
@@ -271,24 +271,21 @@ def estimate_injection_stats(
         raise UnobservedNode(f"moments missing for nodes {missing}")
 
     diag = EstimationDiagnostics() if diagnostics is None else diagnostics
-    ids = forest.load_ids
-    var_p, var_q, cov_pq = np.zeros((3, forest.n_loads))
-    desc = {a: np.zeros(3) for a in ids}
-    # deepest first; the sort is stable, so siblings' sums add up in id order
-    order = sorted(ids, key=lambda a: -forest.depth[a])
-    eps, theta, cross = momset.edge_stats(order, [forest.parent[a] for a in order])
-    for a, *st in zip(order, eps.tolist(), theta.tolist(), cross.tolist()):
-        own = solve_edge_system(*forest.edge_params[a], *st) - desc[a]
-        k = forest.load_index(a)
-        var_p[k], var_q[k], cov_pq[k] = own
+    ids, n = forest.load_ids, forest.n_loads
+    walk = forest._walk[::-1]  # leaf first: apply_path_inverse's bottom-up order
+    children = [ids[a] for a, _, _ in walk]
+    eps, theta, cross = momset.edge_stats(children, [forest.parent[c] for c in children])
+    # own and strict-descendant sums of (var_p, var_q, cov_pq) by load row;
+    # the extra row, which parent row -1 indexes, is a slack's scratch row
+    own, desc = np.zeros((2, n + 1, 3))
+    for (a, p, z), *st in zip(walk, eps.tolist(), theta.tolist(), cross.tolist()):
+        own[a] = solve_edge_system(z.real, z.imag, *st) - desc[a]
         for j, name in enumerate(("var_p", "var_q")):
-            if own[j] < 0.0:
-                diag.clamped_variances.append((a, name, float(own[j])))
-        var_p[k] = max(var_p[k], 0.0)
-        var_q[k] = max(var_q[k], 0.0)
-        p = forest.parent[a]
-        if forest.is_load(p):
-            desc[p] += np.array([var_p[k], var_q[k], cov_pq[k]]) + desc[a]
+            if own[a, j] < 0.0:
+                diag.clamped_variances.append((ids[a], name, float(own[a, j])))
+                own[a, j] = 0.0
+        desc[p] += own[a] + desc[a]
+    var_p, var_q, cov_pq = own[:n].T.copy()
 
     bound = np.sqrt(var_p) * np.sqrt(var_q)  # var_p * var_q under- or overflows
     for k, a in enumerate(ids):

@@ -25,7 +25,10 @@ swept-factor oracle sweeps the zero-mean injections of all the columns of
 a draw factor L as one block, where the package sweeps blocks of them.
 The moment-blocks oracle forms the whole voltage covariance from a factor,
 which the package never does.
-The path-entry and descendant oracles walk the parent and children links.
+The path-entry and descendant oracles walk the parent links, and so do the
+shape helpers (``children_map``, ``depths``, ``root_of``), which the forest
+does not keep.  The hop-count oracle searches the raw operational lines
+breadth first.
 The sorted samples-CSV oracle reads the file as one block and assembles it by
 whole-file sorts, as the reader did before it placed each block at its cells.
 The scalar parent-selection oracle takes one pop's row at a time.
@@ -118,15 +121,65 @@ def h_inverse_entry(forest, kind: str, a, b) -> float:
     return sums[meet]
 
 
+@functools.lru_cache(maxsize=64)
+def children_map(forest) -> dict:
+    """Each node, slacks included, mapped to the tuple of its children, from
+    the parent links."""
+    out = {i: [] for i in forest.nodes}
+    for child, par in forest.parent.items():
+        out[par].append(child)
+    return {i: tuple(c) for i, c in out.items()}
+
+
+def depths(forest) -> dict:
+    """Each node's hops up to its slack (0 at a slack), from the parent links."""
+    out = {s: 0 for s in forest.slack_ids}
+    for a in forest.load_ids:
+        path = []
+        while a not in out:
+            path.append(a)
+            a = forest.parent[a]
+        for b in reversed(path):
+            out[b] = out[a] + 1
+            a = b
+    return out
+
+
+def root_of(forest, a):
+    """The slack of ``a``'s tree, from the parent links."""
+    while a in forest.parent:
+        a = forest.parent[a]
+    return a
+
+
+def hop_count(forest, a, b) -> float:
+    """Oracle for ``tree_distance``: the fewest operational lines from ``a``
+    to ``b``, by a breadth-first search of the raw line list; inf when no
+    path joins them."""
+    adj = {i: [] for i in forest.nodes}
+    for ln in forest.lines:
+        if ln.status == "operational":
+            adj[ln.a].append(ln.b)
+            adj[ln.b].append(ln.a)
+    hops, frontier = {a: 0}, [a]
+    for cur in frontier:
+        for nxt in adj[cur]:
+            if nxt not in hops:
+                hops[nxt] = hops[cur] + 1
+                frontier.append(nxt)
+    return float(hops.get(b, math.inf))
+
+
 def descendant_set(forest, a) -> frozenset:
     """Oracle: ``a`` and every load whose path to the slack passes through
-    it, from the children links."""
+    it, from the parent links."""
     forest.load_index(a)
+    children = children_map(forest)
     out, stack = set(), [a]
     while stack:
         cur = stack.pop()
         out.add(cur)
-        stack.extend(forest.children[cur])
+        stack.extend(children[cur])
     return frozenset(out)
 
 
@@ -164,7 +217,7 @@ def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
         raise ValueError("nodes must differ")
     ia = forest.load_index(a)
     ib = forest.load_index(b)
-    if forest.tree_of[a] != forest.tree_of[b]:
+    if root_of(forest, a) != root_of(forest, b):
         raise ValueError(f"nodes {a} and {b} sit in different trees")
     inj = inj.for_nodes(forest.load_ids)
     tz = forest.h_inverse_matrix("z")

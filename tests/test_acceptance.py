@@ -24,6 +24,7 @@ from conftest import (
     moment_blocks,
     pairwise_sqdiff_analytic,
     reduced_laplacian,
+    root_of,
 )
 
 
@@ -302,7 +303,7 @@ def test_criterion_8_invariant_suites():
                 cands = [
                     c
                     for c in forest.load_ids
-                    if c not in desc and forest.tree_of[c] == forest.tree_of[a]
+                    if c not in desc and root_of(forest, c) == root_of(forest, a)
                 ]
                 best = min(cands, key=lambda c: pairwise_sqdiff_analytic(forest, inj, a, c))
                 assert best == b

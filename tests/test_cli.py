@@ -14,7 +14,7 @@ from gridforest.cli import _COMMANDS, LEARNER_ERRORS, _build_parser, _cmd_learn,
 from gridforest.missing import MissingSpec
 from gridforest.synth import choose_hidden
 
-from conftest import magnitude_only, restrict_samples
+from conftest import depths, magnitude_only, restrict_samples
 from test_parallel import _one_cpu
 
 
@@ -457,7 +457,8 @@ def _repeat_node(doc):
 
 def _close_loop(doc):  # a line from a node of depth 2 or more to its grandparent
     forest = fileio.network_from_dict(doc)
-    a = next(i for i in forest.topo_order if forest.depth[i] >= 2)
+    depth = depths(forest)
+    a = next(i for i in forest.topo_order if depth[i] >= 2)
     g = forest.parent[forest.parent[a]]
     doc["lines"].append({"a": a, "b": g, "r": 0.1, "x": 0.1})
     return "lines[26]", f"operational lines close a loop through ({a}, {g})"
@@ -993,6 +994,55 @@ def test_every_command_rejects_an_inj_node_that_is_no_load(tmp_path, capsys, com
     captured = capsys.readouterr()
     assert not captured.out and not out.exists()
     assert captured.err == f"error: {foreign}: node 9999 is not a load of the network\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "learn", "learn-params", "learn-missing", "eval"])
+def test_every_command_rejects_a_network_with_no_load(tmp_path, capsys, command):
+    # a substation alone leaves no load to work on: exit 1 naming the file,
+    # before the other inputs, which all fit that network, are used
+    net = tmp_path / "network.json"
+    net.write_text(json.dumps({"nodes": [{"id": 0, "role": "substation"}], "lines": []}))
+    inj, spec, result = tmp_path / "inj.json", tmp_path / "missing.json", tmp_path / "r.json"
+    inj.write_text(json.dumps({"distribution": "gaussian", "nodes": []}))
+    spec.write_text(json.dumps({"hidden": []}))
+    result.write_text(json.dumps({"edges": [], "substations": [0]}))
+    out = tmp_path / "out"
+    args = {
+        "simulate": ["--samples", "10", "--out", str(out)],
+        "learn": ["--analytic", "--out", str(out)],
+        "learn-params": ["--analytic", "--out", str(out)],
+        "learn-missing": ["--analytic", "--missing", str(spec), "--out", str(out)],
+        "eval": ["--result", str(result)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--network", str(net), "--inj", str(inj), *args]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and not out.exists()
+    assert captured.err == f"error: {net}: nodes: network needs at least one load node\n"
+
+
+def test_inj_nodes_in_any_order_give_the_same_bytes(tmp_path):
+    # an --inj file lists its nodes in any order: reindexed onto the
+    # network's loads, reversed, it samples and learns the same bytes
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    net, inj = str(tmp_path / "network.json"), tmp_path / "injection.json"
+    doc = json.loads(inj.read_text())
+    doc["nodes"].reverse()
+    (tmp_path / "reversed.json").write_text(json.dumps(doc))
+    outputs = {}
+    for name in ("injection", "reversed"):
+        given, out = str(tmp_path / f"{name}.json"), tmp_path / name
+        assert main(["simulate", "--network", net, "--inj", given, "--samples", "60",
+                     "--out", str(out)]) == 0
+        for mode in (["--analytic"], ["--data", str(out / "samples.csv")]):
+            assert main(["learn", "--network", net, "--inj", given, *mode,
+                         "--out", str(out / f"{mode[0][2:]}.json")]) == 0
+        files = ("samples.csv", "analytic.json", "data.json")
+        outputs[name] = [(out / f).read_bytes() for f in files]
+    loads = fileio.load_network(net).load_ids
+    assert fileio.load_injection(inj).node_ids == loads
+    assert fileio.load_injection(tmp_path / "reversed.json").node_ids == loads[::-1]
+    assert outputs["injection"] == outputs["reversed"]
 
 
 @pytest.mark.parametrize("command", ["learn", "learn-params", "learn-missing"])

@@ -14,6 +14,7 @@ from gridforest.structure import estimate_injection_stats
 from gridforest.synth import FeederSpec, draw_injections, synth_feeder, synth_layout
 
 from conftest import (
+    depths,
     estimate_edge_linear,
     magnitude_only,
     quadratic_estimate_edge,
@@ -281,7 +282,7 @@ def test_population_accuracy_on_a_2000_deep_chain():
     # statistics cancel only the edge's own rows, not the whole path
     spec = FeederSpec(2000, n_trees=1, chain_bias=1.0, max_children=1)
     forest, inj = synth_feeder(spec, 1)
-    assert max(forest.depth.values()) == 2000
+    assert max(depths(forest).values()) == 2000
     ms = MomentSet.from_analytic(analytic_moments(forest, inj))
     stats_err = max(injection_errors(estimate_injection_stats(ms, forest), inj).values())
     assert stats_err < 1e-8

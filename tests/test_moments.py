@@ -26,10 +26,12 @@ from gridforest.synth import (
 )
 
 from conftest import (
+    depths,
     descendant_set,
     pairwise_sqdiff_analytic,
     random_feeder,
     restrict_samples,
+    root_of,
 )
 
 
@@ -171,7 +173,7 @@ def test_sqdiff_converges_to_analytic():
     s = sample_voltages(forest, inj, m, seed=17)
     ms = MomentSet.from_samples(s)
     a, b = forest.load_ids[0], forest.load_ids[-1]
-    if forest.tree_of[a] != forest.tree_of[b]:
+    if root_of(forest, a) != root_of(forest, b):
         pytest.skip("cross-tree pair")
     for channel in ("eps", "theta", "cross"):
         ana = pairwise_sqdiff_analytic(forest, inj, a, b, channel)
@@ -259,9 +261,10 @@ def test_edge_stats_on_a_deep_chain():
     # digits
     spec = FeederSpec(1500, n_trees=1, chain_bias=1.0, max_children=1)
     forest, inj = synth_feeder(spec, 1)
-    assert max(forest.depth.values()) == 1500
+    depth = depths(forest)
+    assert max(depth.values()) == 1500
     ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
-    order = sorted(forest.load_ids, key=lambda a: -forest.depth[a])  # leaf first
+    order = sorted(forest.load_ids, key=lambda a: -depth[a])  # leaf first
     eps, _, _ = ms.edge_stats(order, [forest.parent[a] for a in order])
     vp, vq, s = inj.as_maps()
     sums = np.cumsum([(vp[a], vq[a], s[a]) for a in order], axis=0)  # subtree sums

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,11 +24,15 @@ from gridforest.network import (
 from gridforest.synth import FeederSpec, synth_layout
 
 from conftest import (
+    children_map,
     dense_path_matrix,
+    depths,
     descendant_set,
     h_inverse_entry,
+    hop_count,
     random_feeder,
     reduced_laplacian,
+    root_of,
 )
 
 
@@ -157,7 +162,7 @@ def test_h_inverse_matrix_matches_entries(chain4):
     # and "x" path sums exactly
     deep = synth_layout(FeederSpec(n_loads=300, chain_bias=1.0, max_children=1), 5)
     bushy = synth_layout(FeederSpec(n_loads=120, n_trees=4, extra_lines=30), 6)
-    assert max(deep.depth.values()) == 300
+    assert max(depths(deep).values()) == 300
     for forest in (chain4, deep, bushy):
         tz = forest.h_inverse_matrix("z")
         for part, kind in ((tz.real, "r"), (tz.imag, "x")):
@@ -241,7 +246,7 @@ def test_path_set_invariants(seed):
         p = forest.parent[a]
         if forest.is_load(p):
             assert desc(a) < desc(p)
-        sibs = [c for c in forest.children_of(p) if c != a]
+        sibs = [c for c in children_map(forest)[p] if c != a]
         for s in sibs:
             assert desc(a) & desc(s) == set()
 
@@ -251,15 +256,13 @@ def test_path_set_invariants(seed):
 def test_descendant_sets_partition_each_tree(seed):
     forest, _ = random_feeder(seed, n_range=(2, 20))
     for slack in forest.slack_ids:
-        tops = forest.children_of(slack)
+        tops = children_map(forest)[slack]
         union = set()
         for t in tops:
             d = descendant_set(forest, t)
             assert union & d == set()
             union |= d
-        assert union == {
-            a for a in forest.load_ids if forest.tree_of[a] == forest.tree_of[slack]
-        }
+        assert union == {a for a in forest.load_ids if root_of(forest, a) == slack}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -309,5 +312,36 @@ def test_tree_distance(branch_layout):
     assert f.tree_distance(1, 1) == 0
 
 
+def test_tree_distance_counts_the_hops():
+    # the parent walk agrees with a breadth-first search of the lines on
+    # every pair: a == b, pairs that meet below or at the slack, and pairs
+    # across trees
+    kinds = set()
+    for seed in range(12):
+        forest, _ = random_feeder(seed, n_range=(2, 30))
+        for a in forest.load_ids:
+            for b in forest.load_ids:
+                want = hop_count(forest, a, b)
+                assert forest.tree_distance(a, b) == want, (seed, a, b)
+                kinds.add("same" if a == b else "across" if want == math.inf else "within")
+    assert kinds == {"same", "within", "across"}
+
+
 def test_substation_children(branch_layout):
     assert branch_layout.substation_children() == {0: (5,)}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_substation_children_are_the_far_ends_of_the_slacks_lines(seed):
+    # in the order of the line list, which the breadth-first build follows
+    forest, _ = random_feeder(seed)
+    want = {
+        s: tuple(
+            ln.b if ln.a == s else ln.a
+            for ln in forest.lines
+            if ln.status == "operational" and s in (ln.a, ln.b)
+        )
+        for s in forest.slack_ids
+    }
+    assert forest.substation_children() == want
+    assert want == {s: children_map(forest)[s] for s in forest.slack_ids}

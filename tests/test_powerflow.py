@@ -34,6 +34,7 @@ from gridforest.synth import FeederSpec, choose_hidden, preset, synth_feeder
 
 from conftest import (
     dense_path_matrix,
+    depths,
     descendant_set,
     pairwise_sqdiff_analytic,
     random_feeder,
@@ -45,6 +46,7 @@ from conftest import (
     folded_map,
     one_pass_sample_moments,
     restrict_samples,
+    root_of,
     sampled_moments,
     solve_lcpf,
     swept_factor,
@@ -173,7 +175,7 @@ def test_analytic_moments_match_complex_reference(seed):
 def test_analytic_moments_match_complex_reference_on_deep_chain():
     spec = FeederSpec(n_loads=600, n_trees=1, max_children=1, chain_bias=1.0)
     forest, inj = synth_feeder(spec, 1)
-    assert max(forest.depth.values()) == 600
+    assert max(depths(forest).values()) == 600
     assert_matches_reference_moments(forest, inj)
 
 
@@ -225,7 +227,7 @@ def test_parent_is_argmin_over_non_descendants():
                 (
                     c
                     for c in forest.load_ids
-                    if c not in desc and forest.tree_of[c] == forest.tree_of[a]
+                    if c not in desc and root_of(forest, c) == root_of(forest, a)
                 ),
                 key=lambda c: pairwise_sqdiff_analytic(forest, inj, a, c),
             )
@@ -362,28 +364,46 @@ def test_sampler_matches_complex_reference(spec, dist):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [preset("bus_13_3"), FeederSpec(n_loads=15, n_trees=3, extra_lines=5)],
-    ids=["bus_13_3", "n15_3_trees"],
+    "spec, m",
+    [
+        (preset("bus_13_3"), 50),
+        (FeederSpec(n_loads=15, n_trees=3, extra_lines=5), 50),
+        (FeederSpec(n_loads=800, n_trees=8, extra_lines=50), 1700),
+    ],
+    ids=["bus_13_3", "n15_3_trees", "n800_8_trees"],
 )
-def test_sweep_blocks_give_the_same_bits(spec, monkeypatch):
-    # one column (or sample) per sweep, seven, and all of them: the factor is
-    # the dense map's A^T, and the samples and a sweep cell's factor past
-    # m = 2n are each one set of bits, whatever the block (below 16 loads
-    # the factor's floor of an eighth of its columns is one column)
+def test_sweep_blocks_give_the_same_bits(spec, m, monkeypatch):
+    # one column (or sample) per sweep, seven, all of them and the default
+    # width: the factor is the dense map's A^T, and the samples and a sweep
+    # cell's factor past m = 2n are each one set of bits, whatever the
+    # block.  At 800 loads the default width (n // 8 = 100) differs from
+    # the samples' former _SWEEP_BLOCK // n (81), which takes the place of
+    # one and seven there
     forest, inj = synth_feeder(spec, 5)
-    n, m = forest.n_loads, 50
+    n = forest.n_loads
     assert m > 2 * n
     want = np.ascontiguousarray(folded_map(forest, inj)[0].T)
+    narrow = (1, 7) if n < 100 else (powerflow._SWEEP_BLOCK // n,)
     samples, cells = [], []
-    for width in (1, 7, max(n, m)):
-        monkeypatch.setattr(powerflow, "_SWEEP_BLOCK", width * n)
+    for width in (*narrow, max(n, m), None):
+        if width is None:
+            monkeypatch.undo()
+        else:
+            monkeypatch.setattr(powerflow, "_sweep_width", lambda n: width)
         assert analytic_moments(forest, inj).rows.tobytes() == want.tobytes()
         s = sample_voltages(forest, inj, m, seed=5)
         samples.append(s.eps.tobytes() + s.theta.tobytes())
         cells.append(empirical_moments(forest, inj, m, 5).rows.tobytes())
-    assert samples[0] == samples[1] == samples[2]
-    assert cells[0] == cells[1] == cells[2]
+    assert len(set(samples)) == 1 and len(set(cells)) == 1
+
+
+def test_the_sweep_width_is_at_least_one_column():
+    # no load (and no division by zero), the paper's sizes, where both of
+    # the former rules agree, and past 724 loads an eighth of the columns
+    assert powerflow._sweep_width(0) == powerflow._sweep_width(1) == powerflow._SWEEP_BLOCK
+    for n in (13, 83, 600, 724):
+        assert powerflow._sweep_width(n) == powerflow._SWEEP_BLOCK // n
+    assert [powerflow._sweep_width(n) for n in (800, 3000)] == [100, 375]
 
 
 def test_factor_peak_memory_is_near_its_own_bytes():

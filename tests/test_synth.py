@@ -11,6 +11,8 @@ from gridforest.synth import (
     synth_layout,
 )
 
+from conftest import children_map
+
 
 def test_same_seed_same_feeder():
     spec = FeederSpec(n_loads=15, n_trees=2, extra_lines=8)
@@ -37,7 +39,7 @@ def test_preset_shapes():
         assert len(open_lines) == spec.extra_lines
         # every tree holds at least one load
         for s in forest.slack_ids:
-            assert forest.children_of(s)
+            assert children_map(forest)[s]
 
 
 def test_single_edge_feeder():
