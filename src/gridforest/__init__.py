@@ -11,7 +11,6 @@ from .network import (
     line_param_map,
 )
 from .powerflow import (
-    AnalyticMoments,
     InjectionModel,
     VoltageSamples,
     analytic_moments,
@@ -29,7 +28,6 @@ from .synth import FeederSpec, choose_hidden, preset, synth_feeder
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticMoments",
     "EdgeEstimate",
     "FeederSpec",
     "GridForestError",

@@ -31,14 +31,13 @@ from .errors import (
 from .experiments import (
     fig4_config,
     fig5_config,
-    population_moments,
     run_experiment,
     run_learner,
     score,
 )
 from .missing import validate_missing_spec
 from .moments import MomentSet
-from .powerflow import sample_voltages
+from .powerflow import analytic_moments, sample_voltages
 from .synth import FeederSpec, draw_injections, preset, synth_layout
 
 LEARNER_ERRORS = (
@@ -182,11 +181,11 @@ def _load_injection(path, network):
 def _load_momset(args, forest, inj, hidden=()):
     """Population moments of ``inj`` (--analytic) or the moments of the
     --data samples, whose nodes must be the network's loads; the columns of
-    the ``hidden`` ids may be absent.  ``run_learner`` drops the hidden rows."""
+    the ``hidden`` ids may be absent.  learn-missing drops the hidden rows."""
     if args.analytic:
         if inj is None:
             raise CliConfigError("--analytic needs --inj")
-        return population_moments(forest, inj)
+        return analytic_moments(forest, inj)
     samples = _loads_only(args.data, fileio.load_samples(args.data), forest, "samples", hidden)
     return MomentSet.from_samples(samples)
 

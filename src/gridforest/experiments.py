@@ -21,14 +21,14 @@ to its cell's place in the grid, so the report takes them in grid order and
 does not depend on the number of workers.
 
 ``run_learner`` is the one learner path: it maps a task (``learn``,
-``learn-params``, ``learn-missing``) to its learner, reads the priors
-(substation children, line parameters) from the network and drops the
-hidden nodes' rows of the moments for learn-missing.  Each learner keeps
-its own tolerance default, which follows the moments: population moments
-(``m`` None) or samples.  ``score`` turns its result into the metrics.  The
-sweep cells and the command line both call the two with the plain moments
-of every load (the learners register the slacks), and both take population
-moments from ``population_moments``.
+``learn-params``, ``learn-missing``) to its learner and reads the priors
+(substation children, line parameters) from the network.  Each learner
+keeps its own tolerance default, which follows the moments: population
+moments (``m`` None) or samples.  ``score`` turns its result into the
+metrics.  The sweep cells and the command line both call the two with the
+plain moments of every load (the learners register the slacks and
+learn-missing drops the hidden rows), and both take population moments from
+``powerflow.analytic_moments``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from .missing import MissingSpec, learn_with_missing
 from .moments import MomentSet
 from .network import RadialForest, line_key, line_param_map
 from .parallel import ordered_map, usable_cpus
-from .powerflow import InjectionModel, analytic_moments, draw_moments, sample_voltages
-from .powerflow import voltage_moments
+from .powerflow import InjectionModel, draw_moments, sample_voltages, voltage_moments
 from .structure import StructureDiagnostics, check_fluctuating, estimate_injection_stats
 from .structure import learn_structure
 from .synth import FeederSpec, choose_hidden, draw_injections, preset, synth_layout
@@ -121,19 +120,21 @@ class MetricsReport:
 def structural_error(truth: RadialForest, recovered_parent: dict[int, int]) -> float:
     """Fraction of load nodes whose recovered parent differs from the truth.
 
-    Nodes absent from the recovery count as wrong.
+    Nodes absent from the recovery count as wrong; 0.0 over no loads.
     """
     wrong = 0
     for a in truth.load_ids:
         if recovered_parent.get(a) != truth.parent[a]:
             wrong += 1
-    return wrong / truth.n_loads
+    return wrong / truth.n_loads if truth.n_loads else 0.0
 
 
 def fractional_error(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Mean |estimate - truth| / |truth| over entries."""
+    """Mean |estimate - truth| / |truth| over entries; 0.0 over none."""
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
+    if not truth.size:
+        return 0.0
     return float(np.mean(np.abs(estimate - truth) / np.maximum(np.abs(truth), _FRACTION_FLOOR)))
 
 
@@ -167,11 +168,6 @@ def line_errors(estimates, truth: RadialForest) -> dict[str, float]:
 # -- the learner path -------------------------------------------------------------------
 
 
-def population_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
-    """Population moments of the loads."""
-    return MomentSet.from_analytic(analytic_moments(forest, inj))
-
-
 def empirical_moments(forest: RadialForest, inj: InjectionModel, m: int, seed) -> MomentSet:
     """Divisor-m moments of the ``m`` samples ``sample_voltages`` draws with
     ``seed``.  Up to m = 2n they are the samples' own (m columns).  Past it
@@ -192,9 +188,9 @@ def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate
     ``estimate``) and ``score`` scores them.  The priors come from
     ``network``: its substation children and its line parameters.  ``inj``
     are the known injection statistics and ``spec`` the hidden nodes, whose
-    rows of ``momset`` learn-missing drops.  Population moments are those
-    with ``momset.m`` None.  With ``tol_rel`` None each learner takes its
-    default.  The learners register the slacks themselves.
+    rows of ``momset``, if present, learn-missing drops.  Population moments
+    are those with ``momset.m`` None.  With ``tol_rel`` None each learner
+    takes its default.  The learners register the slacks themselves.
     """
     declared, params = network.substation_children(), line_param_map(network.lines)
     diag = StructureDiagnostics()
@@ -210,8 +206,6 @@ def run_learner(task, network, momset, inj, *, spec=None, tol_rel=None, estimate
             momset, vp, vq, declared, rel_tol=tol_rel, diagnostics=diag
         )
         return forest, dict(edge_estimates=estimates, margins=diag.decisions)
-    hidden = set(spec.ids)
-    momset = momset.restrict([i for i in momset.node_ids if i not in hidden])
     forest, diag = learn_with_missing(momset, spec, vp, vq, s, params, declared, tol_rel=tol_rel)
     return forest, dict(events=diag.events)
 

@@ -230,7 +230,7 @@ def save_samples(path, samples: VoltageSamples):
     path = Path(path).resolve()
     eps, theta = samples.eps, samples.theta
     m, n = eps.shape
-    step = max(1, _WRITE_ROWS // n)  # samples per task
+    step = max(1, _WRITE_ROWS // max(n, 1))  # samples per task; no rows at n = 0
     tasks = [
         (j0, eps[j0 : j0 + step], None if theta is None else theta[j0 : j0 + step])
         for j0 in range(0, m, step)

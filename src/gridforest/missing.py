@@ -4,7 +4,9 @@ Hidden nodes are assumed pairwise more than two hops apart and never direct
 substation children, so every hidden node has an observed parent and
 observed children.  True injection covariances of all nodes and the
 parameters of all lines are known inputs here; the learner estimates
-nothing, it only places nodes.
+nothing, it only places nodes.  It drops the hidden nodes' rows of the
+moments when they are there, and takes its order from the parent map of
+``recover_parent_map`` on the observed loads, which is in pop order.
 
 Each time a node is matched to its parent candidate, the measured squared
 difference of their voltage deviations is compared against predictions:
@@ -44,7 +46,6 @@ from .errors import (
 from .moments import MomentSet
 from .network import RadialForest, line_key
 from .structure import (
-    StructureDiagnostics,
     _declared_map,
     check_fluctuating,
     forest_from_parent_map,
@@ -137,22 +138,19 @@ class _MissingLearner:
         self.substation_children = substation_children
         self.declared = _declared_map(substation_children)
         self.slack_ids = tuple(substation_children.keys())
-        self.momset = momset.with_zero_ids(self.slack_ids)
         self.hidden_left = set(missing.ids)
+        observed = [a for a in momset.node_ids if a not in self.hidden_left]
+        self.momset = momset.restrict(observed).with_zero_ids(self.slack_ids)
         self.var_p, self.var_q, self.cov_pq = var_p, var_q, cov_pq
         self.lines = line_params
         self.tol_rel = tol_rel
 
-        observed = set(self.momset.node_ids)
-        overlap = self.hidden_left & observed
-        if overlap:
-            raise AssumptionViolated(f"hidden nodes {sorted(overlap)} have observations")
         hidden_declared = self.hidden_left & set(self.declared)
         if hidden_declared:
             raise AssumptionViolated(
                 f"hidden nodes {sorted(hidden_declared)} declared as substation children"
             )
-        nodes = sorted(observed | self.hidden_left)
+        nodes = sorted(set(observed) | self.hidden_left)
         for name, known in (("var_p", var_p), ("var_q", var_q), ("cov_pq", cov_pq)):
             lacking = [a for a in nodes if a not in known]
             if lacking:
@@ -244,17 +242,15 @@ class _MissingLearner:
     def run(self) -> dict[int, int]:
         # Each non-declared node fires at the pop of its squared-difference
         # argmin among later-popped nodes (the candidate set it would see).
-        # The last pop has no candidates; undeclared, it is left dangling.
-        sdiag = StructureDiagnostics()
+        # The map is in pop order.  The last pop has no candidates;
+        # undeclared, it is left dangling, the one node the map lacks.
         dangling = []
         try:
-            selected = recover_parent_map(
-                self.momset, self.substation_children, diagnostics=sdiag
-            )
+            selected = recover_parent_map(self.momset, self.substation_children)
         except IncompleteCover as exc:
             selected = exc.parent_map
-            dangling.append(sdiag.pop_order[-1])
-        pos = {a: i for i, a in enumerate(sdiag.pop_order)}
+            dangling = [a for a in self.momset.node_ids if a not in selected]
+        pos = {a: i for i, a in enumerate([*selected, *dangling])}
         target = {a: t for a, t in selected.items() if a not in self.declared}
         undeclared = sorted(target, key=lambda a: (pos[target[a]], pos[a]))
 
@@ -308,8 +304,9 @@ def learn_with_missing(
 
     ``var_p`` / ``var_q`` / ``cov_pq`` map node ids to their true values and
     must cover every observed and every hidden load; ``missing`` names the
-    hidden ones.  ``line_params`` maps unordered endpoint pairs to (r, x)
-    for every known line.
+    hidden ones, whose rows of ``momset``, if present, are dropped, so the
+    same forest comes from moments with or without them.  ``line_params``
+    maps unordered endpoint pairs to (r, x) for every known line.
     """
     if tol_rel is None:
         # ~3.9 sigma of the sqdiff statistic's own sampling noise

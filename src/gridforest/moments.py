@@ -3,13 +3,15 @@
 A MomentSet holds the per-node means (``mu_eps``, ``mu_theta``, in
 ``node_ids`` order) and the voltage covariance as one factor: a node-major
 real array ``rows`` (eps rows first, then theta rows when the phase channel
-is observed; k columns), with covariance ``rows · rowsᵀ``.  The sources fill
-``rows`` without forming that covariance: population moments take the rows
-of the forward map (k = 2n), finite samples their centred values divided by
-√m (k = m, divisor m, matching the estimators the learners are defined
-with), and a sweep cell past m = 2n the voltages of the columns of a
-Cholesky factor of its draws' covariance (k = 2n).  So learners run
-identically in empirical and analytic mode.
+is observed; k columns), with covariance ``rows · rowsᵀ``.  Three sources
+build one, each filling ``rows`` without forming that covariance: the
+population moments ``powerflow.analytic_moments`` take the rows of the
+forward map (k = 2n, ``m`` None), ``from_samples`` the samples' centred
+values divided by √m (k = m, divisor m, matching the estimators the
+learners are defined with), and a sweep cell past m = 2n the voltages of
+the columns of a Cholesky factor of its draws' covariance
+(``powerflow.voltage_moments``, k = 2n).  So learners run identically in
+empirical and analytic mode.
 
 Only the eps block ``cov_eps`` is formed, once, because parent selection
 reads it whole.  Each learner reads the statistics of all the (child,
@@ -29,11 +31,14 @@ moments without zero ids: each learner registers the slacks it is given
 from __future__ import annotations
 
 import copy
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import TooFewSamples, UnobservedNode
-from .powerflow import AnalyticMoments, VoltageSamples
+
+if TYPE_CHECKING:
+    from .powerflow import VoltageSamples
 
 # Entries of row differences that edge_stats holds at once per channel:
 # 128 kB whatever k is, so that the learners' edge walk adds little to the
@@ -85,9 +90,15 @@ class MomentSet:
         return cls(samples.node_ids, *means, rows, m=m, zero_ids=zero_ids)
 
     @classmethod
-    def from_analytic(cls, am: AnalyticMoments, zero_ids=()):
-        """Population mode: the rows of the forward map."""
-        return cls(am.node_ids, am.mu_eps, am.mu_theta, am.rows, m=None, zero_ids=zero_ids)
+    def from_analytic(cls, am: MomentSet, zero_ids=()):
+        """``am.with_zero_ids(zero_ids)``: a view of population moments that
+        shares their ``rows`` and ``cov_eps``.
+
+        No program path calls it: only perfbench's workloads do, and deleting
+        it (ROADMAP item 3) waits for the benchmark change that re-bases them
+        (ROADMAP item 1, step 2).
+        """
+        return am.with_zero_ids(zero_ids)
 
     # -- queries ---------------------------------------------------------------------
 

@@ -22,7 +22,8 @@ takes the draws' mean and the Cholesky factor L of their covariance
 injection and, for the factor A^T L, the zero-mean injections of L's
 columns.  The population moments (``analytic_moments``) have L = I: T_z is
 symmetric, so A^T is swept as unit columns scaled by their loads' factors,
-n columns rather than 2n.  ``moments.MomentSet`` holds the factor.
+n columns rather than 2n.  ``moments.MomentSet`` holds the factor, and the
+population moments are one with ``m`` None, ready for every learner.
 
 Substations hold the reference and contribute identically-zero channels, so
 all vectors and matrices here cover load nodes only.
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples
+from .moments import MomentSet
 from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
@@ -170,17 +172,6 @@ class VoltageSamples:
         return self.eps.shape[0]
 
 
-@dataclass(frozen=True)
-class AnalyticMoments:
-    """Population means of (theta, eps) over loads and the node-major factor
-    ``rows`` (2n x 2n, eps rows first) of their covariance rows rows^T."""
-
-    node_ids: tuple[int, ...]
-    mu_theta: np.ndarray
-    mu_eps: np.ndarray
-    rows: np.ndarray
-
-
 def _standard_draws(rng, distribution: str, shape) -> np.ndarray:
     """Zero-mean unit-variance draws from the tagged family."""
     if distribution == "gaussian":
@@ -218,10 +209,11 @@ def _sweeps(forest: RadialForest, inj: InjectionModel, z1, z2):
         yield b, apply_path_inverse(forest, _injections(inj, z1[b], z2[b]).T)
 
 
-def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMoments:
-    """Exact voltage moments induced by an injection model: the mean, one
-    sweep of the mean injection, and the node-major factor ``rows`` (2n x 2n,
-    eps rows first) of the draws' unit covariance, rows = A^T.
+def analytic_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
+    """Exact voltage moments induced by an injection model, as the
+    population ``MomentSet`` of the loads (``m`` None): the mean, one sweep
+    of the mean injection, and the node-major factor ``rows`` (2n x 2n, eps
+    rows first) of the draws' unit covariance, rows = A^T.
 
     Columns k and n + k of rows are the voltages of a unit z1 and z2 draw
     at load k: column k of T_z scaled by load k's factors.  A block of
@@ -243,7 +235,8 @@ def analytic_moments(forest: RadialForest, inj: InjectionModel) -> AnalyticMomen
         quarter[0, :, 1, j] = a22[j] * tx
         quarter[1, :, 0, j] = a11[j] * tx - a21[j] * tr
         quarter[1, :, 1, j] = -(a22[j] * tr)
-    return AnalyticMoments(forest.load_ids, mu.imag, mu.real, rows)
+    t = tr = tx = None  # free the last block's sweep before MomentSet forms cov_eps
+    return MomentSet(forest.load_ids, mu.real, mu.imag, rows)
 
 
 def voltage_moments(forest: RadialForest, inj: InjectionModel, zbar, factor):

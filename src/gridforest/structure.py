@@ -20,7 +20,8 @@ parameters enter solely in the statistics estimator.
 
 ``recover_parent_map`` is the one implementation of this pass; the
 line-parameter and hidden-node learners call it too.  Its map is in pop
-order, which is leaf-first (every node pops before its parent); the
+order, which is leaf-first (every node pops before its parent), and that
+order is what those learners read: they walk the map, not a diagnostic; the
 statistics estimator walks a known forest's walk table in reverse, which is
 leaf-first too.  The learners read their edges' statistics with one
 ``MomentSet.edge_stats`` call and carry a node's strict-descendant sums of
@@ -69,7 +70,6 @@ class EdgeDecision:
 
 @dataclass
 class StructureDiagnostics:
-    pop_order: list[int] = field(default_factory=list)
     decisions: list[EdgeDecision] = field(default_factory=list)
     variance_margins: list[tuple[int, float]] = field(default_factory=list)
 
@@ -106,10 +106,10 @@ def recover_parent_map(
     Pops the observed loads by decreasing eps variance (ties by id) and
     attaches each undeclared pop to the later pop with the smallest squared
     difference, the smallest id among exact ties.  Returns child -> parent
-    over the observed loads, in pop order; declared substation children map
-    to their slack.  Raises IncompleteCover when the last pop is undeclared
-    (its parent would have to be an undeclared slack), carrying every other
-    node's selection.
+    over the observed loads, in pop order, the order the learners read;
+    declared substation children map to their slack.  Raises IncompleteCover
+    when the last pop is undeclared (its parent would have to be an
+    undeclared slack), carrying every other node's selection in pop order.
 
     The squared differences var(a) - 2 cov(a, b) + var(b) are read off the
     eps block ``momset.cov_eps`` for a block of pops at a time, each row
@@ -138,7 +138,6 @@ def recover_parent_map(
     rank[by_pop] = np.arange(n)
     order = ids[by_pop].tolist()
     if diagnostics is not None:
-        diagnostics.pop_order = order
         popped = var[by_pop]
         diagnostics.variance_margins.extend(zip(order, (popped[:-1] - popped[1:]).tolist()))
 

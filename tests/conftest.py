@@ -14,12 +14,13 @@ The forward-model oracle solves one injection vector pair by the package's
 complex tree sweep.
 The sampled-moments oracle takes the moments of the samples themselves,
 which a sweep cell past m = 2n never forms.
-The folded-map oracle forms the dense real map from a row of standard
-draws to the voltages, on ``h_inverse_matrix``, which the package no longer
-forms.  The one-pass blocked-moments oracle draws and maps in one function
-the mean and the draw covariance S of a sweep cell past m = 2n: the map is
-that dense A^T, and the mean the forward-model oracle's solve of the draws'
-mean injection.  Its draw step centres the Gram matrix as one whole-matrix
+The dense path-inverse helper is the package's own sweep applied to the
+identity, the dense T_z that the package no longer forms.  The folded-map
+oracle forms the dense real map from a row of standard draws to the
+voltages on it.  The one-pass blocked-moments oracle draws and maps in one
+function the mean and the draw covariance S of a sweep cell past m = 2n:
+the map is that dense A^T, and the mean the forward-model oracle's solve of
+the draws' mean injection.  Its draw step centres the Gram matrix as one whole-matrix
 expression, as ``draw_moments`` did before it centred it in place.  The
 swept-factor oracle sweeps the zero-mean injections of all the columns of
 a draw factor L as one block, where the package sweeps blocks of them.
@@ -31,7 +32,9 @@ does not keep.  The hop-count oracle searches the raw operational lines
 breadth first.
 The sorted samples-CSV oracle reads the file as one block and assembles it by
 whole-file sorts, as the reader did before it placed each block at its cells.
-The scalar parent-selection oracle takes one pop's row at a time.
+The variance-order oracle sorts the loads by their eps variance, and the
+scalar parent-selection oracle takes one pop's row of that order at a time.
+The one-pair helper reads one pair's statistic by ``MomentSet.edge_stats``.
 The linear edge oracle solves one edge for (r, x) when its covariance sum is
 known too.  The quadratic edge oracle solves one edge for (r, x, cov_pq) as
 a quadratic in r^2, eliminating the covariance sum, against the complex
@@ -89,6 +92,12 @@ def dense_path_matrix(forest, kind: str) -> np.ndarray:
         w[k] = ln.r if kind == "r" else ln.x
     binv = np.linalg.inv(inc)
     return (binv.T * w) @ binv
+
+
+def dense_path_inverse(forest) -> np.ndarray:
+    """The dense complex path-sum matrix T_z: ``apply_path_inverse`` of the
+    identity, so each entry adds its shared-path weights root first."""
+    return apply_path_inverse(forest, np.eye(forest.n_loads))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -220,7 +229,7 @@ def pairwise_sqdiff_analytic(forest, inj, a, b, channel: str = "eps") -> float:
     if root_of(forest, a) != root_of(forest, b):
         raise ValueError(f"nodes {a} and {b} sit in different trees")
     inj = inj.for_nodes(forest.load_ids)
-    tz = forest.h_inverse_matrix("z")
+    tz = dense_path_inverse(forest)
     tr, tx = tz.real, tz.imag
     dr = tr[ia] - tr[ib]
     dx = tx[ia] - tx[ib]
@@ -275,7 +284,7 @@ def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np
     u = np.empty((m, inj.n), dtype=complex)
     u.real = inj.mu_p + a11 * z1
     u.imag = -(inj.mu_q + a21 * z1 + a22 * z2)
-    v = u @ forest.h_inverse_matrix("z")
+    v = u @ dense_path_inverse(forest)
     return v.real, v.imag
 
 
@@ -286,7 +295,7 @@ def reference_analytic_moments(forest, inj) -> dict:
     T_z diag(var_p + var_q) T_z^H and P = E[v v^T] =
     T_z diag(var_p - var_q - 2j cov_pq) T_z^T hold every real block:
     Omega_eps = Re(C + P)/2, Omega_theta = Re(C - P)/2 and E[eps theta^T] =
-    Im(P - C)/2.  Returns the ``AnalyticMoments`` blocks by field name."""
+    Im(P - C)/2.  Returns the means and ``moment_blocks``' blocks by name."""
     inj = inj.for_nodes(forest.load_ids)
     tz = dense_path_matrix(forest, "r") + 1j * dense_path_matrix(forest, "x")
     c = (tz * (inj.var_p + inj.var_q)) @ tz.conj().T
@@ -337,7 +346,7 @@ def blocked_draw_moments(distribution: str, m: int, n: int, seed):
 def folded_map(forest, inj):
     """Oracle: the dense real map (A, c) from one row of standard draws
     [z1, z2] to the voltages, [eps, theta] = [z1, z2] A + [Re c, Im c], on
-    the dense T_z of ``h_inverse_matrix``: the Cholesky factors folded into
+    the dense T_z of ``dense_path_inverse``: the Cholesky factors folded into
     the rows of T_r and T_x,
 
         A = [[a11 T_r + a21 T_x,  a11 T_x - a21 T_r],
@@ -346,7 +355,7 @@ def folded_map(forest, inj):
     (eps columns first), and the mean row c = (mu_p - j mu_q) T_z."""
     inj = inj.for_nodes(forest.load_ids)
     a11, a21, a22 = (f[:, None] for f in injection_factors(inj))
-    tz = forest.h_inverse_matrix("z")
+    tz = dense_path_inverse(forest)
     tr, tx = tz.real, tz.imag
     a = np.block([[a11 * tr + a21 * tx, a11 * tx - a21 * tr], [a22 * tx, -a22 * tr]])
     return a, (inj.mu_p - 1j * inj.mu_q) @ tz
@@ -384,13 +393,10 @@ def swept_factor(forest, inj, factor) -> np.ndarray:
 
 
 def moment_blocks(moments) -> dict:
-    """Oracle: the covariance blocks of an ``AnalyticMoments`` or a
-    ``MomentSet`` over its nodes, by ``AnalyticMoments``' former field names
+    """Oracle: the covariance blocks of a ``MomentSet`` over its nodes
     (``omega_eps``, and with theta ``omega_theta`` and ``omega_eps_theta`` =
     E[eps theta^T]), formed whole as rows · rows^T."""
-    rows = moments.rows
-    if isinstance(moments, MomentSet):
-        rows = rows[moments._rix.ravel()]
+    rows = moments.rows[moments._rix.ravel()]
     cov = rows @ rows.T
     n = len(moments.node_ids)
     blocks = {"omega_eps": cov[:n, :n]}
@@ -577,29 +583,46 @@ def quadratic_estimate_edge(
     )
 
 
+def pair_stat(momset, channel: str, a, b) -> float:
+    """One pair's ``channel`` ("eps", "theta" or "cross") statistic, read by
+    ``MomentSet.edge_stats``; UnobservedNode for theta or cross on a
+    magnitude-only set."""
+    stat = momset.edge_stats((a,), (b,))[("eps", "theta", "cross").index(channel)]
+    if stat is None:
+        raise UnobservedNode(f"{channel} channel not observed")
+    return float(stat[0])
+
+
+def variance_order(momset) -> list:
+    """Oracle: the observed loads by decreasing eps variance, ties by id (the
+    pop order of parent selection)."""
+    loads = set(momset.node_ids) - momset.zero_ids
+    pos = {a: k for k, a in enumerate(momset.node_ids)}
+    return sorted(loads, key=lambda a: (-float(momset.cov_eps[pos[a], pos[a]]), a))
+
+
 def scalar_parent_map(momset, substation_children, *, diagnostics=None) -> dict:
     """Oracle for ``structure.recover_parent_map``: the same selection, one
-    pop at a time, each row of squared differences against the later pops
-    only, with the ties and diagnostics taken from that row alone."""
+    pop of ``variance_order`` at a time, each row of squared differences
+    against the later pops only, with the ties and diagnostics taken from
+    that row alone."""
     declared = _declared_map(substation_children)
-    loads = sorted(set(momset.node_ids) - momset.zero_ids)
-    unknown = [c for c in declared if c not in set(loads)]
+    order = variance_order(momset)
+    unknown = [c for c in declared if c not in set(order)]
     if unknown:
         raise UnobservedNode(f"declared substation children {unknown} not observed")
 
     cov = momset.cov_eps
     pos = {a: k for k, a in enumerate(momset.node_ids)}
-    var_of = {a: float(cov[pos[a], pos[a]]) for a in loads}
-    order = sorted(loads, key=lambda a: (-var_of[a], a))
+    var_of = {a: float(cov[pos[a], pos[a]]) for a in order}
     if diagnostics is not None:
-        diagnostics.pop_order = list(order)
         for i in range(len(order) - 1):
             diagnostics.variance_margins.append(
                 (order[i], var_of[order[i]] - var_of[order[i + 1]])
             )
 
     # Row i holds the squared differences of pop i against every later pop,
-    # in the operation order of the scalar MomentSet.sqdiff.
+    # in the kernel's operation order, var(a) - 2 cov(a, b) + var(b).
     idx = np.array([pos[a] for a in order], dtype=int)
     ids = np.array(order, dtype=int)
     var = np.diag(cov)[idx]

@@ -12,7 +12,6 @@ from gridforest.errors import GridForestError, InfeasibleSpec
 from gridforest.experiments import fig4_config, fig5_config, run_experiment
 from gridforest.lines import estimate_edge
 from gridforest.missing import MissingSpec, learn_with_missing
-from gridforest.moments import MomentSet
 from gridforest.network import line_param_map
 from gridforest.powerflow import analytic_moments
 from gridforest.structure import estimate_injection_stats, learn_structure
@@ -51,7 +50,7 @@ def _random_feeders(count, seed, n_lo=2, n_hi=80, k_hi=11):
 
 
 def _analytic_momset(forest, inj, hidden=()):
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    ms = analytic_moments(forest, inj)
     return ms.restrict(i for i in forest.load_ids if i not in set(hidden))
 
 

@@ -18,7 +18,6 @@ from gridforest.experiments import (
     fig5_config,
     fractional_error,
     injection_errors,
-    population_moments,
     run_experiment,
     run_learner,
     score,
@@ -27,8 +26,8 @@ from gridforest.experiments import (
 from gridforest.lines import learn_structure_and_params
 from gridforest.missing import MissingSpec, learn_with_missing
 from gridforest.moments import MomentSet
-from gridforest.network import line_param_map
-from gridforest.powerflow import analytic_moments, sample_voltages
+from gridforest.network import Node, build_forest, line_param_map
+from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltages
 from gridforest.structure import (
     EstimationDiagnostics,
     StructureDiagnostics,
@@ -75,8 +74,22 @@ def test_structural_error_counts_wrong_and_absent():
     assert structural_error(forest, {}) == 1.0
 
 
+def test_structural_error_over_no_loads_is_zero():
+    forest = build_forest([Node(0, "substation")], [])
+    assert structural_error(forest, {}) == 0.0
+    assert score(forest, {}, {}) == {"struct_err": 0.0}
+
+
 def test_fractional_error():
     assert fractional_error([1.1, 0.9], [1.0, 1.0]) == pytest.approx(0.1)
+
+
+def test_injection_errors_of_empty_models_are_zero():
+    # no mean of an empty slice, whose warning is an error here
+    empty = InjectionModel((), [], [], [], [], [])
+    assert injection_errors(empty, empty) == dict.fromkeys(
+        ("mu_p_err", "mu_q_err", "omega_p_err", "omega_q_err", "omega_pq_err"), 0.0
+    )
 
 
 def test_invalid_configs():
@@ -97,7 +110,7 @@ def test_invalid_configs():
 def test_population_mode_zero_structural_error():
     forest = synth_layout(FeederSpec(n_loads=8, n_trees=2, extra_lines=3), 5)
     inj = draw_injections(forest.load_ids, [5, 0])
-    got, parts = run_learner("learn", forest, population_moments(forest, inj), inj)
+    got, parts = run_learner("learn", forest, analytic_moments(forest, inj), inj)
     metrics = score(forest, got.parent, parts, inj)
     assert metrics["struct_err"] == 0.0
     assert metrics["omega_p_err"] < 1e-8
@@ -117,7 +130,7 @@ def test_learn_missing_analytic_mode_exact():
         for count in (1, 2):
             spec = MissingSpec(choose_hidden(forest, count, [3, seed, count]))
             got, _ = run_learner(
-                "learn-missing", forest, population_moments(forest, inj), inj, spec=spec
+                "learn-missing", forest, analytic_moments(forest, inj), inj, spec=spec
             )
             assert got.parent == forest.parent
 
@@ -196,7 +209,7 @@ def test_learn_missing_drops_the_hidden_rows_itself(m):
     forest, inj = synth_feeder(preset("bus_29_1"), 11)
     spec = MissingSpec(choose_hidden(forest, 2, 5))
     if m is None:
-        full = population_moments(forest, inj)
+        full = analytic_moments(forest, inj)
     else:
         full = sampled_moments(forest, inj, m, 3)
     got, parts = run_learner("learn-missing", forest, full, inj, spec=spec)
@@ -217,7 +230,7 @@ def test_learn_checks_fluctuation_on_population_moments_only():
     zero = replace(inj, var_p=inj.var_p * still, var_q=inj.var_q * still,
                    cov_pq=inj.cov_pq * still)
     with pytest.raises(AssumptionViolated, match="no injection variance"):
-        run_learner("learn", forest, population_moments(forest, inj), zero)
+        run_learner("learn", forest, analytic_moments(forest, inj), zero)
     got, _ = run_learner("learn", forest, sampled_moments(forest, inj, 50_000, 2), zero)
     assert got.parent == forest.parent
 
@@ -230,7 +243,7 @@ _MODES = pytest.mark.parametrize("m", [None, 2000], ids=["population", "samples"
 def _moments(forest, inj, m, zero_ids=()):
     """Population moments (``m`` None) or those of ``m`` samples."""
     if m is None:
-        return MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=zero_ids)
+        return analytic_moments(forest, inj).with_zero_ids(zero_ids)
     return MomentSet.from_samples(sample_voltages(forest, inj, m, 3), zero_ids=zero_ids)
 
 
@@ -307,7 +320,7 @@ def test_learners_register_the_slacks_themselves(task, m):
 
 def test_score_gives_struct_err_alone_without_both_injection_models():
     forest, inj = synth_feeder(preset("bus_13_3"), 4)
-    _, parts = run_learner("learn", forest, population_moments(forest, inj), inj)
+    _, parts = run_learner("learn", forest, analytic_moments(forest, inj), inj)
     assert score(forest, forest.parent, parts) == {"struct_err": 0.0}
     assert score(forest, forest.parent, {**parts, "inj_hat": None}, inj) == {"struct_err": 0.0}
     assert score(forest, {}, {}, inj) == {"struct_err": 1.0}

@@ -102,6 +102,18 @@ def test_samples_without_theta(tmp_path, feeder):
     np.testing.assert_array_equal(back.eps, s.eps)
 
 
+def test_samples_of_a_load_less_forest_are_the_header_alone(tmp_path):
+    # zero columns make no row to write, and reading the file back names
+    # the missing rows
+    forest = build_forest([Node(0, "substation")], [])
+    empty = InjectionModel((), [], [], [], [], [])
+    path = tmp_path / "samples.csv"
+    fileio.save_samples(path, sample_voltages(forest, empty, 5, seed=0))
+    assert path.read_bytes() == b"sample,node,eps,theta\r\n"
+    with pytest.raises(MalformedSamples, match="line 2: no data rows"):
+        fileio.load_samples(path)
+
+
 @pytest.mark.parametrize(
     "header, ok",
     [

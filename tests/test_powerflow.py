@@ -156,8 +156,9 @@ def test_moment_matrix_symmetries(chain2):
 
 
 def assert_matches_reference_moments(forest, inj):
-    """Every AnalyticMoments block within 1e-12 of the block's largest
-    absolute entry of the complex oracle (exactly, for an all-zero block)."""
+    """Every mean and covariance block of the population moments within
+    1e-12 of the block's largest absolute entry of the complex oracle
+    (exactly, for an all-zero block)."""
     am = analytic_moments(forest, inj)
     assert am.node_ids == forest.load_ids
     fields = {"mu_theta": am.mu_theta, "mu_eps": am.mu_eps, **moment_blocks(am)}

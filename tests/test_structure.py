@@ -24,11 +24,8 @@ from conftest import (
     magnitude_only,
     random_feeder,
     scalar_parent_map,
+    variance_order,
 )
-
-
-def analytic_momset(forest, inj):
-    return MomentSet.from_analytic(analytic_moments(forest, inj), zero_ids=forest.slack_ids)
 
 
 def sample_momset(forest, inj, m, seed):
@@ -43,7 +40,7 @@ def sample_momset(forest, inj, m, seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_population_structure_exact(seed):
     forest, inj = random_feeder(seed, n_range=(2, 60), k_max=8)
-    ms = analytic_momset(forest, inj)
+    ms = analytic_moments(forest, inj)
     rec = learn_structure(
         ms, forest.substation_children(), line_params=line_param_map(forest.lines)
     )
@@ -56,7 +53,7 @@ def test_single_load_attaches_to_declared_slack():
     inj = InjectionModel(
         node_ids=(1,), mu_p=[0.0], mu_q=[0.0], var_p=[1.0], var_q=[1.0], cov_pq=[0.5]
     )
-    rec = learn_structure(analytic_momset(f, inj), {0: (1,)})
+    rec = learn_structure(analytic_moments(f, inj), {0: (1,)})
     assert rec.parent == {1: 0}
 
 
@@ -97,20 +94,20 @@ def test_undeclared_substation_child_raises():
         node_ids=(1,), mu_p=[0.0], mu_q=[0.0], var_p=[1.0], var_q=[1.0], cov_pq=[0.5]
     )
     with pytest.raises(IncompleteCover):
-        learn_structure(analytic_momset(f, inj), {0: ()})
+        learn_structure(analytic_moments(f, inj), {0: ()})
 
 
 def test_declared_child_must_be_observed():
     ms_src = random_feeder(1, n_range=(4, 8), k_max=1)
     forest, inj = ms_src
-    ms = analytic_momset(forest, inj)
+    ms = analytic_moments(forest, inj)
     with pytest.raises(UnobservedNode):
         learn_structure(ms, {forest.slack_ids[0]: (9999,)})
 
 
 def test_selection_margins_recorded():
     forest, inj = random_feeder(6, n_range=(6, 20), k_max=2)
-    ms = analytic_momset(forest, inj)
+    ms = analytic_moments(forest, inj)
     diag = StructureDiagnostics()
     learn_structure(ms, forest.substation_children(), diagnostics=diag)
     non_declared = [a for a in forest.load_ids if not forest.is_slack(forest.parent[a])]
@@ -182,7 +179,7 @@ def declare(momset, seed, count, *, last):
     """``count`` random loads, plus the last pop when ``last`` (so the cover
     completes), declared under the two zero ids."""
     slacks = sorted(momset.zero_ids)
-    order = _selection(scalar_parent_map, momset, {})[2].pop_order
+    order = variance_order(momset)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(order[:-1], size=count, replace=False).tolist()
     if last:
@@ -208,14 +205,30 @@ def test_row_blocks_incomplete_cover(seed):
     ms = random_eps_momset(seed, 12, ties=seed % 2 == 1)
     for declared in ({}, declare(ms, seed, 2, last=False)):
         items, raised, diag = assert_same_selection(ms, declared)
-        assert raised and len(items) == 11 and diag.pop_order[-1] not in dict(items)
+        assert raised and len(items) == 11 and variance_order(ms)[-1] not in dict(items)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_map_is_in_variance_order(seed, ties):
+    # the learners read the pop order off the map: its keys, then the one
+    # load an IncompleteCover leaves out, are the loads by decreasing
+    # variance, ties by id, in the kernel and in the scalar oracle alike
+    ms = random_eps_momset(seed, 12 + seed, ties=ties)
+    for last in (True, False):
+        declared = declare(ms, seed, 3, last=last)
+        for kernel in (recover_parent_map, scalar_parent_map):
+            items, raised, _ = _selection(kernel, ms, declared)
+            dangling = [a for a in ms.node_ids if a not in dict(items)]
+            assert raised is not last and len(dangling) == int(raised)
+            assert [a for a, _ in items] + dangling == variance_order(ms)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_row_blocks_match_scalar_loop_on_feeders(seed):
     forest, inj = random_feeder(seed, n_range=(2, 60), k_max=8)
     declared = forest.substation_children()
-    for ms in (analytic_momset(forest, inj), sample_momset(forest, inj, 30, seed)):
+    for ms in (analytic_moments(forest, inj), sample_momset(forest, inj, 30, seed)):
         assert not assert_same_selection(ms, declared)[1]
 
 
@@ -290,7 +303,7 @@ def test_edge_system_round_trip(ratio, sums):
 @pytest.mark.parametrize("seed", range(10))
 def test_population_estimation_round_trip(seed):
     forest, inj = random_feeder(seed, n_range=(2, 40), k_max=4)
-    ms = analytic_momset(forest, inj)
+    ms = analytic_moments(forest, inj)
     inj_hat = estimate_injection_stats(ms, forest)
     for est, tru in (
         (inj_hat.mu_p, inj.mu_p),
@@ -309,14 +322,14 @@ def test_zero_mean_injections_recovered_as_zero():
         mu_p=np.zeros(inj0.n), mu_q=np.zeros(inj0.n),
         var_p=inj0.var_p, var_q=inj0.var_q, cov_pq=inj0.cov_pq,
     )
-    inj_hat = estimate_injection_stats(analytic_momset(forest, inj), forest)
+    inj_hat = estimate_injection_stats(analytic_moments(forest, inj), forest)
     np.testing.assert_allclose(inj_hat.mu_p, 0.0, atol=1e-12)
     np.testing.assert_allclose(inj_hat.mu_q, 0.0, atol=1e-12)
 
 
 def test_direct_mode_matches_sequential():
     forest, inj = random_feeder(13, n_range=(4, 30), k_max=3)
-    ms = analytic_momset(forest, inj)
+    ms = analytic_moments(forest, inj)
     seq = estimate_injection_stats(ms, forest)
     direct = direct_injection_stats(ms, forest)
     np.testing.assert_allclose(direct.var_p, seq.var_p, rtol=1e-8)
@@ -375,7 +388,7 @@ def test_no_covariance_clamped_at_extreme_variances(var):
         cov_pq=np.full(n, 0.5 * np.sqrt(var) * np.sqrt(var)),
     )
     diag = EstimationDiagnostics()
-    got = estimate_injection_stats(analytic_momset(forest, inj), forest, diagnostics=diag)
+    got = estimate_injection_stats(analytic_moments(forest, inj), forest, diagnostics=diag)
     assert diag.clamped_covariances == [] and diag.clamped_variances == []
     np.testing.assert_allclose(got.cov_pq, inj.cov_pq, rtol=1e-12, atol=0)
 
@@ -411,7 +424,7 @@ def test_deep_chain_population():
         mu_p=rng.uniform(-1, -0.2, 45), mu_q=rng.uniform(-1, -0.2, 45),
         var_p=vp, var_q=vq, cov_pq=rng.uniform(0.2, 0.8, 45) * np.sqrt(vp * vq),
     )
-    ms = analytic_momset(chain, inj)
+    ms = analytic_moments(chain, inj)
     rec = learn_structure(ms, chain.substation_children())
     assert rec.parent == chain.parent
     inj_hat = estimate_injection_stats(ms, chain)
@@ -434,13 +447,13 @@ def test_wide_star_population():
         mu_p=np.zeros(31), mu_q=np.zeros(31),
         var_p=vp, var_q=vq, cov_pq=rng.uniform(0.2, 0.8, 31) * np.sqrt(vp * vq),
     )
-    rec = learn_structure(analytic_momset(star, inj), star.substation_children())
+    rec = learn_structure(analytic_moments(star, inj), star.substation_children())
     assert rec.parent == star.parent
 
 
 def test_full_pipeline_learn_result():
     forest, inj = random_feeder(10, n_range=(4, 20), k_max=2)
-    ms = analytic_momset(forest, inj)
+    ms = analytic_moments(forest, inj)
     rec = learn_structure(
         ms, forest.substation_children(), line_params=line_param_map(forest.lines)
     )
