@@ -14,6 +14,19 @@ def located(exc, *location):
     return exc
 
 
+def distinct_ids(ids, kind: str = "node id", location=("nodes", "id")) -> tuple:
+    """``ids`` as a tuple.  An id that repeats an earlier one at position k
+    raises ValueError ``duplicate <kind> <id>``, located (``located``) at
+    ``location`` with k after its first entry: ``nodes[k].id`` by default."""
+    ids = tuple(ids)
+    seen = set()
+    for k, i in enumerate(ids):
+        if i in seen:
+            raise located(ValueError(f"duplicate {kind} {i}"), location[0], k, *location[1:])
+        seen.add(i)
+    return ids
+
+
 # -- network / forest construction -------------------------------------------
 
 class CycleDetected(GridForestError):

@@ -18,6 +18,7 @@ import os
 import re
 import stat
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -171,14 +172,17 @@ def injection_to_dict(inj: InjectionModel) -> dict:
 
 def injection_from_dict(data: dict, source=None, at="") -> InjectionModel:
     """The model of an injection document, or of the object at JSON path
-    ``at`` within one; ``source`` names its file in errors."""
+    ``at`` within one; ``source`` names its file in errors, as does a
+    repeated node id, at its JSON path."""
     rd = _JsonReader(data, source, at)
     rows = rd.rows("nodes")
 
     def column(key, kind=float):
         return [rd.get(row, key, kind, at) for row, at in rows]
 
-    return InjectionModel(
+    return rd.build(
+        rd.at,
+        InjectionModel,
         node_ids=tuple(column("id", int)),
         mu_p=column("mu_p"),
         mu_q=column("mu_q"),
@@ -293,95 +297,139 @@ def load_samples(path) -> VoltageSamples:
     there on, by seeking. ``parallel.ordered_map`` parses the blocks in worker
     processes, one per usable CPU, or in process: each task opens the file,
     reads its byte range, decodes it, splits its lines as text mode with
-    ``newline=""`` does (``_read_bytes``) and returns the block's rows and
-    which of them give theta, or raises the index and message of its first
-    bad line, which the main process turns into the file's line number. A
-    worker holds one block's text and rows at a time. numpy's C reader parses
-    every row of a block, whose rows of either theta mode are counted; only a
-    block it cannot read is read again, in halves, to name its first bad
-    line. A path that is not a regular file (a pipe, as ``--data <(...)``
-    gives) is read in process, in the same blocks.
+    ``newline=""`` does (``_read_bytes``) and returns the block's columns
+    (``_Block``), or raises the index and message of its first bad line,
+    which the main process turns into the file's line number. A worker holds
+    one block's text and rows at a time, and narrows the columns it returns:
+    sample and node in the narrowest signed integer type that holds them, no
+    theta column when no row gives it, and no flag per row for which rows
+    give theta when they all agree. numpy's C reader parses every row of a
+    block, whose rows of either theta mode are counted; only a block it
+    cannot read is read again, in halves, to name its first bad line. A
+    path that is not a regular file (a pipe, as ``--data <(...)`` gives) is
+    read in process, in the same blocks.
 
     The main process takes the blocks in file order and holds them all; the
     checks then run over them in file order, and each block is placed at its
     rows' (sample, node) cells of the (m, n) arrays and freed; a row whose
     cell is already taken is the duplicate named. The main process holds
-    about 32 B per row for the blocks plus 16 B per cell (8 B without theta);
-    there is no concatenated table and no sort of the whole file. A file with
-    fewer rows than m * n cells misses a cell, and is named from one sort of
-    its cell indices: the m * n arrays are never allocated for it.
+    the blocks, 18 to 32 B per row (19 B for 6400 samples of node ids below
+    128: int16 sample and int8 node; 8 B less without theta), plus 17 B per
+    cell (9 B without theta); there is no concatenated table and no sort of
+    the whole file. A file with fewer rows than m * n cells misses a cell,
+    and is named from one sort of its cell indices: the m * n arrays are
+    never allocated for it.
     """
-    blocks = []  # (rows, whether each row gives theta)
+    blocks = []  # the _Block of each block, in file order
     try:
         for block in _read_blocks(path):
             blocks.append(block)
     except _BadLine as bad:
         index, msg = bad.args  # the blocks before it hold one row per line
-        line = 2 + sum(len(rows) for rows, _ in blocks) + index
+        line = 2 + sum(len(block) for block in blocks) + index
         raise MalformedSamples(path, line, msg) from None
 
     if not blocks:
         raise MalformedSamples(path, 2, "no data rows")
-    starts = np.cumsum([0] + [len(rows) for rows, _ in blocks])  # first row of each block
+    starts = np.cumsum([0] + [len(block) for block in blocks])  # first row of each block
     total = int(starts[-1])
 
-    def check(bad, msg):  # bad(rows, given) marks a block's bad rows; row i is line i + 2
-        for (rows, given), start in zip(blocks, starts):
-            k = np.flatnonzero(bad(rows, given))
+    def check(bad, msg):  # bad(block) marks a block's bad rows; row i is line i + 2
+        for block, start in zip(blocks, starts):
+            k = np.flatnonzero(bad(block))
             if k.size:
                 raise MalformedSamples(path, int(start + k[0]) + 2, msg)
 
-    n_given = sum(int(np.count_nonzero(given)) for _, given in blocks)
+    n_given = sum(int(np.count_nonzero(block.gives_theta())) for block in blocks)
     if n_given:  # name the first row of the smaller theta mode
         if n_given < total / 2:
-            check(lambda rows, given: given, "theta given, but other rows leave it blank")
-        check(lambda rows, given: ~given, "blank theta, but other rows give theta")
-    check(  # theta is 0 where blank
-        lambda rows, _: ~(np.isfinite(rows["eps"]) & np.isfinite(rows["theta"])),
-        "eps and theta must be finite",
-    )
+            check(lambda block: block.gives_theta(), "theta given, but other rows leave it blank")
+        check(lambda block: ~block.gives_theta(), "blank theta, but other rows give theta")
+    check(lambda block: ~block.finite(), "eps and theta must be finite")
     check(
-        lambda rows, _: (rows["sample"] < 0) | (rows["sample"] >= total),
+        lambda block: (block.sample < 0) | (block.sample >= np.int64(total)),
         "sample index out of range",
     )
-    node_ids = np.unique(np.concatenate([np.unique(rows["node"]) for rows, _ in blocks]))
-    m, n = max(int(rows["sample"].max()) for rows, _ in blocks) + 1, len(node_ids)
+    node_ids = np.unique(np.concatenate([np.unique(block.node) for block in blocks]))
+    m, n = max(int(block.sample.max()) for block in blocks) + 1, len(node_ids)
 
-    def cells(rows):  # the (sample, node) cell of each row, numbered sample-major
-        return rows["sample"] * n + np.searchsorted(node_ids, rows["node"])
+    def cells(block):  # the (sample, node) cell of each row, numbered sample-major
+        return block.sample.astype(np.int64) * n + np.searchsorted(node_ids, block.node)
 
     duplicate = "duplicate (sample, node) row"
     if m * n > total:  # some cell has no row; m * n may be far more than the rows
-        cell, repeats = _sorted_repeats(np.concatenate([cells(rows) for rows, _ in blocks]))
+        cell, repeats = _sorted_repeats(np.concatenate([cells(block) for block in blocks]))
         del blocks
         if repeats.size:
             raise MalformedSamples(path, int(repeats.min()) + 2, duplicate)
         gap = np.flatnonzero(cell != np.arange(len(cell)))
         k = int(gap[0]) if gap.size else len(cell)
         raise MalformedSamples(path, None, f"no row for sample {k // n}, node {node_ids[k % n]}")
-    with_theta = bool(blocks[0][1][0])
+    with_theta = blocks[0].theta is not None  # the checks left one theta mode
     eps = np.empty(m * n)
     theta = np.empty(m * n) if with_theta else None
     taken = np.zeros(m * n, bool)
     for b, start in enumerate(starts[:-1]):
-        rows, _ = blocks[b]
+        block = blocks[b]
         blocks[b] = None  # free each block once it is placed
-        cell = cells(rows)
+        cell = cells(block)
         repeat = taken[cell]
         repeat[_sorted_repeats(cell)[1]] = True
         k = np.flatnonzero(repeat)
         if k.size:
             raise MalformedSamples(path, int(start + k[0]) + 2, duplicate)
         taken[cell] = True
-        eps[cell] = rows["eps"]
+        eps[cell] = block.eps
         if with_theta:
-            theta[cell] = rows["theta"]
+            theta[cell] = block.theta
     # m * n <= total and no cell twice, so every cell has exactly one row
     return VoltageSamples(
         node_ids=node_ids.tolist(),
         eps=eps.reshape(m, n),
         theta=theta.reshape(m, n) if with_theta else None,
     )
+
+
+@dataclass
+class _Block:
+    """The rows of one block of a samples CSV, a column each: ``sample`` and
+    ``node`` in the narrowest signed integer type that holds the block's
+    values (a signed and an unsigned type would promote to float64), then
+    ``eps`` and ``theta``, which is None when no row gives it and 0 where a
+    row leaves it blank. ``given`` marks the rows that give theta, and is
+    None when every row agrees."""
+
+    sample: np.ndarray
+    node: np.ndarray
+    eps: np.ndarray
+    theta: np.ndarray | None
+    given: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, rows, theta, given=None):
+        """The block of the ``_SAMPLE_ROW`` or ``_BLANK_THETA_ROW`` rows
+        ``rows``, with its own copy of each column."""
+        sample, node = _narrow(rows["sample"]), _narrow(rows["node"])
+        return cls(sample, node, rows["eps"].copy(), theta, given)
+
+    def __len__(self):
+        return len(self.eps)
+
+    def gives_theta(self):
+        """Whether each row gives theta."""
+        return np.full(len(self), self.theta is not None) if self.given is None else self.given
+
+    def finite(self):
+        """Whether each row's eps and theta (0 where blank) are finite."""
+        ok = np.isfinite(self.eps)
+        return ok if self.theta is None else ok & np.isfinite(self.theta)
+
+
+def _narrow(values):
+    """A copy of the non-empty integer array ``values`` in the narrowest
+    signed integer type that holds them: a signed type holds lo..hi when it
+    holds min(lo, -1 - hi)."""
+    return values.astype(np.min_scalar_type(min(int(values.min()), -1 - int(values.max()))))
 
 
 def _sorted_repeats(cell):
@@ -398,7 +446,7 @@ class _BadLine(Exception):
 
 
 def _read_blocks(path):
-    """Yield the (rows, given) of each block of the samples CSV ``path``, in
+    """Yield the ``_Block`` of each block of the samples CSV ``path``, in
     file order, after checking its header; a bad line raises _BadLine."""
     with open(path, "rb") as fh:
         head, rest = _first_line(fh)
@@ -479,7 +527,7 @@ def _read_range(task):
 
 
 def _read_bytes(data):
-    """(rows, given) of the lines of the non-empty block ``data``
+    """The ``_Block`` of the lines of the non-empty block ``data``
     (``_read_block``), decoded as UTF-8 and split as text mode with
     ``newline=""`` splits them; the first line that is no row, or holds a
     byte that does not decode, raises _BadLine."""
@@ -503,28 +551,28 @@ def _not_utf8(exc):
 
 
 def _read_block(lines):
-    """(rows, given): one ``_SAMPLE_ROW`` per line and whether it gives theta
-    (0 where blank), or None if some line is not a row. Lines that do not all
-    read with theta are read with a blank theta cell, those with a cell again.
-    A last line that leaves a quote open is no row: numpy would close it at
-    the block's end (in a row of numbers, an odd count of quotes leaves one open)."""
+    """The ``_Block`` of the lines, one row per line, or None if some line is
+    not a row. Lines that do not all read with theta are read with a blank
+    theta cell, those with a cell again. A last line that leaves a quote open
+    is no row: numpy would close it at the block's end (in a row of numbers,
+    an odd count of quotes leaves one open)."""
     if lines[-1].count('"') % 2:
         return None
     rows = _parse_block(lines, _SAMPLE_ROW)
     if rows is not None:
-        return rows, np.ones(len(rows), bool)
+        return _Block.of(rows, rows["theta"].copy())
     text = _parse_block(lines, _BLANK_THETA_ROW)
     if text is None:
         return None
     given = text["theta"] != ""
-    rows = np.zeros(len(text), _SAMPLE_ROW)
-    rows[["sample", "node", "eps"]] = text[["sample", "node", "eps"]]
-    if given.any():
-        theta = _parse_block([lines[k] for k in np.flatnonzero(given)], _SAMPLE_ROW)
-        if theta is None:
-            return None
-        rows[given] = theta
-    return rows, given
+    if not given.any():
+        return _Block.of(text, None)
+    rows = _parse_block([lines[k] for k in np.flatnonzero(given)], _SAMPLE_ROW)
+    if rows is None:
+        return None
+    theta = np.zeros(len(text))
+    theta[given] = rows["theta"]
+    return _Block.of(text, theta, given)
 
 
 def _parse_block(lines, dtype):

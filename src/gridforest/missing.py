@@ -41,7 +41,7 @@ from .errors import (
     IncompleteCover,
     NoConsistentPlacement,
     UnobservedNode,
-    located,
+    distinct_ids,
 )
 from .moments import MomentSet
 from .network import RadialForest, line_key
@@ -60,11 +60,7 @@ class MissingSpec:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set()
-        for k, i in enumerate(self.ids):
-            if i in seen:
-                raise located(ValueError(f"duplicate hidden node id {i}"), "hidden", k)
-            seen.add(i)
+        distinct_ids(self.ids, "hidden node id", ("hidden",))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import (
     MultipleSlacksInComponent,
     ParallelLine,
     UnknownNode,
+    distinct_ids,
     located,
 )
 
@@ -101,13 +102,9 @@ class RadialForest:
     def __init__(self, nodes, lines):
         nodes = tuple(nodes)
         lines = tuple(lines)
-        self.nodes: dict[int, str] = {}
-        index: dict[int, int] = {}  # position of each node id in ``nodes``
-        for k, nd in enumerate(nodes):
-            if nd.id in self.nodes:
-                raise located(ValueError(f"duplicate node id {nd.id}"), "nodes", k, "id")
-            self.nodes[nd.id] = nd.role
-            index[nd.id] = k
+        distinct_ids(nd.id for nd in nodes)
+        self.nodes: dict[int, str] = {nd.id: nd.role for nd in nodes}
+        index = {nd.id: k for k, nd in enumerate(nodes)}  # position in ``nodes``
         self.lines = lines
 
         self.slack_ids: tuple[int, ...] = tuple(

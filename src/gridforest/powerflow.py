@@ -15,14 +15,16 @@ Each node's injection pair is its mean plus its Cholesky factor times two
 standard draws z1, z2 (``_cholesky``), so a row of draws z = [z1, z2] maps
 to the voltages [eps, theta] = z A + [Re c, Im c], with A real (2n x 2n)
 and c = T_z (mu_p - j mu_q).  Every moment source sweeps injections, and
-none multiplies by A.  ``sample_voltages`` sweeps the samples' draws, and
-a sweep cell with m <= 2n takes those samples' moments.  Past 2n a cell
-takes the draws' mean and the Cholesky factor L of their covariance
-(``draw_moments``), and ``voltage_moments`` sweeps the mean draw's
-injection and, for the factor A^T L, the zero-mean injections of L's
-columns.  The population moments (``analytic_moments``) have L = I: T_z is
-symmetric, so A^T is swept as unit columns scaled by their loads' factors,
-n columns rather than 2n.  ``moments.MomentSet`` holds the factor, and the
+none multiplies by A.  ``sample_voltages`` sweeps the samples' draws one
+block of rows at a time (``_draws``: z1 whole, then z2 block by block, one
+random stream), and a sweep cell with m <= 2n takes those samples'
+moments.  Past 2n a cell takes the draws' mean and the Cholesky factor L
+of their covariance (``draw_moments``, from the same ``_draws`` in its own
+blocks), and ``voltage_moments`` sweeps the mean draw's injection and, for
+the factor A^T L, the zero-mean injections of L's columns.  The population
+moments (``analytic_moments``) have L = I: T_z is symmetric, so A^T is
+swept as unit columns scaled by their loads' factors, n columns rather
+than 2n.  ``moments.MomentSet`` holds the factor, and the
 population moments are one with ``m`` None, ready for every learner.
 
 Substations hold the reference and contribute identically-zero channels, so
@@ -35,14 +37,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples
+from .errors import DimensionMismatch, InvalidCovariance, NonFiniteSamples, distinct_ids
 from .moments import MomentSet
 from .network import RadialForest, apply_path_inverse
 
 _DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
 
-# Complex entries per block that analytic_moments and _sweeps sweep at once:
-# 1 MB, about a third of a 600-load factor's bytes (``_sweep_width``).
+# Complex entries per block that analytic_moments, voltage_moments and
+# sample_voltages sweep at once: 1 MB, about a third of a 600-load factor's
+# bytes (``_sweep_width``).
 _SWEEP_BLOCK = 1 << 16
 
 # Entries of standard draws per block that draw_moments adds into its Gram
@@ -70,7 +73,8 @@ class InjectionModel:
     """Per-load-node injection means and diagonal second moments.
 
     Injections at distinct nodes are uncorrelated; ``cov_pq`` is the per-node
-    covariance between active and reactive injection.
+    covariance between active and reactive injection.  Each node id appears
+    once.
     """
 
     node_ids: tuple[int, ...]
@@ -82,7 +86,7 @@ class InjectionModel:
     distribution: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "node_ids", tuple(int(i) for i in self.node_ids))
+        object.__setattr__(self, "node_ids", distinct_ids(int(i) for i in self.node_ids))
         n = len(self.node_ids)
         for name in ("mu_p", "mu_q", "var_p", "var_q", "cov_pq"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -141,9 +145,9 @@ class VoltageSamples:
     """Joint voltage observations; row j, column k is sample j at node_ids[k].
 
     Substation channels are identically zero and therefore not stored.
-    ``theta`` may be None for magnitude-only data.  Every value must be
-    finite; NonFiniteSamples names the channel, node and row of the first
-    that is not.
+    ``theta`` may be None for magnitude-only data.  Each node id appears
+    once.  Every value must be finite; NonFiniteSamples names the channel,
+    node and row of the first that is not.
     """
 
     node_ids: tuple[int, ...]
@@ -151,7 +155,7 @@ class VoltageSamples:
     theta: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "node_ids", tuple(int(i) for i in self.node_ids))
+        object.__setattr__(self, "node_ids", distinct_ids(int(i) for i in self.node_ids))
         eps = np.asarray(self.eps, dtype=float)
         object.__setattr__(self, "eps", eps)
         if eps.ndim != 2 or eps.shape[1] != len(self.node_ids):
@@ -199,14 +203,18 @@ def _injections(inj: InjectionModel, z1, z2) -> np.ndarray:
     return (inj.mu_p + a11 * z1) - 1j * (inj.mu_q + a21 * z1 + a22 * z2)
 
 
-def _sweeps(forest: RadialForest, inj: InjectionModel, z1, z2):
-    """``(block, v)`` per block of rows of the standard draws z1, z2 (k, n):
-    v (n, rows) is the voltages eps + j theta of the block's injections, one
-    sweep, each column with the same bits whatever the block."""
-    width = _sweep_width(inj.n)
-    for j0 in range(0, len(z1), width):
-        b = slice(j0, j0 + width)
-        yield b, apply_path_inverse(forest, _injections(inj, z1[b], z2[b]).T)
+def _blocks(k: int, rows: int):
+    """Slices of ``rows`` rows that cover range(k), the last one shorter."""
+    return [slice(j0, min(j0 + rows, k)) for j0 in range(0, k, rows)]
+
+
+def _sweeps(forest: RadialForest, inj: InjectionModel, blocks):
+    """``(b, v)`` per ``(b, z1, z2)`` in ``blocks``, rows b of the standard
+    draws z1, z2 (rows, n): v (n, rows) is the voltages eps + j theta of
+    their injections, one sweep, each column with the same bits whatever
+    the block."""
+    for b, z1, z2 in blocks:
+        yield b, apply_path_inverse(forest, _injections(inj, z1, z2).T)
 
 
 def analytic_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
@@ -226,10 +234,8 @@ def analytic_moments(forest: RadialForest, inj: InjectionModel) -> MomentSet:
     a11, a21, a22 = _cholesky(inj)
     rows = np.empty((2 * n, 2 * n))
     quarter = rows.reshape(2, n, 2, n)  # quarter[e, :, c] is rows' (e, c) quarter
-    width = _sweep_width(n)
-    for j0 in range(0, n, width):
-        j = slice(j0, min(j0 + width, n))
-        t = apply_path_inverse(forest, np.eye(n, j.stop - j0, -j0, dtype=complex))
+    for j in _blocks(n, _sweep_width(n)):
+        t = apply_path_inverse(forest, np.eye(n, j.stop - j.start, -j.start, dtype=complex))
         tr, tx = t.real, t.imag
         quarter[0, :, 0, j] = a11[j] * tr + a21[j] * tx
         quarter[0, :, 1, j] = a22[j] * tx
@@ -250,10 +256,21 @@ def voltage_moments(forest: RadialForest, inj: InjectionModel, zbar, factor):
     mu = apply_path_inverse(forest, _injections(inj, zbar[:n], zbar[n:]))
     rows = np.empty((2 * n, factor.shape[1]))
     centred = replace(inj, mu_p=np.zeros(n), mu_q=np.zeros(n))
-    for b, v in _sweeps(forest, centred, factor[:n].T, factor[n:].T):
+    z1, z2 = factor[:n].T, factor[n:].T
+    blocks = ((b, z1[b], z2[b]) for b in _blocks(len(z1), _sweep_width(n)))
+    for b, v in _sweeps(forest, centred, blocks):
         rows[:n, b] = v.real
         rows[n:, b] = v.imag
     return mu.real, mu.imag, rows
+
+
+def _draws(rng, distribution: str, m: int, n: int, rows: int):
+    """``(b, z1, z2)`` per block b of ``rows`` rows of the m rows of standard
+    draws [z1, z2] for n loads: z1 is drawn whole, then z2 one block at a
+    time, the same stream as one (2, m, n) draw."""
+    z1 = _standard_draws(rng, distribution, (m, n))
+    for b in _blocks(m, rows):
+        yield b, z1[b], _standard_draws(rng, distribution, (b.stop - b.start, n))
 
 
 def sample_voltages(forest: RadialForest, inj: InjectionModel, m: int, seed) -> VoltageSamples:
@@ -262,16 +279,16 @@ def sample_voltages(forest: RadialForest, inj: InjectionModel, m: int, seed) -> 
     Two standard draws z1, z2 per node and sample give the injections p - j q,
     and one sweep per block of samples maps them to the voltages: each row is
     the linear solve of its injections, with the same bits whatever the block.
+    z2 is drawn one block at a time (``_draws``), so besides eps and theta
+    the sampler holds z1 and one block's draws and sweep.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     inj = inj.for_nodes(forest.load_ids)
     n = inj.n
     rng = np.random.default_rng(seed)
-    # one (2, m, n) draw is the same stream as two sequential (m, n) draws
-    z1, z2 = _standard_draws(rng, inj.distribution, (2, m, n))
     eps, theta = np.empty((m, n)), np.empty((m, n))
-    for b, v in _sweeps(forest, inj, z1, z2):
+    for b, v in _sweeps(forest, inj, _draws(rng, inj.distribution, m, n, _sweep_width(n))):
         eps[b] = v.real.T
         theta[b] = v.imag.T
     return VoltageSamples(node_ids=forest.load_ids, eps=eps, theta=theta)
@@ -283,24 +300,23 @@ def draw_moments(distribution: str, m: int, n: int, seed) -> tuple[np.ndarray, n
     z = [z1, z2] that ``sample_voltages`` maps for n loads and ``seed``.
     S is singular unless m > 2n, so a smaller m is a ValueError.
 
-    z1 is drawn whole, then z2 in blocks of ``_draw_rows(n)`` rows, the same
-    stream as ``sample_voltages``' single draw.  Each block [z1 | z2] is
-    added into the uncentred Gram matrix G = z^T z and the column sums, and
+    The draws come in blocks of ``_draw_rows(n)`` rows (``_draws``, as
+    ``sample_voltages`` takes them).  Each block [z1 | z2] is added into the
+    uncentred Gram matrix G = z^T z and the column sums, and
     S = G/m - zbar^T zbar is formed in G's own storage.
     """
     if m <= 2 * n:
         raise ValueError(f"draw_moments needs m > 2n: S is singular at m = {m}, n = {n}")
     rng = np.random.default_rng(seed)
-    z1 = _standard_draws(rng, distribution, (m, n))
     rows = _draw_rows(n)
     block = np.empty((min(rows, m), 2 * n))
     ones = np.ones(len(block))
     gram = np.zeros((2 * n, 2 * n))
     zsum = np.zeros(2 * n)
-    for j0 in range(0, m, rows):
-        b = block[: min(rows, m - j0)]
-        b[:, :n] = z1[j0 : j0 + len(b)]
-        b[:, n:] = _standard_draws(rng, distribution, (len(b), n))
+    for _, z1, z2 in _draws(rng, distribution, m, n, rows):
+        b = block[: len(z1)]
+        b[:, :n] = z1
+        b[:, n:] = z2
         gram += b.T @ b  # numpy takes the symmetric rank-k (SYRK) product
         zsum += ones[: len(b)] @ b  # a matrix-vector product; faster than sum(axis=0)
     zbar = zsum / m

@@ -7,7 +7,9 @@ numpy.  The direct statistics oracle avoids the leaf-upward edge walk: it
 maps the voltage moments back through the complex reduced Laplacian in one
 shot, and solves for the means against the dense oracle T_r + j T_x.  The
 reference sampler keeps the complex form of the forward model: two
-sequential standard draws, u = p - jq, then u T_z.  The population-moment
+sequential standard draws, u = p - jq, then u T_z.  The whole-draw sampler
+draws z1 and z2 as one (2, m, n) array before it sweeps, where the package
+draws z2 one block at a time.  The population-moment
 oracle keeps it too, on the dense oracle T_z: the complex second moments of
 u through T_z, with the real blocks read off.
 The forward-model oracle solves one injection vector pair by the package's
@@ -64,6 +66,7 @@ from gridforest.powerflow import (
     InjectionModel,
     VoltageSamples,
     _draw_rows,
+    _injections,
     _standard_draws,
     sample_voltages,
 )
@@ -288,6 +291,15 @@ def reference_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np
     return v.real, v.imag
 
 
+def whole_draw_sample_voltages(forest, inj, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``sample_voltages``, bit for bit: (eps, theta) of one
+    (2, m, n) draw of z1 and z2, its injections swept all at once."""
+    inj = inj.for_nodes(forest.load_ids)
+    z1, z2 = _standard_draws(np.random.default_rng(seed), inj.distribution, (2, m, inj.n))
+    v = apply_path_inverse(forest, _injections(inj, z1, z2).T)
+    return v.real.T, v.imag.T
+
+
 def reference_analytic_moments(forest, inj) -> dict:
     """Oracle for ``powerflow.analytic_moments`` by the complex form, on the
     dense oracle T_z = T_r + j T_x: with v = eps + j theta = T_z u and
@@ -426,19 +438,20 @@ def sorted_load_samples(path) -> VoltageSamples:
     if block is None:
         k, msg = fileio._bad_line(lines)
         raise MalformedSamples(path, k + 2, msg)
-    table, given = block
+    given = block.gives_theta()
     if given.any():  # name the first row of the smaller theta mode
         if given.sum() < len(given) / 2:
             check(given, "theta given, but other rows leave it blank")
         check(~given, "blank theta, but other rows give theta")
-    eps, theta = table["eps"], table["theta"]  # theta is 0 where blank
+    eps = block.eps
+    theta = np.zeros(len(eps)) if block.theta is None else block.theta  # 0 where blank
     check(~(np.isfinite(eps) & np.isfinite(theta)), "eps and theta must be finite")
-    j = table["sample"]
-    check((j < 0) | (j >= len(table)), "sample index out of range")
-    node_ids, pos = np.unique(table["node"], return_inverse=True)
+    j = block.sample.astype(np.int64)
+    check((j < 0) | (j >= len(eps)), "sample index out of range")
+    node_ids, pos = np.unique(block.node, return_inverse=True)
     m, n = int(j.max()) + 1, len(node_ids)
     cell, first = np.unique(j * n + pos, return_index=True)
-    check(~np.isin(np.arange(len(table)), first), "duplicate (sample, node) row")
+    check(~np.isin(np.arange(len(eps)), first), "duplicate (sample, node) row")
     if len(cell) < m * n:
         gap = np.flatnonzero(cell != np.arange(len(cell)))
         k = int(gap[0]) if gap.size else len(cell)

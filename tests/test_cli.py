@@ -517,6 +517,27 @@ def test_injection_value_not_a_number(tmp_path, capsys):
     assert f"{tmp_path / 'injection.json'}: nodes[3].var_q: expected a number, got a string" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "learn"])
+def test_injection_repeated_node_names_file_and_path(tmp_path, capsys, command):
+    # a load listed twice in the injection file exits 1 at the JSON path of
+    # its second entry, as a repeated network node does; for_nodes used to
+    # take the last entry silently
+    assert main(["synth", "--preset", "bus_13_3", "--out", str(tmp_path)]) == 0
+    inj = tmp_path / "injection.json"
+    doc = json.loads(inj.read_text())
+    doc["nodes"].append(dict(doc["nodes"][1]))
+    inj.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = {"simulate": ["--samples", "10"], "learn": ["--analytic"]}[command]
+    capsys.readouterr()
+    rc = main([command, "--network", str(tmp_path / "network.json"), "--inj", str(inj),
+               *args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and not captured.out and not out.exists()
+    k, node = len(doc["nodes"]) - 1, doc["nodes"][1]["id"]
+    assert captured.err == f"error: {inj}: nodes[{k}].id: duplicate node id {node}\n"
+
+
 def test_missing_spec_id_missing(tmp_path, capsys):
     def edit(doc):
         doc["hidden"][0] = None

@@ -21,7 +21,7 @@ from gridforest.errors import MalformedJSON, MalformedSamples
 from gridforest.missing import MissingSpec
 from gridforest.network import Node, build_forest
 from gridforest.powerflow import InjectionModel, VoltageSamples, sample_voltages
-from gridforest.synth import FeederSpec, draw_injections, synth_layout
+from gridforest.synth import FeederSpec, draw_injections, preset, synth_feeder, synth_layout
 
 from conftest import magnitude_only, sorted_load_samples
 from test_cli import BLOCK_BYTES, MALFORMED_SAMPLES, blocks_of
@@ -394,10 +394,12 @@ def _traced_peak(call):
 
 
 def test_samples_read_in_bounded_bytes_per_row(tmp_path, monkeypatch):
-    # the blocks (33 B a row) and the placed (m, n) arrays (17 B a cell) are
-    # the reader's memory: about 51 B a row read here, where a concatenated
-    # table sorted whole took 90. Blocks of about 700 rows, read in process,
-    # where tracemalloc sees their text and lines too
+    # the blocks (19 B a row here) and the placed (m, n) arrays (17 B a
+    # cell) are the reader's memory, where a concatenated table sorted whole
+    # took 90 B a row. The peak read here, about 51 B a row, is numpy's
+    # loadtxt buffer for the header's fields (1.7 MB whatever the file).
+    # Blocks of about 700 rows, read in process, where tracemalloc sees
+    # their text and lines too
     monkeypatch.setattr(fileio, "_BLOCK_BYTES", 1 << 15)
     _usable_cpus(monkeypatch, 1)
     rng = np.random.default_rng(4)
@@ -409,6 +411,47 @@ def test_samples_read_in_bounded_bytes_per_row(tmp_path, monkeypatch):
     assert back.eps.tobytes() == eps.tobytes() and back.theta.tobytes() == theta.tobytes()
     peak, _ = _traced_peak(lambda: fileio.load_samples(path))
     assert peak / (m * n) < 64
+
+
+def test_simulated_samples_come_in_narrow_blocks(tmp_path, monkeypatch):
+    # a block holds sample and node in the narrowest signed integer type, no
+    # given array when its rows agree and no theta column when none gives
+    # it: at most 20 B a row (12 without theta) where int64 ids and a given
+    # flag took 33. Blocks of 256 kB come back through the pool where it runs
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 1 << 18)
+    forest, inj = synth_feeder(preset("bus_83_11"), 1)
+    s = sample_voltages(forest, inj, 400, seed=1)
+    path = tmp_path / "samples.csv"
+    for samples, width in ((s, 20), (magnitude_only(s), 12)):
+        fileio.save_samples(path, samples)
+        blocks = list(fileio._read_blocks(path))
+        rows = sum(len(block) for block in blocks)
+        nbytes = sum(a.nbytes for b in blocks for a in vars(b).values() if a is not None)
+        assert len(blocks) > 2 and rows == samples.m * forest.n_loads
+        assert nbytes <= width * rows
+        assert all(b.given is None and (b.theta is None) == (width == 12) for b in blocks)
+
+
+def test_samples_ids_narrowed_per_block_keep_their_values(tmp_path):
+    # node -1 alone reads as int8 and 2**63 - 1 alone as int64: together they
+    # promote to int64, where an unsigned type for the large id would promote
+    # to float64 and round it. A negative sample index in a narrowed block
+    # keeps its line
+    big = 2**63 - 1
+    rows = [f"{j},{node},{j + 0.5},{j + 0.25}\n" for node in (-1, big) for j in range(4)]
+    path = tmp_path / "samples.csv"
+    path.write_text("sample,node,eps,theta\n" + "".join(rows))
+    with blocks_of(50):  # node -1's four lines, then two blocks of 2**63 - 1's
+        blocks = list(fileio._read_blocks(path))
+        back = fileio.load_samples(path)
+    assert {b.node.dtype for b in blocks} >= {np.dtype(np.int8), np.dtype(np.int64)}
+    assert back.node_ids == (-1, big)
+    np.testing.assert_array_equal(back.eps, np.arange(4)[:, None] + [[0.5, 0.5]])
+    rows[6] = "-2" + rows[6][1:]  # line 8: sample 2 of node 2**63 - 1
+    path.write_text("sample,node,eps,theta\n" + "".join(rows))
+    with blocks_of(50), pytest.raises(MalformedSamples, match="sample index out of range") as exc:
+        fileio.load_samples(path)
+    assert exc.value.line == 8
 
 
 def test_samples_missing_cells_are_named_without_allocating_them(tmp_path):
